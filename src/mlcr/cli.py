@@ -11,15 +11,14 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .core import (
     AllocationPlan,
     MlgError,
     MlgParseError,
-    MultiLayerGraph,
     ml_min_degree,
     parse_mlg_file,
     write_mlg_file,
@@ -44,14 +43,25 @@ def _say_time(label: str, t0: float) -> None:
     print(f"# {label}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
 
 
-def _load(path: str) -> MultiLayerGraph:
-    return parse_mlg_file(path)
+def _mec_lower_bound(g, max_k: float = math.inf) -> int:
+    """Largest k <= max_k such that mec_check holds for 1..k; the search
+    stops early when the enumeration budget runs out."""
+
+    from .bounds import EnumerationBudgetExceeded, mec_check
+
+    k = 0
+    try:
+        while k < max_k and mec_check(g, k + 1):
+            k += 1
+    except EnumerationBudgetExceeded:
+        pass
+    return k
 
 
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     try:
-        g = _load(args.graph)
+        g = parse_mlg_file(args.graph)
     except (OSError, MlgParseError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
@@ -72,13 +82,7 @@ def cmd_solve(args) -> int:
                 print(f"error: allocation has {len(counts)} entries, graph has {g.tau} layers",
                       file=sys.stderr)
                 return EXIT_USAGE
-            if args.dump_table and plan.total >= 1:
-                from .solver import build_copwin, dump_cwt
-
-                table = build_copwin(g, plan.assignment(), state_budget=args.state_budget)
-                with open(args.dump_table, "w") as fh:
-                    fh.write(dump_cwt(table))
-                print(f"TABLE={args.dump_table}")
+            tables: list = []
             if use_tree and plan.total >= 1:
                 from .solver import GameVerdict
                 from .treealgo import find_robbers_edge
@@ -95,10 +99,20 @@ def cmd_solve(args) -> int:
                     verdict = GameVerdict(
                         Winner.ROBBER, assignment=plan.assignment(), certificate=cert
                     )
-                print("METHOD=tree")
+                method = "tree"
             else:
-                verdict = decide_allocated(g, plan, state_budget=args.state_budget)
-                print("METHOD=state-graph")
+                verdict = decide_allocated(g, plan, state_budget=args.state_budget, table_out=tables)
+                method = "state-graph"
+            if args.dump_table and plan.total >= 1:
+                from .solver import build_copwin, dump_cwt
+
+                table = tables[0] if tables else build_copwin(
+                    g, plan.assignment(), state_budget=args.state_budget
+                )
+                with open(args.dump_table, "w") as fh:
+                    fh.write(dump_cwt(table))
+                print(f"TABLE={args.dump_table}")
+            print(f"METHOD={method}")
             print(f"ALLOCATION={plan}")
         elif args.cops is not None:
             if use_tree:
@@ -174,29 +188,17 @@ def cmd_bounds(args) -> int:
         EnumerationBudgetExceeded,
         domset_exact,
         domset_greedy,
-        mec_check,
         treewidth_exact_small,
     )
     from .core import flatten
 
     t0 = time.perf_counter()
     try:
-        g = _load(args.graph)
+        g = parse_mlg_file(args.graph)
     except (OSError, MlgParseError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
-    lb = 0
-    k = 1
-    while k <= args.max_k:
-        try:
-            if mec_check(g, k):
-                lb = k
-                k += 1
-            else:
-                break
-        except EnumerationBudgetExceeded:
-            break
-    print(f"LB_mec={lb}")
+    print(f"LB_mec={_mec_lower_bound(g, args.max_k)}")
     try:
         ds = domset_exact(g)
         print(f"UB_domset={len(ds)}")
@@ -221,11 +223,12 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .sim import cop_strategy_from_name, referee_check, robber_strategy_from_name, run_match
+    from .sim import (cop_strategy_from_name, referee_check, robber_strategy_from_name, run_match,
+                      table_source)
 
     t0 = time.perf_counter()
     try:
-        g = _load(args.graph)
+        g = parse_mlg_file(args.graph)
         if args.tag:
             g.tag = args.tag
         counts = tuple(int(x) for x in args.allocation.split(","))
@@ -234,18 +237,11 @@ def cmd_simulate(args) -> int:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
 
-    seeds = [args.seed + i for i in range(args.batch)]
-
-    def one(seed: int):
-        cop = cop_strategy_from_name(args.cop_strategy, g, plan, state_budget=args.state_budget)
-        rob = robber_strategy_from_name(args.robber_strategy, g, plan, state_budget=args.state_budget)
-        return run_match(g, plan, cop, rob, T=args.rounds, seed=seed)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            records = list(pool.map(one, seeds))
-    else:
-        records = [one(s) for s in seeds]
+    # one object per side plays every seed; both tablebase sides share one table
+    table = table_source(g, plan, args.state_budget)
+    cop = cop_strategy_from_name(args.cop_strategy, g, table)
+    rob = robber_strategy_from_name(args.robber_strategy, g, table)
+    records = [run_match(g, plan, cop, rob, T=args.rounds, seed=args.seed + i) for i in range(args.batch)]
     captures = 0
     for rec in records:
         ok, msg = referee_check(rec, g)
@@ -273,7 +269,7 @@ def cmd_play(args) -> int:
     from .sim import interactive_play
 
     try:
-        g = _load(args.graph)
+        g = parse_mlg_file(args.graph)
         counts = tuple(int(x) for x in args.allocation.split(","))
         plan = AllocationPlan(counts)
         record = interactive_play(g, plan, args.role, state_budget=args.state_budget)
@@ -285,7 +281,7 @@ def cmd_play(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from .bounds import EnumerationBudgetExceeded, domination_bound, domset_greedy, mec_check
+    from .bounds import domination_bound, domset_greedy
     from .generators import gen_random_layers
 
     t0 = time.perf_counter()
@@ -297,17 +293,6 @@ def cmd_experiment(args) -> int:
         delta = ml_min_degree(g)
         gamma = len(domset_greedy(g))
         bound = domination_bound(g.n, g.tau, delta) if delta >= 1 else float("nan")
-        mec_k = 0
-        k = 1
-        while True:
-            try:
-                if mec_check(g, k):
-                    mec_k = k
-                    k += 1
-                else:
-                    break
-            except EnumerationBudgetExceeded:
-                break
         return {
             "n": args.n,
             "p": args.p,
@@ -316,14 +301,10 @@ def cmd_experiment(args) -> int:
             "delta_mlg": delta,
             "gamma_greedy": gamma,
             "domination_bound": f"{bound:.4f}",
-            "mec_lb_k": mec_k,
+            "mec_lb_k": _mec_lower_bound(g),
         }, time.perf_counter() - row_t
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(one_row, seeds))
-    else:
-        results = [one_row(s) for s in seeds]
+    results = [one_row(s) for s in seeds]
 
     fieldnames = ["n", "p", "tau", "seed", "delta_mlg", "gamma_greedy", "domination_bound", "mec_lb_k"]
     buf = io.StringIO()
@@ -366,7 +347,6 @@ def cmd_verify_paper(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="mlcr", description=__doc__)
     ap.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -438,8 +418,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as ex:
         return EXIT_USAGE if ex.code not in (0, None) else 0
-    # seeds offered globally; subcommands read them off the namespace
-    args.seed = getattr(args, "seed", 0)
     return args.func(args)
 
 

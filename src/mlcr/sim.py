@@ -2,14 +2,18 @@
 
 The runner enforces legality (every move is a stay or a single edge of the
 mover's layer) and checks capture after the cop team's full move and after
-the robber's move.  Strategies are stateful objects reset per match; the
-scripted ones implement the blocker/traveller grid sweep, the corner dance,
-the safe-slice navigation, the blocked-set evasion on the expander core,
-the tree squeeze, and the bag sweep along a tree decomposition.
+the robber's move.  It is the only game loop: interactive play runs through
+it with human strategies that read the terminal.  Strategies are stateful
+objects, and one object plays every match of a batch, so `begin` must reset
+all per-match state.  The scripted ones implement the blocker/traveller grid
+sweep, the corner dance, the safe-slice navigation, the blocked-set evasion
+on the expander core, the tree squeeze, and the bag sweep along a tree
+decomposition.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -22,7 +26,7 @@ from .core import (
     MultiLayerGraph,
     bfs_dist_adj,
 )
-from .solver import CopWinTable, build_copwin
+from .solver import DEFAULT_STATE_BUDGET, CopWinTable, build_copwin
 
 # -- errors ----------------------------------------------------------------------
 
@@ -59,6 +63,10 @@ class MatchView:
     history: list[tuple[int, str, int, tuple[int, ...]]]
 
 
+def _ids(vertices: Sequence[int]) -> str:
+    return " ".join(map(str, vertices))
+
+
 @dataclass
 class MatchRecord:
     """Full trace of one match; replayable through the referee."""
@@ -83,7 +91,7 @@ class MatchRecord:
         )
         lines = [head]
         for rnd, mover, robber, cops in self.rows:
-            lines.append(f"{rnd} {mover} {robber} " + " ".join(map(str, cops)))
+            lines.append(f"{rnd} {mover} {robber} {_ids(cops)}")
         tail = f"OUTCOME {self.outcome}"
         if self.capture_round is not None:
             tail += f" {self.capture_round}"
@@ -138,12 +146,38 @@ class CopTeamStrategy:
         self.assignment = assignment
         self.rng = rng
         self.tags: set[str] = set()
+        self._dist_cache: dict[tuple[int, int], list[float]] = {}
 
     def place(self) -> tuple[int, ...]:
         raise NotImplementedError
 
     def moves(self, view: MatchView) -> tuple[int, ...]:
         raise NotImplementedError
+
+    def cop_dist(self, cop: int, source: int) -> list[float]:
+        """BFS distances from `source` in cop `cop`'s layer, cached per match."""
+
+        key = (self.assignment[cop], source)
+        if key not in self._dist_cache:
+            self._dist_cache[key] = bfs_dist_adj(self.g.layer_view(key[0]).adjacency, source)
+        return self._dist_cache[key]
+
+    def step_toward(self, cop: int, pos: int, target: int) -> int:
+        """Cop `cop`'s move from `pos` that gets closest to `target` in its
+        layer; ties go to the smaller vertex id."""
+
+        dist = self.cop_dist(cop, target)
+        options = (pos, *self.g.layer_view(self.assignment[cop]).adjacency[pos])
+        return min(options, key=lambda q: (dist[q], q))
+
+    def capture_move(self, view: MatchView) -> tuple[int, ...] | None:
+        """The team move in which the first cop next to the robber takes it,
+        or None when no cop is next to the robber."""
+
+        for c, pos in enumerate(view.cops):
+            if view.robber in self.g.layer_view(self.assignment[c]).adjacency[pos]:
+                return view.cops[:c] + (view.robber,) + view.cops[c + 1:]
+        return None
 
 
 class RobberStrategy:
@@ -215,39 +249,29 @@ def run_match(
     record.rows.append((0, "P", robber, cops))
     history = record.rows
 
-    def captured() -> bool:
-        return robber in cops
-
-    if captured():
+    rnd = 0
+    while robber not in cops and rnd < T:
+        rnd += 1
+        view = MatchView(g, assignment, cops, robber, rnd, history)
+        new_cops = tuple(cop_strategy.moves(view))
+        if len(new_cops) != len(cops):
+            raise MlgError(f"cop strategy returned {len(new_cops)} positions for {len(cops)} cops")
+        for i, (src, dst) in enumerate(zip(cops, new_cops)):
+            if not _legal_cop_move(g, assignment[i], src, dst):
+                raise IllegalMoveError(f"cop {i + 1} (layer {assignment[i] + 1})", src, dst)
+        cops = new_cops
+        record.rows.append((rnd, "C", robber, cops))
+        if robber in cops:
+            break
+        view = MatchView(g, assignment, cops, robber, rnd, history)
+        new_robber = robber_strategy.move(view)
+        if not _legal_robber_move(g, robber, new_robber):
+            raise IllegalMoveError("robber", robber, new_robber)
+        robber = new_robber
+        record.rows.append((rnd, "R", robber, cops))
+    if robber in cops:
         record.outcome = "CAPTURE"
-        record.capture_round = 0
-    else:
-        for rnd in range(1, T + 1):
-            view = MatchView(g, assignment, cops, robber, rnd, history)
-            new_cops = tuple(cop_strategy.moves(view))
-            if len(new_cops) != len(cops):
-                raise MlgError(f"cop strategy returned {len(new_cops)} positions for {len(cops)} cops")
-            for i, (src, dst) in enumerate(zip(cops, new_cops)):
-                if not _legal_cop_move(g, assignment[i], src, dst):
-                    raise IllegalMoveError(f"cop {i + 1} (layer {assignment[i] + 1})", src, dst)
-            cops = new_cops
-            record.rows.append((rnd, "C", robber, cops))
-            if captured():
-                record.outcome = "CAPTURE"
-                record.capture_round = rnd
-                break
-            view = MatchView(g, assignment, cops, robber, rnd, history)
-            new_robber = robber_strategy.move(view)
-            if not _legal_robber_move(g, robber, new_robber):
-                raise IllegalMoveError("robber", robber, new_robber)
-            robber = new_robber
-            record.rows.append((rnd, "R", robber, cops))
-            if captured():
-                record.outcome = "CAPTURE"
-                record.capture_round = rnd
-                break
-        else:
-            record.outcome = "SURVIVED"
+        record.capture_round = rnd
     record.tags = tuple(sorted(cop_strategy.tags | robber_strategy.tags))
     return record
 
@@ -303,16 +327,6 @@ class GreedyCops(CopTeamStrategy):
 
     name = "greedy_cop"
 
-    def begin(self, g, assignment, rng):
-        super().begin(g, assignment, rng)
-        self._dist_cache: dict[tuple[int, int], list[float]] = {}
-
-    def _dist_from_robber(self, layer: int, robber: int) -> list[float]:
-        key = (layer, robber)
-        if key not in self._dist_cache:
-            self._dist_cache[key] = bfs_dist_adj(self.g.layer_view(layer).adjacency, robber)
-        return self._dist_cache[key]
-
     def place(self):
         # spread the cops over their layers' most central vertices
         out = []
@@ -324,16 +338,7 @@ class GreedyCops(CopTeamStrategy):
         return tuple(out)
 
     def moves(self, view: MatchView):
-        out = []
-        for i, pos in enumerate(view.cops):
-            layer = self.assignment[i]
-            dist = self._dist_from_robber(layer, view.robber)
-            best, best_d = pos, dist[pos]
-            for q in self.g.layer_view(layer).adjacency[pos]:
-                if dist[q] < best_d or (dist[q] == best_d and q < best):
-                    best, best_d = q, dist[q]
-            out.append(best)
-        return tuple(out)
+        return tuple(self.step_toward(i, pos, view.robber) for i, pos in enumerate(view.cops))
 
 
 class RandomRobber(RobberStrategy):
@@ -443,22 +448,27 @@ class TablebaseRobber(RobberStrategy):
 
     def move(self, view: MatchView):
         tb = self.table
-        state = tb.pack(view.robber, view.cops, tb.k)
-        if tb.status[state] == 0 and tb.rank[state] == 0 and view.robber in view.cops:
-            return view.robber
-        nxt = tb.best_robber_move(state)
+        nxt = tb.best_robber_move(tb.pack(view.robber, view.cops, tb.k))
         robber, _, _ = tb.unpack(nxt)
         return robber
 
 
 def tablebase_pair(
-    g: MultiLayerGraph, alloc: AllocationPlan, state_budget: int | None = None
+    g: MultiLayerGraph, alloc: AllocationPlan, state_budget: int = DEFAULT_STATE_BUDGET
 ) -> tuple[TablebaseCops, TablebaseRobber, CopWinTable]:
     """Build one table and both optimal strategies for it."""
 
-    kwargs = {} if state_budget is None else {"state_budget": state_budget}
-    table = build_copwin(g, alloc.assignment(), **kwargs)
+    table = build_copwin(g, alloc.assignment(), state_budget=state_budget)
     return TablebaseCops(table), TablebaseRobber(table), table
+
+
+def table_source(
+    g: MultiLayerGraph, alloc: AllocationPlan, state_budget: int = DEFAULT_STATE_BUDGET
+) -> Callable[[], CopWinTable]:
+    """The table for `alloc` on `g`, built on the first call and shared by
+    every later one."""
+
+    return functools.cache(lambda: build_copwin(g, alloc.assignment(), state_budget=state_budget))
 
 
 # -- grid strategies -------------------------------------------------------------------
@@ -522,12 +532,11 @@ class GridCopGuard(CopTeamStrategy):
 
     def moves(self, view: MatchView):
         n = self.nside
+        capture = self.capture_move(view)
+        if capture is not None:
+            return capture
         pos = list(view.cops)
         ri, rj = self._rc(view.robber)
-        for i in range(2):
-            if view.robber in self._vmoves(pos[i]):
-                pos[i] = view.robber
-                return tuple(pos)
         if self.phase == 1:
             ci, _ = self._rc(pos[0])
             if ci < ri:
@@ -569,13 +578,7 @@ class GridCopGuard(CopTeamStrategy):
                         dist[y] = dist[x] + 1
                         nxt.append(y)
             frontier = nxt
-        best = v
-        for q in self._vmoves(v):
-            if dist.get(q, math.inf) < dist.get(best, math.inf) or (
-                dist.get(q, math.inf) == dist.get(best, math.inf) and q < best
-            ):
-                best = q
-        return best
+        return min((v, *self._vmoves(v)), key=lambda q: (dist.get(q, math.inf), q))
 
     def place(self):
         return (self._idx(1, 1), self._idx(1, 2))
@@ -648,6 +651,77 @@ class GridRobberCorner(RobberStrategy):
         return self._idx(a, rj)
 
 
+# -- graph helpers for the scripted robbers ------------------------------------------------
+
+
+def _adjacency(n: int, edges) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return [sorted(a) for a in adj]
+
+
+def _components(adj: Sequence[Sequence[int]], blocked) -> list[set[int]]:
+    """Components of the graph minus `blocked`, ordered by smallest vertex."""
+
+    seen = set(blocked)
+    comps: list[set[int]] = []
+    for s in range(len(adj)):
+        if s in seen:
+            continue
+        comp = {s}
+        seen.add(s)
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.add(y)
+                    stack.append(y)
+        comps.append(comp)
+    return comps
+
+
+def _dist_within(adj: Sequence[Sequence[int]], allowed, src: int) -> dict[int, int]:
+    """BFS distances from `src` over the vertices in `allowed`."""
+
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if y in allowed and y not in dist:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+def _path_within(adj: Sequence[Sequence[int]], allowed, src: int, dst: int) -> list[int]:
+    """The vertices after `src` on a BFS shortest path to `dst` inside `allowed`."""
+
+    prev = {src: -1}
+    frontier = [src]
+    while dst not in prev and frontier:
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if y in allowed and y not in prev:
+                    prev[y] = x
+                    nxt.append(y)
+        frontier = nxt
+    path = []
+    at = dst
+    while at != src:
+        path.append(at)
+        at = prev[at]
+    path.reverse()
+    return path
+
+
 # -- slices strategy -------------------------------------------------------------------
 
 
@@ -689,8 +763,7 @@ class SlicesRobber(RobberStrategy):
 
         k = self.k
         out: set[int] = set()
-        for c, p in enumerate(cops):
-            dist = bfs_dist_adj(self.g.layer_view(self.assignment[c]).adjacency, p)
+        for dist in self._cop_dists(cops):
             for x in range(1, 3 * k + 1):
                 for y in range(1, k + 1):
                     for z in (5 * k + 1, 5 * k + 2):
@@ -702,31 +775,17 @@ class SlicesRobber(RobberStrategy):
         """Shortest path from src to dst around the ring of slice x."""
 
         k = self.k
-        ring = [self.index(x, y, z) for y in range(1, k + 1) for z in (5 * k + 1, 5 * k + 2)]
-        ring_set = set(ring)
-        prev = {src: -1}
-        frontier = [src]
-        while dst not in prev and frontier:
-            nxt = []
-            for a in frontier:
-                for b in self.radj[a]:
-                    if b in ring_set and b not in prev:
-                        prev[b] = a
-                        nxt.append(b)
-            frontier = nxt
-        path = []
-        at = dst
-        while at != src:
-            path.append(at)
-            at = prev[at]
-        path.reverse()
-        return path
+        ring = {self.index(x, y, z) for y in range(1, k + 1) for z in (5 * k + 1, 5 * k + 2)}
+        return _path_within(self.radj, ring, src, dst)
 
-    def _plan_is_safe(self, cops, plan: list[int]) -> bool:
-        dists = [
+    def _cop_dists(self, cops) -> list[list[float]]:
+        return [
             bfs_dist_adj(self.g.layer_view(self.assignment[c]).adjacency, p)
             for c, p in enumerate(cops)
         ]
+
+    def _plan_is_safe(self, cops, plan: list[int]) -> bool:
+        dists = self._cop_dists(cops)
         for t, v in enumerate(plan, start=1):
             for d in dists:
                 if d[v] <= t + 1:
@@ -757,10 +816,7 @@ class SlicesRobber(RobberStrategy):
         return []
 
     def _fallback(self, cops, cur: int) -> int:
-        dists = [
-            bfs_dist_adj(self.g.layer_view(self.assignment[c]).adjacency, p)
-            for c, p in enumerate(cops)
-        ]
+        dists = self._cop_dists(cops)
         options = [cur] + list(self.radj[cur])
         return max(options, key=lambda v: (min(d[v] for d in dists), -v))
 
@@ -815,50 +871,24 @@ class CopsbaneRobber(RobberStrategy):
         if not g.tag.startswith("copsbane:"):
             raise StrategyMismatchError("graph is not a cops-bane construction")
         self.N = lay.N
-        self.x_adj: list[list[int]] = [[] for _ in range(self.N)]
-        for u, v in lay.expander_edges:
-            self.x_adj[u].append(v)
-            self.x_adj[v].append(u)
-        self.x_adj = [sorted(a) for a in self.x_adj]
+        self.x_adj = _adjacency(self.N, lay.expander_edges)
+        self._colour_adj = [
+            _adjacency(self.N, [e for e in lay.expander_edges if lay.coloring[e] == colour])
+            for colour in (0, 1)
+        ]
         # monochromatic component (as a frozenset) of each core vertex per colour
         self.comp: list[list[frozenset[int]]] = []
-        for colour in (0, 1):
-            comp_map: dict[int, frozenset[int]] = {}
-            seen: set[int] = set()
-            adj: list[list[int]] = [[] for _ in range(self.N)]
-            for e in lay.expander_edges:
-                if lay.coloring[e] == colour:
-                    adj[e[0]].append(e[1])
-                    adj[e[1]].append(e[0])
-            for s in range(self.N):
-                if s in seen:
-                    continue
-                comp = {s}
-                seen.add(s)
-                stack = [s]
-                while stack:
-                    x = stack.pop()
-                    for y in adj[x]:
-                        if y not in seen:
-                            seen.add(y)
-                            comp.add(y)
-                            stack.append(y)
+        for adj in self._colour_adj:
+            comp_of: list[frozenset[int]] = [frozenset()] * self.N
+            for comp in _components(adj, ()):
                 fz = frozenset(comp)
-                for v in comp:
-                    comp_map[v] = fz
-            self.comp.append([comp_map[v] for v in range(self.N)])
+                for v in fz:
+                    comp_of[v] = fz
+            self.comp.append(comp_of)
         self.arm_owner: dict[int, int] = {}
         for x, interior in lay.arm_interior.items():
             for v in interior:
                 self.arm_owner[v] = x
-        self._colour_adj = []
-        for colour in (0, 1):
-            adj: list[list[int]] = [[] for _ in range(self.N)]
-            for e in lay.expander_edges:
-                if lay.coloring[e] == colour:
-                    adj[e[0]].append(e[1])
-                    adj[e[1]].append(e[0])
-            self._colour_adj.append(adj)
         self._comp_dist_cache: dict[tuple[int, int], dict[int, int]] = {}
 
     def _blocked(self, cops) -> set[int]:
@@ -890,24 +920,8 @@ class CopsbaneRobber(RobberStrategy):
         return dist
 
     def _safe_components(self, blocked: set[int]) -> list[set[int]]:
-        seen: set[int] = set(blocked)
-        comps: list[set[int]] = []
-        for s in range(self.N):
-            if s in seen:
-                continue
-            comp = {s}
-            seen.add(s)
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for y in self.x_adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        stack.append(y)
-            comps.append(comp)
         safe = []
-        for comp in comps:
+        for comp in _components(self.x_adj, blocked):
             if len(comp) < self.N // 2 + 1:
                 continue
             if self._diameter(comp) <= self.layout.D:
@@ -917,39 +931,11 @@ class CopsbaneRobber(RobberStrategy):
     def _diameter(self, comp: set[int]) -> float:
         worst = 0.0
         for s in comp:
-            dist = {s: 0}
-            frontier = [s]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for y in self.x_adj[x]:
-                        if y in comp and y not in dist:
-                            dist[y] = dist[x] + 1
-                            nxt.append(y)
-                frontier = nxt
+            dist = _dist_within(self.x_adj, comp, s)
             if len(dist) < len(comp):
                 return INF
             worst = max(worst, max(dist.values()))
         return worst
-
-    def _path_in(self, comp: set[int], src: int, dst: int) -> list[int]:
-        prev = {src: -1}
-        frontier = [src]
-        while dst not in prev and frontier:
-            nxt = []
-            for x in frontier:
-                for y in self.x_adj[x]:
-                    if y in comp and y not in prev:
-                        prev[y] = x
-                        nxt.append(y)
-            frontier = nxt
-        path = []
-        at = dst
-        while at != src:
-            path.append(at)
-            at = prev[at]
-        path.reverse()
-        return path
 
     def place(self, cops):
         blocked = self._blocked(cops)
@@ -1002,18 +988,7 @@ class CopsbaneRobber(RobberStrategy):
         key = (colour, src)
         if key not in self._comp_dist_cache:
             comp = self.comp[colour][src]
-            dist = {src: 0}
-            frontier = [src]
-            edges = self._colour_adj[colour]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for y in edges[x]:
-                        if y in comp and y not in dist:
-                            dist[y] = dist[x] + 1
-                            nxt.append(y)
-                frontier = nxt
-            self._comp_dist_cache[key] = dist
+            self._comp_dist_cache[key] = _dist_within(self._colour_adj[colour], comp, src)
         return self._comp_dist_cache[key]
 
     def move(self, view: MatchView):
@@ -1025,7 +1000,7 @@ class CopsbaneRobber(RobberStrategy):
         home = next((c for c in safe if cur in c), None)
         if home is not None:
             target = max(home, key=lambda v: (dist[v], -v))
-            plan = self._path_in(home, cur, target) if target != cur else []
+            plan = _path_within(self.x_adj, home, cur, target) if target != cur else []
             if any(v in blocked for v in plan):
                 raise StrategyInvariantError("planned path crosses the blocked set")
             nxt = plan[0] if plan else cur
@@ -1064,18 +1039,9 @@ class TreeSqueezeCops(CopTeamStrategy):
         self.radj = g.robber_view().adjacency
         self.tasks: list[tuple[int, int]] = []  # (cop, target vertex)
         self.guard_post: int | None = None
-        self._dist_cache: dict[tuple[int, int], list[float]] = {}
 
     def place(self):
         return tuple(min(comp) for comp in self.profile)
-
-    def _ldist(self, cop: int, source: int) -> list[float]:
-        key = (self.assignment[cop], source)
-        if key not in self._dist_cache:
-            self._dist_cache[key] = bfs_dist_adj(
-                self.g.layer_view(self.assignment[cop]).adjacency, source
-            )
-        return self._dist_cache[key]
 
     def _replan(self, view: MatchView) -> None:
         rdist = bfs_dist_adj(self.radj, view.robber)
@@ -1086,29 +1052,28 @@ class TreeSqueezeCops(CopTeamStrategy):
         self.guard_post = u
         others = [c for c in reach if c != guard]
         if others:
-            runner = min(others, key=lambda c: (self._ldist(c, w)[view.cops[c]], c))
+            runner = min(others, key=lambda c: (self.cop_dist(c, w)[view.cops[c]], c))
             self.tasks = [(runner, w)]
             return
         if guard not in reach:
             raise StrategyInvariantError(f"no cop can reach {w}; profile was not clean")
-        d = self._ldist(guard, w)[u]
+        d = self.cop_dist(guard, w)[u]
         if d > 2:
             helpers = [c for c in range(len(view.cops)) if c != guard and u in self.profile[c]]
             if not helpers:
                 raise StrategyInvariantError(
                     f"guard is the sole policer of edge ({u},{w}) at distance {d}"
                 )
-            helper = min(helpers, key=lambda c: (self._ldist(c, u)[view.cops[c]], c))
+            helper = min(helpers, key=lambda c: (self.cop_dist(c, u)[view.cops[c]], c))
             self.tasks = [(helper, u), (guard, w)]
         else:
             self.tasks = [(guard, w)]
 
     def moves(self, view: MatchView):
+        capture = self.capture_move(view)
+        if capture is not None:
+            return capture
         pos = list(view.cops)
-        for c in range(len(pos)):
-            if view.robber in self.g.layer_view(self.assignment[c]).adjacency[pos[c]]:
-                pos[c] = view.robber
-                return tuple(pos)
         while True:
             while self.tasks and pos[self.tasks[0][0]] == self.tasks[0][1]:
                 self.tasks.pop(0)
@@ -1124,12 +1089,7 @@ class TreeSqueezeCops(CopTeamStrategy):
             # the robber stepped onto the vacated guard post: turn back
             target = self.guard_post
             self.tasks[0] = (cop, target)
-        dist = self._ldist(cop, target)
-        best = pos[cop]
-        for q in self.g.layer_view(self.assignment[cop]).adjacency[pos[cop]]:
-            if dist[q] < dist[best] or (dist[q] == dist[best] and q < best):
-                best = q
-        pos[cop] = best
+        pos[cop] = self.step_toward(cop, pos[cop], target)
         return tuple(pos)
 
 
@@ -1172,15 +1132,7 @@ class BagsweepCops(CopTeamStrategy):
         self.current = 0
         self.posts: dict[int, int] = {}
         self.tasks: list[tuple[int, int]] = []
-        self._dist_cache: dict[tuple[int, int], list[float]] = {}
-
-    def _ldist(self, cop: int, source: int) -> list[float]:
-        key = (self.assignment[cop], source)
-        if key not in self._dist_cache:
-            self._dist_cache[key] = bfs_dist_adj(
-                self.g.layer_view(self.assignment[cop]).adjacency, source
-            )
-        return self._dist_cache[key]
+        self.pending_bag: int | None = None
 
     def place(self):
         bag = sorted(self.decomp.bags[self.current])
@@ -1242,17 +1194,16 @@ class BagsweepCops(CopTeamStrategy):
         self.pending_bag = target_bag
 
     def moves(self, view: MatchView):
+        capture = self.capture_move(view)
+        if capture is not None:
+            return capture
         pos = list(view.cops)
-        for c in range(len(pos)):
-            if view.robber in self.g.layer_view(self.assignment[c]).adjacency[pos[c]]:
-                pos[c] = view.robber
-                return tuple(pos)
         while True:
             while self.tasks and pos[self.tasks[0][0]] == self.tasks[0][1]:
                 self.tasks.pop(0)
             if self.tasks:
                 break
-            if getattr(self, "pending_bag", None) is not None:
+            if self.pending_bag is not None:
                 self.current = self.pending_bag
                 self.pending_bag = None
             self._plan_shift(view)
@@ -1261,16 +1212,94 @@ class BagsweepCops(CopTeamStrategy):
                 self.current = self.pending_bag
                 self.pending_bag = None
         cop, target = self.tasks[0]
-        dist = self._ldist(cop, target)
-        best = pos[cop]
-        for q in self.g.layer_view(self.assignment[cop]).adjacency[pos[cop]]:
-            if dist[q] < dist[best] or (dist[q] == dist[best] and q < best):
-                best = q
-        pos[cop] = best
+        pos[cop] = self.step_toward(cop, pos[cop], target)
         return tuple(pos)
 
 
 # -- interactive play ------------------------------------------------------------------
+
+
+class MatchAbandoned(Exception):
+    """The human typed 'quit'; `rows` holds the moves played so far."""
+
+    def __init__(self, rows: list):
+        super().__init__("match abandoned")
+        self.rows = rows
+
+
+class _Human:
+    """One side played from the terminal: prompts through `input_fn`,
+    re-prompts on illegal input and raises MatchAbandoned on 'quit'.  Before
+    each prompt it prints, through `output_fn`, the moves the engine made
+    since the last one."""
+
+    engine_says: dict[str, str] = {}  # mover -> line printed for its rows
+
+    def __init__(self, input_fn: Callable[[str], str], output_fn: Callable[[str], None]):
+        self.input_fn = input_fn
+        self.say = output_fn
+
+    def begin(self, g, assignment, rng):
+        super().begin(g, assignment, rng)
+        self.shown = 0  # rows already narrated
+
+    def narrate(self, rows: list) -> None:
+        for row in rows[self.shown:]:
+            line = self.engine_says.get(row[1])
+            if line is not None:
+                self.say(line.format(rnd=row[0], robber=row[2], cops=_ids(row[3])))
+        self.shown = len(rows)
+
+    def ask(self, prompt: str, count: int, legal: Callable[[list[int]], bool], rows: list) -> list[int]:
+        self.narrate(rows)
+        while True:
+            raw = self.input_fn(prompt).strip()
+            if raw.lower() in ("q", "quit"):
+                raise MatchAbandoned(rows)
+            try:
+                vals = [int(x) for x in raw.replace(",", " ").split()]
+            except ValueError:
+                self.say("enter vertex ids, or 'quit'")
+                continue
+            if len(vals) != count:
+                self.say(f"need {count} vertex id(s)")
+                continue
+            if not legal(vals):
+                self.say("illegal move, try again")
+                continue
+            return vals
+
+
+class HumanCops(_Human, CopTeamStrategy):
+    name = "human"
+    engine_says = {"P": "robber placed at {robber}", "R": "round {rnd}: robber moves to {robber}"}
+
+    def place(self):
+        k = len(self.assignment)
+        return tuple(self.ask(f"place {k} cops> ", k, lambda vs: all(0 <= v < self.g.n for v in vs), []))
+
+    def moves(self, view: MatchView):
+        cops = view.cops
+        prompt = f"round {view.round_no}, cops at {_ids(cops)}, robber at {view.robber}; move cops> "
+
+        def legal(vs):
+            return all(_legal_cop_move(self.g, self.assignment[i], cops[i], v) for i, v in enumerate(vs))
+
+        return tuple(self.ask(prompt, len(cops), legal, view.history))
+
+
+class HumanRobber(_Human, RobberStrategy):
+    name = "human"
+    engine_says = {"C": "round {rnd}: cops move to {cops}"}
+
+    def place(self, cops):
+        # the placement row is written only after the robber places
+        self.say(f"cops placed at {_ids(cops)}")
+        return self.ask("place robber> ", 1, lambda vs: 0 <= vs[0] < self.g.n, [])[0]
+
+    def move(self, view: MatchView):
+        prompt = f"round {view.round_no}, cops at {_ids(view.cops)}; move robber from {view.robber}> "
+        return self.ask(prompt, 1, lambda vs: _legal_robber_move(self.g, view.robber, vs[0]), view.history)[0]
 
 
 def interactive_play(
@@ -1280,137 +1309,49 @@ def interactive_play(
     input_fn: Callable[[str], str] = input,
     output_fn: Callable[[str], None] = print,
     max_rounds: int = 10_000,
-    state_budget: int | None = None,
+    state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> MatchRecord:
     """Terminal match against the tablebase; illegal input is re-prompted,
     'quit' abandons the session."""
 
     if human_role not in ("robber", "cops"):
         raise MlgError(f"human role must be 'robber' or 'cops', got {human_role!r}")
-    kwargs = {} if state_budget is None else {"state_budget": state_budget}
-    table = build_copwin(g, alloc.assignment(), **kwargs)
-    engine_cops = TablebaseCops(table)
-    engine_robber = TablebaseRobber(table)
-    rng = random.Random(0)
-    engine_cops.begin(g, alloc.assignment(), rng)
-    engine_robber.begin(g, alloc.assignment(), rng)
-
-    record = MatchRecord(
-        graph_id=g.tag,
-        allocation=alloc.counts,
-        assignment=alloc.assignment(),
-        cop_strategy="human" if human_role == "cops" else engine_cops.name,
-        robber_strategy="human" if human_role == "robber" else engine_robber.name,
-        seed=0,
-        horizon=max_rounds,
-    )
-
-    def ask(prompt: str, count: int, legal: Callable[[list[int]], bool]) -> list[int] | None:
-        while True:
-            raw = input_fn(prompt).strip()
-            if raw.lower() in ("q", "quit"):
-                return None
-            try:
-                vals = [int(x) for x in raw.replace(",", " ").split()]
-            except ValueError:
-                output_fn("enter vertex ids, or 'quit'")
-                continue
-            if len(vals) != count:
-                output_fn(f"need {count} vertex id(s)")
-                continue
-            if not legal(vals):
-                output_fn("illegal move, try again")
-                continue
-            return vals
-
-    k = alloc.total
+    cops, robber, _ = tablebase_pair(g, alloc, state_budget)
     if human_role == "cops":
-        got = ask(f"place {k} cops> ", k, lambda vs: all(0 <= v < g.n for v in vs))
-        if got is None:
-            record.outcome = "ABANDONED"
-            return record
-        cops = tuple(got)
+        human = cops = HumanCops(input_fn, output_fn)
     else:
-        cops = engine_cops.place()
-        output_fn(f"cops placed at {' '.join(map(str, cops))}")
-    if human_role == "robber":
-        got = ask("place robber> ", 1, lambda vs: 0 <= vs[0] < g.n)
-        if got is None:
-            record.outcome = "ABANDONED"
-            return record
-        robber = got[0]
-    else:
-        robber = engine_robber.place(cops)
-        output_fn(f"robber placed at {robber}")
-    record.rows.append((0, "P", robber, cops))
-
-    if robber in cops:
-        record.outcome = "CAPTURE"
-        record.capture_round = 0
+        human = robber = HumanRobber(input_fn, output_fn)
+    try:
+        record = run_match(g, alloc, cops, robber, T=max_rounds)
+    except MatchAbandoned as ex:
+        return MatchRecord(
+            graph_id=g.tag, allocation=alloc.counts, assignment=alloc.assignment(),
+            cop_strategy=cops.name, robber_strategy=robber.name, seed=0,
+            horizon=max_rounds, rows=ex.rows, outcome="ABANDONED",
+        )
+    human.narrate(record.rows)
+    if record.capture_round == 0:
         output_fn("capture at placement")
-        return record
-
-    for rnd in range(1, max_rounds + 1):
-        view = MatchView(g, record.assignment, cops, robber, rnd, record.rows)
-        if human_role == "cops":
-            got = ask(
-                f"round {rnd}, cops at {' '.join(map(str, cops))}, robber at {robber}; move cops> ",
-                k,
-                lambda vs: all(
-                    _legal_cop_move(g, record.assignment[i], cops[i], v) for i, v in enumerate(vs)
-                ),
-            )
-            if got is None:
-                record.outcome = "ABANDONED"
-                return record
-            cops = tuple(got)
-        else:
-            cops = engine_cops.moves(view)
-            output_fn(f"round {rnd}: cops move to {' '.join(map(str, cops))}")
-        record.rows.append((rnd, "C", robber, cops))
-        if robber in cops:
-            record.outcome = "CAPTURE"
-            record.capture_round = rnd
-            output_fn(f"captured at round {rnd}")
-            return record
-        view = MatchView(g, record.assignment, cops, robber, rnd, record.rows)
-        if human_role == "robber":
-            got = ask(
-                f"round {rnd}, cops at {' '.join(map(str, cops))}; move robber from {robber}> ",
-                1,
-                lambda vs: _legal_robber_move(g, robber, vs[0]),
-            )
-            if got is None:
-                record.outcome = "ABANDONED"
-                return record
-            robber = got[0]
-        else:
-            robber = engine_robber.move(view)
-            output_fn(f"round {rnd}: robber moves to {robber}")
-        record.rows.append((rnd, "R", robber, cops))
-        if robber in cops:
-            record.outcome = "CAPTURE"
-            record.capture_round = rnd
-            output_fn(f"captured at round {rnd}")
-            return record
-    record.outcome = "SURVIVED"
+    elif record.capture_round is not None:
+        output_fn(f"captured at round {record.capture_round}")
     return record
 
 
 # -- registry for the CLI ----------------------------------------------------------------
 
 
-def cop_strategy_from_name(name: str, g: MultiLayerGraph, alloc: AllocationPlan, state_budget=None):
-    kwargs = {} if state_budget is None else {"state_budget": state_budget}
+def cop_strategy_from_name(name: str, g: MultiLayerGraph, table: Callable[[], CopWinTable]):
+    """The named cop strategy for `g`; `table` supplies the solved table
+    (see `table_source`) and is called only by the tablebase strategy."""
+
     if name == "greedy":
         return GreedyCops()
     if name == "random":
         return RandomCops()
     if name == "tablebase":
-        return TablebaseCops(build_copwin(g, alloc.assignment(), **kwargs))
+        return TablebaseCops(table())
     if name == "grid_guard":
-        side = math.isqrt(g.n)
-        return GridCopGuard(side)
+        return GridCopGuard(math.isqrt(g.n))
     if name == "tree_squeeze":
         return TreeSqueezeCops()
     if name == "bagsweep":
@@ -1422,15 +1363,15 @@ def cop_strategy_from_name(name: str, g: MultiLayerGraph, alloc: AllocationPlan,
     raise MlgError(f"unknown cop strategy {name!r}")
 
 
-def robber_strategy_from_name(name: str, g: MultiLayerGraph, alloc: AllocationPlan, state_budget=None):
-    kwargs = {} if state_budget is None else {"state_budget": state_budget}
+def robber_strategy_from_name(name: str, g: MultiLayerGraph, table: Callable[[], CopWinTable]):
+    """The named robber strategy for `g`; `table` as in `cop_strategy_from_name`."""
+
     if name == "random":
         return RandomRobber()
     if name == "tablebase":
-        return TablebaseRobber(build_copwin(g, alloc.assignment(), **kwargs))
+        return TablebaseRobber(table())
     if name == "grid_corner":
-        side = math.isqrt(g.n)
-        return GridRobberCorner(side)
+        return GridRobberCorner(math.isqrt(g.n))
     if name == "slices":
         if not g.tag.startswith("slices:"):
             raise MlgError("slices robber needs a slices construction graph")

@@ -285,12 +285,121 @@ def test_experiment_complete_graph_edge_case(capsys):
     assert delta == "11"  # n-1, consistent with the summed-degree minimum
 
 
-def test_threaded_batches_match_sequential(grid4_file, capsys):
-    base = [
-        "simulate", grid4_file, "--allocation", "1,1",
-        "--cop-strategy", "greedy", "--robber-strategy", "random",
-        "--rounds", "20", "--batch", "4",
+def _write(tmp_path, name, g):
+    path = tmp_path / name
+    write_mlg_file(g, path)
+    return str(path)
+
+
+def _reuse_cases(tmp_path):
+    """(graph file, allocation, cop, robber, rounds, tag): every strategy the
+    CLI accepts, each on a graph of its family."""
+
+    from mlcr.bounds import treewidth_exact_small
+    from mlcr.core import MultiLayerGraph, RobberSpec, flatten
+    from mlcr.generators import gen_copsbane, gen_random_layers, gen_slices
+
+    grid4 = _write(tmp_path, "grid4.mlg", gen_grid(4)[0])
+    tree = _write(tmp_path, "tree.mlg", MultiLayerGraph(
+        n=7,
+        layers=(((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 6)), ((0, 3), (3, 6), (1, 4), (2, 5))),
+        robber_spec=RobberSpec.EXPLICIT,
+        robber_edges=((0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (4, 6)),
+    ))
+    layered, _ = gen_random_layers(9, 0.5, 2, 1)  # both layers connected
+    bags = treewidth_exact_small(flatten(layered), layered.n)[1].max_bag
+    layered_file = _write(tmp_path, "layers.mlg", layered)
+    slices = _write(tmp_path, "slices1.mlg", gen_slices(1)[0])
+    copsbane = _write(tmp_path, "cb8.mlg", gen_copsbane(8, seed=3)[0])
+    return [
+        (grid4, "1,1", "greedy", "random", 30, None),
+        (grid4, "1,1", "random", "tablebase", 30, None),
+        (grid4, "2,0", "tablebase", "tablebase", 100, None),
+        (grid4, "0,2", "grid_guard", "random", 100, None),
+        (grid4, "1,1", "tablebase", "grid_corner", 30, None),
+        (tree, "2,0", "tree_squeeze", "random", 100, None),
+        (layered_file, f"{bags},0", "bagsweep", "random", 60, None),
+        (slices, "1,0", "greedy", "slices", 50, "slices:1"),
+        (copsbane, "1,1", "greedy", "copsbane", 100, "copsbane:8,3"),
     ]
-    _, seq, _ = run_cli(base, capsys)
-    _, par, _ = run_cli(["--threads", "3"] + base, capsys)
-    assert seq == par
+
+
+def test_simulate_reuses_strategies_without_changing_matches(tmp_path, capsys, monkeypatch):
+    """One strategy object per side for the whole batch gives the same stdout
+    and records as fresh objects per seed, with one table build for any
+    tablebase side and one cops-bane layout for the cops-bane robber."""
+
+    import mlcr.generators
+    import mlcr.sim
+    from mlcr.core import AllocationPlan
+    from mlcr.sim import cop_strategy_from_name, robber_strategy_from_name, run_match, table_source
+
+    builds = {"table": 0, "layout": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            builds[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(mlcr.sim, "build_copwin", counted("table", mlcr.sim.build_copwin))
+    monkeypatch.setattr(
+        mlcr.generators, "copsbane_layout", counted("layout", mlcr.generators.copsbane_layout)
+    )
+    for path, alloc, cop, robber, rounds, tag in _reuse_cases(tmp_path):
+        g = parse_mlg_file(path)
+        if tag:
+            g.tag = tag
+        plan = AllocationPlan(tuple(int(x) for x in alloc.split(",")))
+        fresh = []
+        for seed in range(3, 8):
+            table = table_source(g, plan)
+            fresh.append(run_match(
+                g, plan, cop_strategy_from_name(cop, g, table), robber_strategy_from_name(robber, g, table),
+                T=rounds, seed=seed,
+            ))
+        expected = ""
+        for rec in fresh:
+            expected += f"MATCH seed={rec.seed} outcome={rec.outcome}"
+            expected += f" round={rec.capture_round}" if rec.capture_round is not None else ""
+            expected += " tags=" + ",".join(rec.tags) if rec.tags else ""
+            expected += "\n"
+        captures = sum(rec.outcome == "CAPTURE" for rec in fresh)
+        expected += f"SUMMARY matches=5 captures={captures}\n"
+
+        builds.update(table=0, layout=0)
+        record_path = tmp_path / "batch.mr1"
+        args = [
+            "--seed", "3", "simulate", path, "--allocation", alloc, "--cop-strategy", cop,
+            "--robber-strategy", robber, "--rounds", str(rounds), "--batch", "5",
+            "--record", str(record_path),
+        ] + (["--tag", tag] if tag else [])
+        code, out, _ = run_cli(args, capsys)
+        case = (cop, robber)
+        assert code == 0, case
+        assert out == expected, case
+        assert record_path.read_text() == "".join(rec.render() for rec in fresh), case
+        assert builds == {"table": int("tablebase" in case), "layout": int(robber == "copsbane")}, case
+
+
+def test_solve_dump_table_builds_once(grid4_file, tmp_path, capsys, monkeypatch):
+    import mlcr.solver
+
+    calls = []
+    real = mlcr.solver.build_copwin
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mlcr.solver, "build_copwin", counted)
+    table_path = tmp_path / "grid4.cwt"
+    code, out, _ = run_cli(
+        ["solve", grid4_file, "--allocation", "2,0", "--dump-table", str(table_path)], capsys
+    )
+    assert code == 0
+    assert len(calls) == 1
+    lines = out.splitlines()
+    assert lines[:2] == [f"TABLE={table_path}", "METHOD=state-graph"]
+    assert table_path.read_text() == mlcr.solver.dump_cwt(real(parse_mlg_file(grid4_file), (0, 0)))

@@ -17,6 +17,7 @@ from mlcr.sim import (
     RandomCops,
     RandomRobber,
     SlicesRobber,
+    StrategyInvariantError,
     StrategyMismatchError,
     TablebaseCops,
     TablebaseRobber,
@@ -262,6 +263,34 @@ def test_bagsweep_needs_enough_cops_and_connected_layers():
         TablebaseRobber(build_copwin(g, (0, 0))), T=200, seed=0,
     )
     assert rec.outcome == "CAPTURE"
+
+
+def test_bagsweep_reused_across_seeds_matches_fresh_instances():
+    """`begin` resets every per-match field, so one BagsweepCops object plays
+    a batch exactly as fresh objects would."""
+
+    from mlcr.bounds import treewidth_exact_small
+    from mlcr.core import flatten
+    from mlcr.generators import gen_random_layers
+
+    def play(g, plan, cops, seed):
+        try:
+            return run_match(g, plan, cops, RandomRobber(), T=60, seed=seed).render()
+        except StrategyInvariantError as ex:
+            return repr(ex)
+
+    compared = 0
+    for s in range(40):
+        g, _ = gen_random_layers(9, 0.5, 2, s)
+        if any(g.layer_view(i).n_components != 1 for i in range(g.tau)):
+            continue
+        _, decomp = treewidth_exact_small(flatten(g), g.n)
+        plan = AllocationPlan((decomp.max_bag, 0))
+        reused = BagsweepCops(decomp)
+        for seed in range(6):
+            assert play(g, plan, reused, seed) == play(g, plan, BagsweepCops(decomp), seed), (s, seed)
+            compared += 1
+    assert compared == 102
 
 
 def test_copsbane_robber_survives_and_flags_degraded_mode():
