@@ -25,10 +25,6 @@ class EnumerationBudgetExceeded(MlgError):
     pass
 
 
-def _ncr(n: int, r: int) -> int:
-    return math.comb(n, r)
-
-
 # -- multi-layer existential closure ------------------------------------------------
 
 
@@ -44,14 +40,14 @@ def mec_check(g: MultiLayerGraph, k: int) -> bool:
     n, tau = g.n, g.tau
     if k == 0:
         return n >= 1
+    work = math.comb(tau * n, k) * n
+    if work > MEC_ENUMERATION_BUDGET:
+        raise EnumerationBudgetExceeded(f"(tau*n choose k)*n = {work} exceeds {MEC_ENUMERATION_BUDGET}")
     pairs = [(v, i) for i in range(tau) for v in range(n)]
-    if _ncr(len(pairs), k) * n > MEC_ENUMERATION_BUDGET:
-        raise EnumerationBudgetExceeded(
-            f"(tau*n choose k)*n = {_ncr(len(pairs), k) * n} exceeds {MEC_ENUMERATION_BUDGET}"
-        )
     layer_adj = [g.layer_view(i).adjacency for i in range(tau)]
-    robber_adj = g.robber_view().adjacency
     robber_complete = g.robber_is_complete()
+    # the adjacency of a complete robber layer is never read
+    robber_adj = None if robber_complete else g.robber_view().adjacency
 
     layer_nbr_masks = [
         [sum(1 << w for w in layer_adj[i][v]) for v in range(n)] for i in range(tau)
@@ -87,9 +83,10 @@ def clique_lb_check(g: MultiLayerGraph, k: int) -> bool:
     complete robber layer.
 
     A sufficient degree certificate (1 + k + k*(max layer degree + 1) < n)
-    is tried first; otherwise the condition is checked exactly when the
-    enumeration fits the budget, and conservatively reported False when it
-    does not.
+    is tried first.  Otherwise the condition is `mec_check` itself: on a
+    complete robber layer a vertex lacks an unthreatened neighbour exactly
+    when the cops' closed neighbourhoods cover every other vertex.  It is
+    conservatively reported False when the enumeration exceeds the budget.
     """
 
     if g.robber_spec.name != "COMPLETE":
@@ -102,30 +99,10 @@ def clique_lb_check(g: MultiLayerGraph, k: int) -> bool:
     max_deg = max(max(g.layer_view(i).degrees) for i in range(tau))
     if 1 + k + k * (max_deg + 1) < n:
         return True
-    pairs = [(v, i) for i in range(tau) for v in range(n)]
-    if _ncr(len(pairs), k) * n > MEC_ENUMERATION_BUDGET:
+    try:
+        return mec_check(g, k)
+    except EnumerationBudgetExceeded:
         return False
-    closed_masks = [
-        [sum(1 << w for w in g.layer_view(i).adjacency[v]) | (1 << v) for v in range(n)]
-        for i in range(tau)
-    ]
-    full = (1 << n) - 1
-    for chosen in combinations(pairs, k):
-        occupied = 0
-        covered = 0
-        for v, i in chosen:
-            occupied |= 1 << v
-            covered |= closed_masks[i][v]
-        if occupied == full:
-            return False
-        outside = full & ~occupied
-        rem = outside
-        while rem:
-            vbit = rem & (-rem)
-            rem ^= vbit
-            if bin(covered | vbit).count("1") >= n:
-                return False
-    return True
 
 
 # -- multi-layer dominating sets ------------------------------------------------------

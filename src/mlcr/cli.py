@@ -4,6 +4,14 @@ verify-paper.
 Exit codes for `solve`: 0 cop win, 1 robber win, 2 usage/parse error,
 3 state budget exceeded.  All timing output goes to stderr so stdout is a
 deterministic function of the arguments and seeds.
+
+Exit codes by command:
+  solve          0 cop win, 1 robber win
+  verify-paper   0 every criterion passes, 1 some criterion fails
+  generate, bounds, simulate, play, experiment   0 success
+  every command  2 usage, parse, input or I/O error; 3 state budget
+                 exceeded.  Both print one `error: ...` line on stderr;
+                 `main` maps the errors to these codes in one place.
 """
 
 from __future__ import annotations
@@ -15,14 +23,7 @@ import math
 import sys
 import time
 
-from .core import (
-    AllocationPlan,
-    MlgError,
-    MlgParseError,
-    ml_min_degree,
-    parse_mlg_file,
-    write_mlg_file,
-)
+from .core import AllocationPlan, MlgError, ml_min_degree, parse_mlg_file, write_mlg_file
 from .solver import (
     DEFAULT_STATE_BUDGET,
     StateBudgetExceeded,
@@ -31,7 +32,7 @@ from .solver import (
     decide_choose_allocation,
     decide_free_layer_choice,
 )
-from .treealgo import decide_tree_robber, is_tree
+from .treealgo import decide_tree_allocated, decide_tree_robber, is_tree
 
 EXIT_COP = 0
 EXIT_ROBBER = 1
@@ -60,79 +61,50 @@ def _mec_lower_bound(g, max_k: float = math.inf) -> int:
 
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
-    try:
-        g = parse_mlg_file(args.graph)
-    except (OSError, MlgParseError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
+    g = parse_mlg_file(args.graph)
     modes = [m for m in (args.allocation, args.cops, args.free_choice) if m is not None]
     if len(modes) != 1:
-        print("error: pass exactly one of --allocation/--cops/--free-choice", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        tree_ok = is_tree(g.robber_layer_edges(), g.n)
-        if args.tree_fast and not tree_ok:
-            print("error: --tree-fast requires a tree robber layer", file=sys.stderr)
-            return EXIT_USAGE
-        use_tree = tree_ok if args.tree_fast is None else args.tree_fast
-        if args.allocation is not None:
-            counts = tuple(int(x) for x in args.allocation.split(","))
-            plan = AllocationPlan(counts)
-            if len(counts) != g.tau:
-                print(f"error: allocation has {len(counts)} entries, graph has {g.tau} layers",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            tables: list = []
-            if use_tree and plan.total >= 1:
-                from .solver import GameVerdict
-                from .treealgo import find_robbers_edge
-
-                box: list = []
-                cert = find_robbers_edge(g, plan.assignment(), profile_out=box)
-                if cert is None:
-                    verdict = GameVerdict(
-                        Winner.COP,
-                        assignment=plan.assignment(),
-                        placement=tuple(min(c) for c in box[0]),
-                    )
-                else:
-                    verdict = GameVerdict(
-                        Winner.ROBBER, assignment=plan.assignment(), certificate=cert
-                    )
-                method = "tree"
-            else:
-                verdict = decide_allocated(g, plan, state_budget=args.state_budget, table_out=tables)
-                method = "state-graph"
-            if args.dump_table and plan.total >= 1:
-                from .solver import build_copwin, dump_cwt
-
-                table = tables[0] if tables else build_copwin(
-                    g, plan.assignment(), state_budget=args.state_budget
-                )
-                with open(args.dump_table, "w") as fh:
-                    fh.write(dump_cwt(table))
-                print(f"TABLE={args.dump_table}")
-            print(f"METHOD={method}")
-            print(f"ALLOCATION={plan}")
-        elif args.cops is not None:
-            if use_tree:
-                verdict, plan = decide_tree_robber(g, args.cops)
-                print("METHOD=tree")
-            else:
-                verdict, plan = decide_choose_allocation(g, args.cops, state_budget=args.state_budget)
-                print("METHOD=state-graph")
-            if plan is not None:
-                print(f"WINNING_ALLOCATION={plan}")
+        raise MlgError("pass exactly one of --allocation/--cops/--free-choice")
+    tree_ok = is_tree(g.robber_layer_edges(), g.n)
+    if args.tree_fast and not tree_ok:
+        raise MlgError("--tree-fast requires a tree robber layer")
+    use_tree = tree_ok if args.tree_fast is None else args.tree_fast
+    if args.allocation is not None:
+        counts = tuple(int(x) for x in args.allocation.split(","))
+        plan = AllocationPlan(counts)
+        if len(counts) != g.tau:
+            raise MlgError(f"allocation has {len(counts)} entries, graph has {g.tau} layers")
+        tables: list = []
+        if use_tree and plan.total >= 1:
+            verdict = decide_tree_allocated(g, plan)
+            method = "tree"
         else:
-            verdict, plan = decide_free_layer_choice(g, args.free_choice, state_budget=args.state_budget)
-            if plan is not None:
-                print(f"WINNING_ALLOCATION={plan}")
-    except StateBudgetExceeded as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_BUDGET
-    except MlgError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
+            verdict = decide_allocated(g, plan, state_budget=args.state_budget, table_out=tables)
+            method = "state-graph"
+        if args.dump_table and plan.total >= 1:
+            from .solver import build_copwin, dump_cwt
+
+            table = tables[0] if tables else build_copwin(
+                g, plan.assignment(), state_budget=args.state_budget
+            )
+            with open(args.dump_table, "w") as fh:
+                fh.write(dump_cwt(table))
+            print(f"TABLE={args.dump_table}")
+        print(f"METHOD={method}")
+        print(f"ALLOCATION={plan}")
+    elif args.cops is not None:
+        if use_tree:
+            verdict, plan = decide_tree_robber(g, args.cops)
+            print("METHOD=tree")
+        else:
+            verdict, plan = decide_choose_allocation(g, args.cops, state_budget=args.state_budget)
+            print("METHOD=state-graph")
+        if plan is not None:
+            print(f"WINNING_ALLOCATION={plan}")
+    else:
+        verdict, plan = decide_free_layer_choice(g, args.free_choice, state_budget=args.state_budget)
+        if plan is not None:
+            print(f"WINNING_ALLOCATION={plan}")
     for line in verdict.record_lines():
         print(line)
     _say_time("solve", t0)
@@ -143,34 +115,26 @@ def cmd_generate(args) -> int:
     from . import generators as gen
 
     t0 = time.perf_counter()
-    layout = None
-    try:
-        fam = args.family
-        if fam == "grid":
-            g, report = gen.gen_grid(args.n)
-        elif fam == "mirror":
-            g, report = gen.gen_min_counterexample()
-        elif fam == "slices":
-            g, report = gen.gen_slices(args.k)
-        elif fam == "cycle-matchings":
-            g, report = gen.gen_cycle_matchings(args.n)
-        elif fam == "soifer":
-            g, report = gen.gen_soifer(args.n, args.tau)
-        elif fam == "random-layers":
-            g, report = gen.gen_random_layers(args.n, args.p, args.tau, args.seed, robber=args.robber)
-        elif fam == "copsbane":
-            g, report, layout = gen.gen_copsbane(
-                args.n, alpha=args.alpha, D=args.D, seed=args.seed
-            )
-        elif fam == "domset-reduction":
-            base = gen.gen_gnp(args.n, args.p, args.seed)
-            g, report = gen.gen_domset_reduction(base, args.n)
-        else:
-            print(f"error: unknown family {fam!r}", file=sys.stderr)
-            return EXIT_USAGE
-    except MlgError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
+    fam = args.family
+    if fam == "grid":
+        g, report = gen.gen_grid(args.n)
+    elif fam == "mirror":
+        g, report = gen.gen_min_counterexample()
+    elif fam == "slices":
+        g, report = gen.gen_slices(args.k)
+    elif fam == "cycle-matchings":
+        g, report = gen.gen_cycle_matchings(args.n)
+    elif fam == "soifer":
+        g, report = gen.gen_soifer(args.n, args.tau)
+    elif fam == "random-layers":
+        g, report = gen.gen_random_layers(args.n, args.p, args.tau, args.seed, robber=args.robber)
+    elif fam == "copsbane":
+        g, report, _ = gen.gen_copsbane(args.n, alpha=args.alpha, D=args.D, seed=args.seed)
+    elif fam == "domset-reduction":
+        base = gen.gen_gnp(args.n, args.p, args.seed)
+        g, report = gen.gen_domset_reduction(base, args.n)
+    else:
+        raise MlgError(f"unknown family {fam!r}")
     write_mlg_file(g, args.output)
     print(f"WROTE={args.output}")
     print(f"VERTICES={g.n}")
@@ -193,11 +157,7 @@ def cmd_bounds(args) -> int:
     from .core import flatten
 
     t0 = time.perf_counter()
-    try:
-        g = parse_mlg_file(args.graph)
-    except (OSError, MlgParseError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
+    g = parse_mlg_file(args.graph)
     print(f"LB_mec={_mec_lower_bound(g, args.max_k)}")
     try:
         ds = domset_exact(g)
@@ -227,16 +187,10 @@ def cmd_simulate(args) -> int:
                       table_source)
 
     t0 = time.perf_counter()
-    try:
-        g = parse_mlg_file(args.graph)
-        if args.tag:
-            g.tag = args.tag
-        counts = tuple(int(x) for x in args.allocation.split(","))
-        plan = AllocationPlan(counts)
-    except (OSError, MlgError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
-
+    g = parse_mlg_file(args.graph)
+    if args.tag:
+        g.tag = args.tag
+    plan = AllocationPlan(tuple(int(x) for x in args.allocation.split(",")))
     # one object per side plays every seed; both tablebase sides share one table
     table = table_source(g, plan, args.state_budget)
     cop = cop_strategy_from_name(args.cop_strategy, g, table)
@@ -268,14 +222,9 @@ def cmd_simulate(args) -> int:
 def cmd_play(args) -> int:
     from .sim import interactive_play
 
-    try:
-        g = parse_mlg_file(args.graph)
-        counts = tuple(int(x) for x in args.allocation.split(","))
-        plan = AllocationPlan(counts)
-        record = interactive_play(g, plan, args.role, state_budget=args.state_budget)
-    except (OSError, MlgError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
+    g = parse_mlg_file(args.graph)
+    plan = AllocationPlan(tuple(int(x) for x in args.allocation.split(",")))
+    record = interactive_play(g, plan, args.role, state_budget=args.state_budget)
     print(f"OUTCOME={record.outcome}")
     return 0
 
@@ -345,7 +294,7 @@ def cmd_verify_paper(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="mlcr", description=__doc__)
+    ap = argparse.ArgumentParser(prog="mlcr", description=__doc__.split("\n\nExit codes by command")[0])
     ap.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)
     ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -418,7 +367,14 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as ex:
         return EXIT_USAGE if ex.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except StateBudgetExceeded as ex:
+        code, message = EXIT_BUDGET, str(ex)
+    except (MlgError, OSError) as ex:
+        code, message = EXIT_USAGE, str(ex)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -42,26 +42,38 @@ class MlgParseError(MlgError):
         self.line_no = line_no
 
 
+class MlgEdgeError(MlgError):
+    """Invalid edge; `position` is its 0-based index in the checked collection."""
+
+    def __init__(self, position: int, message: str):
+        super().__init__(message)
+        self.position = position
+
+
 # Robber layers for COMPLETE graphs are never materialised beyond this size;
 # adjacency questions are answered implicitly instead.
 COMPLETE_MATERIALISE_LIMIT = 2048
 
 
 def canonical_edges(edges: Iterable[Sequence[int]], n: int, *, what: str = "edge") -> tuple[Edge, ...]:
-    """Validate and canonicalise an edge collection: u < v, sorted, no dups."""
+    """Validate and canonicalise an edge collection: u < v, sorted, no dups.
+
+    The only semantic edge check; errors are `MlgEdgeError`s carrying the
+    position of the offending edge.
+    """
 
     out: list[Edge] = []
     seen: set[Edge] = set()
-    for e in edges:
+    for pos, e in enumerate(edges):
         u, v = int(e[0]), int(e[1])
         if u == v:
-            raise MlgError(f"self-loop {u}-{v} in {what}")
+            raise MlgEdgeError(pos, f"self-loop {u}-{v} in {what}")
         if u > v:
             u, v = v, u
         if not (0 <= u < v < n):
-            raise MlgError(f"{what} {u}-{v} out of range for n={n}")
+            raise MlgEdgeError(pos, f"{what} {u}-{v} out of range for n={n}")
         if (u, v) in seen:
-            raise MlgError(f"duplicate {what} {u}-{v}")
+            raise MlgEdgeError(pos, f"duplicate {what} {u}-{v}")
         seen.add((u, v))
         out.append((u, v))
     return tuple(sorted(out))
@@ -379,9 +391,11 @@ def parse_mlg(text: str | bytes) -> MultiLayerGraph:
     if tau < 1:
         raise MlgParseError(ln, f"layer count must be positive, got {tau}")
 
-    def read_edges(count: int, what: str) -> list[Edge]:
+    def read_edges(count: int, what: str) -> tuple[Edge, ...]:
+        """Token checks here; range, self-loops and duplicates in canonical_edges."""
+
         edges: list[Edge] = []
-        seen: set[Edge] = set()
+        line_nos: list[int] = []
         for _ in range(count):
             eln, line = take()
             toks = line.split()
@@ -391,17 +405,14 @@ def parse_mlg(text: str | bytes) -> MultiLayerGraph:
                 u, v = int(toks[0]), int(toks[1])
             except ValueError:
                 raise MlgParseError(eln, f"expected integers, got {line!r}") from None
-            if u == v:
-                raise MlgParseError(eln, f"self-loop {u} {v}")
             if u > v:
                 raise MlgParseError(eln, f"edge must satisfy u < v, got {u} {v}")
-            if not (0 <= u < v < n):
-                raise MlgParseError(eln, f"vertex out of range in {what}: {u} {v} (n={n})")
-            if (u, v) in seen:
-                raise MlgParseError(eln, f"duplicate edge {u} {v} in {what}")
-            seen.add((u, v))
             edges.append((u, v))
-        return edges
+            line_nos.append(eln)
+        try:
+            return canonical_edges(edges, n, what=what)
+        except MlgEdgeError as ex:
+            raise MlgParseError(line_nos[ex.position], str(ex)) from None
 
     layers: list[tuple[Edge, ...]] = []
     for i in range(1, tau + 1):
@@ -417,7 +428,7 @@ def parse_mlg(text: str | bytes) -> MultiLayerGraph:
             raise MlgParseError(hln, f"expected layer {i}, got layer {idx}")
         if m < 0:
             raise MlgParseError(hln, f"negative edge count {m}")
-        layers.append(tuple(read_edges(m, f"layer {i}")))
+        layers.append(read_edges(m, f"layer {i} edge"))
 
     robber_edges: tuple[Edge, ...] | None = None
     if spec is RobberSpec.EXPLICIT:
@@ -429,7 +440,7 @@ def parse_mlg(text: str | bytes) -> MultiLayerGraph:
             m = int(toks[1])
         except ValueError:
             raise MlgParseError(hln, f"expected 'ROBBER <m>', got {line!r}") from None
-        robber_edges = tuple(read_edges(m, "robber layer"))
+        robber_edges = read_edges(m, "robber edge")
 
     if pos != len(numbered):
         raise MlgParseError(numbered[pos][0], f"trailing content {numbered[pos][1]!r}")

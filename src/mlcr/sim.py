@@ -410,7 +410,7 @@ class TablebaseCops(CopTeamStrategy):
             p0, cops, _ = tb.unpack(state)
             if p0 in cops:
                 break  # captured mid-walk; remaining cops stay
-            if tb.status[state]:
+            if tb.rank[state] >= 0:
                 state = tb.best_cop_move(state)
             else:
                 state = tb.chase_cop_move(state)

@@ -64,8 +64,7 @@ class CopWinTable:
 
     graph: MultiLayerGraph
     assignment: tuple[int, ...]
-    status: np.ndarray  # uint8, 1 = cop win
-    rank: np.ndarray  # int32, -1 on robber-win states
+    rank: np.ndarray  # int32, -1 on robber-win states; cop win iff rank >= 0
     robber_complete: bool
     agent_csr: list[tuple[np.ndarray, np.ndarray]] = field(repr=False, default_factory=list)
 
@@ -86,7 +85,7 @@ class CopWinTable:
 
     @property
     def n_states(self) -> int:
-        return self.status.shape[0]
+        return self.rank.shape[0]
 
     # -- state packing --------------------------------------------------------
 
@@ -107,7 +106,7 @@ class CopWinTable:
         return pos[0], tuple(pos[1:]), t
 
     def is_copwin(self, robber: int, cops: Sequence[int], t: int = 0) -> bool:
-        return bool(self.status[self.pack(robber, cops, t)])
+        return bool(self.rank[self.pack(robber, cops, t)] >= 0)
 
     def rank_of(self, robber: int, cops: Sequence[int], t: int = 0) -> int:
         return int(self.rank[self.pack(robber, cops, t)])
@@ -146,9 +145,9 @@ class CopWinTable:
         best_idx = -1
         best_rank = -1
         for s in self.successors(index):
-            if not self.status[s]:
-                continue
             r = int(self.rank[s])
+            if r < 0:
+                continue
             if best_idx < 0 or r < best_rank or (r == best_rank and s < best_idx):
                 best_rank = r
                 best_idx = s
@@ -180,14 +179,13 @@ class CopWinTable:
         best_idx = -1
         best_rank = -1
         for s in self.successors(index):
-            if not self.status[s]:
+            r = int(self.rank[s])
+            if r < 0:
                 if best_escape < 0 or s < best_escape:
                     best_escape = s
-            else:
-                r = int(self.rank[s])
-                if best_idx < 0 or r > best_rank or (r == best_rank and s < best_idx):
-                    best_rank = r
-                    best_idx = s
+            elif best_idx < 0 or r > best_rank or (r == best_rank and s < best_idx):
+                best_rank = r
+                best_idx = s
         if best_escape >= 0:
             return best_escape
         if best_idx < 0:
@@ -200,7 +198,7 @@ class CopWinTable:
         """Bool matrix [p0, placement] of cop-win at t=0, placements in lex order."""
 
         k = self.k
-        return self.status.reshape(self.n, self.n**k, k + 1)[:, :, 0].astype(bool)
+        return self.rank.reshape(self.n, self.n**k, k + 1)[:, :, 0] >= 0
 
     def winning_placements(self) -> np.ndarray:
         """Packed placement codes where every robber reply is cop-win."""
@@ -220,7 +218,7 @@ class CopWinTable:
         """Smallest robber start that is robber-win against this placement."""
 
         for p0 in range(self.n):
-            if not self.status[self.pack(p0, placement, 0)]:
+            if self.rank[self.pack(p0, placement, 0)] < 0:
                 return p0
         return None
 
@@ -259,7 +257,6 @@ def build_copwin(
     for c in range(k):
         agent_csr.append(_csr_with_self(n, g.layer_view(assignment[c]).adjacency))
 
-    status = np.zeros(size, dtype=np.uint8)
     rank = np.full(size, -1, dtype=np.int32)
     counter = np.zeros(size, dtype=np.int32)
 
@@ -277,14 +274,13 @@ def build_copwin(
         for c in range(k):
             digit = (rest // (n ** (k - 1 - c))) % n
             cap |= digit == p0
-        status[lo : lo + block][cap] = 1
         rank[lo : lo + block][cap] = 0
         # robber-turn states: t == k
         if robber_outdeg is not None:
             counter[lo + k : lo + block : kp1] = robber_outdeg[p0]
         else:
             counter[lo + k : lo + block : kp1] = n
-    frontier = np.nonzero(status)[0].astype(np.int64)
+    frontier = np.nonzero(rank >= 0)[0].astype(np.int64)
 
     level = 0
     while frontier.size:
@@ -322,11 +318,10 @@ def build_copwin(
                 if t_pred == k:
                     u, c = np.unique(preds, return_counts=True)
                     counter[u] -= c.astype(np.int32)
-                    newly = u[(counter[u] <= 0) & (status[u] == 0)]
+                    newly = u[(counter[u] <= 0) & (rank[u] < 0)]
                 else:
-                    newly = np.unique(preds[status[preds] == 0])
+                    newly = np.unique(preds[rank[preds] < 0])
                 if newly.size:
-                    status[newly] = 1
                     rank[newly] = level
                     new_parts.append(newly)
         frontier = np.concatenate(new_parts) if new_parts else np.zeros(0, dtype=np.int64)
@@ -334,7 +329,6 @@ def build_copwin(
     return CopWinTable(
         graph=g,
         assignment=tuple(assignment),
-        status=status,
         rank=rank,
         robber_complete=robber_complete,
         agent_csr=agent_csr,
@@ -517,7 +511,7 @@ def extract_strategy(table: CopWinTable) -> TablePolicies:
     robber policy escapes to a robber-win state when one exists, else delays."""
 
     def cop_move(index: int) -> int:
-        if table.status[index]:
+        if table.rank[index] >= 0:
             return table.best_cop_move(index)
         return table.chase_cop_move(index)
 
@@ -528,9 +522,11 @@ def extract_strategy(table: CopWinTable) -> TablePolicies:
 
 
 def dump_cwt(table: CopWinTable) -> str:
-    """Debug dump: header plus one 'index status rank' line per state."""
+    """Debug dump: header plus one 'index status rank' line per state, the
+    status column being 1 on cop-win states (rank >= 0), else 0."""
 
     lines = [f"CWT1 {table.n} {table.k} {table.n_states}"]
     for i in range(table.n_states):
-        lines.append(f"{i} {int(table.status[i])} {int(table.rank[i])}")
+        r = int(table.rank[i])
+        lines.append(f"{i} {int(r >= 0)} {r}")
     return "\n".join(lines) + "\n"

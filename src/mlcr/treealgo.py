@@ -108,14 +108,10 @@ def _component_choices(g: MultiLayerGraph, layer: int) -> list[frozenset[int]]:
 def find_robbers_edge(
     g: MultiLayerGraph,
     assignment: Sequence[int],
-    profile_out: list | None = None,
-) -> RobbersEdgeCertificate | None:
-    """Robber-win certificate for an assignment, or None when the cops can
-    pick start components that leave no robber's edge.
-
-    When every profile is dirty the certificate of the first profile (in
-    component order) is returned; if `profile_out` is given, the clean
-    profile found (if any) is appended to it.
+) -> RobbersEdgeCertificate | tuple[frozenset[int], ...]:
+    """Clean component profile for an assignment (start components that
+    leave no robber's edge), or a robber-win certificate when every profile
+    is dirty: that of the first profile in component order.
     """
 
     robber_edges = g.robber_layer_edges()
@@ -126,14 +122,24 @@ def find_robbers_edge(
     for profile in product(*choices):
         cert = _profile_robbers_edge(g, assignment, profile, robber_edges)
         if cert is None:
-            if profile_out is not None:
-                profile_out.append(tuple(profile))
-            return None
+            return tuple(profile)
         if first_cert is None:
             first_cert = cert
     if first_cert is None:
         raise MlgError("assignment has no cops; cannot certify")
     return first_cert
+
+
+def decide_tree_allocated(g: MultiLayerGraph, alloc: AllocationPlan) -> GameVerdict:
+    """Tree-robber verdict for one allocation: COP with each cop on the
+    smallest vertex of its clean-profile component, else ROBBER with the
+    robber's-edge certificate."""
+
+    assignment = alloc.assignment()
+    found = find_robbers_edge(g, assignment)
+    if isinstance(found, RobbersEdgeCertificate):
+        return GameVerdict(Winner.ROBBER, assignment=assignment, certificate=found)
+    return GameVerdict(Winner.COP, assignment=assignment, placement=tuple(min(c) for c in found))
 
 
 def decide_tree_robber(
@@ -150,17 +156,13 @@ def decide_tree_robber(
         raise MlgError("robber layer is not a tree")
     if k <= 0:
         return GameVerdict(Winner.ROBBER, safe_vertex=0), None
-    last_cert: RobbersEdgeCertificate | None = None
+    last_cert = None
     for comp in compositions(k, g.tau):
         plan = AllocationPlan(comp)
-        assignment = plan.assignment()
-        profile_box: list = []
-        cert = find_robbers_edge(g, assignment, profile_out=profile_box)
-        if cert is None:
-            profile = profile_box[0]
-            placement = tuple(min(component) for component in profile)
-            return GameVerdict(Winner.COP, assignment=assignment, placement=placement), plan
-        last_cert = cert
+        verdict = decide_tree_allocated(g, plan)
+        if verdict.winner is Winner.COP:
+            return verdict, plan
+        last_cert = verdict.certificate
     # the certificate is the robber's witness; a single safe start vertex is
     # placement-dependent, so none is claimed here
     return GameVerdict(Winner.ROBBER, certificate=last_cert), None
@@ -169,7 +171,5 @@ def decide_tree_robber(
 def winning_profile(g: MultiLayerGraph, assignment: Sequence[int]) -> tuple[frozenset[int], ...] | None:
     """Clean component profile for an assignment, if one exists."""
 
-    box: list = []
-    if find_robbers_edge(g, assignment, profile_out=box) is None:
-        return box[0]
-    return None
+    found = find_robbers_edge(g, assignment)
+    return None if isinstance(found, RobbersEdgeCertificate) else found

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import statistics
@@ -261,3 +262,54 @@ def test_greedy_within_bound_on_dense_random_layered_graphs():
         delta = ml_min_degree(g)
         assert delta >= g.tau * (math.e - 1)
         assert len(domset_greedy(g)) <= domination_bound(g.n, g.tau, delta)
+
+
+def _closed_neighbourhood_condition(g, k):
+    """The clique-bound condition from its definition: no k (vertex, layer)
+    pairs occupy every vertex, and none leave a vertex outside whose closed
+    neighbourhood union misses only that vertex."""
+
+    closed = [[set(g.layer_view(i).adjacency[v]) | {v} for v in range(g.n)] for i in range(g.tau)]
+    everything = set(range(g.n))
+    for chosen in itertools.combinations([(v, i) for i in range(g.tau) for v in range(g.n)], k):
+        occupied = {v for v, _ in chosen}
+        covered = set().union(*(closed[i][v] for v, i in chosen))
+        if occupied == everything or any(covered | {v} == everything for v in everything - occupied):
+            return False
+    return True
+
+
+def test_clique_lb_equals_mec_check_without_degree_certificate():
+    rng = random.Random(20240608)
+    compared = 0
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        tau = rng.randint(1, 2)
+        p = rng.choice([0.15, 0.3, 0.5, 0.8])
+        layers = tuple(
+            tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p)
+            for _ in range(tau)
+        )
+        g = MultiLayerGraph(n=n, layers=layers, robber_spec=RobberSpec.COMPLETE)
+        max_deg = max(max(g.layer_view(i).degrees) for i in range(tau))
+        for k in range(1, n):
+            if 1 + k + k * (max_deg + 1) < n:
+                continue  # the degree certificate answers before any enumeration
+            expected = _closed_neighbourhood_condition(g, k)
+            assert clique_lb_check(g, k) == mec_check(g, k) == expected, (layers, k)
+            compared += 1
+    assert compared > 500
+
+
+def test_mec_budget_is_checked_before_allocating():
+    import tracemalloc
+
+    g = MultiLayerGraph(n=2 * 10**6, layers=((),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationBudgetExceeded):
+            mec_check(g, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6

@@ -403,3 +403,35 @@ def test_solve_dump_table_builds_once(grid4_file, tmp_path, capsys, monkeypatch)
     lines = out.splitlines()
     assert lines[:2] == [f"TABLE={table_path}", "METHOD=state-graph"]
     assert table_path.read_text() == mlcr.solver.dump_cwt(real(parse_mlg_file(grid4_file), (0, 0)))
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["simulate", "{grid}", "--allocation", "2,0", "--cop-strategy", "bogus"], 2),
+        # one cop on the path 0-1-2-3 leaves the tree edge 0-3 as a robber's edge
+        (["simulate", "{tree}", "--allocation", "1", "--cop-strategy", "tree_squeeze"], 2),
+        (["--state-budget", "10", "simulate", "{grid}", "--allocation", "2,0", "--cop-strategy", "tablebase"], 3),
+        (["--state-budget", "10", "play", "{grid}", "--allocation", "2,0"], 3),
+    ],
+    ids=["unknown-strategy", "strategy-mismatch", "simulate-over-budget", "play-over-budget"],
+)
+def test_errors_exit_with_their_code_and_one_error_line(args, code, grid4_file, tmp_path):
+    from mlcr.core import MultiLayerGraph, RobberSpec
+
+    tree = _write(tmp_path, "tree4.mlg", MultiLayerGraph(
+        n=4,
+        layers=(((0, 1), (1, 2), (2, 3)),),
+        robber_spec=RobberSpec.EXPLICIT,
+        robber_edges=((0, 3), (0, 1), (1, 2)),
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mlcr.cli", *(a.format(grid=grid4_file, tree=tree) for a in args)],
+        input=b"",
+        capture_output=True,
+        timeout=120,
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == code, err
+    assert [line for line in err.splitlines() if line.startswith("error: ")], err
+    assert "Traceback" not in err

@@ -1,0 +1,141 @@
+"""Pinned CLI output: exit code, exact stdout and SHA-256 of every file a
+command writes (CWT1 tables, MR1 records), for fixed instances and seeds.
+
+Any change to the solver, the tree path, the bounds or the simulator that
+alters a printed line or a written byte fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from mlcr.cli import main
+from mlcr.core import MultiLayerGraph, RobberSpec, write_mlg_file
+from mlcr.generators import gen_grid
+
+GRAPHS = {
+    "grid4.mlg": gen_grid(4)[0],
+    # one cop on the path 0-1-2-3 cannot guard the tree edge 0-3 (robber win)
+    "tree4.mlg": MultiLayerGraph(
+        n=4,
+        layers=(((0, 1), (1, 2), (2, 3)),),
+        robber_spec=RobberSpec.EXPLICIT,
+        robber_edges=((0, 3), (0, 1), (1, 2)),
+    ),
+    # two layers and a tree robber layer; one cop on layer 1 leaves no robber's edge
+    "tree7.mlg": MultiLayerGraph(
+        n=7,
+        layers=(((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 6)), ((0, 3), (3, 6), (1, 4), (2, 5))),
+        robber_spec=RobberSpec.EXPLICIT,
+        robber_edges=((0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (4, 6)),
+    ),
+}
+
+# name: (arguments with {dir} for the working directory, exit code, stdout,
+#        {written file: sha256})
+CASES = {
+    "solve-state-graph-dump": (
+        ["solve", "{dir}/grid4.mlg", "--allocation", "2,0", "--dump-table", "{dir}/t.cwt"],
+        0,
+        "TABLE={dir}/t.cwt\nMETHOD=state-graph\nALLOCATION=2,0\nVERDICT=COP\nASSIGNMENT=0,0\n"
+        "PLACEMENT=0,0\n",
+        {"t.cwt": "4d954a81ff585273429b897a839309034c91cc52754957632655a7ceaef48986"},
+    ),
+    "solve-state-graph-robber-dump": (
+        ["solve", "{dir}/grid4.mlg", "--allocation", "1,1", "--dump-table", "{dir}/t.cwt"],
+        1,
+        "TABLE={dir}/t.cwt\nMETHOD=state-graph\nALLOCATION=1,1\nVERDICT=ROBBER\nASSIGNMENT=0,1\n"
+        "SAFE_VERTEX=2\n",
+        {"t.cwt": "0f23cbac5e8a14614a6218ed1b8bdba3e76453af2167c3bec86e7f7f5af7c232"},
+    ),
+    "solve-tree-robber-dump": (
+        ["solve", "{dir}/tree4.mlg", "--allocation", "1", "--dump-table", "{dir}/t.cwt"],
+        1,
+        "TABLE={dir}/t.cwt\nMETHOD=tree\nALLOCATION=1\nVERDICT=ROBBER\nASSIGNMENT=0\n"
+        "ROBBERS_EDGE 0 3 ncops=1 dist=3\n",
+        {"t.cwt": "ad2110874620347c1053e1d779203ed89686e10c57659c39edcbd0cca270ee97"},
+    ),
+    "solve-tree-cop": (
+        ["solve", "{dir}/tree7.mlg", "--allocation", "2,0"],
+        0,
+        "METHOD=tree\nALLOCATION=2,0\nVERDICT=COP\nASSIGNMENT=0,0\nPLACEMENT=0,0\n",
+        {},
+    ),
+    "solve-tree-fast-cop": (
+        ["solve", "{dir}/tree4.mlg", "--allocation", "2", "--tree-fast"],
+        0,
+        "METHOD=tree\nALLOCATION=2\nVERDICT=COP\nASSIGNMENT=0,0\nPLACEMENT=0,0\n",
+        {},
+    ),
+    "solve-cops-state-graph": (
+        ["solve", "{dir}/grid4.mlg", "--cops", "2"],
+        0,
+        "METHOD=state-graph\nWINNING_ALLOCATION=2,0\nVERDICT=COP\nASSIGNMENT=0,0\nPLACEMENT=0,0\n",
+        {},
+    ),
+    "solve-cops-state-graph-robber": (
+        ["solve", "{dir}/grid4.mlg", "--cops", "1"],
+        1,
+        "METHOD=state-graph\nVERDICT=ROBBER\nASSIGNMENT=1\nSAFE_VERTEX=1\n",
+        {},
+    ),
+    "solve-cops-tree": (
+        ["solve", "{dir}/tree7.mlg", "--cops", "1"],
+        0,
+        "METHOD=tree\nWINNING_ALLOCATION=1,0\nVERDICT=COP\nASSIGNMENT=0\nPLACEMENT=0\n",
+        {},
+    ),
+    "solve-cops-tree-robber": (
+        ["solve", "{dir}/tree4.mlg", "--cops", "1"],
+        1,
+        "METHOD=tree\nVERDICT=ROBBER\nROBBERS_EDGE 0 3 ncops=1 dist=3\n",
+        {},
+    ),
+    "solve-free-choice": (
+        ["solve", "{dir}/grid4.mlg", "--free-choice", "2"],
+        0,
+        "WINNING_ALLOCATION=2,0\nVERDICT=COP\nASSIGNMENT=0,0\n",
+        {},
+    ),
+    "solve-free-choice-robber": (
+        ["solve", "{dir}/grid4.mlg", "--free-choice", "1"],
+        1,
+        "VERDICT=ROBBER\n",
+        {},
+    ),
+    "solve-free-choice-tree": (
+        ["solve", "{dir}/tree7.mlg", "--free-choice", "2"],
+        0,
+        "WINNING_ALLOCATION=2,0\nVERDICT=COP\nASSIGNMENT=0,0\n",
+        {},
+    ),
+    "bounds-grid4": (
+        ["bounds", "{dir}/grid4.mlg"],
+        0,
+        "LB_mec=1\nUB_domset=6\nUB_treewidth=n/a (too large)\n",
+        {},
+    ),
+    "simulate-tablebase-record": (
+        [
+            "--seed", "5", "simulate", "{dir}/grid4.mlg", "--allocation", "2,0",
+            "--cop-strategy", "tablebase", "--robber-strategy", "tablebase",
+            "--batch", "3", "--record", "{dir}/m.mr1",
+        ],
+        0,
+        "MATCH seed=5 outcome=CAPTURE round=17\nMATCH seed=6 outcome=CAPTURE round=17\n"
+        "MATCH seed=7 outcome=CAPTURE round=17\nSUMMARY matches=3 captures=3\n",
+        {"m.mr1": "fc8639ea68b739b088464c6fd4a587b8cbd1f975208e4a5fafd085445e5dad4d"},
+    ),
+}
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_is_pinned(name, tmp_path, capsys):
+    args, code, stdout, files = CASES[name]
+    for file_name, g in GRAPHS.items():
+        write_mlg_file(g, tmp_path / file_name)
+    directory = str(tmp_path)
+    got_code = main([a.format(dir=directory) for a in args])
+    out = capsys.readouterr().out
+    assert (got_code, out) == (code, stdout.format(dir=directory))
+    for file_name, digest in files.items():
+        assert hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest() == digest, file_name

@@ -231,3 +231,42 @@ def test_serialize_parse_identity(g):
     assert serialize_mlg(again) == text
     assert again.n == g.n and again.layers == g.layers
     assert again.robber_spec == g.robber_spec and again.robber_edges == g.robber_edges
+
+
+@st.composite
+def graphs_with_edges(draw):
+    """Valid graphs whose every edge section has at least two edges."""
+
+    n = draw(st.integers(min_value=3, max_value=8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edge_sets = st.sets(st.sampled_from(pairs), min_size=2).map(lambda es: tuple(sorted(es)))
+    layers = tuple(draw(st.lists(edge_sets, min_size=1, max_size=3)))
+    spec = draw(st.sampled_from(list(RobberSpec)))
+    robber = draw(edge_sets) if spec is RobberSpec.EXPLICIT else None
+    return MultiLayerGraph(n=n, layers=layers, robber_spec=spec, robber_edges=robber)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    graphs_with_edges(),
+    st.sampled_from(["self-loop", "swapped", "out-of-range", "duplicate", "non-integer"]),
+    st.data(),
+)
+def test_parse_reports_the_edited_edge_line(g, edit, data):
+    lines = serialize_mlg(g).splitlines()
+    is_edge = [not line.startswith(("MLG1", "LAYER", "ROBBER")) for line in lines]
+    # a duplicate copies the previous edge of its section, so the edited
+    # line is the second occurrence
+    first = 1 if edit == "duplicate" else 0
+    i = data.draw(st.sampled_from([j for j in range(first, len(lines)) if is_edge[j] and is_edge[j - first]]))
+    u, v = map(int, lines[i].split())
+    lines[i] = {
+        "self-loop": f"{u} {u}",
+        "swapped": f"{v} {u}",
+        "out-of-range": f"{u} {g.n}",
+        "duplicate": lines[i - 1],
+        "non-integer": f"{u} x",
+    }[edit]
+    with pytest.raises(MlgParseError) as info:
+        parse_mlg("\n".join(lines) + "\n")
+    assert info.value.line_no == i + 1

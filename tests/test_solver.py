@@ -208,21 +208,21 @@ def _assert_rank_invariants(table):
     for idx in range(table.n_states):
         p0, cops, t = table.unpack(idx)
         if p0 in cops:
-            assert table.status[idx] == 1 and table.rank[idx] == 0
+            assert table.rank[idx] == 0
             continue
         succ = list(table.successors(idx))
-        if table.status[idx]:
-            ranks = [int(table.rank[s]) for s in succ if table.status[s]]
+        if table.rank[idx] >= 0:
+            ranks = [int(table.rank[s]) for s in succ if table.rank[s] >= 0]
             if t < k:
                 assert int(table.rank[idx]) == 1 + min(ranks)
             else:
-                assert all(table.status[s] for s in succ)
+                assert all(table.rank[s] >= 0 for s in succ)
                 assert int(table.rank[idx]) == 1 + max(int(table.rank[s]) for s in succ)
         else:
             if t < k:
-                assert not any(table.status[s] for s in succ)
+                assert not any(table.rank[s] >= 0 for s in succ)
             else:
-                assert any(not table.status[s] for s in succ)
+                assert any(table.rank[s] < 0 for s in succ)
 
 
 def test_rank_invariants_random_instances():
@@ -270,7 +270,7 @@ def test_cop_policy_wins_within_rank_against_all_replies():
 
     for p0 in range(g.n):
         start = table.pack(p0, placement, 0)
-        assert table.status[start]
+        assert table.rank[start] >= 0
         assert playout(start)
 
 
@@ -292,7 +292,7 @@ def test_robber_policy_never_enters_a_copwin_state():
             if p0 in cops:
                 raise AssertionError("robber policy was captured")
             state = policies.robber_move(state)
-            assert not table.status[state]
+            assert table.rank[state] < 0
 
 
 def test_robber_policy_survives_random_cop_teams():
@@ -334,7 +334,7 @@ def test_mirror_split_pair_catches_within_one_team_move():
     table = build_copwin(g, (0, 1))
     for p0 in range(g.n):
         state = table.pack(p0, (hub, hub), 0)
-        assert table.status[state]
+        assert table.rank[state] >= 0
         assert table.rank[state] <= 2  # at most one move by one of the cops
 
 

