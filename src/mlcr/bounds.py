@@ -9,6 +9,7 @@ with repair) and the bag-sweep certificate from a tree decomposition.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -191,25 +192,28 @@ def domset_exact(g: MultiLayerGraph, size_cap: int | None = None) -> DominatingS
 
 def domset_greedy(g: MultiLayerGraph) -> DominatingSet:
     """Greedy cover: repeatedly take the (vertex, layer) pair covering the
-    most uncovered vertices, ties by (vertex, layer) order."""
+    most uncovered vertices, ties by (vertex, layer) order.
+
+    Lazy evaluation: the heap holds (-gain, v, layer) with gains that can
+    only be stale upward (coverage grows), so a popped pair whose fresh gain
+    still heads the heap is the exact greedy choice."""
 
     n, tau = g.n, g.tau
     masks = _closed_masks(g)
     full = (1 << n) - 1
     covered = 0
     chosen: set[tuple[int, int]] = set()
+    heap = [(-masks[i][v].bit_count(), v, i) for v in range(n) for i in range(tau)]
+    heapq.heapify(heap)
     while covered != full:
-        best_pair = None
-        best_gain = -1
-        for v in range(n):
-            for i in range(tau):
-                gain = bin(masks[i][v] & ~covered).count("1")
-                if gain > best_gain:
-                    best_gain = gain
-                    best_pair = (v, i)
-        assert best_pair is not None and best_gain > 0
-        chosen.add(best_pair)
-        covered |= masks[best_pair[1]][best_pair[0]]
+        _, v, i = heapq.heappop(heap)
+        entry = (-(masks[i][v] & ~covered).bit_count(), v, i)
+        if heap and entry > heap[0]:
+            heapq.heappush(heap, entry)
+            continue
+        assert entry[0] < 0
+        chosen.add((v, i))
+        covered |= masks[i][v]
     return DominatingSet(frozenset(chosen))
 
 

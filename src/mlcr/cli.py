@@ -59,6 +59,15 @@ def _mec_lower_bound(g, max_k: float = math.inf) -> int:
     return k
 
 
+def _allocation(text: str) -> AllocationPlan:
+    """The `--allocation` value: comma-separated per-layer cop counts."""
+
+    try:
+        return AllocationPlan(tuple(int(x) for x in text.split(",")))
+    except ValueError:
+        raise MlgError(f"--allocation needs comma-separated integers, got {text!r}") from None
+
+
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     g = parse_mlg_file(args.graph)
@@ -70,10 +79,9 @@ def cmd_solve(args) -> int:
         raise MlgError("--tree-fast requires a tree robber layer")
     use_tree = tree_ok if args.tree_fast is None else args.tree_fast
     if args.allocation is not None:
-        counts = tuple(int(x) for x in args.allocation.split(","))
-        plan = AllocationPlan(counts)
-        if len(counts) != g.tau:
-            raise MlgError(f"allocation has {len(counts)} entries, graph has {g.tau} layers")
+        plan = _allocation(args.allocation)
+        if len(plan.counts) != g.tau:
+            raise MlgError(f"allocation has {len(plan.counts)} entries, graph has {g.tau} layers")
         tables: list = []
         if use_tree and plan.total >= 1:
             verdict = decide_tree_allocated(g, plan)
@@ -190,7 +198,7 @@ def cmd_simulate(args) -> int:
     g = parse_mlg_file(args.graph)
     if args.tag:
         g.tag = args.tag
-    plan = AllocationPlan(tuple(int(x) for x in args.allocation.split(",")))
+    plan = _allocation(args.allocation)
     # one object per side plays every seed; both tablebase sides share one table
     table = table_source(g, plan, args.state_budget)
     cop = cop_strategy_from_name(args.cop_strategy, g, table)
@@ -223,7 +231,7 @@ def cmd_play(args) -> int:
     from .sim import interactive_play
 
     g = parse_mlg_file(args.graph)
-    plan = AllocationPlan(tuple(int(x) for x in args.allocation.split(",")))
+    plan = _allocation(args.allocation)
     record = interactive_play(g, plan, args.role, state_budget=args.state_budget)
     print(f"OUTCOME={record.outcome}")
     return 0

@@ -405,17 +405,17 @@ class TablebaseCops(CopTeamStrategy):
 
     def moves(self, view: MatchView):
         tb = self.table
-        state = tb.pack(view.robber, view.cops, 0)
-        for _ in range(tb.k):
-            p0, cops, _ = tb.unpack(state)
-            if p0 in cops:
+        robber, cops = view.robber, list(view.cops)
+        state = tb.pack(robber, cops, 0)
+        for c in range(tb.k):
+            if robber in cops:
                 break  # captured mid-walk; remaining cops stay
             if tb.rank[state] >= 0:
                 state = tb.best_cop_move(state)
             else:
                 state = tb.chase_cop_move(state)
-        _, cops, _ = tb.unpack(state)
-        return cops
+            cops[c] = state // tb.strides[c + 1] % tb.n  # only cop c moved
+        return tuple(cops)
 
 
 class TablebaseRobber(RobberStrategy):
@@ -448,9 +448,7 @@ class TablebaseRobber(RobberStrategy):
 
     def move(self, view: MatchView):
         tb = self.table
-        nxt = tb.best_robber_move(tb.pack(view.robber, view.cops, tb.k))
-        robber, _, _ = tb.unpack(nxt)
-        return robber
+        return tb.best_robber_move(tb.pack(view.robber, view.cops, tb.k)) // tb.strides[0]
 
 
 def tablebase_pair(
@@ -890,6 +888,7 @@ class CopsbaneRobber(RobberStrategy):
             for v in interior:
                 self.arm_owner[v] = x
         self._comp_dist_cache: dict[tuple[int, int], dict[int, int]] = {}
+        self._safe_cache: dict[frozenset[int], list[set[int]]] = {}
 
     def _blocked(self, cops) -> set[int]:
         out: set[int] = set()
@@ -920,12 +919,17 @@ class CopsbaneRobber(RobberStrategy):
         return dist
 
     def _safe_components(self, blocked: set[int]) -> list[set[int]]:
-        safe = []
-        for comp in _components(self.x_adj, blocked):
-            if len(comp) < self.N // 2 + 1:
-                continue
-            if self._diameter(comp) <= self.layout.D:
-                safe.append(comp)
+        """Large components of diameter <= D outside `blocked`, memoised per
+        blocked set; callers must not modify the returned sets."""
+
+        key = frozenset(blocked)
+        safe = self._safe_cache.get(key)
+        if safe is None:
+            safe = self._safe_cache[key] = [
+                comp
+                for comp in _components(self.x_adj, blocked)
+                if len(comp) >= self.N // 2 + 1 and self._diameter(comp) <= self.layout.D
+            ]
         return safe
 
     def _diameter(self, comp: set[int]) -> float:

@@ -18,7 +18,6 @@ successor ranks, i.e. the optimal number of single-agent moves to capture.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Sequence
@@ -58,9 +57,23 @@ def _csr_with_self(n: int, adjacency: Sequence[Sequence[int]]) -> tuple[np.ndarr
     return indptr, indices
 
 
+def _csr_lists(indptr: np.ndarray, indices: np.ndarray) -> list[tuple[int, ...]]:
+    """CSR rows as Python tuples."""
+
+    flat = indices.tolist()
+    bounds = indptr.tolist()
+    return [tuple(flat[bounds[v] : bounds[v + 1]]) for v in range(len(bounds) - 1)]
+
+
 @dataclass
 class CopWinTable:
-    """Solved table for one assignment of cops to layers."""
+    """Solved table for one assignment of cops to layers.
+
+    The policy queries (`successors` and the three move methods) read Python
+    move lists and, for `chase_cop_move`, per-(layer, robber) BFS distances;
+    both are built on the first query, so a table that is only asked for a
+    verdict pays for neither.
+    """
 
     graph: MultiLayerGraph
     assignment: tuple[int, ...]
@@ -68,13 +81,12 @@ class CopWinTable:
     robber_complete: bool
     agent_csr: list[tuple[np.ndarray, np.ndarray]] = field(repr=False, default_factory=list)
 
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def k(self) -> int:
-        return len(self.assignment)
+    def __post_init__(self):
+        self.n = self.graph.n
+        self.k = len(self.assignment)
+        self.strides = _digit_strides(self.n, self.k)
+        self._moves: list[list[tuple[int, ...]]] | None = None
+        self._chase: dict[tuple[int, int], list[float]] = {}
 
     @property
     def alloc(self) -> AllocationPlan:
@@ -113,44 +125,71 @@ class CopWinTable:
 
     # -- move enumeration (successors in game order) ---------------------------
 
-    def _moves_from(self, agent: int, position: int) -> Iterator[int]:
-        """Stay plus the agent's layer moves; agent 0 is the robber."""
+    def _move_lists(self) -> list[list[tuple[int, ...]]]:
+        """Per agent (0 = robber) and position: stay plus layer moves, sorted.
 
-        if agent == 0 and self.robber_complete:
-            yield from range(self.n)
-            return
-        indptr, indices = self.agent_csr[agent]
-        for j in range(int(indptr[position]), int(indptr[position + 1])):
-            yield int(indices[j])
+        Cops on one layer share their lists; a complete robber layer is one
+        shared `range(n)` tuple."""
+
+        n = self.n
+        if self.robber_complete:
+            lists = [[tuple(range(n))] * n]
+        else:
+            lists = [_csr_lists(*self.agent_csr[0])]
+        by_layer: dict[int, list[tuple[int, ...]]] = {}
+        for c, layer in enumerate(self.assignment):
+            if layer not in by_layer:
+                by_layer[layer] = _csr_lists(*self.agent_csr[c + 1])
+            lists.append(by_layer[layer])
+        return lists
+
+    def _step(self, index: int) -> tuple[int, int, tuple[int, ...]] | None:
+        """(base, stride, moves): successor q of the mover is base + q*stride,
+        for q in `moves` (ascending, so successors ascend too).  None on a
+        capture state, which is terminal."""
+
+        t = index % (self.k + 1)
+        n, strides = self.n, self.strides
+        robber = index // strides[0]
+        for s in strides[1:]:
+            if index // s % n == robber:
+                return None
+        mover = 0 if t == self.k else t + 1  # also the turn counter after the move
+        stride = strides[mover]
+        position = index // stride % n
+        if self._moves is None:
+            self._moves = self._move_lists()
+        return index - t + mover - position * stride, stride, self._moves[mover][position]
 
     def successors(self, index: int) -> Iterator[int]:
         """Successor state indices; capture states are terminal (none)."""
 
-        robber, cops, t = self.unpack(index)
-        if robber in cops:
+        step = self._step(index)
+        if step is None:
             return
-        mover = 0 if t == self.k else t + 1
-        t_next = (t + 1) % (self.k + 1)
-        base = index - t
-        position = robber if mover == 0 else cops[mover - 1]
-        stride = (self.k + 1) * self.n ** (self.k - mover)
-        for q in self._moves_from(mover, position):
-            yield base + (q - position) * stride + t_next
+        base, stride, moves = step
+        for q in moves:
+            yield base + q * stride
 
     # -- optimal policies ------------------------------------------------------
+    # Successors ascend with the move, so keeping the first of equal
+    # candidates breaks ties toward the smallest successor index.
 
     def best_cop_move(self, index: int) -> int:
         """Rank-minimising successor of a cop-turn cop-win state (ties: smallest index)."""
 
+        step = self._step(index)
         best_idx = -1
-        best_rank = -1
-        for s in self.successors(index):
-            r = int(self.rank[s])
-            if r < 0:
-                continue
-            if best_idx < 0 or r < best_rank or (r == best_rank and s < best_idx):
-                best_rank = r
-                best_idx = s
+        if step is not None:
+            base, stride, moves = step
+            rank = self.rank
+            best_rank = -1
+            for q in moves:
+                s = base + q * stride
+                r = int(rank[s])
+                if r >= 0 and (best_idx < 0 or r < best_rank):
+                    best_rank = r
+                    best_idx = s
         if best_idx < 0:
             raise MlgError("best_cop_move called on a state with no cop-win successor")
         return best_idx
@@ -158,38 +197,42 @@ class CopWinTable:
     def chase_cop_move(self, index: int) -> int:
         """Fallback move on robber-win states: shrink layer distance to the robber."""
 
-        robber, cops, t = self.unpack(index)
-        mover = t + 1
-        layer = self.assignment[mover - 1]
-        dist = bfs_dist(self.graph, layer, robber)
-        best_idx = -1
-        best_d = math.inf
-        for s in self.successors(index):
-            _, new_cops, _ = self.unpack(s)
-            d = dist[new_cops[mover - 1]]
-            if best_idx < 0 or d < best_d or (d == best_d and s < best_idx):
-                best_d = d
-                best_idx = s
-        return best_idx
+        t = index % (self.k + 1)
+        robber = index // self.strides[0]
+        key = (self.assignment[t], robber)
+        dist = self._chase.get(key)
+        if dist is None:
+            dist = self._chase[key] = bfs_dist(self.graph, *key)
+        step = self._step(index)
+        if step is None:
+            return -1
+        base, stride, moves = step
+        best_q = moves[0]
+        best_d = dist[best_q]
+        for q in moves:
+            if dist[q] < best_d:
+                best_d = dist[q]
+                best_q = q
+        return base + best_q * stride
 
     def best_robber_move(self, index: int) -> int:
         """Robber-win successor if any, else maximal-delay (ties: smallest index)."""
 
-        best_escape = -1
+        step = self._step(index)
+        if step is None:
+            raise MlgError("best_robber_move called on a terminal state")
+        base, stride, moves = step
+        rank = self.rank
         best_idx = -1
         best_rank = -1
-        for s in self.successors(index):
-            r = int(self.rank[s])
+        for q in moves:
+            s = base + q * stride
+            r = int(rank[s])
             if r < 0:
-                if best_escape < 0 or s < best_escape:
-                    best_escape = s
-            elif best_idx < 0 or r > best_rank or (r == best_rank and s < best_idx):
+                return s  # the smallest robber-win successor
+            if r > best_rank:
                 best_rank = r
                 best_idx = s
-        if best_escape >= 0:
-            return best_escape
-        if best_idx < 0:
-            raise MlgError("best_robber_move called on a terminal state")
         return best_idx
 
     # -- verdict queries -------------------------------------------------------
@@ -227,6 +270,12 @@ def state_space_size(n: int, k: int) -> int:
     return n ** (k + 1) * (k + 1)
 
 
+def _digit_strides(n: int, k: int) -> tuple[int, ...]:
+    """Stride of agent a's position digit in a packed index (agent 0 = robber)."""
+
+    return tuple((k + 1) * n ** (k - a) for a in range(k + 1))
+
+
 def build_copwin(
     g: MultiLayerGraph,
     assignment: Sequence[int],
@@ -261,8 +310,7 @@ def build_copwin(
     counter = np.zeros(size, dtype=np.int32)
 
     kp1 = k + 1
-    # stride of agent a's position digit (agent 0 = robber)
-    strides = [kp1 * n ** (k - a) for a in range(0, k + 1)]
+    strides = _digit_strides(n, k)
 
     # initialise capture flags and robber-move counters, chunked over p0 blocks
     block = n**k * kp1  # states sharing one robber position

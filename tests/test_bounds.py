@@ -313,3 +313,50 @@ def test_mec_budget_is_checked_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 10**6
+
+
+def _rescan_greedy(g):
+    """The greedy cover by full rescans: every pick scores every pair."""
+
+    masks = [
+        [sum(1 << w for w in g.layer_view(i).adjacency[v]) | (1 << v) for v in range(g.n)]
+        for i in range(g.tau)
+    ]
+    full, covered, chosen = (1 << g.n) - 1, 0, set()
+    while covered != full:
+        best_pair, best_gain = None, -1
+        for v in range(g.n):
+            for i in range(g.tau):
+                gain = bin(masks[i][v] & ~covered).count("1")
+                if gain > best_gain:
+                    best_gain, best_pair = gain, (v, i)
+        chosen.add(best_pair)
+        covered |= masks[best_pair[1]][best_pair[0]]
+    return frozenset(chosen)
+
+
+def test_lazy_greedy_picks_the_rescan_greedy_pairs():
+    rng = random.Random(1500)
+    for _ in range(400):
+        n = rng.randint(1, 14)
+        tau = rng.randint(1, 3)
+        p = rng.random()
+        layers = tuple(
+            tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p)
+            for _ in range(tau)
+        )
+        g = MultiLayerGraph(n=n, layers=layers)
+        assert domset_greedy(g).pairs == _rescan_greedy(g), layers
+
+
+def test_bounds_on_large_edgeless_graph_falls_back_to_greedy_quickly(tmp_path):
+    import subprocess
+    import sys
+
+    path = tmp_path / "edgeless.mlg"
+    path.write_text("MLG1 5000 1 UNION\nLAYER 1 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mlcr.cli", "bounds", str(path)], capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert "UB_domset=5000 (greedy)" in proc.stdout.decode().splitlines()

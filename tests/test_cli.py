@@ -413,8 +413,12 @@ def test_solve_dump_table_builds_once(grid4_file, tmp_path, capsys, monkeypatch)
         (["simulate", "{tree}", "--allocation", "1", "--cop-strategy", "tree_squeeze"], 2),
         (["--state-budget", "10", "simulate", "{grid}", "--allocation", "2,0", "--cop-strategy", "tablebase"], 3),
         (["--state-budget", "10", "play", "{grid}", "--allocation", "2,0"], 3),
+        (["solve", "{grid}", "--allocation", "2,x"], 2),
+        (["simulate", "{grid}", "--allocation", "2,x"], 2),
+        (["play", "{grid}", "--allocation", "2,x"], 2),
     ],
-    ids=["unknown-strategy", "strategy-mismatch", "simulate-over-budget", "play-over-budget"],
+    ids=["unknown-strategy", "strategy-mismatch", "simulate-over-budget", "play-over-budget",
+         "solve-bad-allocation", "simulate-bad-allocation", "play-bad-allocation"],
 )
 def test_errors_exit_with_their_code_and_one_error_line(args, code, grid4_file, tmp_path):
     from mlcr.core import MultiLayerGraph, RobberSpec

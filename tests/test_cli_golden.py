@@ -126,6 +126,18 @@ CASES = {
         "MATCH seed=7 outcome=CAPTURE round=17\nSUMMARY matches=3 captures=3\n",
         {"m.mr1": "fc8639ea68b739b088464c6fd4a587b8cbd1f975208e4a5fafd085445e5dad4d"},
     ),
+    # one cop per layer cannot catch the robber: every cop move is a chase move
+    "simulate-tablebase-survival-record": (
+        [
+            "--seed", "5", "simulate", "{dir}/grid4.mlg", "--allocation", "1,1",
+            "--cop-strategy", "tablebase", "--robber-strategy", "tablebase",
+            "--rounds", "200", "--batch", "3", "--record", "{dir}/m.mr1",
+        ],
+        0,
+        "MATCH seed=5 outcome=SURVIVED\nMATCH seed=6 outcome=SURVIVED\n"
+        "MATCH seed=7 outcome=SURVIVED\nSUMMARY matches=3 captures=0\n",
+        {"m.mr1": "7dc701d07426775c392a2f93910681cefd29f3cda7483d7b5f7556428d8e0f5b"},
+    ),
 }
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -364,3 +364,128 @@ def test_cop_policy_undefined_on_capture_states():
     assert list(table.successors(capture)) == []
     with pytest.raises(Exception):
         table.best_cop_move(capture)
+
+
+# -- policy queries against the unpack-based reference ----------------------------------------
+# The reference decodes every successor with `unpack` and runs a fresh BFS
+# per chase move, as the table did before its stride arithmetic, memoised
+# distances and lazy move lists.
+
+
+def _ref_successors(table, index):
+    robber, cops, t = table.unpack(index)
+    if robber in cops:
+        return []
+    k, n = table.k, table.n
+    mover = 0 if t == k else t + 1
+    position = robber if mover == 0 else cops[mover - 1]
+    if mover == 0 and table.robber_complete:
+        moves = range(n)
+    else:
+        indptr, indices = table.agent_csr[mover]
+        moves = [int(indices[j]) for j in range(int(indptr[position]), int(indptr[position + 1]))]
+    stride = (k + 1) * n ** (k - mover)
+    t_next = (t + 1) % (k + 1)
+    return [index - t + (q - position) * stride + t_next for q in moves]
+
+
+def _ref_best_cop_move(table, index):
+    best_idx, best_rank = -1, -1
+    for s in _ref_successors(table, index):
+        r = int(table.rank[s])
+        if r >= 0 and (best_idx < 0 or r < best_rank or (r == best_rank and s < best_idx)):
+            best_idx, best_rank = s, r
+    return best_idx
+
+
+def _ref_chase_cop_move(table, index):
+    from mlcr.core import bfs_dist
+
+    robber, _, t = table.unpack(index)
+    dist = bfs_dist(table.graph, table.assignment[t], robber)
+    best_idx, best_d = -1, None
+    for s in _ref_successors(table, index):
+        d = dist[table.unpack(s)[1][t]]
+        if best_idx < 0 or d < best_d or (d == best_d and s < best_idx):
+            best_idx, best_d = s, d
+    return best_idx
+
+
+def _ref_best_robber_move(table, index):
+    escapes = [s for s in _ref_successors(table, index) if table.rank[s] < 0]
+    if escapes:
+        return min(escapes)
+    return min(_ref_successors(table, index), key=lambda s: (-int(table.rank[s]), s))
+
+
+def test_policy_queries_match_unpack_reference_on_random_corpus():
+    rng = random.Random(404)
+    checked = {True: 0, False: 0}
+    for trial in range(60):
+        g = random_instance(rng, n_max=4, tau_max=2)
+        if trial % 2:  # alternate complete and explicit robber layers
+            g = MultiLayerGraph(n=g.n, layers=g.layers, robber_spec=RobberSpec.COMPLETE)
+        else:
+            redges = tuple((u, v) for u in range(g.n) for v in range(u + 1, g.n) if rng.random() < 0.5)
+            g = MultiLayerGraph(n=g.n, layers=g.layers, robber_spec=RobberSpec.EXPLICIT, robber_edges=redges)
+        k = rng.randint(1, 3)
+        table = build_copwin(g, tuple(rng.randrange(g.tau) for _ in range(k)))
+        checked[table.robber_complete] += 1
+        for idx in range(table.n_states):
+            succ = _ref_successors(table, idx)
+            assert list(table.successors(idx)) == succ
+            if not succ:
+                continue
+            _, _, t = table.unpack(idx)
+            assert table.best_robber_move(idx) == _ref_best_robber_move(table, idx)
+            if t == table.k:
+                continue
+            if table.rank[idx] >= 0:
+                assert table.best_cop_move(idx) == _ref_best_cop_move(table, idx)
+            else:
+                assert table.chase_cop_move(idx) == _ref_chase_cop_move(table, idx)
+    assert checked[True] and checked[False]
+
+
+def test_move_lists_are_built_on_first_policy_query():
+    g, _ = gen_grid(4)
+    table = build_copwin(g, (0, 0))
+    assert table._moves is None and table._chase == {}
+    table.best_robber_move(table.pack(0, (5, 10), 2))
+    assert table._moves is not None
+    assert table._moves[1] is table._moves[2]  # cops on one layer share their lists
+
+
+def test_chase_distances_computed_once_per_layer_and_robber_in_a_batch(tmp_path, monkeypatch, capsys):
+    import mlcr.sim
+    import mlcr.solver
+    from mlcr.cli import main
+    from mlcr.core import write_mlg_file
+
+    path = tmp_path / "grid4.mlg"
+    write_mlg_file(gen_grid(4)[0], path)
+    calls = []
+    real = mlcr.solver.bfs_dist
+
+    def counted(g, layer, source):
+        calls.append((layer, source))
+        return real(g, layer, source)
+
+    monkeypatch.setattr(mlcr.solver, "bfs_dist", counted)
+    tables = []
+    real_build = mlcr.sim.build_copwin
+
+    def build(*args, **kwargs):
+        tables.append(real_build(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(mlcr.sim, "build_copwin", build)
+    code = main([
+        "simulate", str(path), "--allocation", "1,1", "--cop-strategy", "tablebase",
+        "--robber-strategy", "tablebase", "--rounds", "200", "--batch", "3",
+    ])
+    assert code == 0
+    assert "captures=0" in capsys.readouterr().out
+    assert len(tables) == 1
+    assert calls  # the robber survives, so the cops chased
+    assert len(calls) == len(set(calls))
