@@ -14,10 +14,21 @@ successor is, a robber-turn state once a counter of not-yet-cop-win
 successors reaches zero.  The BFS level of a state is its rank: 0 at
 capture, otherwise 1 + min (cop to move) / max (robber to move) over
 successor ranks, i.e. the optimal number of single-agent moves to capture.
+
+Only robber-turn states carry a counter (`n^(k+1)` of them, indexed by
+`state // (k+1)`, in the narrowest unsigned dtype that holds `n`).  The
+predecessors found at one level are deduplicated without sorting: after
+dropping decided states, each candidate writes its own negative tag into
+`rank` and the occurrence whose tag survived stands for its state; for
+robber-turn states `bincount` over the surviving tags is the number to
+subtract from the counter.  The state budget is capped by physical RAM
+divided by the bytes per state of `rank` plus the counter, and checked
+before anything is allocated.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Sequence
@@ -46,15 +57,12 @@ class StateBudgetExceeded(MlgError):
 def _csr_with_self(n: int, adjacency: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """CSR neighbour arrays including the stay move (self loop)."""
 
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr = [0]
+    indices: list[int] = []
     for v in range(n):
-        indptr[v + 1] = indptr[v] + len(adjacency[v]) + 1
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    for v in range(n):
-        start = int(indptr[v])
-        nbrs = sorted(set(adjacency[v]) | {v})
-        indices[start : start + len(nbrs)] = nbrs
-    return indptr, indices
+        indices.extend(sorted(set(adjacency[v]) | {v}))
+        indptr.append(len(indices))
+    return np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64)
 
 
 def _csr_lists(indptr: np.ndarray, indices: np.ndarray) -> list[tuple[int, ...]]:
@@ -195,9 +203,13 @@ class CopWinTable:
         return best_idx
 
     def chase_cop_move(self, index: int) -> int:
-        """Fallback move on robber-win states: shrink layer distance to the robber."""
+        """Fallback move on robber-win states: shrink layer distance to the robber.
+
+        -1 on a capture state; a robber-turn state has no cop to move."""
 
         t = index % (self.k + 1)
+        if t == self.k:
+            raise MlgError("chase_cop_move called on a robber-turn state")
         robber = index // self.strides[0]
         key = (self.assignment[t], robber)
         dist = self._chase.get(key)
@@ -276,12 +288,21 @@ def _digit_strides(n: int, k: int) -> tuple[int, ...]:
     return tuple((k + 1) * n ** (k - a) for a in range(k + 1))
 
 
+def _physical_ram() -> int:
+    """Bytes of physical memory on this machine."""
+
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def build_copwin(
     g: MultiLayerGraph,
     assignment: Sequence[int],
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> CopWinTable:
-    """Retrograde analysis for cops assigned to layers by `assignment`."""
+    """Retrograde analysis for cops assigned to layers by `assignment`.
+
+    The budget is `state_budget` or, if fewer, the states whose `rank` and
+    robber-turn counter fit in physical RAM."""
 
     k = len(assignment)
     if k < 1:
@@ -290,89 +311,104 @@ def build_copwin(
         if not (0 <= layer < g.tau):
             raise MlgError(f"assignment layer {layer} out of range (tau={g.tau})")
     n = g.n
+    kp1 = k + 1
     size = state_space_size(n, k)
-    if size > state_budget:
-        raise StateBudgetExceeded(size, state_budget)
+    # kernel bytes per state: the int32 rank, plus a counter on one state in
+    # k+1 that starts at the robber's out-degree, stay included: at most n
+    counter_dtype = np.min_scalar_type(n)
+    ram_states = _physical_ram() * kp1 // (4 * kp1 + counter_dtype.itemsize)
+    budget = min(state_budget, ram_states)
+    if size > budget:
+        raise StateBudgetExceeded(size, budget)
 
     robber_complete = g.robber_is_complete()
     agent_csr: list[tuple[np.ndarray, np.ndarray]] = []
     if robber_complete:
         agent_csr.append((np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)))
-        robber_outdeg = None
     else:
-        robber_adj = g.robber_view().adjacency
-        agent_csr.append(_csr_with_self(n, robber_adj))
-        robber_outdeg = np.diff(agent_csr[0][0])
+        agent_csr.append(_csr_with_self(n, g.robber_view().adjacency))
     for c in range(k):
         agent_csr.append(_csr_with_self(n, g.layer_view(assignment[c]).adjacency))
 
-    rank = np.full(size, -1, dtype=np.int32)
-    counter = np.zeros(size, dtype=np.int32)
-
-    kp1 = k + 1
     strides = _digit_strides(n, k)
+    n_pos = n**kp1  # position tuples (p0, ..., pk); state = position * (k+1) + t
 
-    # initialise capture flags and robber-move counters, chunked over p0 blocks
-    block = n**k * kp1  # states sharing one robber position
-    for p0 in range(n):
-        lo = p0 * block
-        idx = np.arange(lo, lo + block, dtype=np.int64)
-        cap = np.zeros(block, dtype=bool)
-        rest = idx // kp1
-        for c in range(k):
-            digit = (rest // (n ** (k - 1 - c))) % n
-            cap |= digit == p0
-        rank[lo : lo + block][cap] = 0
-        # robber-turn states: t == k
-        if robber_outdeg is not None:
-            counter[lo + k : lo + block : kp1] = robber_outdeg[p0]
-        else:
-            counter[lo + k : lo + block : kp1] = n
-    frontier = np.nonzero(rank >= 0)[0].astype(np.int64)
+    # capture: some cop on the robber's vertex, whoever is to move
+    eye = np.eye(n, dtype=bool)
+    cap = np.zeros((n,) * kp1, dtype=bool)
+    for c in range(1, kp1):
+        cap |= eye.reshape((n,) + (1,) * (c - 1) + (n,) + (1,) * (k - c))
+    rank = np.full(n_pos * kp1, -1, dtype=np.int32)
+    rank.reshape(n_pos, kp1)[cap.ravel()] = 0
+    captured = np.flatnonzero(cap) * kp1
+    del cap
 
+    # Predecessors of a state that `mover` (= its turn t) has just moved into
+    # are `state + delta[e]` over the CSR entries e of the mover's position:
+    # delta undoes the move along the edge and winds the turn back by one.
+    moves = []
+    for mover in range(kp1):
+        dt = k if mover == 0 else -1
+        stride = strides[mover]
+        if mover == 0 and robber_complete:
+            moves.append((None, None, np.arange(n, dtype=np.int64) * stride + dt))
+            continue
+        indptr, indices = agent_csr[mover]
+        deg = np.diff(indptr)
+        delta = (indices - np.arange(n, dtype=np.int64).repeat(deg)) * stride + dt
+        moves.append((deg, indptr[1:], delta))
+
+    # robber-turn state position*(k+1) + k: successors not yet cop-win
+    counter = np.empty((n, n_pos // n), dtype=counter_dtype)
+    counter[:] = n if robber_complete else moves[0][0][:, None]
+    counter = counter.reshape(n_pos)
+
+    # Frontier: per turn, the states ranked at the previous level.  Order is
+    # free: a state's rank depends only on the level it is reached at.
+    frontier = [[captured + t] for t in range(kp1)]
     level = 0
-    while frontier.size:
+    while any(frontier):
         level += 1
-        new_parts: list[np.ndarray] = []
-        t_vals = frontier % kp1
-        for t_succ in range(kp1):
-            grp = frontier[t_vals == t_succ]
-            if not grp.size:
-                continue
-            t_pred = (t_succ - 1) % kp1
-            mover = 0 if t_pred == k else t_pred + 1
+        reached: list[list[np.ndarray]] = [[] for _ in range(kp1)]
+        for mover in range(kp1):
+            t_pred = k if mover == 0 else mover - 1
             stride = strides[mover]
-            for lo in range(0, grp.size, _CHUNK):
-                chunk = grp[lo : lo + _CHUNK]
-                if mover == 0:
-                    digit = chunk // strides[0]
-                else:
-                    digit = (chunk // stride) % n
-                base = chunk - t_succ + t_pred - digit * stride
-                if mover == 0 and robber_complete:
-                    # predecessors: every robber position
-                    preds = (base[:, None] + (np.arange(n, dtype=np.int64) * stride)[None, :]).ravel()
-                else:
-                    indptr, indices = agent_csr[mover]
-                    starts = indptr[digit]
-                    cnt = indptr[digit + 1] - starts
-                    total = int(cnt.sum())
-                    if total == 0:
+            deg, ends, delta = moves[mover]
+            for part in frontier[mover]:
+                for lo in range(0, part.size, _CHUNK):
+                    chunk = part[lo : lo + _CHUNK]
+                    digit = chunk // stride if mover == 0 else chunk // stride % n
+                    if deg is None:  # complete robber layer: every robber position
+                        preds = ((chunk - digit * stride)[:, None] + delta).ravel()
+                    else:
+                        cnt = deg[digit]
+                        csum = cnt.cumsum()
+                        entry = np.arange(csum[-1]) + (ends[digit] - csum).repeat(cnt)
+                        preds = chunk.repeat(cnt) + delta[entry]
+                    cand = preds[rank[preds] < 0]
+                    if not cand.size:
                         continue
-                    rep_base = np.repeat(base, cnt)
-                    offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-                    nbr = indices[np.repeat(starts, cnt) + offs]
-                    preds = rep_base + nbr * stride
-                if t_pred == k:
-                    u, c = np.unique(preds, return_counts=True)
-                    counter[u] -= c.astype(np.int32)
-                    newly = u[(counter[u] <= 0) & (rank[u] < 0)]
-                else:
-                    newly = np.unique(preds[rank[preds] < 0])
-                if newly.size:
-                    rank[newly] = level
-                    new_parts.append(newly)
-        frontier = np.concatenate(new_parts) if new_parts else np.zeros(0, dtype=np.int64)
+                    # dedupe: every candidate tags its state; one tag per state survives
+                    tags = np.arange(-2, -2 - cand.size, -1, dtype=np.int32)
+                    rank[cand] = tags
+                    if mover:  # cop to move: one cop-win successor suffices
+                        won = cand[rank[cand] == tags]
+                        rank[won] = level
+                        reached[t_pred].append(won)
+                        continue
+                    # robber to move: the surviving tag counts its state's occurrences
+                    mult = np.bincount(-2 - rank[cand])
+                    kept = mult.nonzero()[0]
+                    won = cand[kept]
+                    pos = won // kp1
+                    left = counter[pos] - mult[kept]
+                    counter[pos] = left
+                    rank[won] = -1
+                    won = won[left == 0]
+                    if won.size:
+                        rank[won] = level
+                        reached[t_pred].append(won)
+        frontier = reached
 
     return CopWinTable(
         graph=g,

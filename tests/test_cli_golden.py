@@ -48,6 +48,14 @@ CASES = {
         "SAFE_VERTEX=2\n",
         {"t.cwt": "0f23cbac5e8a14614a6218ed1b8bdba3e76453af2167c3bec86e7f7f5af7c232"},
     ),
+    # three cops, two on one layer: 16^4 * 4 = 262,144 states, the first pinned k = 3 table
+    "solve-state-graph-three-cops-dump": (
+        ["solve", "{dir}/grid4.mlg", "--allocation", "2,1", "--dump-table", "{dir}/t.cwt"],
+        0,
+        "TABLE={dir}/t.cwt\nMETHOD=state-graph\nALLOCATION=2,1\nVERDICT=COP\nASSIGNMENT=0,0,1\n"
+        "PLACEMENT=0,0,0\n",
+        {"t.cwt": "856ddc7cf480178f5df21d8eb923af70a700a700635ec95e66a2103d13b21e47"},
+    ),
     "solve-tree-robber-dump": (
         ["solve", "{dir}/tree4.mlg", "--allocation", "1", "--dump-table", "{dir}/t.cwt"],
         1,

@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlcr.core import AllocationPlan, MultiLayerGraph, RobberSpec
+from mlcr.core import AllocationPlan, MlgError, MultiLayerGraph, RobberSpec
 from mlcr.generators import gen_cycle_matchings, gen_grid, gen_min_counterexample, petersen
 from mlcr.oracles import (
     naive_allocated_verdict,
@@ -80,6 +81,26 @@ def test_state_budget_guard():
     with pytest.raises(StateBudgetExceeded) as exc:
         build_copwin(g, (0, 0), state_budget=10)
     assert exc.value.required == state_space_size(4, 2)
+
+
+def test_state_budget_is_capped_by_physical_ram_before_allocating(monkeypatch):
+    import tracemalloc
+
+    import mlcr.solver
+
+    g, _ = gen_grid(6)  # (0,0,1): 6,718,464 states, 27 MB of rank alone
+    monkeypatch.setattr(mlcr.solver, "_physical_ram", lambda: 16 * 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateBudgetExceeded) as exc:
+            build_copwin(g, (0, 0, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc.value.required == state_space_size(36, 3)
+    # 4 B of rank per state plus a 1-B counter per robber-turn state (1 in 4)
+    assert exc.value.budget == 16 * 2**20 * 4 // 17
+    assert peak < 10**6
 
 
 def test_zero_cops_lose():
@@ -366,6 +387,14 @@ def test_cop_policy_undefined_on_capture_states():
         table.best_cop_move(capture)
 
 
+def test_chase_cop_move_refuses_robber_turn_and_passes_on_capture():
+    g, _ = gen_grid(4)
+    table = build_copwin(g, (0, 1))
+    with pytest.raises(MlgError, match="robber-turn"):
+        table.chase_cop_move(table.pack(0, (1, 2), 2))
+    assert table.chase_cop_move(table.pack(1, (1, 2), 0)) == -1
+
+
 # -- policy queries against the unpack-based reference ----------------------------------------
 # The reference decodes every successor with `unpack` and runs a fresh BFS
 # per chase move, as the table did before its stride arithmetic, memoised
@@ -489,3 +518,146 @@ def test_chase_distances_computed_once_per_layer_and_robber_in_a_batch(tmp_path,
     assert len(tables) == 1
     assert calls  # the robber survives, so the cops chased
     assert len(calls) == len(set(calls))
+
+
+# -- kernel against the sort-based reference -----------------------------------------------
+# The reference is the retrograde BFS that deduplicated predecessors with
+# `np.unique` and kept a counter on every state; the kernel must give the same
+# `rank`, state by state and dtype included.
+
+_REF_CHUNK = 1 << 20
+
+
+def _ref_csr_with_self(n, adjacency):
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for v in range(n):
+        indptr[v + 1] = indptr[v] + len(adjacency[v]) + 1
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    for v in range(n):
+        start = int(indptr[v])
+        nbrs = sorted(set(adjacency[v]) | {v})
+        indices[start : start + len(nbrs)] = nbrs
+    return indptr, indices
+
+
+def _ref_rank(g, assignment):
+    k = len(assignment)
+    n = g.n
+    size = state_space_size(n, k)
+    robber_complete = g.robber_is_complete()
+    agent_csr = []
+    if robber_complete:
+        agent_csr.append((np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)))
+        robber_outdeg = None
+    else:
+        agent_csr.append(_ref_csr_with_self(n, g.robber_view().adjacency))
+        robber_outdeg = np.diff(agent_csr[0][0])
+    for c in range(k):
+        agent_csr.append(_ref_csr_with_self(n, g.layer_view(assignment[c]).adjacency))
+
+    rank = np.full(size, -1, dtype=np.int32)
+    counter = np.zeros(size, dtype=np.int32)
+    kp1 = k + 1
+    strides = tuple(kp1 * n ** (k - a) for a in range(kp1))
+
+    block = n**k * kp1
+    for p0 in range(n):
+        lo = p0 * block
+        idx = np.arange(lo, lo + block, dtype=np.int64)
+        cap = np.zeros(block, dtype=bool)
+        rest = idx // kp1
+        for c in range(k):
+            digit = (rest // (n ** (k - 1 - c))) % n
+            cap |= digit == p0
+        rank[lo : lo + block][cap] = 0
+        if robber_outdeg is not None:
+            counter[lo + k : lo + block : kp1] = robber_outdeg[p0]
+        else:
+            counter[lo + k : lo + block : kp1] = n
+    frontier = np.nonzero(rank >= 0)[0].astype(np.int64)
+
+    level = 0
+    while frontier.size:
+        level += 1
+        new_parts = []
+        t_vals = frontier % kp1
+        for t_succ in range(kp1):
+            grp = frontier[t_vals == t_succ]
+            if not grp.size:
+                continue
+            t_pred = (t_succ - 1) % kp1
+            mover = 0 if t_pred == k else t_pred + 1
+            stride = strides[mover]
+            for lo in range(0, grp.size, _REF_CHUNK):
+                chunk = grp[lo : lo + _REF_CHUNK]
+                if mover == 0:
+                    digit = chunk // strides[0]
+                else:
+                    digit = (chunk // stride) % n
+                base = chunk - t_succ + t_pred - digit * stride
+                if mover == 0 and robber_complete:
+                    preds = (base[:, None] + (np.arange(n, dtype=np.int64) * stride)[None, :]).ravel()
+                else:
+                    indptr, indices = agent_csr[mover]
+                    starts = indptr[digit]
+                    cnt = indptr[digit + 1] - starts
+                    total = int(cnt.sum())
+                    if total == 0:
+                        continue
+                    rep_base = np.repeat(base, cnt)
+                    offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+                    nbr = indices[np.repeat(starts, cnt) + offs]
+                    preds = rep_base + nbr * stride
+                if t_pred == k:
+                    u, c = np.unique(preds, return_counts=True)
+                    counter[u] -= c.astype(np.int32)
+                    newly = u[(counter[u] <= 0) & (rank[u] < 0)]
+                else:
+                    newly = np.unique(preds[rank[preds] < 0])
+                if newly.size:
+                    rank[newly] = level
+                    new_parts.append(newly)
+        frontier = np.concatenate(new_parts) if new_parts else np.zeros(0, dtype=np.int64)
+    return rank
+
+
+def _assert_same_rank(g, assignment):
+    got = build_copwin(g, assignment).rank
+    want = _ref_rank(g, assignment)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want), (g, assignment)
+
+
+def _random_corpus():
+    rng = random.Random(2112)
+    for _ in range(300):
+        g = random_instance(rng, n_max=7, tau_max=3)
+        k = rng.randint(1, 3)
+        yield g, tuple(rng.randrange(g.tau) for _ in range(k))
+
+
+def _assert_corpus_matches_reference():
+    specs = set()
+    cops = set()
+    for g, assignment in _random_corpus():
+        specs.add(g.robber_spec)
+        cops.add(len(assignment))
+        _assert_same_rank(g, assignment)
+    assert specs == set(RobberSpec) and cops == {1, 2, 3}
+
+
+def test_rank_matches_sort_based_reference_on_random_corpus():
+    _assert_corpus_matches_reference()
+
+
+def test_rank_matches_sort_based_reference_across_many_chunks(monkeypatch):
+    import mlcr.solver
+
+    monkeypatch.setattr(mlcr.solver, "_CHUNK", 5)
+    _assert_corpus_matches_reference()
+
+
+@pytest.mark.parametrize("side", [4, 5])
+@pytest.mark.parametrize("assignment", [(0, 0), (0, 1), (0, 0, 1)])
+def test_rank_matches_sort_based_reference_on_grids(side, assignment):
+    _assert_same_rank(gen_grid(side)[0], assignment)
