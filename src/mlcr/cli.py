@@ -23,16 +23,16 @@ import math
 import sys
 import time
 
-from .core import AllocationPlan, MlgError, ml_min_degree, parse_mlg_file, write_mlg_file
-from .solver import (
+from .core import (
     DEFAULT_STATE_BUDGET,
+    AllocationPlan,
+    MlgError,
     StateBudgetExceeded,
     Winner,
-    decide_allocated,
-    decide_choose_allocation,
-    decide_free_layer_choice,
+    ml_min_degree,
+    parse_mlg_file,
+    write_mlg_file,
 )
-from .treealgo import decide_tree_allocated, decide_tree_robber, is_tree
 
 EXIT_COP = 0
 EXIT_ROBBER = 1
@@ -69,6 +69,10 @@ def _allocation(text: str) -> AllocationPlan:
 
 
 def cmd_solve(args) -> int:
+    from .solver import (build_copwin, decide_allocated, decide_choose_allocation,
+                         decide_free_layer_choice, dump_cwt)
+    from .treealgo import decide_tree_allocated, decide_tree_robber, is_tree
+
     t0 = time.perf_counter()
     g = parse_mlg_file(args.graph)
     modes = [m for m in (args.allocation, args.cops, args.free_choice) if m is not None]
@@ -90,8 +94,6 @@ def cmd_solve(args) -> int:
             verdict = decide_allocated(g, plan, state_budget=args.state_budget, table_out=tables)
             method = "state-graph"
         if args.dump_table and plan.total >= 1:
-            from .solver import build_copwin, dump_cwt
-
             table = tables[0] if tables else build_copwin(
                 g, plan.assignment(), state_budget=args.state_budget
             )

@@ -8,6 +8,11 @@ edges are kept canonical: within a layer each edge is stored once as
 (u, v) with u < v, and layers are sorted tuples.  Instances are treated
 as immutable after construction; derived structures (adjacency, components)
 are cached per layer.
+
+The game outcome types shared by the solver and the tree path (`Winner`,
+`GameVerdict`, `StateBudgetExceeded`, `DEFAULT_STATE_BUDGET` and the
+allocation order `compositions`) live here too.  This module imports no
+numpy, so code that only reports or checks verdicts does not load it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -216,6 +221,65 @@ class AllocationPlan:
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.counts)
+
+
+# -- game outcome types (numpy-free; see the module docstring) ------------------
+
+DEFAULT_STATE_BUDGET = 2**31
+
+
+class Winner(Enum):
+    COP = "COP"
+    ROBBER = "ROBBER"
+
+
+class StateBudgetExceeded(MlgError):
+    def __init__(self, required: int, budget: int):
+        super().__init__(f"state space needs {required} states, budget is {budget}")
+        self.required = required
+        self.budget = budget
+
+
+@dataclass
+class GameVerdict:
+    """Winner plus a verified witness.
+
+    For COP the witness is a winning initial cop placement (with the
+    assignment of cops to layers).  For ROBBER the witness is a safe robber
+    start against the lexicographically first cop placement; `safe_vertex`
+    on the table answers the same query for any other placement.
+    """
+
+    winner: Winner
+    assignment: tuple[int, ...] = ()
+    placement: tuple[int, ...] | None = None
+    safe_vertex: int | None = None
+    certificate: object | None = None  # robber's-edge witness from the tree path
+
+    def record_lines(self) -> list[str]:
+        lines = [f"VERDICT={self.winner.value}"]
+        if self.assignment:
+            lines.append("ASSIGNMENT=" + ",".join(str(a) for a in self.assignment))
+        if self.winner is Winner.COP and self.placement is not None:
+            lines.append("PLACEMENT=" + ",".join(str(p) for p in self.placement))
+        if self.winner is Winner.ROBBER and self.safe_vertex is not None:
+            lines.append(f"SAFE_VERTEX={self.safe_vertex}")
+        if self.certificate is not None:
+            lines.append(self.certificate.render())
+        return lines
+
+
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Compositions of `total` into `parts`, cops packed early-layer-first.
+
+    (2,0) comes before (1,1) before (0,2)."""
+
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 # -- basic operations ---------------------------------------------------------

@@ -197,10 +197,3 @@ def brute_treewidth(edges: Sequence[tuple[int, int]], n: int) -> int:
         best = min(best, width)
     return best
 
-
-def brute_shortest_cop_distance(edges: Sequence[tuple[int, int]], n: int, s: int, t: int) -> float:
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return bfs_dist_adj(adj, s)[t]

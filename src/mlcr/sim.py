@@ -17,16 +17,19 @@ import functools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .core import (
+    DEFAULT_STATE_BUDGET,
     INF,
     AllocationPlan,
     MlgError,
     MultiLayerGraph,
     bfs_dist_adj,
 )
-from .solver import DEFAULT_STATE_BUDGET, CopWinTable, build_copwin
+
+if TYPE_CHECKING:
+    from .solver import CopWinTable
 
 # -- errors ----------------------------------------------------------------------
 
@@ -102,33 +105,37 @@ class MatchRecord:
 
 
 def parse_match_record(text: str) -> MatchRecord:
+    """Inverse of `MatchRecord.render`; malformed text raises `MlgError`."""
+
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "MR1":
-        raise MlgError(f"not an MR1 record: {lines[0]!r}")
-    kv = dict(part.split("=", 1) for part in head[1:])
-    rec = MatchRecord(
-        graph_id="" if kv["graph"] == "-" else kv["graph"],
-        allocation=tuple(int(x) for x in kv["alloc"].split(",")),
-        assignment=(),
-        cop_strategy=kv["cop"],
-        robber_strategy=kv["robber"],
-        seed=int(kv["seed"]),
-        horizon=int(kv["T"]),
-    )
-    for ln in lines[1:]:
-        if ln.startswith("OUTCOME"):
+    if not lines or lines[0].split()[0] != "MR1":
+        raise MlgError(f"not an MR1 record: {lines[0] if lines else text!r}")
+    ln = lines[0]
+    try:
+        kv = dict(part.split("=", 1) for part in ln.split()[1:])
+        rec = MatchRecord(
+            graph_id="" if kv["graph"] == "-" else kv["graph"],
+            allocation=tuple(int(x) for x in kv["alloc"].split(",")),
+            assignment=(),
+            cop_strategy=kv["cop"],
+            robber_strategy=kv["robber"],
+            seed=int(kv["seed"]),
+            horizon=int(kv["T"]),
+        )
+        for ln in lines[1:]:
             parts = ln.split()
-            rec.outcome = parts[1]
-            rest = [p for p in parts[2:] if not p.startswith("tags=")]
-            if rest:
-                rec.capture_round = int(rest[0])
-            for p in parts[2:]:
-                if p.startswith("tags="):
-                    rec.tags = tuple(p[5:].split(","))
-            continue
-        parts = ln.split()
-        rec.rows.append((int(parts[0]), parts[1], int(parts[2]), tuple(int(x) for x in parts[3:])))
+            if ln.startswith("OUTCOME"):
+                rec.outcome = parts[1]
+                rest = [p for p in parts[2:] if not p.startswith("tags=")]
+                if rest:
+                    rec.capture_round = int(rest[0])
+                for p in parts[2:]:
+                    if p.startswith("tags="):
+                        rec.tags = tuple(p[5:].split(","))
+                continue
+            rec.rows.append((int(parts[0]), parts[1], int(parts[2]), tuple(int(x) for x in parts[3:])))
+    except (IndexError, KeyError, ValueError) as ex:
+        raise MlgError(f"malformed MR1 line {ln!r}: {type(ex).__name__} {ex}") from None
     rec.assignment = AllocationPlan(rec.allocation).assignment()
     return rec
 
@@ -456,7 +463,7 @@ def tablebase_pair(
 ) -> tuple[TablebaseCops, TablebaseRobber, CopWinTable]:
     """Build one table and both optimal strategies for it."""
 
-    table = build_copwin(g, alloc.assignment(), state_budget=state_budget)
+    table = table_source(g, alloc, state_budget)()
     return TablebaseCops(table), TablebaseRobber(table), table
 
 
@@ -464,9 +471,16 @@ def table_source(
     g: MultiLayerGraph, alloc: AllocationPlan, state_budget: int = DEFAULT_STATE_BUDGET
 ) -> Callable[[], CopWinTable]:
     """The table for `alloc` on `g`, built on the first call and shared by
-    every later one."""
+    every later one.  The solver (and with it numpy) is imported by that
+    first call, so strategies that never read a table do not load it."""
 
-    return functools.cache(lambda: build_copwin(g, alloc.assignment(), state_budget=state_budget))
+    @functools.cache
+    def build() -> CopWinTable:
+        from .solver import build_copwin
+
+        return build_copwin(g, alloc.assignment(), state_budget=state_budget)
+
+    return build
 
 
 # -- grid strategies -------------------------------------------------------------------

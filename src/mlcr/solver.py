@@ -24,34 +24,35 @@ robber-turn states `bincount` over the surviving tags is the number to
 subtract from the counter.  The state budget is capped by physical RAM
 divided by the bytes per state of `rank` plus the counter, and checked
 before anything is allocated.
+
+This is the only module that imports numpy.  The rest of the package
+imports it where a table is first built, and takes the verdict types
+(`Winner`, `GameVerdict`, `StateBudgetExceeded`, `DEFAULT_STATE_BUDGET`,
+`compositions`) from `core`; they are re-exported here.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import AllocationPlan, MlgError, MultiLayerGraph, RobberSpec, bfs_dist
-
-DEFAULT_STATE_BUDGET = 2**31
+from .core import (
+    DEFAULT_STATE_BUDGET,
+    AllocationPlan,
+    GameVerdict,
+    MlgError,
+    MultiLayerGraph,
+    RobberSpec,
+    StateBudgetExceeded,
+    Winner,
+    bfs_dist,
+    compositions,
+)
 
 _CHUNK = 1 << 20
-
-
-class Winner(Enum):
-    COP = "COP"
-    ROBBER = "ROBBER"
-
-
-class StateBudgetExceeded(MlgError):
-    def __init__(self, required: int, budget: int):
-        super().__init__(f"state space needs {required} states, budget is {budget}")
-        self.required = required
-        self.budget = budget
 
 
 def _csr_with_self(n: int, adjacency: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -422,35 +423,6 @@ def build_copwin(
 # -- verdicts ------------------------------------------------------------------
 
 
-@dataclass
-class GameVerdict:
-    """Winner plus a verified witness.
-
-    For COP the witness is a winning initial cop placement (with the
-    assignment of cops to layers).  For ROBBER the witness is a safe robber
-    start against the lexicographically first cop placement; `safe_vertex`
-    on the table answers the same query for any other placement.
-    """
-
-    winner: Winner
-    assignment: tuple[int, ...] = ()
-    placement: tuple[int, ...] | None = None
-    safe_vertex: int | None = None
-    certificate: object | None = None  # robber's-edge witness from the tree path
-
-    def record_lines(self) -> list[str]:
-        lines = [f"VERDICT={self.winner.value}"]
-        if self.assignment:
-            lines.append("ASSIGNMENT=" + ",".join(str(a) for a in self.assignment))
-        if self.winner is Winner.COP and self.placement is not None:
-            lines.append("PLACEMENT=" + ",".join(str(p) for p in self.placement))
-        if self.winner is Winner.ROBBER and self.safe_vertex is not None:
-            lines.append(f"SAFE_VERTEX={self.safe_vertex}")
-        if self.certificate is not None:
-            lines.append(self.certificate.render())
-        return lines
-
-
 def decide_allocated(
     g: MultiLayerGraph,
     alloc: AllocationPlan,
@@ -478,19 +450,6 @@ def decide_allocated(
         return GameVerdict(Winner.COP, assignment=assignment, placement=placement)
     safe = table.safe_robber_vertex(table.decode_placement(0))
     return GameVerdict(Winner.ROBBER, assignment=assignment, safe_vertex=safe)
-
-
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Compositions of `total` into `parts`, cops packed early-layer-first.
-
-    (2,0) comes before (1,1) before (0,2)."""
-
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def decide_choose_allocation(
@@ -576,30 +535,6 @@ def single_layer_cop_number(
         robber_edges=tuple(edges),
     )
     return multilayer_cop_number(g, k_max, state_budget=state_budget)
-
-
-# -- strategy extraction --------------------------------------------------------
-
-
-@dataclass
-class TablePolicies:
-    """Optimal move choices read off a solved table."""
-
-    table: CopWinTable
-    cop_move: Callable[[int], int]
-    robber_move: Callable[[int], int]
-
-
-def extract_strategy(table: CopWinTable) -> TablePolicies:
-    """Cop policy minimises rank on cop-win states (greedy chase otherwise);
-    robber policy escapes to a robber-win state when one exists, else delays."""
-
-    def cop_move(index: int) -> int:
-        if table.rank[index] >= 0:
-            return table.best_cop_move(index)
-        return table.chase_cop_move(index)
-
-    return TablePolicies(table=table, cop_move=cop_move, robber_move=table.best_robber_move)
 
 
 # -- table dump (CWT1) -----------------------------------------------------------

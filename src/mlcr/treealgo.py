@@ -24,8 +24,17 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .core import INF, MlgError, MultiLayerGraph, bfs_dist_adj, is_connected_edges
-from .solver import AllocationPlan, GameVerdict, Winner, compositions
+from .core import (
+    INF,
+    AllocationPlan,
+    GameVerdict,
+    MlgError,
+    MultiLayerGraph,
+    Winner,
+    bfs_dist_adj,
+    compositions,
+    is_connected_edges,
+)
 
 
 def is_tree(edges: Sequence[tuple[int, int]], n: int) -> bool:

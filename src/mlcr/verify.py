@@ -15,21 +15,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .core import (
+    DEFAULT_STATE_BUDGET,
     AllocationPlan,
     MultiLayerGraph,
     RobberSpec,
+    Winner,
     flatten,
     ml_min_degree,
-)
-from .solver import (
-    DEFAULT_STATE_BUDGET,
-    Winner,
-    build_copwin,
-    decide_allocated,
-    decide_choose_allocation,
-    decide_free_layer_choice,
-    multilayer_cop_number,
-    single_layer_cop_number,
 )
 
 
@@ -113,6 +105,7 @@ def random_instance(
 @criterion("c01-grid", "two-layer grid: same-layer pairs win, split pair loses")
 def _c01(budget):
     from .generators import gen_grid
+    from .solver import decide_allocated
 
     details = []
     ok = True
@@ -132,6 +125,7 @@ def _c01(budget):
 @criterion("c02-mirror", "mirrored high-girth base: layers need 3 cops, pair wins")
 def _c02(budget):
     from .generators import gen_min_counterexample
+    from .solver import multilayer_cop_number, single_layer_cop_number
 
     g, _ = gen_min_counterexample()
     details = []
@@ -148,6 +142,7 @@ def _c02(budget):
 @criterion("c03-cycle-matchings", "cycle split into matchings needs |V|/2 cops")
 def _c03(budget):
     from .generators import gen_cycle_matchings
+    from .solver import multilayer_cop_number
 
     details = []
     ok = True
@@ -162,6 +157,7 @@ def _c03(budget):
 @criterion("c04-slices", "slices construction: cheap layers, expensive game")
 def _c04(budget):
     from .generators import gen_slices, slices_induced_robber_slice
+    from .solver import decide_allocated, single_layer_cop_number
 
     g, _ = gen_slices(2)
     details = []
@@ -186,6 +182,7 @@ def _c04(budget):
 def _c05(budget):
     from .generators import gen_domset_reduction
     from .oracles import brute_domination_number
+    from .solver import decide_free_layer_choice
 
     rng = random.Random(20240605)
     ok = True
@@ -210,6 +207,7 @@ def _c05(budget):
 
 @criterion("c06-tree-robber", "tree-robber fast path matches the exact solver")
 def _c06(budget):
+    from .solver import decide_choose_allocation
     from .treealgo import decide_tree_robber
 
     rng = random.Random(20240606)
@@ -291,6 +289,7 @@ def _c08(budget):
 @criterion("c09-solver-oracle", "retrograde table equals naive fixed point, state by state")
 def _c09(budget):
     from .oracles import naive_copwin_status
+    from .solver import build_copwin
 
     rng = random.Random(20240609)
     ok = True
@@ -300,9 +299,10 @@ def _c09(budget):
         k = rng.randint(1, 2)
         assignment = tuple(rng.randrange(g.tau) for _ in range(k))
         table = build_copwin(g, assignment, state_budget=budget)
+        rank = table.rank.tolist()  # one conversion, then plain list lookups
         win = naive_copwin_status(g, assignment)
         for (p0, cops, t), w in win.items():
-            if bool(table.is_copwin(p0, cops, t)) != w:
+            if (rank[table.pack(p0, cops, t)] >= 0) != w:
                 ok = False
                 mismatches.append(f"trial {trial} state {(p0, cops, t)}")
                 break
@@ -313,6 +313,8 @@ def _c09(budget):
 
 @criterion("c10-monotonicity", "robber edges help the robber, cop edges help the cops")
 def _c10(budget):
+    from .solver import decide_choose_allocation, decide_free_layer_choice
+
     rng = random.Random(20240610)
     ok = True
     failures = []
@@ -360,6 +362,7 @@ def _c10(budget):
 @criterion("c11-bounds-soundness", "existential closure and domination bound the cop number")
 def _c11(budget):
     from .bounds import domination_bound, domset_exact, domset_greedy, mec_check
+    from .solver import multilayer_cop_number
 
     rng = random.Random(20240611)
     ok = True
@@ -438,6 +441,7 @@ def _c12(budget):
 def _c13(budget):
     from .bounds import treewidth_cop_bound, treewidth_exact_small
     from .sim import BagsweepCops, TablebaseRobber, run_match
+    from .solver import build_copwin, multilayer_cop_number
 
     rng = random.Random(20240613)
     ok = True

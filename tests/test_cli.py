@@ -330,7 +330,7 @@ def test_simulate_reuses_strategies_without_changing_matches(tmp_path, capsys, m
     tablebase side and one cops-bane layout for the cops-bane robber."""
 
     import mlcr.generators
-    import mlcr.sim
+    import mlcr.solver
     from mlcr.core import AllocationPlan
     from mlcr.sim import cop_strategy_from_name, robber_strategy_from_name, run_match, table_source
 
@@ -343,7 +343,7 @@ def test_simulate_reuses_strategies_without_changing_matches(tmp_path, capsys, m
 
         return wrapper
 
-    monkeypatch.setattr(mlcr.sim, "build_copwin", counted("table", mlcr.sim.build_copwin))
+    monkeypatch.setattr(mlcr.solver, "build_copwin", counted("table", mlcr.solver.build_copwin))
     monkeypatch.setattr(
         mlcr.generators, "copsbane_layout", counted("layout", mlcr.generators.copsbane_layout)
     )

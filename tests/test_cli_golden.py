@@ -6,6 +6,7 @@ alters a printed line or a written byte fails here.
 """
 
 import hashlib
+import sys
 
 import pytest
 
@@ -159,3 +160,146 @@ def test_cli_output_is_pinned(name, tmp_path, capsys):
     assert (got_code, out) == (code, stdout.format(dir=directory))
     for file_name, digest in files.items():
         assert hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest() == digest, file_name
+
+
+# `mlcr [COMMAND] --help` stdout at an 80-column terminal.  argparse lays
+# short options out differently from Python 3.13 on, so the pins are for
+# the versions before it.
+HELP = {
+    '': (
+        'usage: mlcr [-h] [--state-budget STATE_BUDGET] [--seed SEED]\n'
+        '            {solve,generate,bounds,simulate,play,experiment,verify-paper} ...\n'
+        '\n'
+        'Command-line surface: solve, generate, bounds, simulate, play, experiment,\n'
+        'verify-paper. Exit codes for `solve`: 0 cop win, 1 robber win, 2 usage/parse\n'
+        'error, 3 state budget exceeded. All timing output goes to stderr so stdout is\n'
+        'a deterministic function of the arguments and seeds.\n'
+        '\n'
+        'positional arguments:\n'
+        '  {solve,generate,bounds,simulate,play,experiment,verify-paper}\n'
+        '    solve               decide a game instance\n'
+        '    generate            construct a family instance\n'
+        '    bounds              lower/upper bounds for a graph\n'
+        '    simulate            run strategy matches\n'
+        '    play                interactive match against the tablebase\n'
+        '    experiment          random layered-graph bound sweep\n'
+        '    verify-paper        run the acceptance criteria suite\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --state-budget STATE_BUDGET\n'
+        '  --seed SEED\n'
+    ),
+    'solve': (
+        'usage: mlcr solve [-h] [--allocation ALLOCATION] [--cops COPS]\n'
+        '                  [--free-choice FREE_CHOICE] [--tree-fast]\n'
+        '                  [--dump-table DUMP_TABLE]\n'
+        '                  graph\n'
+        '\n'
+        'positional arguments:\n'
+        '  graph\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --allocation ALLOCATION\n'
+        '                        per-layer cop counts, e.g. 2,0\n'
+        '  --cops COPS           total cops, solver picks the allocation\n'
+        '  --free-choice FREE_CHOICE\n'
+        '                        total cops, robber picks its layer\n'
+        '  --tree-fast           force the tree-robber fast path (auto when the robber\n'
+        '                        layer is a tree)\n'
+        '  --dump-table DUMP_TABLE\n'
+        '                        write the solved table in CWT1 format to this file\n'
+    ),
+    'generate': (
+        'usage: mlcr generate [-h] -o OUTPUT [--report REPORT] [-n N] [-k K]\n'
+        '                     [--tau TAU] [--p P] [--alpha ALPHA] [--D D]\n'
+        '                     [--robber {COMPLETE,UNION}]\n'
+        '                     {grid,mirror,slices,cycle-matchings,soifer,random-layers,copsbane,domset-reduction}\n'
+        '\n'
+        'positional arguments:\n'
+        '  {grid,mirror,slices,cycle-matchings,soifer,random-layers,copsbane,domset-reduction}\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  -o OUTPUT, --output OUTPUT\n'
+        '  --report REPORT\n'
+        '  -n N\n'
+        '  -k K\n'
+        '  --tau TAU\n'
+        '  --p P\n'
+        '  --alpha ALPHA\n'
+        '  --D D\n'
+        '  --robber {COMPLETE,UNION}\n'
+    ),
+    'bounds': (
+        'usage: mlcr bounds [-h] [--max-k MAX_K] [--dump-domset] [--dump-td] graph\n'
+        '\n'
+        'positional arguments:\n'
+        '  graph\n'
+        '\n'
+        'options:\n'
+        '  -h, --help     show this help message and exit\n'
+        '  --max-k MAX_K\n'
+        '  --dump-domset\n'
+        '  --dump-td\n'
+    ),
+    'simulate': (
+        'usage: mlcr simulate [-h] --allocation ALLOCATION\n'
+        '                     [--cop-strategy COP_STRATEGY]\n'
+        '                     [--robber-strategy ROBBER_STRATEGY] [--rounds ROUNDS]\n'
+        '                     [--batch BATCH] [--record RECORD] [--tag TAG]\n'
+        '                     graph\n'
+        '\n'
+        'positional arguments:\n'
+        '  graph\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --allocation ALLOCATION\n'
+        '  --cop-strategy COP_STRATEGY\n'
+        '  --robber-strategy ROBBER_STRATEGY\n'
+        '  --rounds ROUNDS\n'
+        '  --batch BATCH\n'
+        '  --record RECORD       write MR1 records to this file\n'
+        '  --tag TAG             override the graph family tag\n'
+    ),
+    'play': (
+        'usage: mlcr play [-h] --allocation ALLOCATION [--role {robber,cops}] graph\n'
+        '\n'
+        'positional arguments:\n'
+        '  graph\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --allocation ALLOCATION\n'
+        '  --role {robber,cops}\n'
+    ),
+    'experiment': (
+        'usage: mlcr experiment [-h] [-n N] [--p P] [--tau TAU] [--seeds SEEDS]\n'
+        '                       [-o OUTPUT]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  -n N\n'
+        '  --p P\n'
+        '  --tau TAU\n'
+        '  --seeds SEEDS\n'
+        '  -o OUTPUT, --output OUTPUT\n'
+    ),
+    'verify-paper': (
+        'usage: mlcr verify-paper [-h] [--only ONLY]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help   show this help message and exit\n'
+        '  --only ONLY  run only criteria whose id contains this substring\n'
+    ),
+}
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse help layout changed in 3.13")
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_text_is_pinned(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(([command] if command else []) + ["--help"]) == 0
+    assert capsys.readouterr().out == HELP[command]

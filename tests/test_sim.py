@@ -2,8 +2,9 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mlcr.core import AllocationPlan, MultiLayerGraph, RobberSpec
+from mlcr.core import AllocationPlan, MlgError, MultiLayerGraph, RobberSpec
 from mlcr.generators import gen_copsbane, gen_grid, gen_slices
 from mlcr.solver import Winner, build_copwin
 from mlcr.sim import (
@@ -14,6 +15,7 @@ from mlcr.sim import (
     GridCopGuard,
     GridRobberCorner,
     IllegalMoveError,
+    MatchRecord,
     RandomCops,
     RandomRobber,
     SlicesRobber,
@@ -355,3 +357,63 @@ def test_match_record_tags_round_trip():
     again = parse_match_record(text)
     assert again.tags == rec.tags
     assert again.outcome == rec.outcome
+
+
+# -- MR1 parsing: malformed input and round trip ------------------------------------------
+
+_MR1_HEAD = "MR1 graph=- alloc=1 cop=greedy_cop robber=random_robber seed=0 T=5"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",  # empty text
+        "MR1 graph=- alloc=1 robber=random_robber seed=0 T=5\nOUTCOME SURVIVED\n",  # no cop=
+        "MR1 graph=- alloc=x cop=greedy_cop robber=random_robber seed=0 T=5\n",  # alloc=x
+        _MR1_HEAD + "\n0 R\nOUTCOME SURVIVED\n",  # row without a robber position
+        _MR1_HEAD + "\n0 P 1 0\nOUTCOME\n",  # bare OUTCOME
+    ],
+    ids=["empty", "no-cop", "alloc-x", "short-row", "bare-outcome"],
+)
+def test_malformed_match_record_raises_mlg_error(text):
+    with pytest.raises(MlgError):
+        parse_match_record(text)
+
+
+_token = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_:", min_size=1, max_size=8)
+_vertex = st.integers(min_value=0, max_value=99)
+
+
+@st.composite
+def _match_records(draw):
+    cops = draw(st.integers(min_value=0, max_value=3))
+    rows = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=500),
+            st.sampled_from("PCR"),
+            _vertex,
+            st.tuples(*[_vertex] * cops),
+        ),
+        max_size=6,
+    ))
+    outcome = draw(st.sampled_from(["CAPTURE", "SURVIVED"]))
+    return MatchRecord(
+        graph_id=draw(st.one_of(st.just(""), _token)),
+        allocation=tuple(draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3))),
+        assignment=(),
+        cop_strategy=draw(_token),
+        robber_strategy=draw(_token),
+        seed=draw(st.integers(min_value=-1000, max_value=10**6)),
+        horizon=draw(st.integers(min_value=0, max_value=10**4)),
+        rows=rows,
+        outcome=outcome,
+        capture_round=draw(st.integers(min_value=0, max_value=500)) if outcome == "CAPTURE" else None,
+        tags=tuple(draw(st.lists(_token, max_size=3))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_match_records())
+def test_match_record_render_parse_render_round_trip(rec):
+    text = rec.render()
+    assert parse_match_record(text).render() == text

@@ -20,7 +20,6 @@ from mlcr.solver import (
     decide_choose_allocation,
     decide_free_layer_choice,
     dump_cwt,
-    extract_strategy,
     multilayer_cop_number,
     single_layer_cop_number,
     state_space_size,
@@ -258,7 +257,6 @@ def test_rank_invariants_random_instances():
 def test_cop_policy_wins_within_rank_against_all_replies():
     g, _ = gen_grid(4)
     table = build_copwin(g, (1, 1))
-    policies = extract_strategy(table)
     wins = table.winning_placements()
     assert wins.size
     placement = table.decode_placement(int(wins[0]))
@@ -279,7 +277,7 @@ def test_cop_policy_wins_within_rank_against_all_replies():
             return memo[state]
         rank = int(table.rank[state])
         if t < table.k:
-            nxt = policies.cop_move(state)
+            nxt = table.best_cop_move(state)
             assert int(table.rank[nxt]) < rank
             out = playout(nxt)
         else:
@@ -298,7 +296,6 @@ def test_cop_policy_wins_within_rank_against_all_replies():
 def test_robber_policy_never_enters_a_copwin_state():
     g = single(cycle(4), 4)
     table = build_copwin(g, (0,))
-    policies = extract_strategy(table)
     rng = random.Random(11)
     for trial in range(50):
         cop = rng.randrange(4)
@@ -312,7 +309,7 @@ def test_robber_policy_never_enters_a_copwin_state():
             p0, cops, t = table.unpack(state)
             if p0 in cops:
                 raise AssertionError("robber policy was captured")
-            state = policies.robber_move(state)
+            state = table.best_robber_move(state)
             assert table.rank[state] < 0
 
 
@@ -486,7 +483,6 @@ def test_move_lists_are_built_on_first_policy_query():
 
 
 def test_chase_distances_computed_once_per_layer_and_robber_in_a_batch(tmp_path, monkeypatch, capsys):
-    import mlcr.sim
     import mlcr.solver
     from mlcr.cli import main
     from mlcr.core import write_mlg_file
@@ -502,13 +498,13 @@ def test_chase_distances_computed_once_per_layer_and_robber_in_a_batch(tmp_path,
 
     monkeypatch.setattr(mlcr.solver, "bfs_dist", counted)
     tables = []
-    real_build = mlcr.sim.build_copwin
+    real_build = mlcr.solver.build_copwin
 
     def build(*args, **kwargs):
         tables.append(real_build(*args, **kwargs))
         return tables[-1]
 
-    monkeypatch.setattr(mlcr.sim, "build_copwin", build)
+    monkeypatch.setattr(mlcr.solver, "build_copwin", build)
     code = main([
         "simulate", str(path), "--allocation", "1,1", "--cop-strategy", "tablebase",
         "--robber-strategy", "tablebase", "--rounds", "200", "--batch", "3",

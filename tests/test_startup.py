@@ -1,0 +1,85 @@
+"""Start-up cost: only the commands that build a table load the solver and
+numpy.  Each case runs in a fresh interpreter, since this test process has
+long since imported both."""
+
+import ast
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mlcr
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mlcr"
+
+GENERATE = ["generate", "grid", "-n", "4", "-o", "g.mlg"]
+
+# name: (CLI invocations run in order by one process, whether numpy must be loaded)
+CASES = {
+    "help": ([["--help"]], False),
+    "generate": ([GENERATE], False),
+    "bounds": ([GENERATE, ["bounds", "g.mlg"]], False),
+    "experiment": ([["experiment", "-n", "16", "--seeds", "1,2"]], False),
+    "verify-c07": ([["verify-paper", "--only", "c07"]], False),
+    "verify-c08": ([["verify-paper", "--only", "c08"]], False),
+    "simulate-greedy-random": (
+        [GENERATE, ["simulate", "g.mlg", "--allocation", "1,1", "--cop-strategy", "greedy",
+                    "--robber-strategy", "random", "--batch", "2"]],
+        False,
+    ),
+    "import-only": (None, False),
+    # positive control: a state-graph solve builds a table
+    "solve-state-graph": ([GENERATE, ["solve", "g.mlg", "--allocation", "2,0"]], True),
+}
+
+_CHILD = """
+import contextlib, io, json, sys
+runs = json.loads(sys.argv[1])
+codes = []
+if runs is None:
+    import mlcr
+else:
+    from mlcr.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [main(args) for args in runs]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_numpy_loads_only_for_table_builds(name, tmp_path):
+    runs, wants_numpy = CASES[name]
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps(runs)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["codes"] == [0] * len(runs or []), proc.stderr
+    assert got["numpy"] is wants_numpy
+
+
+def test_package_names_resolve_lazily():
+    import mlcr.solver
+
+    assert mlcr.build_copwin is mlcr.solver.build_copwin
+    assert all(getattr(mlcr, name) is not None for name in mlcr.__all__)
+    with pytest.raises(AttributeError):
+        mlcr.no_such_name
+
+
+def test_only_the_solver_imports_numpy_and_nothing_imports_the_solver_at_top():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [("." * node.level) + (node.module or "")]
+            else:
+                continue
+            for module in modules:
+                if path.name != "solver.py":
+                    assert module.split(".")[0] != "numpy", path.name
+                assert module not in (".solver", "mlcr.solver"), path.name
