@@ -69,8 +69,7 @@ def _allocation(text: str) -> AllocationPlan:
 
 
 def cmd_solve(args) -> int:
-    from .solver import (build_copwin, decide_allocated, decide_choose_allocation,
-                         decide_free_layer_choice, dump_cwt)
+    # the solver (and numpy) is imported only where a table is built
     from .treealgo import decide_tree_allocated, decide_tree_robber, is_tree
 
     t0 = time.perf_counter()
@@ -91,9 +90,13 @@ def cmd_solve(args) -> int:
             verdict = decide_tree_allocated(g, plan)
             method = "tree"
         else:
+            from .solver import decide_allocated
+
             verdict = decide_allocated(g, plan, state_budget=args.state_budget, table_out=tables)
             method = "state-graph"
         if args.dump_table and plan.total >= 1:
+            from .solver import build_copwin, dump_cwt
+
             table = tables[0] if tables else build_copwin(
                 g, plan.assignment(), state_budget=args.state_budget
             )
@@ -107,11 +110,15 @@ def cmd_solve(args) -> int:
             verdict, plan = decide_tree_robber(g, args.cops)
             print("METHOD=tree")
         else:
+            from .solver import decide_choose_allocation
+
             verdict, plan = decide_choose_allocation(g, args.cops, state_budget=args.state_budget)
             print("METHOD=state-graph")
         if plan is not None:
             print(f"WINNING_ALLOCATION={plan}")
     else:
+        from .solver import decide_free_layer_choice
+
         verdict, plan = decide_free_layer_choice(g, args.free_choice, state_budget=args.state_budget)
         if plan is not None:
             print(f"WINNING_ALLOCATION={plan}")

@@ -417,7 +417,13 @@ def parse_mlg(text: str | bytes) -> MultiLayerGraph:
     """
 
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as ex:
+            # the bytes before the bad one decode; a trailing character
+            # makes splitlines count the line the bad byte is on
+            line_no = len((text[: ex.start].decode("utf-8") + "x").splitlines())
+            raise MlgParseError(line_no, f"invalid UTF-8 byte {text[ex.start]:#04x}") from None
     numbered: list[tuple[int, str]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -504,6 +510,8 @@ def parse_mlg(text: str | bytes) -> MultiLayerGraph:
             m = int(toks[1])
         except ValueError:
             raise MlgParseError(hln, f"expected 'ROBBER <m>', got {line!r}") from None
+        if m < 0:
+            raise MlgParseError(hln, f"negative edge count {m}")
         robber_edges = read_edges(m, "robber edge")
 
     if pos != len(numbered):

@@ -15,15 +15,20 @@ successors reaches zero.  The BFS level of a state is its rank: 0 at
 capture, otherwise 1 + min (cop to move) / max (robber to move) over
 successor ranks, i.e. the optimal number of single-agent moves to capture.
 
-Only robber-turn states carry a counter (`n^(k+1)` of them, indexed by
-`state // (k+1)`, in the narrowest unsigned dtype that holds `n`).  The
-predecessors found at one level are deduplicated without sorting: after
-dropping decided states, each candidate writes its own negative tag into
-`rank` and the occurrence whose tag survived stands for its state; for
-robber-turn states `bincount` over the surviving tags is the number to
-subtract from the counter.  The state budget is capped by physical RAM
-divided by the bytes per state of `rank` plus the counter, and checked
-before anything is allocated.
+`rank` is int16: -1 on robber-win states, 0..32767 otherwise.  A level
+past 32767 widens it to int32, after the RAM cap is checked again for both
+copies.  Only robber-turn states carry a counter (`n^(k+1)` of them,
+indexed by `state // (k+1)`, in the narrowest unsigned dtype that holds
+`n`).  Each level's predecessors are generated in batches of at most
+`_BATCH` entries (a mover's chunk is `_BATCH` over its layer's widest
+closed neighbourhood), so every int64 work array stays under a fixed size.
+A batch is deduplicated without sorting: after dropping decided states,
+each candidate writes its own negative tag (-2 .. -32768, so they fit
+int16) into `rank` and the occurrence whose tag survived stands for its
+state; for robber-turn states `bincount` over the surviving tags is the
+number to subtract from the counter.  The state budget is capped by
+physical RAM, less the batch work arrays, divided by the bytes per state
+of `rank` plus the counter, and checked before anything is allocated.
 
 This is the only module that imports numpy.  The rest of the package
 imports it where a table is first built, and takes the verdict types
@@ -52,18 +57,30 @@ from .core import (
     compositions,
 )
 
-_CHUNK = 1 << 20
+# Predecessor entries per batch: their dedupe tags -2 .. -1-_BATCH fit int16.
+_BATCH = (1 << 15) - 1
+# Bytes per batch entry of the live work arrays (preds, entry, cand, the
+# repeat/gather temporaries and the robber's dedupe), counted by the RAM cap:
+# ten int64 arrays; tracemalloc saw at most 68 B per entry.
+_WORK_BYTES = 80
+# Largest rank an int16 table holds; a deeper level widens it to int32.
+_RANK_MAX = np.iinfo(np.int16).max
 
 
-def _csr_with_self(n: int, adjacency: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """CSR neighbour arrays including the stay move (self loop)."""
+def _csr_with_self(n: int, adjacency: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, int]:
+    """CSR neighbour arrays including the stay move (self loop), and the
+    length of the longest row."""
 
     indptr = [0]
     indices: list[int] = []
+    widest = 0
     for v in range(n):
-        indices.extend(sorted(set(adjacency[v]) | {v}))
+        row = sorted(set(adjacency[v]) | {v})
+        indices.extend(row)
         indptr.append(len(indices))
-    return np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64)
+        if len(row) > widest:
+            widest = len(row)
+    return np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64), widest
 
 
 def _csr_lists(indptr: np.ndarray, indices: np.ndarray) -> list[tuple[int, ...]]:
@@ -86,7 +103,7 @@ class CopWinTable:
 
     graph: MultiLayerGraph
     assignment: tuple[int, ...]
-    rank: np.ndarray  # int32, -1 on robber-win states; cop win iff rank >= 0
+    rank: np.ndarray  # int16 (int32 past rank 32767), -1 on robber-win states; cop win iff >= 0
     robber_complete: bool
     agent_csr: list[tuple[np.ndarray, np.ndarray]] = field(repr=False, default_factory=list)
 
@@ -295,6 +312,17 @@ def _physical_ram() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _check_budget(size: int, kp1: int, rank_bytes: int, counter_bytes: int, state_budget: int) -> None:
+    """Refuse `size` states over `state_budget` or over what fits in physical
+    RAM: `rank_bytes` per state, `counter_bytes` per robber-turn state (one in
+    k+1) and the batch work arrays."""
+
+    ram = max(0, _physical_ram() - _BATCH * _WORK_BYTES)
+    budget = min(state_budget, ram * kp1 // (rank_bytes * kp1 + counter_bytes))
+    if size > budget:
+        raise StateBudgetExceeded(size, budget)
+
+
 def build_copwin(
     g: MultiLayerGraph,
     assignment: Sequence[int],
@@ -302,8 +330,8 @@ def build_copwin(
 ) -> CopWinTable:
     """Retrograde analysis for cops assigned to layers by `assignment`.
 
-    The budget is `state_budget` or, if fewer, the states whose `rank` and
-    robber-turn counter fit in physical RAM."""
+    The budget is `state_budget` or, if fewer, the states whose `rank`,
+    robber-turn counter and batch work arrays fit in physical RAM."""
 
     k = len(assignment)
     if k < 1:
@@ -314,22 +342,21 @@ def build_copwin(
     n = g.n
     kp1 = k + 1
     size = state_space_size(n, k)
-    # kernel bytes per state: the int32 rank, plus a counter on one state in
-    # k+1 that starts at the robber's out-degree, stay included: at most n
+    # the counter starts at the robber's out-degree, stay included: at most n
     counter_dtype = np.min_scalar_type(n)
-    ram_states = _physical_ram() * kp1 // (4 * kp1 + counter_dtype.itemsize)
-    budget = min(state_budget, ram_states)
-    if size > budget:
-        raise StateBudgetExceeded(size, budget)
+    _check_budget(size, kp1, 2, counter_dtype.itemsize, state_budget)
 
     robber_complete = g.robber_is_complete()
-    agent_csr: list[tuple[np.ndarray, np.ndarray]] = []
+    # one CSR per distinct layer (key None: the robber's); same-layer cops share it
+    csr: dict[int | None, tuple[np.ndarray, np.ndarray, int]] = {}
     if robber_complete:
-        agent_csr.append((np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)))
+        csr[None] = (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), n)
     else:
-        agent_csr.append(_csr_with_self(n, g.robber_view().adjacency))
-    for c in range(k):
-        agent_csr.append(_csr_with_self(n, g.layer_view(assignment[c]).adjacency))
+        csr[None] = _csr_with_self(n, g.robber_view().adjacency)
+    for layer in assignment:
+        if layer not in csr:
+            csr[layer] = _csr_with_self(n, g.layer_view(layer).adjacency)
+    agent_csr = [csr[key][:2] for key in (None, *assignment)]
 
     strides = _digit_strides(n, k)
     n_pos = n**kp1  # position tuples (p0, ..., pk); state = position * (k+1) + t
@@ -339,45 +366,56 @@ def build_copwin(
     cap = np.zeros((n,) * kp1, dtype=bool)
     for c in range(1, kp1):
         cap |= eye.reshape((n,) + (1,) * (c - 1) + (n,) + (1,) * (k - c))
-    rank = np.full(n_pos * kp1, -1, dtype=np.int32)
+    rank = np.full(n_pos * kp1, -1, dtype=np.int16)
     rank.reshape(n_pos, kp1)[cap.ravel()] = 0
-    captured = np.flatnonzero(cap) * kp1
+    captured = np.flatnonzero(cap)
     del cap
 
     # Predecessors of a state that `mover` (= its turn t) has just moved into
     # are `state + delta[e]` over the CSR entries e of the mover's position:
     # delta undoes the move along the edge and winds the turn back by one.
+    # A chunk of `step` frontier states yields at most _BATCH entries.
     moves = []
-    for mover in range(kp1):
+    for mover, key in enumerate((None, *assignment)):
         dt = k if mover == 0 else -1
         stride = strides[mover]
+        indptr, indices, widest = csr[key]
+        step = max(1, _BATCH // widest)
         if mover == 0 and robber_complete:
-            moves.append((None, None, np.arange(n, dtype=np.int64) * stride + dt))
+            moves.append((None, None, np.arange(n, dtype=np.int64) * stride + dt, step))
             continue
-        indptr, indices = agent_csr[mover]
         deg = np.diff(indptr)
         delta = (indices - np.arange(n, dtype=np.int64).repeat(deg)) * stride + dt
-        moves.append((deg, indptr[1:], delta))
+        moves.append((deg, indptr[1:], delta, step))
 
     # robber-turn state position*(k+1) + k: successors not yet cop-win
     counter = np.empty((n, n_pos // n), dtype=counter_dtype)
     counter[:] = n if robber_complete else moves[0][0][:, None]
     counter = counter.reshape(n_pos)
 
-    # Frontier: per turn, the states ranked at the previous level.  Order is
+    # Frontier: per turn, the states ranked at the previous level.  Level 0
+    # holds the capture positions instead, shared by every turn.  Order is
     # free: a state's rank depends only on the level it is reached at.
-    frontier = [[captured + t] for t in range(kp1)]
+    frontier = [[captured]] * kp1
+    del captured
     level = 0
     while any(frontier):
         level += 1
+        if level > _RANK_MAX and rank.dtype == np.int16:
+            # the int16 and int32 copies are both live while widening
+            _check_budget(size, kp1, 6, counter_dtype.itemsize, state_budget)
+            rank = rank.astype(np.int32)
         reached: list[list[np.ndarray]] = [[] for _ in range(kp1)]
         for mover in range(kp1):
             t_pred = k if mover == 0 else mover - 1
             stride = strides[mover]
-            deg, ends, delta = moves[mover]
-            for part in frontier[mover]:
-                for lo in range(0, part.size, _CHUNK):
-                    chunk = part[lo : lo + _CHUNK]
+            deg, ends, delta, step = moves[mover]
+            parts, frontier[mover] = frontier[mover], []  # freed once walked
+            for part in parts:
+                for lo in range(0, part.size, step):
+                    chunk = part[lo : lo + step]
+                    if level == 1:  # capture positions to turn-`mover` states
+                        chunk = chunk * kp1 + mover
                     digit = chunk // stride if mover == 0 else chunk // stride % n
                     if deg is None:  # complete robber layer: every robber position
                         preds = ((chunk - digit * stride)[:, None] + delta).ravel()
@@ -386,29 +424,32 @@ def build_copwin(
                         csum = cnt.cumsum()
                         entry = np.arange(csum[-1]) + (ends[digit] - csum).repeat(cnt)
                         preds = chunk.repeat(cnt) + delta[entry]
-                    cand = preds[rank[preds] < 0]
-                    if not cand.size:
-                        continue
-                    # dedupe: every candidate tags its state; one tag per state survives
-                    tags = np.arange(-2, -2 - cand.size, -1, dtype=np.int32)
-                    rank[cand] = tags
-                    if mover:  # cop to move: one cop-win successor suffices
-                        won = cand[rank[cand] == tags]
-                        rank[won] = level
-                        reached[t_pred].append(won)
-                        continue
-                    # robber to move: the surviving tag counts its state's occurrences
-                    mult = np.bincount(-2 - rank[cand])
-                    kept = mult.nonzero()[0]
-                    won = cand[kept]
-                    pos = won // kp1
-                    left = counter[pos] - mult[kept]
-                    counter[pos] = left
-                    rank[won] = -1
-                    won = won[left == 0]
-                    if won.size:
-                        rank[won] = level
-                        reached[t_pred].append(won)
+                    # more than one batch only if a single row is wider than _BATCH
+                    for at in range(0, preds.size, _BATCH):
+                        cand = preds[at : at + _BATCH]
+                        cand = cand[rank[cand] < 0]
+                        if not cand.size:
+                            continue
+                        # dedupe: every candidate tags its state; one tag per state survives
+                        tags = np.arange(-2, -2 - cand.size, -1, dtype=np.int16)
+                        rank[cand] = tags
+                        if mover:  # cop to move: one cop-win successor suffices
+                            won = cand[rank[cand] == tags]
+                            rank[won] = level
+                            reached[t_pred].append(won)
+                            continue
+                        # robber to move: the surviving tag counts its state's occurrences
+                        mult = np.bincount(-2 - rank[cand])
+                        kept = mult.nonzero()[0]
+                        won, mult = cand[kept], mult[kept]
+                        pos = won // kp1
+                        left = counter[pos] - mult
+                        counter[pos] = left
+                        rank[won] = -1
+                        won = won[left == 0]
+                        if won.size:
+                            rank[won] = level
+                            reached[t_pred].append(won)
         frontier = reached
 
     return CopWinTable(

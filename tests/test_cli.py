@@ -416,9 +416,11 @@ def test_solve_dump_table_builds_once(grid4_file, tmp_path, capsys, monkeypatch)
         (["solve", "{grid}", "--allocation", "2,x"], 2),
         (["simulate", "{grid}", "--allocation", "2,x"], 2),
         (["play", "{grid}", "--allocation", "2,x"], 2),
+        (["solve", "{binary}", "--allocation", "1"], 2),
     ],
     ids=["unknown-strategy", "strategy-mismatch", "simulate-over-budget", "play-over-budget",
-         "solve-bad-allocation", "simulate-bad-allocation", "play-bad-allocation"],
+         "solve-bad-allocation", "simulate-bad-allocation", "play-bad-allocation",
+         "solve-non-utf8-file"],
 )
 def test_errors_exit_with_their_code_and_one_error_line(args, code, grid4_file, tmp_path):
     from mlcr.core import MultiLayerGraph, RobberSpec
@@ -429,8 +431,11 @@ def test_errors_exit_with_their_code_and_one_error_line(args, code, grid4_file, 
         robber_spec=RobberSpec.EXPLICIT,
         robber_edges=((0, 3), (0, 1), (1, 2)),
     ))
+    binary = tmp_path / "binary.mlg"
+    binary.write_bytes(b"MLG1 2 1 UNION\nLAYER 1 1\n0 \xff1\n")
     proc = subprocess.run(
-        [sys.executable, "-m", "mlcr.cli", *(a.format(grid=grid4_file, tree=tree) for a in args)],
+        [sys.executable, "-m", "mlcr.cli",
+         *(a.format(grid=grid4_file, tree=tree, binary=binary) for a in args)],
         input=b"",
         capture_output=True,
         timeout=120,

@@ -194,6 +194,53 @@ def test_parse_error_line_numbers():
         parse_mlg("MLG 3 1 UNION\n")
 
 
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        # header
+        ("", 1, "empty input"),
+        ("# only a comment\n\n", 1, "empty input"),
+        ("\n# c\nMLG2 2 1 UNION\nLAYER 1 0\n", 3, "malformed header"),
+        ("MLG1 2 1\nLAYER 1 0\n", 1, "malformed header"),
+        ("MLG1 2 1 UNION extra\nLAYER 1 0\n", 1, "malformed header"),
+        ("MLG1 two 1 UNION\nLAYER 1 0\n", 1, "malformed header"),
+        ("MLG1 2 1.5 UNION\nLAYER 1 0\n", 1, "malformed header"),
+        ("MLG1 2 1 union\nLAYER 1 0\n", 1, "unknown robber spec"),
+        ("MLG1 0 1 UNION\nLAYER 1 0\n", 1, "vertex count must be positive"),
+        ("MLG1 -3 1 UNION\nLAYER 1 0\n", 1, "vertex count must be positive"),
+        ("MLG1 2 0 UNION\n", 1, "layer count must be positive"),
+        # layer counts
+        ("MLG1 2 1 UNION\n", 1, "unexpected end of input"),
+        ("MLG1 2 2 UNION\nLAYER 1 0\n", 2, "unexpected end of input"),
+        ("MLG1 2 1 UNION\nLAYER 1\n", 2, "expected 'LAYER 1 <m>'"),
+        ("MLG1 2 1 UNION\nLAYER 1 x\n", 2, "expected 'LAYER 1 <m>'"),
+        ("MLG1 2 1 UNION\nLAYERS 1 0\n", 2, "expected 'LAYER 1 <m>'"),
+        ("MLG1 2 2 UNION\nLAYER 1 0\nLAYER 3 0\n", 3, "expected layer 2, got layer 3"),
+        ("MLG1 2 1 UNION\nLAYER 1 -1\n", 2, "negative edge count"),
+        ("MLG1 3 1 UNION\nLAYER 1 2\n0 1\n", 3, "unexpected end of input"),
+        ("MLG1 3 1 UNION\nLAYER 1 1\n0 1\n1 2\n", 4, "trailing content"),
+        ("MLG1 3 1 UNION\nLAYER 1 1\n0 1\nLAYER 2 0\n", 4, "trailing content"),
+        # robber section
+        ("MLG1 2 1 EXPLICIT\nLAYER 1 0\n", 2, "unexpected end of input"),
+        ("MLG1 2 1 EXPLICIT\nLAYER 1 0\nROBBER -1\n", 3, "negative edge count"),
+        ("MLG1 2 1 EXPLICIT\nLAYER 1 0\nROBBER\n", 3, "expected 'ROBBER <m>'"),
+        ("MLG1 2 1 EXPLICIT\nLAYER 1 0\nROBBER x\n", 3, "expected 'ROBBER <m>'"),
+        ("MLG1 2 1 EXPLICIT\nLAYER 1 0\nLAYER 2 0\n", 3, "expected 'ROBBER <m>'"),
+        ("MLG1 2 1 EXPLICIT\nLAYER 1 0\nROBBER 2\n0 1\n", 4, "unexpected end of input"),
+        ("MLG1 2 1 UNION\nLAYER 1 0\nROBBER 0\n", 3, "trailing content"),
+        ("MLG1 2 1 EXPLICIT\nLAYER 1 0\nROBBER 0\n0 1\n", 4, "trailing content"),
+        # encoding
+        (b"MLG1 2 1 UNION\nLAYER 1 1\n0 \xff1\n", 3, "invalid UTF-8 byte 0xff"),
+        (b"\xe9MLG1 2 1 UNION\n", 1, "invalid UTF-8 byte 0xe9"),
+        (b"MLG1 2 1 UNION\r\nLAYER 1 0\r\n\x80", 3, "invalid UTF-8 byte 0x80"),
+    ],
+)
+def test_parse_rejects_malformed_sections_at_their_line(text, line_no, message):
+    with pytest.raises(MlgParseError, match=message) as info:
+        parse_mlg(text)
+    assert info.value.line_no == line_no
+
+
 def test_parse_ignores_comments_and_blank_lines():
     text = "# a comment\nMLG1 2 1 UNION # trailing\n\nLAYER 1 1\n0 1\n"
     g = parse_mlg(text)

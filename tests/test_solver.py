@@ -87,8 +87,8 @@ def test_state_budget_is_capped_by_physical_ram_before_allocating(monkeypatch):
 
     import mlcr.solver
 
-    g, _ = gen_grid(6)  # (0,0,1): 6,718,464 states, 27 MB of rank alone
-    monkeypatch.setattr(mlcr.solver, "_physical_ram", lambda: 16 * 2**20)
+    g, _ = gen_grid(6)  # (0,0,1): 6,718,464 states, 13 MB of rank alone
+    monkeypatch.setattr(mlcr.solver, "_physical_ram", lambda: 8 * 2**20)
     tracemalloc.start()
     try:
         with pytest.raises(StateBudgetExceeded) as exc:
@@ -97,9 +97,40 @@ def test_state_budget_is_capped_by_physical_ram_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert exc.value.required == state_space_size(36, 3)
-    # 4 B of rank per state plus a 1-B counter per robber-turn state (1 in 4)
-    assert exc.value.budget == 16 * 2**20 * 4 // 17
+    # 2 B of rank per state plus a 1-B counter per robber-turn state (1 in 4),
+    # after the batch work arrays
+    work = mlcr.solver._BATCH * mlcr.solver._WORK_BYTES
+    assert exc.value.budget == (8 * 2**20 - work) * 4 // 9
     assert peak < 10**6
+
+
+def test_widening_rechecks_physical_ram_for_both_rank_copies(monkeypatch):
+    import mlcr.solver
+
+    g, _ = gen_grid(4)  # (0,0,1): 262,144 states, deepest rank well above 3
+    size = state_space_size(16, 3)
+    work = mlcr.solver._BATCH * mlcr.solver._WORK_BYTES
+    # room for 3 B per state: enough for the int16 table, not for widening it
+    monkeypatch.setattr(mlcr.solver, "_physical_ram", lambda: work + 3 * size)
+    monkeypatch.setattr(mlcr.solver, "_RANK_MAX", 3)
+    with pytest.raises(StateBudgetExceeded) as exc:
+        build_copwin(g, (0, 0, 1))
+    assert exc.value.required == size
+    # int16 and int32 rank (6 B) plus the 1-B counter on one state in 4
+    assert exc.value.budget == 3 * size * 4 // 25
+
+
+def test_grid6_table_peak_memory():
+    import tracemalloc
+
+    g, _ = gen_grid(6)  # (0,0,1): 6,718,464 states, 15.1 MB of rank and counter
+    tracemalloc.start()
+    try:
+        build_copwin(g, (0, 0, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 35 * 10**6
 
 
 def test_zero_cops_lose():
@@ -518,8 +549,8 @@ def test_chase_distances_computed_once_per_layer_and_robber_in_a_batch(tmp_path,
 
 # -- kernel against the sort-based reference -----------------------------------------------
 # The reference is the retrograde BFS that deduplicated predecessors with
-# `np.unique` and kept a counter on every state; the kernel must give the same
-# `rank`, state by state and dtype included.
+# `np.unique` and kept an int32 rank and counter on every state; the kernel
+# must give the same `rank`, state by state, in int16 unless it widened.
 
 _REF_CHUNK = 1 << 20
 
@@ -617,10 +648,10 @@ def _ref_rank(g, assignment):
     return rank
 
 
-def _assert_same_rank(g, assignment):
+def _assert_same_rank(g, assignment, dtype=np.int16):
     got = build_copwin(g, assignment).rank
     want = _ref_rank(g, assignment)
-    assert got.dtype == want.dtype
+    assert got.dtype == dtype
     assert np.array_equal(got, want), (g, assignment)
 
 
@@ -649,7 +680,8 @@ def test_rank_matches_sort_based_reference_on_random_corpus():
 def test_rank_matches_sort_based_reference_across_many_chunks(monkeypatch):
     import mlcr.solver
 
-    monkeypatch.setattr(mlcr.solver, "_CHUNK", 5)
+    # smaller than a complete robber layer's rows (n <= 7): rows split over batches
+    monkeypatch.setattr(mlcr.solver, "_BATCH", 5)
     _assert_corpus_matches_reference()
 
 
@@ -657,3 +689,12 @@ def test_rank_matches_sort_based_reference_across_many_chunks(monkeypatch):
 @pytest.mark.parametrize("assignment", [(0, 0), (0, 1), (0, 0, 1)])
 def test_rank_matches_sort_based_reference_on_grids(side, assignment):
     _assert_same_rank(gen_grid(side)[0], assignment)
+
+
+@pytest.mark.parametrize("side", [4, 5])
+@pytest.mark.parametrize("assignment", [(0, 0), (0, 1), (0, 0, 1)])
+def test_rank_widens_to_int32_past_the_level_limit(side, assignment, monkeypatch):
+    import mlcr.solver
+
+    monkeypatch.setattr(mlcr.solver, "_RANK_MAX", 3)
+    _assert_same_rank(gen_grid(side)[0], assignment, dtype=np.int32)

@@ -16,6 +16,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "mlcr"
 
 GENERATE = ["generate", "grid", "-n", "4", "-o", "g.mlg"]
 
+# the 4-vertex path, robber on the same edges: a tree robber layer
+PATH4 = "MLG1 4 1 UNION\nLAYER 1 3\n0 1\n1 2\n2 3\n"
+SOLVE_TREE = ["solve", "path4.mlg", "--allocation", "1"]
+
 # name: (CLI invocations run in order by one process, whether numpy must be loaded)
 CASES = {
     "help": ([["--help"]], False),
@@ -30,8 +34,10 @@ CASES = {
         False,
     ),
     "import-only": (None, False),
-    # positive control: a state-graph solve builds a table
+    "solve-tree": ([SOLVE_TREE], False),
+    # positive controls: a state-graph solve and a table dump build a table
     "solve-state-graph": ([GENERATE, ["solve", "g.mlg", "--allocation", "2,0"]], True),
+    "solve-tree-dump-table": ([SOLVE_TREE + ["--dump-table", "t.cwt"]], True),
 }
 
 _CHILD = """
@@ -51,6 +57,7 @@ print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_numpy_loads_only_for_table_builds(name, tmp_path):
     runs, wants_numpy = CASES[name]
+    (tmp_path / "path4.mlg").write_text(PATH4)
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, json.dumps(runs)],
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
