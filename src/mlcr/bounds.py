@@ -3,19 +3,18 @@
 Lower bounds: multi-layer existential closure (a robber that always has an
 unthreatened neighbour survives k cops) and its closed-neighbourhood-count
 specialisation for complete robber layers.  Upper bounds: multi-layer
-dominating sets (exact branch and bound, greedy, and randomised rounding
-with repair) and the bag-sweep certificate from a tree decomposition.
+dominating sets (exact branch and bound and greedy) and the bag-sweep
+certificate from a tree decomposition.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Edge, MlgError, MultiLayerGraph, flatten, ml_min_degree
+from .core import Edge, MlgError, MultiLayerGraph, flatten
 
 MEC_ENUMERATION_BUDGET = 10**8
 DOMSET_EXACT_LIMIT = 40
@@ -214,33 +213,6 @@ def domset_greedy(g: MultiLayerGraph) -> DominatingSet:
         assert entry[0] < 0
         chosen.add((v, i))
         covered |= masks[i][v]
-    return DominatingSet(frozenset(chosen))
-
-
-def domset_randomized(g: MultiLayerGraph, seed: int) -> DominatingSet:
-    """Randomised dominating set: include each (v, i) independently with
-    p = ln((tau+delta)/tau)/(tau+delta), then repair uncovered vertices by
-    adding them on layer 1.  Requires min summed degree >= 1."""
-
-    delta = ml_min_degree(g)
-    if delta < 1:
-        raise MlgError(f"randomised dominating set needs delta >= 1, got {delta}")
-    tau, n = g.tau, g.n
-    p = math.log((tau + delta) / tau) / (tau + delta)
-    rng = random.Random(f"domset:{seed}")
-    chosen: set[tuple[int, int]] = set()
-    covered = 0
-    masks = _closed_masks(g)
-    for v in range(n):
-        for i in range(tau):
-            if rng.random() < p:
-                chosen.add((v, i))
-                covered |= masks[i][v]
-    full = (1 << n) - 1
-    for v in range(n):
-        if not (covered >> v) & 1:
-            chosen.add((v, 0))
-            covered |= masks[0][v]
     return DominatingSet(frozenset(chosen))
 
 

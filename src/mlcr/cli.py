@@ -59,13 +59,13 @@ def _mec_lower_bound(g, max_k: float = math.inf) -> int:
     return k
 
 
-def _allocation(text: str) -> AllocationPlan:
-    """The `--allocation` value: comma-separated per-layer cop counts."""
+def _int_list(text: str, option: str) -> tuple[int, ...]:
+    """The value of `option` (`--allocation`, `--seeds`): comma-separated integers."""
 
     try:
-        return AllocationPlan(tuple(int(x) for x in text.split(",")))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise MlgError(f"--allocation needs comma-separated integers, got {text!r}") from None
+        raise MlgError(f"{option} needs comma-separated integers, got {text!r}") from None
 
 
 def cmd_solve(args) -> int:
@@ -82,7 +82,7 @@ def cmd_solve(args) -> int:
         raise MlgError("--tree-fast requires a tree robber layer")
     use_tree = tree_ok if args.tree_fast is None else args.tree_fast
     if args.allocation is not None:
-        plan = _allocation(args.allocation)
+        plan = AllocationPlan(_int_list(args.allocation, "--allocation"))
         if len(plan.counts) != g.tau:
             raise MlgError(f"allocation has {len(plan.counts)} entries, graph has {g.tau} layers")
         tables: list = []
@@ -207,7 +207,7 @@ def cmd_simulate(args) -> int:
     g = parse_mlg_file(args.graph)
     if args.tag:
         g.tag = args.tag
-    plan = _allocation(args.allocation)
+    plan = AllocationPlan(_int_list(args.allocation, "--allocation"))
     # one object per side plays every seed; both tablebase sides share one table
     table = table_source(g, plan, args.state_budget)
     cop = cop_strategy_from_name(args.cop_strategy, g, table)
@@ -240,7 +240,7 @@ def cmd_play(args) -> int:
     from .sim import interactive_play
 
     g = parse_mlg_file(args.graph)
-    plan = _allocation(args.allocation)
+    plan = AllocationPlan(_int_list(args.allocation, "--allocation"))
     record = interactive_play(g, plan, args.role, state_budget=args.state_budget)
     print(f"OUTCOME={record.outcome}")
     return 0
@@ -251,7 +251,7 @@ def cmd_experiment(args) -> int:
     from .generators import gen_random_layers
 
     t0 = time.perf_counter()
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = _int_list(args.seeds, "--seeds")
 
     def one_row(seed: int):
         row_t = time.perf_counter()

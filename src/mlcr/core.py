@@ -93,34 +93,15 @@ class LayerView:
     n_components: int
     degrees: tuple[int, ...]
 
-    def components_as_sets(self) -> list[frozenset[int]]:
-        comps: dict[int, set[int]] = {}
-        for v, c in enumerate(self.component_id):
-            comps.setdefault(c, set()).add(v)
-        return [frozenset(comps[c]) for c in sorted(comps)]
-
 
 def _build_layer_view(n: int, edges: Sequence[Edge]) -> LayerView:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    adjacency = tuple(tuple(sorted(a)) for a in adj)
-    comp = [-1] * n
-    n_comp = 0
-    for s in range(n):
-        if comp[s] >= 0:
-            continue
-        comp[s] = n_comp
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in adjacency[x]:
-                if comp[y] < 0:
-                    comp[y] = n_comp
-                    stack.append(y)
-        n_comp += 1
-    return LayerView(adjacency, tuple(comp), n_comp, tuple(len(a) for a in adjacency))
+    adjacency = tuple(map(tuple, adjacency_lists(n, edges)))
+    comp = [0] * n
+    comps = component_sets(adjacency)
+    for c, members in enumerate(comps):
+        for v in members:
+            comp[v] = c
+    return LayerView(adjacency, tuple(comp), len(comps), tuple(len(a) for a in adjacency))
 
 
 @dataclass
@@ -300,31 +281,65 @@ def flatten(g: MultiLayerGraph, include_robber: bool = False) -> tuple[Edge, ...
     return g._cache[key]
 
 
-def components(g: MultiLayerGraph, layer: int) -> tuple[tuple[int, ...], int]:
-    """Component labels and component count for one cop layer."""
-
-    view = g.layer_view(layer)
-    return view.component_id, view.n_components
-
-
 def bfs_dist(g: MultiLayerGraph, layer: int, source: int) -> list[float]:
     """Unweighted shortest-path distances within one cop layer (inf if unreachable)."""
 
     return bfs_dist_adj(g.layer_view(layer).adjacency, source)
 
 
-def bfs_dist_adj(adjacency: Sequence[Sequence[int]], source: int) -> list[float]:
-    n = len(adjacency)
-    dist: list[float] = [INF] * n
-    dist[source] = 0
-    frontier = [source]
+# -- graph traversal on adjacency lists ------------------------------------------
+
+
+def adjacency_lists(n: int, edges: Iterable[Sequence[int]]) -> list[list[int]]:
+    """Sorted neighbour lists of an edge set on the vertices 0..n-1."""
+
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for a in adj:
+        a.sort()
+    return adj
+
+
+def component_sets(adjacency: Sequence[Sequence[int]], blocked: Iterable[int] = ()) -> list[set[int]]:
+    """Components of the graph minus `blocked`, ordered by smallest vertex."""
+
+    seen = [False] * len(adjacency)
+    for b in blocked:
+        seen[b] = True
+    comps: list[set[int]] = []
+    for s in range(len(adjacency)):
+        if seen[s]:
+            continue
+        seen[s] = True
+        reached = [s]
+        for x in reached:  # the list grows while it is walked
+            for y in adjacency[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    reached.append(y)
+        comps.append(set(reached))
+    return comps
+
+
+def bfs_dist_adj(
+    adjacency: Sequence[Sequence[int]], *sources: int, within: set[int] | None = None
+) -> list[float]:
+    """Distances from the nearest of `sources` (inf if unreachable).  With
+    `within`, the search enters only the vertices of that set."""
+
+    dist: list[float] = [INF] * len(adjacency)
+    for s in sources:
+        dist[s] = 0
+    frontier = list(sources)
     d = 0
     while frontier:
         d += 1
         nxt = []
         for x in frontier:
             for y in adjacency[x]:
-                if dist[y] == INF:
+                if dist[y] == INF and (within is None or y in within):
                     dist[y] = d
                     nxt.append(y)
         frontier = nxt
@@ -361,10 +376,7 @@ def girth(edges: Sequence[Edge], n: int) -> float:
     length dist[u] + dist[v] + 1, and scanning all roots is exact.
     """
 
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = adjacency_lists(n, edges)
     best = INF
     for root in range(n):
         dist = [-1] * n
@@ -390,7 +402,7 @@ def girth(edges: Sequence[Edge], n: int) -> float:
 
 
 def is_connected_edges(edges: Sequence[Edge], n: int) -> bool:
-    return _build_layer_view(n, tuple(edges)).n_components == 1
+    return len(component_sets(adjacency_lists(n, edges))) == 1
 
 
 # -- MLG1 format --------------------------------------------------------------

@@ -27,7 +27,9 @@ from .core import (
     MlgError,
     MultiLayerGraph,
     RobberSpec,
+    adjacency_lists,
     bfs_dist_adj,
+    component_sets,
     girth,
     is_connected_edges,
     min_degree,
@@ -361,10 +363,7 @@ def gen_domset_reduction(
     """One star layer per vertex of a simple graph: layer u holds the edges
     from u to its neighbours.  Posed as a free-layer-choice instance."""
 
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = adjacency_lists(n, edges)
     layers = tuple(
         tuple(sorted((min(u, w), max(u, w)) for w in adj[u])) for u in range(n)
     )
@@ -539,57 +538,11 @@ def gen_random_regular(n: int, d: int, seed: int, max_tries: int = 1000) -> tupl
 # -- cops-bane family -----------------------------------------------------------------
 
 
-def _edge_coloring_clustering(edges: list[Edge], n: int, coloring: dict[Edge, int]) -> int:
-    """Largest monochromatic component size (in vertices)."""
-
-    best = 0
-    for colour in (0, 1):
-        adj: dict[int, list[int]] = {}
-        for e in edges:
-            if coloring[e] == colour:
-                adj.setdefault(e[0], []).append(e[1])
-                adj.setdefault(e[1], []).append(e[0])
-        seen: set[int] = set()
-        for s in adj:
-            if s in seen:
-                continue
-            size = 0
-            stack = [s]
-            seen.add(s)
-            while stack:
-                x = stack.pop()
-                size += 1
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            best = max(best, size)
-    return best
-
-
 def _mono_components(edges: list[Edge], n: int, coloring: dict[Edge, int], colour: int) -> list[set[int]]:
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for e in edges:
-        if coloring[e] == colour:
-            adj[e[0]].append(e[1])
-            adj[e[1]].append(e[0])
-    comps = []
-    seen: set[int] = set()
-    for s in range(n):
-        if s in seen or not adj[s]:
-            continue
-        comp = {s}
-        seen.add(s)
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(comp)
-    return comps
+    """Components of one colour class with at least one edge, ordered by smallest vertex."""
+
+    adj = adjacency_lists(n, [e for e in edges if coloring[e] == colour])
+    return [comp for comp in component_sets(adj) if len(comp) >= 2]
 
 
 def two_edge_coloring(edges: list[Edge], n: int, seed: int, iteration_cap: int = 20000) -> tuple[dict[Edge, int], int]:
@@ -597,26 +550,27 @@ def two_edge_coloring(edges: list[Edge], n: int, seed: int, iteration_cap: int =
     monochromatic components.  Returns the colouring and the achieved
     clustering (largest monochromatic component, in vertices)."""
 
+    def components() -> list[tuple[int, set[int]]]:
+        return [(colour, comp) for colour in (0, 1) for comp in _mono_components(edges, n, coloring, colour)]
+
     rng = random.Random(f"colour:{seed}")
     coloring = {e: rng.randrange(2) for e in edges}
-    current = _edge_coloring_clustering(edges, n, coloring)
+    comps = components()
+    current = max((len(comp) for _, comp in comps), default=0)
     for _ in range(iteration_cap):
         if current <= 2:
             break
-        # flip a random edge out of a largest monochromatic component
-        worst_colour, worst_comp = None, None
-        for colour in (0, 1):
-            for comp in _mono_components(edges, n, coloring, colour):
-                if worst_comp is None or len(comp) > len(worst_comp):
-                    worst_comp, worst_colour = comp, colour
+        # flip a random edge out of the first largest monochromatic component
+        worst_colour, worst_comp = max(comps, key=lambda cc: len(cc[1]))
         candidates = [e for e in edges if coloring[e] == worst_colour and e[0] in worst_comp and e[1] in worst_comp]
         e = rng.choice(candidates)
         coloring[e] ^= 1
-        new = _edge_coloring_clustering(edges, n, coloring)
+        flipped = components()
+        new = max((len(comp) for _, comp in flipped), default=0)
         if new > current:
-            coloring[e] ^= 1
+            coloring[e] ^= 1  # rejected: `comps` still describes the colouring
         else:
-            current = new
+            comps, current = flipped, new
     return coloring, current
 
 
@@ -665,10 +619,7 @@ def sampled_vertex_expansion(edges: list[Edge], n: int, seed: int, samples: int 
 
 
 def graph_diameter(edges: list[Edge], n: int) -> int:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = adjacency_lists(n, edges)
     diam = 0
     for s in range(n):
         dist = bfs_dist_adj(adj, s)
@@ -788,11 +739,7 @@ def gen_copsbane(
         g,
     )
     report.add("vertex_count", g.n == nv, g.n)
-    degs = [0] * N
-    for u, v in layout.expander_edges:
-        degs[u] += 1
-        degs[v] += 1
-    report.add("core_3_regular", all(d == 3 for d in degs))
+    report.add("core_3_regular", all(len(a) == 3 for a in adjacency_lists(N, layout.expander_edges)))
     report.add("core_connected", is_connected_edges(layout.expander_edges, N))
     report.add("layers_connected", all(report.layer_connected))
     arm_len = 2 * D + 1
@@ -801,12 +748,9 @@ def gen_copsbane(
     report.add("expansion", layout.expansion >= alpha, f"{layout.expansion:.4f} ({kind})")
     report.add("clustering", layout.clustering <= clustering_cap, layout.clustering)
     mono_ok = True
-    for colour, edges in ((0, e1), (1, e2)):
+    for colour in (0, 1):
         for comp in _mono_components(list(layout.expander_edges), N, layout.coloring, colour):
             if len(comp) > layout.clustering:
                 mono_ok = False
     report.add("mono_components_le_clustering", mono_ok)
-    if not report.ok:
-        failed = ", ".join(f"{n_}={v}" for n_, p, v in report.checks if not p)
-        raise ConstructionError(f"copsbane: invariant failure: {failed}")
-    return g, report, layout
+    return (*_finish(g, report), layout)

@@ -25,7 +25,9 @@ from .core import (
     AllocationPlan,
     MlgError,
     MultiLayerGraph,
+    adjacency_lists,
     bfs_dist_adj,
+    component_sets,
 )
 
 if TYPE_CHECKING:
@@ -498,52 +500,28 @@ class GridCopGuard(CopTeamStrategy):
 
     def begin(self, g, assignment, rng):
         super().begin(g, assignment, rng)
-        from .generators import grid_layers
+        from .generators import grid_coords, grid_index, grid_layers
 
-        ch, cv = grid_layers(self.nside)
-        if g.n != self.nside * self.nside or tuple(g.layers) != (ch, cv):
-            raise StrategyMismatchError(f"graph is not the {self.nside}-grid construction")
+        n = self.nside
+        if g.n != n * n or tuple(g.layers) != grid_layers(n):
+            raise StrategyMismatchError(f"graph is not the {n}-grid construction")
+        # virtual coordinates: both cops live on the all-verticals layer
         if tuple(assignment) == (1, 1):
-            self.transpose = False
+            self._rc = lambda v: grid_coords(v, n)
+            self._idx = lambda i, j: grid_index(i, j, n)
         elif tuple(assignment) == (0, 0):
-            self.transpose = True
+            self._rc = lambda v: grid_coords(v, n)[::-1]
+            self._idx = lambda i, j: grid_index(j, i, n)
         else:
             raise StrategyMismatchError("grid guard needs both cops on the same layer")
-        n = self.nside
-        # virtual coordinates: both cops live on the all-verticals layer
-        edges = cv if not self.transpose else tuple(
-            tuple(sorted((self._t(u), self._t(v)))) for u, v in ch
-        )
-        adj = [[] for _ in range(g.n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.vadj = [sorted(a) for a in adj]
+        self.adj = g.layer_view(assignment[0]).adjacency
         self.phase = 1
         self.blocker = 1
         self.bcol = 2
         self.traveler = 0
         self.tcol = 3
 
-    def _t(self, v: int) -> int:
-        i, j = divmod(v, self.nside)
-        return j * self.nside + i
-
-    def _rc(self, v: int) -> tuple[int, int]:
-        w = self._t(v) if self.transpose else v
-        return w // self.nside + 1, w % self.nside + 1
-
-    def _idx(self, i: int, j: int) -> int:
-        w = (i - 1) * self.nside + (j - 1)
-        return self._t(w) if self.transpose else w
-
-    def _vmoves(self, v: int) -> list[int]:
-        w = self._t(v) if self.transpose else v
-        out = [self._t(q) if self.transpose else q for q in self.vadj[w]]
-        return sorted(out)
-
     def moves(self, view: MatchView):
-        n = self.nside
         capture = self.capture_move(view)
         if capture is not None:
             return capture
@@ -578,19 +556,8 @@ class GridCopGuard(CopTeamStrategy):
         return tuple(pos)
 
     def _step_to_column(self, v: int, col: int) -> int:
-        n = self.nside
-        sources = [self._idx(i, col) for i in range(1, n + 1)]
-        dist: dict[int, int] = {s: 0 for s in sources}
-        frontier = sources
-        while frontier and v not in dist:
-            nxt = []
-            for x in frontier:
-                for y in self._vmoves(x):
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        nxt.append(y)
-            frontier = nxt
-        return min((v, *self._vmoves(v)), key=lambda q: (dist.get(q, math.inf), q))
+        dist = bfs_dist_adj(self.adj, *(self._idx(i, col) for i in range(1, self.nside + 1)))
+        return min((v, *self.adj[v]), key=lambda q: (dist[q], q))
 
     def place(self):
         return (self._idx(1, 1), self._idx(1, 2))
@@ -608,22 +575,19 @@ class GridRobberCorner(RobberStrategy):
 
     def begin(self, g, assignment, rng):
         super().begin(g, assignment, rng)
-        from .generators import grid_layers
+        from .generators import grid_coords, grid_index, grid_layers
 
-        if g.n != self.nside * self.nside or tuple(g.layers) != grid_layers(self.nside):
-            raise StrategyMismatchError(f"graph is not the {self.nside}-grid construction")
+        n = self.nside
+        if g.n != n * n or tuple(g.layers) != grid_layers(n):
+            raise StrategyMismatchError(f"graph is not the {n}-grid construction")
         if sorted(assignment) != [0, 1]:
             raise StrategyMismatchError("corner dance needs exactly one cop per layer")
-        if self.nside < 4:
+        if n < 4:
             raise StrategyMismatchError("corner dance needs n >= 4")
         self.ch_cop = assignment.index(0)
         self.cv_cop = assignment.index(1)
-
-    def _rc(self, v: int) -> tuple[int, int]:
-        return v // self.nside + 1, v % self.nside + 1
-
-    def _idx(self, i: int, j: int) -> int:
-        return (i - 1) * self.nside + (j - 1)
+        self._rc = lambda v: grid_coords(v, n)
+        self._idx = lambda i, j: grid_index(i, j, n)
 
     def _target(self, cops) -> tuple[int, int]:
         hi, _ = self._rc(cops[self.ch_cop])
@@ -664,52 +628,6 @@ class GridRobberCorner(RobberStrategy):
 
 
 # -- graph helpers for the scripted robbers ------------------------------------------------
-
-
-def _adjacency(n: int, edges) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return [sorted(a) for a in adj]
-
-
-def _components(adj: Sequence[Sequence[int]], blocked) -> list[set[int]]:
-    """Components of the graph minus `blocked`, ordered by smallest vertex."""
-
-    seen = set(blocked)
-    comps: list[set[int]] = []
-    for s in range(len(adj)):
-        if s in seen:
-            continue
-        comp = {s}
-        seen.add(s)
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(comp)
-    return comps
-
-
-def _dist_within(adj: Sequence[Sequence[int]], allowed, src: int) -> dict[int, int]:
-    """BFS distances from `src` over the vertices in `allowed`."""
-
-    dist = {src: 0}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if y in allowed and y not in dist:
-                    dist[y] = dist[x] + 1
-                    nxt.append(y)
-        frontier = nxt
-    return dist
 
 
 def _path_within(adj: Sequence[Sequence[int]], allowed, src: int, dst: int) -> list[int]:
@@ -883,16 +801,16 @@ class CopsbaneRobber(RobberStrategy):
         if not g.tag.startswith("copsbane:"):
             raise StrategyMismatchError("graph is not a cops-bane construction")
         self.N = lay.N
-        self.x_adj = _adjacency(self.N, lay.expander_edges)
+        self.x_adj = adjacency_lists(self.N, lay.expander_edges)
         self._colour_adj = [
-            _adjacency(self.N, [e for e in lay.expander_edges if lay.coloring[e] == colour])
+            adjacency_lists(self.N, [e for e in lay.expander_edges if lay.coloring[e] == colour])
             for colour in (0, 1)
         ]
         # monochromatic component (as a frozenset) of each core vertex per colour
         self.comp: list[list[frozenset[int]]] = []
         for adj in self._colour_adj:
             comp_of: list[frozenset[int]] = [frozenset()] * self.N
-            for comp in _components(adj, ()):
+            for comp in component_sets(adj):
                 fz = frozenset(comp)
                 for v in fz:
                     comp_of[v] = fz
@@ -901,7 +819,7 @@ class CopsbaneRobber(RobberStrategy):
         for x, interior in lay.arm_interior.items():
             for v in interior:
                 self.arm_owner[v] = x
-        self._comp_dist_cache: dict[tuple[int, int], dict[int, int]] = {}
+        self._comp_dist_cache: dict[tuple[int, int], list[float]] = {}
         self._safe_cache: dict[frozenset[int], list[set[int]]] = {}
 
     def _blocked(self, cops) -> set[int]:
@@ -914,24 +832,6 @@ class CopsbaneRobber(RobberStrategy):
             out |= self.comp[colour][x]
         return out
 
-    def _dist_to_blocked(self, blocked: set[int]) -> list[float]:
-        dist: list[float] = [INF] * self.N
-        frontier = []
-        for b in blocked:
-            dist[b] = 0
-            frontier.append(b)
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for x in frontier:
-                for y in self.x_adj[x]:
-                    if dist[y] == INF:
-                        dist[y] = d
-                        nxt.append(y)
-            frontier = nxt
-        return dist
-
     def _safe_components(self, blocked: set[int]) -> list[set[int]]:
         """Large components of diameter <= D outside `blocked`, memoised per
         blocked set; callers must not modify the returned sets."""
@@ -941,7 +841,7 @@ class CopsbaneRobber(RobberStrategy):
         if safe is None:
             safe = self._safe_cache[key] = [
                 comp
-                for comp in _components(self.x_adj, blocked)
+                for comp in component_sets(self.x_adj, blocked)
                 if len(comp) >= self.N // 2 + 1 and self._diameter(comp) <= self.layout.D
             ]
         return safe
@@ -949,15 +849,13 @@ class CopsbaneRobber(RobberStrategy):
     def _diameter(self, comp: set[int]) -> float:
         worst = 0.0
         for s in comp:
-            dist = _dist_within(self.x_adj, comp, s)
-            if len(dist) < len(comp):
-                return INF
-            worst = max(worst, max(dist.values()))
+            dist = bfs_dist_adj(self.x_adj, s, within=comp)
+            worst = max(worst, max(dist[v] for v in comp))
         return worst
 
     def place(self, cops):
         blocked = self._blocked(cops)
-        dist = self._dist_to_blocked(blocked)
+        dist = bfs_dist_adj(self.x_adj, *blocked)
         threat = self._threat(cops)
         safe = self._safe_components(blocked)
         if safe:
@@ -1002,17 +900,18 @@ class CopsbaneRobber(RobberStrategy):
                     threat[v] = d
         return threat
 
-    def _comp_dist(self, colour: int, src: int) -> dict[int, int]:
+    def _comp_dist(self, colour: int, src: int) -> list[float]:
+        """Distances from `src` in its monochromatic component (inf outside)."""
+
         key = (colour, src)
         if key not in self._comp_dist_cache:
-            comp = self.comp[colour][src]
-            self._comp_dist_cache[key] = _dist_within(self._colour_adj[colour], comp, src)
+            self._comp_dist_cache[key] = bfs_dist_adj(self._colour_adj[colour], src)
         return self._comp_dist_cache[key]
 
     def move(self, view: MatchView):
         cur = view.robber
         blocked = self._blocked(view.cops)
-        dist = self._dist_to_blocked(blocked)
+        dist = bfs_dist_adj(self.x_adj, *blocked)
         threat = self._threat(view.cops)
         safe = self._safe_components(blocked)
         home = next((c for c in safe if cur in c), None)
@@ -1138,15 +1037,7 @@ class BagsweepCops(CopTeamStrategy):
             raise StrategyMismatchError(
                 f"need at least {self.decomp.max_bag} cops, got {len(assignment)}"
             )
-        self.fadj = [[] for _ in range(g.n)]
-        for u, v in flatten(g):
-            self.fadj[u].append(v)
-            self.fadj[v].append(u)
-        nb = len(self.decomp.bags)
-        self.tadj: list[list[int]] = [[] for _ in range(nb)]
-        for a, b in self.decomp.tree:
-            self.tadj[a].append(b)
-            self.tadj[b].append(a)
+        self.tadj = adjacency_lists(len(self.decomp.bags), self.decomp.tree)
         self.current = 0
         self.posts: dict[int, int] = {}
         self.tasks: list[tuple[int, int]] = []
@@ -1168,17 +1059,8 @@ class BagsweepCops(CopTeamStrategy):
         """Vertices in bags of the component of the tree minus `bag_from`
         that contains `bag_to`."""
 
-        seen = {bag_from, bag_to}
-        stack = [bag_to]
-        out: set[int] = set()
-        while stack:
-            b = stack.pop()
-            out |= self.decomp.bags[b]
-            for c in self.tadj[b]:
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        return out
+        side = next(c for c in component_sets(self.tadj, (bag_from,)) if bag_to in c)
+        return set().union(*(self.decomp.bags[b] for b in side))
 
     def _plan_shift(self, view: MatchView) -> None:
         cur_bag = self.decomp.bags[self.current]

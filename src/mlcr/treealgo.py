@@ -32,6 +32,7 @@ from .core import (
     MultiLayerGraph,
     Winner,
     bfs_dist_adj,
+    component_sets,
     compositions,
     is_connected_edges,
 )
@@ -110,7 +111,7 @@ def _profile_robbers_edge(
 def _component_choices(g: MultiLayerGraph, layer: int) -> list[frozenset[int]]:
     """Start components a cop on this layer can choose, most useful first."""
 
-    comps = g.layer_view(layer).components_as_sets()
+    comps = map(frozenset, component_sets(g.layer_view(layer).adjacency))
     return sorted(comps, key=lambda c: (-len(c), min(c)))
 
 

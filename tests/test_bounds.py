@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import statistics
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +12,6 @@ from mlcr.bounds import (
     domination_bound,
     domset_exact,
     domset_greedy,
-    domset_randomized,
     mec_check,
     pstar,
     pstar_residual,
@@ -135,36 +133,24 @@ def test_domset_validity_random():
         assert len(exact) <= len(greedy)
 
 
-def test_domset_randomized_deterministic_and_valid():
+def test_domset_greedy_deterministic_and_valid():
     g, _ = gen_soifer(12, 2)
-    a = domset_randomized(g, 42)
-    b = domset_randomized(g, 42)
+    a = domset_greedy(g)
+    b = domset_greedy(g)
     assert a.pairs == b.pairs
     assert a.is_valid(g)
 
 
-def test_domset_randomized_requires_degree():
-    g = MultiLayerGraph(n=3, layers=(((0, 1),),))
-    with pytest.raises(MlgError):
-        domset_randomized(g, 1)
-
-
-def test_domset_randomized_repair_path():
-    # only the hub has high degree; leaves must be repaired in
+def test_domset_greedy_valid_on_star():
     star = tuple((0, i) for i in range(1, 9))
     g = single(star, 9)
-    ds = domset_randomized(g, 5)
-    assert ds.is_valid(g)
+    assert domset_greedy(g).is_valid(g)
 
 
-def test_domset_randomized_mean_against_bound():
+def test_domset_greedy_within_domination_bound():
     g, _ = gen_soifer(16, 3)
     delta = ml_min_degree(g)
-    bound = domination_bound(g.n, g.tau, delta)
-    sizes = [len(domset_randomized(g, seed)) for seed in range(100)]
-    mean = statistics.mean(sizes)
-    sem = statistics.stdev(sizes) / math.sqrt(len(sizes))
-    assert mean <= bound + 3 * sem
+    assert len(domset_greedy(g)) <= domination_bound(g.n, g.tau, delta)
 
 
 # -- splitting probability ----------------------------------------------------------------

@@ -417,10 +417,12 @@ def test_solve_dump_table_builds_once(grid4_file, tmp_path, capsys, monkeypatch)
         (["simulate", "{grid}", "--allocation", "2,x"], 2),
         (["play", "{grid}", "--allocation", "2,x"], 2),
         (["solve", "{binary}", "--allocation", "1"], 2),
+        (["experiment", "-n", "8", "--seeds", "a"], 2),
+        (["experiment", "-n", "8", "--seeds", ","], 2),
     ],
     ids=["unknown-strategy", "strategy-mismatch", "simulate-over-budget", "play-over-budget",
          "solve-bad-allocation", "simulate-bad-allocation", "play-bad-allocation",
-         "solve-non-utf8-file"],
+         "solve-non-utf8-file", "experiment-bad-seeds", "experiment-empty-seeds"],
 )
 def test_errors_exit_with_their_code_and_one_error_line(args, code, grid4_file, tmp_path):
     from mlcr.core import MultiLayerGraph, RobberSpec

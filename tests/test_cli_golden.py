@@ -12,10 +12,13 @@ import pytest
 
 from mlcr.cli import main
 from mlcr.core import MultiLayerGraph, RobberSpec, write_mlg_file
-from mlcr.generators import gen_grid
+from mlcr.generators import gen_copsbane, gen_grid, gen_slices
 
 GRAPHS = {
     "grid4.mlg": gen_grid(4)[0],
+    "grid6.mlg": gen_grid(6)[0],
+    "slices2.mlg": gen_slices(2)[0],
+    "copsbane8.mlg": gen_copsbane(8, seed=3)[0],
     # one cop on the path 0-1-2-3 cannot guard the tree edge 0-3 (robber win)
     "tree4.mlg": MultiLayerGraph(
         n=4,
@@ -146,6 +149,48 @@ CASES = {
         "MATCH seed=5 outcome=SURVIVED\nMATCH seed=6 outcome=SURVIVED\n"
         "MATCH seed=7 outcome=SURVIVED\nSUMMARY matches=3 captures=0\n",
         {"m.mr1": "7dc701d07426775c392a2f93910681cefd29f3cda7483d7b5f7556428d8e0f5b"},
+    ),
+    # the digest fixes the expander sample and its two-edge-colouring
+    "generate-copsbane": (
+        ["--seed", "3", "generate", "copsbane", "-n", "8", "-o", "{dir}/c.mlg"],
+        0,
+        "WROTE={dir}/c.mlg\nVERTICES=73\nLAYERS=2\n",
+        {"c.mlg": "2b2ae596b585ac79fc81868c0ced75bebbf9d8c987baa52a7e70e87f095183d4"},
+    ),
+    # MLG1 carries no family tag, so the scripted robbers get it from --tag
+    "simulate-copsbane-greedy-record": (
+        [
+            "--seed", "1", "simulate", "{dir}/copsbane8.mlg", "--tag", "copsbane:8,3",
+            "--allocation", "1,1", "--cop-strategy", "greedy", "--robber-strategy", "copsbane",
+            "--batch", "3", "--record", "{dir}/m.mr1",
+        ],
+        0,
+        "MATCH seed=1 outcome=SURVIVED tags=DEGRADED\nMATCH seed=2 outcome=SURVIVED tags=DEGRADED\n"
+        "MATCH seed=3 outcome=SURVIVED tags=DEGRADED\nSUMMARY matches=3 captures=0\n",
+        {"m.mr1": "4083308097a172d5b98676867af926056cd46a32ee792b2659038455a12aebd0"},
+    ),
+    # both cops on the all-rows layer: the guard plays in transposed coordinates
+    "simulate-grid-guard-record": (
+        [
+            "--seed", "1", "simulate", "{dir}/grid6.mlg", "--allocation", "2,0",
+            "--cop-strategy", "grid_guard", "--robber-strategy", "tablebase",
+            "--batch", "3", "--record", "{dir}/m.mr1",
+        ],
+        0,
+        "MATCH seed=1 outcome=CAPTURE round=68\nMATCH seed=2 outcome=CAPTURE round=68\n"
+        "MATCH seed=3 outcome=CAPTURE round=68\nSUMMARY matches=3 captures=3\n",
+        {"m.mr1": "a45f414a73479ddccb028f7812f2e19097a9d4a1b48e980ad393b369cb79db29"},
+    ),
+    "simulate-slices-greedy-record": (
+        [
+            "--seed", "1", "simulate", "{dir}/slices2.mlg", "--tag", "slices:2",
+            "--allocation", "1,1", "--cop-strategy", "greedy", "--robber-strategy", "slices",
+            "--batch", "3", "--record", "{dir}/m.mr1",
+        ],
+        0,
+        "MATCH seed=1 outcome=SURVIVED\nMATCH seed=2 outcome=SURVIVED\n"
+        "MATCH seed=3 outcome=SURVIVED\nSUMMARY matches=3 captures=0\n",
+        {"m.mr1": "0ebb0de8c6a3c523ef7e9cf7c70232db786a4fd475e5e70ea1399769f4cc73a0"},
     ),
 }
 

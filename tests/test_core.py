@@ -10,8 +10,10 @@ from mlcr.core import (
     MlgParseError,
     MultiLayerGraph,
     RobberSpec,
+    adjacency_lists,
     bfs_dist,
-    components,
+    bfs_dist_adj,
+    component_sets,
     flatten,
     girth,
     min_degree,
@@ -93,20 +95,19 @@ def test_flatten_of_clique_partition_is_complete():
 
 def test_components_single_edge():
     g = MultiLayerGraph(n=3, layers=(((0, 1),),))
-    labels, count = components(g, 0)
-    assert count == 2
-    assert labels[0] == labels[1] != labels[2]
+    view = g.layer_view(0)
+    assert view.n_components == 2
+    assert view.component_id[0] == view.component_id[1] != view.component_id[2]
 
 
 def test_components_cycle_matchings():
     g, _ = gen_cycle_matchings(3)
-    _, count = components(g, 0)
-    assert count == 3
+    assert g.layer_view(0).n_components == 3
 
 
 def test_components_connected_layer():
     g = MultiLayerGraph(n=3, layers=(k3(),))
-    assert components(g, 0)[1] == 1
+    assert g.layer_view(0).n_components == 1
 
 
 def test_bfs_dist_path_and_unreachable():
@@ -121,6 +122,46 @@ def test_bfs_dist_grid_column():
     g, _ = gen_grid(n)
     dist = bfs_dist(g, 1, grid_index(1, 1, n))
     assert dist[grid_index(n, 1, n)] == n - 1
+
+
+def _random_graph(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 30)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.12]
+    return rng, n, edges
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_component_sets_match_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    rng, n, edges = _random_graph(seed)
+    adj = adjacency_lists(n, edges)
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(edges)
+    assert adj == [sorted(G[v]) for v in range(n)]
+    blocked = set(rng.sample(range(n), rng.randint(0, n // 2)))
+    for cut in ((), blocked):
+        kept = G.subgraph(set(range(n)) - set(cut))
+        want = sorted((set(c) for c in nx.connected_components(kept)), key=min)
+        assert component_sets(adj, cut) == want
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_bfs_dist_adj_matches_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    rng, n, edges = _random_graph(seed)
+    adj = adjacency_lists(n, edges)
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(edges)
+    sources = rng.sample(range(n), rng.randint(1, min(4, n)))
+    within = set(sources) | set(rng.sample(range(n), rng.randint(0, n)))
+    for allowed in (None, within):
+        H = G if allowed is None else G.subgraph(allowed)
+        lengths = nx.multi_source_dijkstra_path_length(H, sources)
+        want = [lengths.get(v, math.inf) for v in range(n)]
+        assert bfs_dist_adj(adj, *sources, within=allowed) == want
 
 
 def test_ml_min_degree_examples():
