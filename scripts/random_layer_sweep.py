@@ -10,22 +10,9 @@ Run:  python scripts/random_layer_sweep.py [seeds]
 
 import sys
 
-from mlcr.bounds import EnumerationBudgetExceeded, domination_bound, domset_greedy, mec_check
+from mlcr.bounds import domination_bound, domset_greedy, mec_lower_bound
 from mlcr.core import ml_min_degree
 from mlcr.generators import gen_random_layers
-
-
-def mec_floor(g, cap=3):
-    best = 0
-    for k in range(1, cap + 1):
-        try:
-            if mec_check(g, k):
-                best = k
-            else:
-                break
-        except EnumerationBudgetExceeded:
-            break
-    return best
 
 
 def main():
@@ -39,7 +26,7 @@ def main():
                     delta = ml_min_degree(g)
                     gamma = len(domset_greedy(g))
                     bound = domination_bound(n, tau, delta) if delta >= 1 else float("nan")
-                    print(f"{n},{p},{tau},{seed},{delta},{gamma},{bound:.2f},{mec_floor(g)}")
+                    print(f"{n},{p},{tau},{seed},{delta},{gamma},{bound:.2f},{mec_lower_bound(g, 3)}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Edge, MlgError, MultiLayerGraph, flatten
+from .core import Edge, MlgError, MultiLayerGraph, adjacency_lists, flatten, neighbour_masks
 
 MEC_ENUMERATION_BUDGET = 10**8
 DOMSET_EXACT_LIMIT = 40
@@ -28,12 +28,22 @@ class EnumerationBudgetExceeded(MlgError):
 # -- multi-layer existential closure ------------------------------------------------
 
 
+def _closed_masks(g: MultiLayerGraph) -> list[list[int]]:
+    return [
+        [m | (1 << v) for v, m in enumerate(neighbour_masks(g.layer_view(i).adjacency))]
+        for i in range(g.tau)
+    ]
+
+
 def mec_check(g: MultiLayerGraph, k: int) -> bool:
     """Exact (1, k) multi-layer existential closure.
 
     For every choice of vertex sets S_1..S_tau with total size k: the union
     must not cover V, and every vertex outside the union needs a robber
     neighbour outside the union with no layer-i edge to any member of S_i.
+    Call those unthreatened outside vertices `free`.  On a complete robber
+    layer the condition is that `free` holds two vertices; otherwise the
+    robber neighbourhood of `free` must cover every outside vertex.
     Short-circuits on the first violation.
     """
 
@@ -43,39 +53,46 @@ def mec_check(g: MultiLayerGraph, k: int) -> bool:
     work = math.comb(tau * n, k) * n
     if work > MEC_ENUMERATION_BUDGET:
         raise EnumerationBudgetExceeded(f"(tau*n choose k)*n = {work} exceeds {MEC_ENUMERATION_BUDGET}")
-    pairs = [(v, i) for i in range(tau) for v in range(n)]
-    layer_adj = [g.layer_view(i).adjacency for i in range(tau)]
-    robber_complete = g.robber_is_complete()
-    # the adjacency of a complete robber layer is never read
-    robber_adj = None if robber_complete else g.robber_view().adjacency
-
-    layer_nbr_masks = [
-        [sum(1 << w for w in layer_adj[i][v]) for v in range(n)] for i in range(tau)
-    ]
+    # pair p is (vertex p % n, layer p // n); it covers its closed layer neighbourhood
+    closed = [m for masks in _closed_masks(g) for m in masks]
     full = (1 << n) - 1
-    for chosen in combinations(pairs, k):
-        occupied = 0
-        threat = 0  # vertices adjacent (in the right layer) to some chosen pair
-        for v, i in chosen:
-            occupied |= 1 << v
-            threat |= layer_nbr_masks[i][v]
-        if occupied == full:
-            return False
-        bad = occupied | threat
-        outside = full & ~occupied
-        rem = outside
-        while rem:
-            vbit = rem & (-rem)
-            rem ^= vbit
-            v = vbit.bit_length() - 1
-            if robber_complete:
-                candidates = outside & ~vbit & ~bad
-            else:
-                rnbrs = sum(1 << w for w in robber_adj[v])
-                candidates = rnbrs & outside & ~bad
-            if not candidates:
+    if g.robber_is_complete():  # its adjacency is never read
+        for chosen in combinations(closed, k):
+            covered = 0
+            for m in chosen:
+                covered |= m
+            if (full & ~covered).bit_count() < 2:
                 return False
+        return True
+    robber_masks = neighbour_masks(g.robber_view().adjacency)
+    for chosen in combinations(enumerate(closed), k):
+        occupied = covered = 0
+        for p, m in chosen:
+            occupied |= 1 << (p % n)
+            covered |= m
+        outside = full & ~occupied
+        free = full & ~covered
+        reach = 0
+        while free:
+            wbit = free & -free
+            free ^= wbit
+            reach |= robber_masks[wbit.bit_length() - 1]
+        if not outside or outside & ~reach:
+            return False
     return True
+
+
+def mec_lower_bound(g: MultiLayerGraph, max_k: float = math.inf) -> int:
+    """Largest k <= max_k such that mec_check holds for 1..k; the search
+    stops early when the enumeration budget runs out."""
+
+    k = 0
+    try:
+        while k < max_k and mec_check(g, k + 1):
+            k += 1
+    except EnumerationBudgetExceeded:
+        pass
+    return k
 
 
 def clique_lb_check(g: MultiLayerGraph, k: int) -> bool:
@@ -129,14 +146,7 @@ class DominatingSet:
         return f"DOMSET {len(self.pairs)} {body}\n"
 
 
-def _closed_masks(g: MultiLayerGraph) -> list[list[int]]:
-    return [
-        [sum(1 << w for w in g.layer_view(i).adjacency[v]) | (1 << v) for v in range(g.n)]
-        for i in range(g.tau)
-    ]
-
-
-def domset_exact(g: MultiLayerGraph, size_cap: int | None = None) -> DominatingSet | None:
+def domset_exact(g: MultiLayerGraph) -> DominatingSet:
     """Minimum multi-layer dominating set by branch and bound.
 
     Branches on the lowest uncovered vertex: some chosen pair must cover
@@ -151,31 +161,25 @@ def domset_exact(g: MultiLayerGraph, size_cap: int | None = None) -> DominatingS
         )
     masks = _closed_masks(g)
     full = (1 << n) - 1
-    # pairs that cover vertex v
+    # pairs that cover vertex w, in (layer, vertex) order
     coverers: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for i in range(tau):
-        for v in range(n):
-            m = masks[i][v]
-            rem = m
-            while rem:
-                bit = rem & (-rem)
-                rem ^= bit
-                coverers[bit.bit_length() - 1].append((v, i, m))
+        for v, nbrs in enumerate(g.layer_view(i).adjacency):
+            for w in (v, *nbrs):
+                coverers[w].append((v, i, masks[i][v]))
 
     greedy = domset_greedy(g)
     best_size = len(greedy)
     best = frozenset(greedy.pairs)
-    cap = best_size if size_cap is None else min(best_size, size_cap)
 
     def recurse(covered: int, chosen: tuple[tuple[int, int], ...]):
-        nonlocal best, best_size, cap
+        nonlocal best, best_size
         if covered == full:
             if len(chosen) < best_size:
                 best_size = len(chosen)
                 best = frozenset(chosen)
-                cap = min(cap, best_size)
             return
-        if len(chosen) + 1 > cap:
+        if len(chosen) + 1 > best_size:
             return
         uncovered = full & ~covered
         v = (uncovered & (-uncovered)).bit_length() - 1
@@ -183,10 +187,7 @@ def domset_exact(g: MultiLayerGraph, size_cap: int | None = None) -> DominatingS
             recurse(covered | m, chosen + ((w, i),))
 
     recurse(0, ())
-    result = DominatingSet(best)
-    if size_cap is not None and len(result) > size_cap:
-        return None
-    return result
+    return DominatingSet(best)
 
 
 def domset_greedy(g: MultiLayerGraph) -> DominatingSet:
@@ -339,10 +340,8 @@ def treewidth_exact_small(edges: list[Edge] | tuple[Edge, ...], n: int) -> tuple
 
     if n > TREEWIDTH_EXACT_LIMIT:
         raise EnumerationBudgetExceeded(f"n = {n} exceeds exact treewidth limit {TREEWIDTH_EXACT_LIMIT}")
-    nbr = [0] * n
-    for u, v in edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
+    adjacency = adjacency_lists(n, edges)
+    nbr = neighbour_masks(adjacency)
 
     def q(eliminated: int, v: int) -> int:
         """Neighbours of v in the graph where `eliminated` has been contracted away."""
@@ -391,18 +390,13 @@ def treewidth_exact_small(edges: list[Edge] | tuple[Edge, ...], n: int) -> tuple
 
     # fill-in along the order; bag of v = v plus its later neighbours
     pos = {v: i for i, v in enumerate(order)}
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = [set(a) for a in adjacency]
     bags: list[frozenset[int]] = []
     for i, v in enumerate(order):
         later = {w for w in adj[v] if pos[w] > i}
         bags.append(frozenset(later | {v}))
         for a in later:
-            for b in later:
-                if a != b:
-                    adj[a].add(b)
+            adj[a] |= later - {a}
     # connect bag i to the bag of the earliest-eliminated later vertex in it;
     # bags with no later vertex are component roots, chained together so the
     # result is a single tree even for disconnected graphs

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import sys
 import time
 
@@ -44,21 +43,6 @@ def _say_time(label: str, t0: float) -> None:
     print(f"# {label}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
 
 
-def _mec_lower_bound(g, max_k: float = math.inf) -> int:
-    """Largest k <= max_k such that mec_check holds for 1..k; the search
-    stops early when the enumeration budget runs out."""
-
-    from .bounds import EnumerationBudgetExceeded, mec_check
-
-    k = 0
-    try:
-        while k < max_k and mec_check(g, k + 1):
-            k += 1
-    except EnumerationBudgetExceeded:
-        pass
-    return k
-
-
 def _int_list(text: str, option: str) -> tuple[int, ...]:
     """The value of `option` (`--allocation`, `--seeds`): comma-separated integers."""
 
@@ -77,10 +61,8 @@ def cmd_solve(args) -> int:
     modes = [m for m in (args.allocation, args.cops, args.free_choice) if m is not None]
     if len(modes) != 1:
         raise MlgError("pass exactly one of --allocation/--cops/--free-choice")
-    tree_ok = is_tree(g.robber_layer_edges(), g.n)
-    if args.tree_fast and not tree_ok:
-        raise MlgError("--tree-fast requires a tree robber layer")
-    use_tree = tree_ok if args.tree_fast is None else args.tree_fast
+    # a complete robber layer is a tree iff n <= 2; its edges are never listed
+    use_tree = g.n <= 2 if g.robber_is_complete() else is_tree(g.robber_layer_edges(), g.n)
     if args.allocation is not None:
         plan = AllocationPlan(_int_list(args.allocation, "--allocation"))
         if len(plan.counts) != g.tau:
@@ -169,13 +151,14 @@ def cmd_bounds(args) -> int:
         EnumerationBudgetExceeded,
         domset_exact,
         domset_greedy,
+        mec_lower_bound,
         treewidth_exact_small,
     )
     from .core import flatten
 
     t0 = time.perf_counter()
     g = parse_mlg_file(args.graph)
-    print(f"LB_mec={_mec_lower_bound(g, args.max_k)}")
+    print(f"LB_mec={mec_lower_bound(g, args.max_k)}")
     try:
         ds = domset_exact(g)
         print(f"UB_domset={len(ds)}")
@@ -247,7 +230,7 @@ def cmd_play(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from .bounds import domination_bound, domset_greedy
+    from .bounds import domination_bound, domset_greedy, mec_lower_bound
     from .generators import gen_random_layers
 
     t0 = time.perf_counter()
@@ -267,7 +250,7 @@ def cmd_experiment(args) -> int:
             "delta_mlg": delta,
             "gamma_greedy": gamma,
             "domination_bound": f"{bound:.4f}",
-            "mec_lb_k": _mec_lower_bound(g),
+            "mec_lb_k": mec_lower_bound(g),
         }, time.perf_counter() - row_t
 
     results = [one_row(s) for s in seeds]
@@ -321,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allocation", help="per-layer cop counts, e.g. 2,0")
     p.add_argument("--cops", type=int, help="total cops, solver picks the allocation")
     p.add_argument("--free-choice", type=int, help="total cops, robber picks its layer")
-    p.add_argument("--tree-fast", action="store_true", default=None,
-                   help="force the tree-robber fast path (auto when the robber layer is a tree)")
     p.add_argument("--dump-table", help="write the solved table in CWT1 format to this file")
     p.set_defaults(func=cmd_solve)
 

@@ -266,19 +266,15 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 # -- basic operations ---------------------------------------------------------
 
 
-def flatten(g: MultiLayerGraph, include_robber: bool = False) -> tuple[Edge, ...]:
-    """Union of all cop layers (optionally also an explicit robber layer)."""
+def flatten(g: MultiLayerGraph) -> tuple[Edge, ...]:
+    """Union of all cop layers."""
 
-    key = ("flatten", include_robber)
-    if key not in g._cache:
+    if "flatten" not in g._cache:
         es: set[Edge] = set()
         for layer in g.layers:
             es.update(layer)
-        if include_robber and g.robber_spec is RobberSpec.EXPLICIT:
-            assert g.robber_edges is not None
-            es.update(g.robber_edges)
-        g._cache[key] = tuple(sorted(es))
-    return g._cache[key]
+        g._cache["flatten"] = tuple(sorted(es))
+    return g._cache["flatten"]
 
 
 def bfs_dist(g: MultiLayerGraph, layer: int, source: int) -> list[float]:
@@ -300,6 +296,18 @@ def adjacency_lists(n: int, edges: Iterable[Sequence[int]]) -> list[list[int]]:
     for a in adj:
         a.sort()
     return adj
+
+
+def neighbour_masks(adjacency: Sequence[Sequence[int]]) -> list[int]:
+    """Each vertex's neighbours as a bitmask: bit w is set for every neighbour w."""
+
+    masks = []
+    for nbrs in adjacency:
+        m = 0
+        for w in nbrs:
+            m |= 1 << w
+        masks.append(m)
+    return masks
 
 
 def component_sets(adjacency: Sequence[Sequence[int]], blocked: Iterable[int] = ()) -> list[set[int]]:

@@ -33,6 +33,7 @@ from .core import (
     girth,
     is_connected_edges,
     min_degree,
+    neighbour_masks,
 )
 
 
@@ -169,7 +170,6 @@ def petersen() -> tuple[Edge, ...]:
 
 def gen_min_counterexample(
     base: tuple[tuple[Edge, ...], int] | None = None,
-    min_base_degree: int = 2,
 ) -> tuple[MultiLayerGraph, ConstructionReport]:
     """Two-layer graph on 2n-1 vertices whose layers each need many cops
     while two cops (one per layer) win by camping on the shared hub.
@@ -177,7 +177,7 @@ def gen_min_counterexample(
     Layer 1 carries the base graph on vertices 0..n-1 plus pendant edges
     from the hub n-1 to every vertex n..2n-2; layer 2 carries the base
     mirrored onto n-1..2n-2 plus pendants from the hub to 0..n-2.  The base
-    must have girth >= 5 and minimum degree >= min_base_degree.
+    must have girth >= 5 and minimum degree >= 2.
     """
 
     if base is None:
@@ -188,8 +188,8 @@ def gen_min_counterexample(
     dmin = min_degree(base_edges, nb)
     if gi < 5:
         raise ConstructionError(f"base graph has girth {gi}, need >= 5")
-    if dmin < min_base_degree:
-        raise ConstructionError(f"base graph has min degree {dmin}, need >= {min_base_degree}")
+    if dmin < 2:
+        raise ConstructionError(f"base graph has min degree {dmin}, need >= 2")
     if not is_connected_edges(base_edges, nb):
         raise ConstructionError("base graph must be connected")
 
@@ -507,7 +507,17 @@ def gen_random_layers(
     return _finish(g, report)
 
 
-def gen_random_regular(n: int, d: int, seed: int, max_tries: int = 1000) -> tuple[Edge, ...]:
+# -- cops-bane family -----------------------------------------------------------------
+
+REGULAR_TRIES = 1000
+COLOURING_FLIPS = 20000
+EXPANSION_SAMPLES = 20000
+EXPANSION_EXACT_LIMIT = 20
+CLUSTERING_CAP = 2000
+EXPANDER_RESAMPLES = 50
+
+
+def gen_random_regular(n: int, d: int, seed: int) -> tuple[Edge, ...]:
     """Random d-regular simple graph via the configuration model with rejection."""
 
     if (n * d) % 2 != 0:
@@ -515,7 +525,7 @@ def gen_random_regular(n: int, d: int, seed: int, max_tries: int = 1000) -> tupl
     if not 0 <= d < n:
         raise MlgError("need 0 <= d < n")
     rng = random.Random(f"regular:{n}:{d}:{seed}")
-    for _ in range(max_tries):
+    for _ in range(REGULAR_TRIES):
         stubs = [v for v in range(n) for _ in range(d)]
         rng.shuffle(stubs)
         edges: set[Edge] = set()
@@ -532,10 +542,7 @@ def gen_random_regular(n: int, d: int, seed: int, max_tries: int = 1000) -> tupl
             edges.add(e)
         if ok:
             return tuple(sorted(edges))
-    raise ConstructionError(f"failed to sample a simple {d}-regular graph in {max_tries} tries")
-
-
-# -- cops-bane family -----------------------------------------------------------------
+    raise ConstructionError(f"failed to sample a simple {d}-regular graph in {REGULAR_TRIES} tries")
 
 
 def _mono_components(edges: list[Edge], n: int, coloring: dict[Edge, int], colour: int) -> list[set[int]]:
@@ -545,7 +552,7 @@ def _mono_components(edges: list[Edge], n: int, coloring: dict[Edge, int], colou
     return [comp for comp in component_sets(adj) if len(comp) >= 2]
 
 
-def two_edge_coloring(edges: list[Edge], n: int, seed: int, iteration_cap: int = 20000) -> tuple[dict[Edge, int], int]:
+def two_edge_coloring(edges: list[Edge], n: int, seed: int) -> tuple[dict[Edge, int], int]:
     """Repair-based local search for a 2-edge-colouring with small
     monochromatic components.  Returns the colouring and the achieved
     clustering (largest monochromatic component, in vertices)."""
@@ -557,7 +564,7 @@ def two_edge_coloring(edges: list[Edge], n: int, seed: int, iteration_cap: int =
     coloring = {e: rng.randrange(2) for e in edges}
     comps = components()
     current = max((len(comp) for _, comp in comps), default=0)
-    for _ in range(iteration_cap):
+    for _ in range(COLOURING_FLIPS):
         if current <= 2:
             break
         # flip a random edge out of the first largest monochromatic component
@@ -574,47 +581,38 @@ def two_edge_coloring(edges: list[Edge], n: int, seed: int, iteration_cap: int =
     return coloring, current
 
 
+def _expansion_ratio(nbr: list[int], subset) -> float:
+    """|N(S) \\ S| / |S| for the vertex set `subset`, given neighbour masks."""
+
+    mask = 0
+    out = 0
+    for v in subset:
+        mask |= 1 << v
+        out |= nbr[v]
+    return (out & ~mask).bit_count() / len(subset)
+
+
 def exact_vertex_expansion(edges: list[Edge], n: int) -> float:
     """min over nonempty S with |S| <= n/2 of |N(S) \\ S| / |S| (exhaustive)."""
 
-    nbr = [0] * n
-    for u, v in edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
+    nbr = neighbour_masks(adjacency_lists(n, edges))
     best = math.inf
     for size in range(1, n // 2 + 1):
         for subset in combinations(range(n), size):
-            mask = 0
-            out = 0
-            for v in subset:
-                mask |= 1 << v
-            for v in subset:
-                out |= nbr[v]
-            out &= ~mask
-            ratio = bin(out).count("1") / size
-            if ratio < best:
-                best = ratio
+            best = min(best, _expansion_ratio(nbr, subset))
     return best
 
 
-def sampled_vertex_expansion(edges: list[Edge], n: int, seed: int, samples: int = 20000) -> float:
+def sampled_vertex_expansion(edges: list[Edge], n: int, seed: int) -> float:
     """Lowest outside-neighbourhood ratio over random subsets (an upper
     bound on the true expansion; reported as a heuristic estimate)."""
 
     rng = random.Random(f"expansion:{seed}")
-    nbr: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        nbr[u].add(v)
-        nbr[v].add(u)
+    nbr = neighbour_masks(adjacency_lists(n, edges))
     best = math.inf
-    for _ in range(samples):
+    for _ in range(EXPANSION_SAMPLES):
         size = rng.randint(1, n // 2)
-        subset = set(rng.sample(range(n), size))
-        out = set()
-        for v in subset:
-            out |= nbr[v]
-        ratio = len(out - subset) / size
-        best = min(best, ratio)
+        best = min(best, _expansion_ratio(nbr, rng.sample(range(n), size)))
     return best
 
 
@@ -628,9 +626,6 @@ def graph_diameter(edges: list[Edge], n: int) -> int:
             raise ConstructionError("diameter of a disconnected graph")
         diam = max(diam, int(worst))
     return diam
-
-
-EXPANSION_EXACT_LIMIT = 20
 
 
 @dataclass
@@ -653,8 +648,6 @@ def copsbane_layout(
     alpha: float = 0.3,
     D: int | None = None,
     seed: int = 0,
-    clustering_cap: int = 2000,
-    max_resamples: int = 50,
 ) -> CopsbaneLayout:
     """Sample the expander core, colour it, and lay out the star arms."""
 
@@ -663,7 +656,7 @@ def copsbane_layout(
     expansion = -math.inf
     exact = N <= EXPANSION_EXACT_LIMIT
     x_edges: tuple[Edge, ...] = ()
-    for attempt in range(max_resamples):
+    for attempt in range(EXPANDER_RESAMPLES):
         x_edges = gen_random_regular(N, 3, seed * 1000 + attempt)
         if not is_connected_edges(x_edges, N):
             continue
@@ -676,12 +669,12 @@ def copsbane_layout(
             break
     else:
         raise ConstructionError(
-            f"no 3-regular graph with expansion >= {alpha} found in {max_resamples} attempts"
+            f"no 3-regular graph with expansion >= {alpha} found in {EXPANDER_RESAMPLES} attempts"
         )
     coloring, clustering = two_edge_coloring(list(x_edges), N, seed)
-    if clustering > clustering_cap:
+    if clustering > CLUSTERING_CAP:
         raise ConstructionError(
-            f"achieved clustering {clustering} exceeds cap {clustering_cap}"
+            f"achieved clustering {clustering} exceeds cap {CLUSTERING_CAP}"
         )
     if D is None:
         D = 2 * graph_diameter(list(x_edges), N)
@@ -709,14 +702,13 @@ def gen_copsbane(
     alpha: float = 0.3,
     D: int | None = None,
     seed: int = 0,
-    clustering_cap: int = 2000,
 ) -> tuple[MultiLayerGraph, ConstructionReport, CopsbaneLayout]:
     """Expander core plus a subdivided star: each cop layer is one colour
     class of the core together with all star arms, the robber layer is the
     core itself.  Arms have 2D+1 edges so cops crossing between core
     components through the hub are visible long in advance."""
 
-    layout = copsbane_layout(N, alpha=alpha, D=D, seed=seed, clustering_cap=clustering_cap)
+    layout = copsbane_layout(N, alpha=alpha, D=D, seed=seed)
     D = layout.D
     star: list[Edge] = []
     for x in range(N):
@@ -746,7 +738,7 @@ def gen_copsbane(
     report.add("arm_length", all(len(layout.arm_interior[x]) + 1 == arm_len for x in range(N)), arm_len)
     kind = "exact" if layout.expansion_exact else "HEURISTIC"
     report.add("expansion", layout.expansion >= alpha, f"{layout.expansion:.4f} ({kind})")
-    report.add("clustering", layout.clustering <= clustering_cap, layout.clustering)
+    report.add("clustering", layout.clustering <= CLUSTERING_CAP, layout.clustering)
     mono_ok = True
     for colour in (0, 1):
         for comp in _mono_components(list(layout.expander_edges), N, layout.coloring, colour):

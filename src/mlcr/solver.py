@@ -115,13 +115,6 @@ class CopWinTable:
         self._chase: dict[tuple[int, int], list[float]] = {}
 
     @property
-    def alloc(self) -> AllocationPlan:
-        counts = [0] * self.graph.tau
-        for layer in self.assignment:
-            counts[layer] += 1
-        return AllocationPlan(tuple(counts))
-
-    @property
     def n_states(self) -> int:
         return self.rank.shape[0]
 

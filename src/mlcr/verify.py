@@ -485,8 +485,9 @@ def _c14(budget):
 
     ok = True
     details = []
+    built = {}
     for N in (8, 12, 16, 20):
-        g, report, layout = gen_copsbane(N, seed=3)
+        g, report, layout = built[N] = gen_copsbane(N, seed=3)
         details.append(
             f"N={N}: validator {'PASS' if report.ok else 'FAIL'}, D={layout.D}, "
             f"arm length {2 * layout.D + 1}, clustering {layout.clustering}, "
@@ -496,7 +497,7 @@ def _c14(budget):
     captures = 0
     matches = 0
     for N in (20, 50):
-        g, _, layout = gen_copsbane(N, seed=3)
+        g, _, layout = built[N] if N in built else gen_copsbane(N, seed=3)
         for seed in range(20):
             rec = run_match(g, AllocationPlan((2, 2)), GreedyCops(), CopsbaneRobber(layout), T=1000, seed=seed)
             matches += 1

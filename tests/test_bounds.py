@@ -59,6 +59,57 @@ def test_mec_budget_guard():
     assert mec_check(g, 1)  # guard does not fire for small cases
 
 
+def _mec_reference(g, k):
+    """The per-vertex enumeration `mec_check` replaced: for every k-subset of
+    (vertex, layer) pairs, each vertex outside the subset needs a robber
+    neighbour outside it that no chosen pair threatens."""
+
+    n = g.n
+    if k == 0:
+        return n >= 1
+    pairs = [(v, i) for i in range(g.tau) for v in range(n)]
+    layer_adj = [g.layer_view(i).adjacency for i in range(g.tau)]
+    robber_complete = g.robber_is_complete()
+    robber_adj = None if robber_complete else g.robber_view().adjacency
+    full = (1 << n) - 1
+    for chosen in itertools.combinations(pairs, k):
+        occupied = 0
+        threat = 0
+        for v, i in chosen:
+            occupied |= 1 << v
+            threat |= sum(1 << w for w in layer_adj[i][v])
+        if occupied == full:
+            return False
+        bad = occupied | threat
+        outside = full & ~occupied
+        for v in range(n):
+            vbit = 1 << v
+            if not outside & vbit:
+                continue
+            if robber_complete:
+                candidates = outside & ~vbit & ~bad
+            else:
+                candidates = sum(1 << w for w in robber_adj[v]) & outside & ~bad
+            if not candidates:
+                return False
+    return True
+
+
+def test_mec_check_equals_per_vertex_reference():
+    from mlcr.verify import random_instance
+
+    rng = random.Random(20261018)
+    seen = {spec: [0, 0] for spec in RobberSpec}  # spec -> [holds, fails]
+    for _ in range(1900):
+        g = random_instance(rng, n_max=8, tau_max=3)
+        for k in range(4):
+            expected = _mec_reference(g, k)
+            assert mec_check(g, k) == expected, (g, k)
+            seen[g.robber_spec][not expected] += 1
+    assert sum(map(sum, seen.values())) >= 7500
+    assert all(holds and fails for holds, fails in seen.values()), seen
+
+
 # -- clique lower bound ------------------------------------------------------------------
 
 
@@ -110,11 +161,6 @@ def test_domset_exact_guard():
     g = MultiLayerGraph(n=30, layers=(cycle(30), cycle(30)))
     with pytest.raises(EnumerationBudgetExceeded):
         domset_exact(g)
-
-
-def test_domset_exact_size_cap():
-    g, _ = gen_cycle_matchings(3)
-    assert domset_exact(g, size_cap=2) is None
 
 
 def test_domset_validity_random():

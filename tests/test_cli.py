@@ -87,6 +87,21 @@ def test_solve_tree_fast_path(tmp_path, capsys):
     assert code == 0 and "METHOD=tree" in out
 
 
+@pytest.mark.parametrize("mode", [["--allocation", "1"], ["--cops", "1"], ["--free-choice", "1"]])
+def test_solve_never_lists_a_complete_robber_layer(mode, tmp_path, capsys, monkeypatch):
+    import mlcr.core
+    from mlcr.core import MultiLayerGraph, RobberSpec
+
+    # below the graph's size, listing the robber layer's edges raises MlgError (exit 2)
+    monkeypatch.setattr(mlcr.core, "COMPLETE_MATERIALISE_LIMIT", 3)
+    g = MultiLayerGraph(n=5, layers=(((0, 1), (1, 2), (2, 3), (3, 4)),), robber_spec=RobberSpec.COMPLETE)
+    path = tmp_path / "k5.mlg"
+    write_mlg_file(g, path)
+    code, out, err = run_cli(["solve", str(path), *mode], capsys)
+    assert code in (0, 1), err
+    assert "VERDICT=" in out
+
+
 # -- generate ---------------------------------------------------------------------------
 
 

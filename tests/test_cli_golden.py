@@ -12,13 +12,14 @@ import pytest
 
 from mlcr.cli import main
 from mlcr.core import MultiLayerGraph, RobberSpec, write_mlg_file
-from mlcr.generators import gen_copsbane, gen_grid, gen_slices
+from mlcr.generators import gen_copsbane, gen_cycle_matchings, gen_grid, gen_slices
 
 GRAPHS = {
     "grid4.mlg": gen_grid(4)[0],
     "grid6.mlg": gen_grid(6)[0],
     "slices2.mlg": gen_slices(2)[0],
     "copsbane8.mlg": gen_copsbane(8, seed=3)[0],
+    "cycle6.mlg": gen_cycle_matchings(6)[0],  # 12 vertices, UNION robber layer
     # one cop on the path 0-1-2-3 cannot guard the tree edge 0-3 (robber win)
     "tree4.mlg": MultiLayerGraph(
         n=4,
@@ -73,8 +74,9 @@ CASES = {
         "METHOD=tree\nALLOCATION=2,0\nVERDICT=COP\nASSIGNMENT=0,0\nPLACEMENT=0,0\n",
         {},
     ),
+    # the tree path, picked by detection (the `--tree-fast` flag that forced it is gone)
     "solve-tree-fast-cop": (
-        ["solve", "{dir}/tree4.mlg", "--allocation", "2", "--tree-fast"],
+        ["solve", "{dir}/tree4.mlg", "--allocation", "2"],
         0,
         "METHOD=tree\nALLOCATION=2\nVERDICT=COP\nASSIGNMENT=0,0\nPLACEMENT=0,0\n",
         {},
@@ -125,6 +127,27 @@ CASES = {
         ["bounds", "{dir}/grid4.mlg"],
         0,
         "LB_mec=1\nUB_domset=6\nUB_treewidth=n/a (too large)\n",
+        {},
+    ),
+    # both dumps, each block rendered after its bound line
+    "bounds-cycle6-dumps": (
+        ["bounds", "{dir}/cycle6.mlg", "--dump-domset", "--dump-td"],
+        0,
+        "LB_mec=1\nUB_domset=6\nDOMSET 6 0:1 2:1 4:1 6:1 8:1 10:1\n"
+        "UB_treewidth=n/a (disconnected layer)\nTD 12 width=2\nBAG 0 0 10 11\nBAG 1 0 9 10\n"
+        "BAG 2 0 8 9\nBAG 3 0 7 8\nBAG 4 0 6 7\nBAG 5 0 5 6\nBAG 6 0 4 5\nBAG 7 0 3 4\n"
+        "BAG 8 0 2 3\nBAG 9 0 1 2\nBAG 10 0 1\nBAG 11 0\nEDGE 0 1\nEDGE 1 2\nEDGE 2 3\nEDGE 3 4\n"
+        "EDGE 4 5\nEDGE 5 6\nEDGE 6 7\nEDGE 7 8\nEDGE 8 9\nEDGE 9 10\nEDGE 10 11\n",
+        {},
+    ),
+    # dense layers: existential closure holds up to k = 3 on both graphs
+    "experiment-n48-mec3": (
+        ["experiment", "-n", "48", "--p", "0.5", "--tau", "2", "--seeds", "1,2"],
+        0,
+        "format,n,p,tau,seed,delta_mlg,gamma_greedy,domination_bound,mec_lb_k\n"
+        "mlcr-experiment-v1,48,0.5,2,1,16,5,17.0519,3\n"
+        "mlcr-experiment-v1,48,0.5,2,2,17,4,16.4276,3\n"
+        "summary,mean_gamma=4.500,mean_delta=16.500\n",
         {},
     ),
     "simulate-tablebase-record": (
@@ -237,8 +260,7 @@ HELP = {
     ),
     'solve': (
         'usage: mlcr solve [-h] [--allocation ALLOCATION] [--cops COPS]\n'
-        '                  [--free-choice FREE_CHOICE] [--tree-fast]\n'
-        '                  [--dump-table DUMP_TABLE]\n'
+        '                  [--free-choice FREE_CHOICE] [--dump-table DUMP_TABLE]\n'
         '                  graph\n'
         '\n'
         'positional arguments:\n'
@@ -251,8 +273,6 @@ HELP = {
         '  --cops COPS           total cops, solver picks the allocation\n'
         '  --free-choice FREE_CHOICE\n'
         '                        total cops, robber picks its layer\n'
-        '  --tree-fast           force the tree-robber fast path (auto when the robber\n'
-        '                        layer is a tree)\n'
         '  --dump-table DUMP_TABLE\n'
         '                        write the solved table in CWT1 format to this file\n'
     ),
