@@ -23,8 +23,8 @@ def main():
         record = run_match(g, plan, GridCopGuard(n), robber, T=40 * n * n, seed=1)
     elif kind == "copsbane":
         N = int(sys.argv[2]) if len(sys.argv) > 2 else 20
-        g, _, layout = gen_copsbane(N, seed=3)
-        record = run_match(g, AllocationPlan((2, 2)), GreedyCops(), CopsbaneRobber(layout), T=200, seed=1)
+        g, _, _ = gen_copsbane(N, seed=3)
+        record = run_match(g, AllocationPlan((2, 2)), GreedyCops(), CopsbaneRobber(), T=200, seed=1)
     else:
         raise SystemExit(f"unknown match kind {kind!r}")
     sys.stdout.write(record.render())

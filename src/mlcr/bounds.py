@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Edge, MlgError, MultiLayerGraph, adjacency_lists, flatten, neighbour_masks
+from .core import Edge, MlgError, MultiLayerGraph, adjacency_lists, component_sets, flatten, neighbour_masks
 
 MEC_ENUMERATION_BUDGET = 10**8
 DOMSET_EXACT_LIMIT = 40
@@ -292,39 +292,14 @@ def td_validate(decomp: TreeDecomposition, edges: list[Edge] | tuple[Edge, ...],
             return False
     # tree must actually be a tree on the bag indices
     nb = len(bags)
-    if len(decomp.tree) != nb - 1:
+    if len(decomp.tree) != nb - 1 or not all(0 <= a < nb and 0 <= b < nb for a, b in decomp.tree):
         return False
-    tadj: list[list[int]] = [[] for _ in range(nb)]
-    for a, b in decomp.tree:
-        if not (0 <= a < nb and 0 <= b < nb):
-            return False
-        tadj[a].append(b)
-        tadj[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in tadj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != nb:
+    tadj = adjacency_lists(nb, decomp.tree)
+    if len(component_sets(tadj)) != 1:
         return False
     # running intersection: bags containing v induce a connected subtree
     for v in range(n):
-        holder = [i for i in range(nb) if v in bags[i]]
-        if not holder:
-            return False
-        hs = set(holder)
-        comp = {holder[0]}
-        stack = [holder[0]]
-        while stack:
-            x = stack.pop()
-            for y in tadj[x]:
-                if y in hs and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        if comp != hs:
+        if len(component_sets(tadj, [i for i in range(nb) if v not in bags[i]])) != 1:
             return False
     return True
 

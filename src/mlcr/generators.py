@@ -634,8 +634,6 @@ class CopsbaneLayout:
 
     N: int
     D: int
-    hub: int
-    arm_interior: dict[int, list[int]]  # expander vertex -> interior path, hub side first
     expander_edges: tuple[Edge, ...]
     coloring: dict[Edge, int]
     clustering: int
@@ -678,23 +676,29 @@ def copsbane_layout(
         )
     if D is None:
         D = 2 * graph_diameter(list(x_edges), N)
-    hub = N
-    arm_interior: dict[int, list[int]] = {}
-    nxt = N + 1
-    for x in range(N):
-        arm_interior[x] = list(range(nxt, nxt + 2 * D))
-        nxt += 2 * D
     return CopsbaneLayout(
         N=N,
         D=D,
-        hub=hub,
-        arm_interior=arm_interior,
         expander_edges=x_edges,
         coloring=coloring,
         clustering=clustering,
         expansion=expansion,
         expansion_exact=exact,
     )
+
+
+def copsbane_layers(
+    N: int, D: int, core: tuple[Edge, ...], coloring: dict[Edge, int]
+) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
+    """The two cop layers: one colour class of the core each, plus the star
+    whose arm from the hub N to core vertex x runs through the interior
+    vertices N+1+2Dx, ..., N+2D(x+1), hub side first."""
+
+    star: list[Edge] = []
+    for x in range(N):
+        path = [N, *range(N + 1 + 2 * D * x, N + 1 + 2 * D * (x + 1)), x]
+        star.extend((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
+    return tuple(tuple(sorted([e for e in core if coloring[e] == colour] + star)) for colour in (0, 1))
 
 
 def gen_copsbane(
@@ -710,18 +714,10 @@ def gen_copsbane(
 
     layout = copsbane_layout(N, alpha=alpha, D=D, seed=seed)
     D = layout.D
-    star: list[Edge] = []
-    for x in range(N):
-        path = [layout.hub] + layout.arm_interior[x] + [x]
-        star.extend((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
-    e1 = [e for e in layout.expander_edges if layout.coloring[e] == 0]
-    e2 = [e for e in layout.expander_edges if layout.coloring[e] == 1]
-    c1 = tuple(sorted(e1 + star))
-    c2 = tuple(sorted(e2 + star))
     nv = N + 1 + N * 2 * D
     g = MultiLayerGraph(
         n=nv,
-        layers=(c1, c2),
+        layers=copsbane_layers(N, D, layout.expander_edges, layout.coloring),
         robber_spec=RobberSpec.EXPLICIT,
         robber_edges=layout.expander_edges,
     ).with_tag(f"copsbane:{N},{seed}")
@@ -735,7 +731,8 @@ def gen_copsbane(
     report.add("core_connected", is_connected_edges(layout.expander_edges, N))
     report.add("layers_connected", all(report.layer_connected))
     arm_len = 2 * D + 1
-    report.add("arm_length", all(len(layout.arm_interior[x]) + 1 == arm_len for x in range(N)), arm_len)
+    hub_dist = bfs_dist_adj(g.layer_view(0).adjacency, N)
+    report.add("arm_length", all(hub_dist[x] == arm_len for x in range(N)), arm_len)
     kind = "exact" if layout.expansion_exact else "HEURISTIC"
     report.add("expansion", layout.expansion >= alpha, f"{layout.expansion:.4f} ({kind})")
     report.add("clustering", layout.clustering <= CLUSTERING_CAP, layout.clustering)

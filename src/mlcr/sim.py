@@ -667,10 +667,9 @@ class SlicesRobber(RobberStrategy):
 
     def begin(self, g, assignment, rng):
         super().begin(g, assignment, rng)
-        from .generators import gen_slices, slices_coords, slices_index
+        from .generators import slices_coords, slices_index, slices_layers, slices_vertex_count
 
-        expected, _ = gen_slices(self.k)
-        if g.n != expected.n or tuple(g.layers) != tuple(expected.layers):
+        if g.n != slices_vertex_count(self.k) or g.layers != slices_layers(self.k):
             raise StrategyMismatchError(f"graph is not the slices construction for k={self.k}")
         self.coords = lambda v: slices_coords(self.k, v)
         self.index = lambda x, y, z: slices_index(self.k, x, y, z)
@@ -792,20 +791,23 @@ class CopsbaneRobber(RobberStrategy):
 
     name = "copsbane_robber"
 
-    def __init__(self, layout):
-        self.layout = layout
-
     def begin(self, g, assignment, rng):
+        """Read the layout from the graph: the EXPLICIT robber edges are the
+        core on 0..N-1, the hub is N, the arms fill n = N + 1 + 2DN and an
+        edge's colour is whether layer 0 holds it."""
+
         super().begin(g, assignment, rng)
-        lay = self.layout
-        if not g.tag.startswith("copsbane:"):
+        from .generators import copsbane_layers
+
+        core = g.robber_edges or ()
+        self.N = N = 1 + max((v for _, v in core), default=0)
+        self.D, rest = divmod(g.n - N - 1, 2 * N)
+        in_first = set(g.layers[0])
+        coloring = {e: int(e not in in_first) for e in core}
+        if not core or rest or g.tau != 2 or g.layers != copsbane_layers(N, self.D, core, coloring):
             raise StrategyMismatchError("graph is not a cops-bane construction")
-        self.N = lay.N
-        self.x_adj = adjacency_lists(self.N, lay.expander_edges)
-        self._colour_adj = [
-            adjacency_lists(self.N, [e for e in lay.expander_edges if lay.coloring[e] == colour])
-            for colour in (0, 1)
-        ]
+        self.x_adj = adjacency_lists(N, core)
+        self._colour_adj = [adjacency_lists(N, [e for e in core if coloring[e] == c]) for c in (0, 1)]
         # monochromatic component (as a frozenset) of each core vertex per colour
         self.comp: list[list[frozenset[int]]] = []
         for adj in self._colour_adj:
@@ -815,21 +817,23 @@ class CopsbaneRobber(RobberStrategy):
                 for v in fz:
                     comp_of[v] = fz
             self.comp.append(comp_of)
-        self.arm_owner: dict[int, int] = {}
-        for x, interior in lay.arm_interior.items():
-            for v in interior:
-                self.arm_owner[v] = x
         self._comp_dist_cache: dict[tuple[int, int], list[float]] = {}
         self._safe_cache: dict[frozenset[int], list[set[int]]] = {}
+
+    def _leaf(self, p: int) -> tuple[int, int]:
+        """The core vertex whose arm holds `p` (p itself inside the core), and
+        the number of steps from `p` to it."""
+
+        if p < self.N:
+            return p, 0
+        x, i = divmod(p - self.N - 1, 2 * self.D)
+        return x, 2 * self.D - i
 
     def _blocked(self, cops) -> set[int]:
         out: set[int] = set()
         for c, p in enumerate(cops):
-            colour = self.assignment[c]
-            if p == self.layout.hub:
-                continue
-            x = p if p < self.N else self.arm_owner[p]
-            out |= self.comp[colour][x]
+            if p != self.N:
+                out |= self.comp[self.assignment[c]][self._leaf(p)[0]]
         return out
 
     def _safe_components(self, blocked: set[int]) -> list[set[int]]:
@@ -842,7 +846,7 @@ class CopsbaneRobber(RobberStrategy):
             safe = self._safe_cache[key] = [
                 comp
                 for comp in component_sets(self.x_adj, blocked)
-                if len(comp) >= self.N // 2 + 1 and self._diameter(comp) <= self.layout.D
+                if len(comp) >= self.N // 2 + 1 and self._diameter(comp) <= self.D
             ]
         return safe
 
@@ -873,23 +877,17 @@ class CopsbaneRobber(RobberStrategy):
         on an arm is a steps from its leaf and 4D+2-a from everything else.
         """
 
-        lay = self.layout
-        round_trip = 4 * lay.D + 2
+        round_trip = 4 * self.D + 2
         threat = [INF] * self.N
         for c, p in enumerate(cops):
             colour = self.assignment[c]
-            if p == lay.hub:
-                base = 2 * lay.D + 1
+            if p == self.N:
+                base = 2 * self.D + 1
                 for v in range(self.N):
                     if base < threat[v]:
                         threat[v] = base
                 continue
-            if p < self.N:
-                leaf, a = p, 0
-            else:
-                leaf = self.arm_owner[p]
-                interior = lay.arm_interior[leaf]
-                a = 2 * lay.D - interior.index(p)
+            leaf, a = self._leaf(p)
             comp = self.comp[colour][leaf]
             local = self._comp_dist(colour, leaf)
             for v in range(self.N):
@@ -1273,14 +1271,12 @@ def robber_strategy_from_name(name: str, g: MultiLayerGraph, table: Callable[[],
     if name == "grid_corner":
         return GridRobberCorner(math.isqrt(g.n))
     if name == "slices":
-        if not g.tag.startswith("slices:"):
-            raise MlgError("slices robber needs a slices construction graph")
-        return SlicesRobber(int(g.tag.split(":")[1]))
-    if name == "copsbane":
-        if not g.tag.startswith("copsbane:"):
-            raise MlgError("cops-bane robber needs a cops-bane construction graph")
-        from .generators import copsbane_layout
+        from .generators import slices_vertex_count
 
-        parts = g.tag.split(":")[1].split(",")
-        return CopsbaneRobber(copsbane_layout(int(parts[0]), seed=int(parts[1])))
+        k = 1
+        while slices_vertex_count(k) < g.n:
+            k += 1
+        return SlicesRobber(k)
+    if name == "copsbane":
+        return CopsbaneRobber()
     raise MlgError(f"unknown robber strategy {name!r}")

@@ -497,9 +497,9 @@ def _c14(budget):
     captures = 0
     matches = 0
     for N in (20, 50):
-        g, _, layout = built[N] if N in built else gen_copsbane(N, seed=3)
+        g = (built[N] if N in built else gen_copsbane(N, seed=3))[0]
         for seed in range(20):
-            rec = run_match(g, AllocationPlan((2, 2)), GreedyCops(), CopsbaneRobber(layout), T=1000, seed=seed)
+            rec = run_match(g, AllocationPlan((2, 2)), GreedyCops(), CopsbaneRobber(), T=1000, seed=seed)
             matches += 1
             if rec.outcome != "SURVIVED":
                 captures += 1

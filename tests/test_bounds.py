@@ -263,6 +263,124 @@ def test_td_validate_rejects_bad_decompositions():
     assert not td_validate(broken_subtree, edges, 3)
 
 
+def _td_validate_reference(decomp, edges, n):
+    """`td_validate` as it was before it used the `core` traversal helpers."""
+
+    bags = decomp.bags
+    if not bags:
+        return False
+    union = set()
+    for b in bags:
+        union |= b
+    if union != set(range(n)):
+        return False
+    for u, v in edges:
+        if not any(u in b and v in b for b in bags):
+            return False
+    nb = len(bags)
+    if len(decomp.tree) != nb - 1:
+        return False
+    tadj = [[] for _ in range(nb)]
+    for a, b in decomp.tree:
+        if not (0 <= a < nb and 0 <= b < nb):
+            return False
+        tadj[a].append(b)
+        tadj[b].append(a)
+    seen = {0}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y in tadj[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    if len(seen) != nb:
+        return False
+    for v in range(n):
+        holder = [i for i in range(nb) if v in bags[i]]
+        if not holder:
+            return False
+        hs = set(holder)
+        comp = {holder[0]}
+        stack = [holder[0]]
+        while stack:
+            x = stack.pop()
+            for y in tadj[x]:
+                if y in hs and y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        if comp != hs:
+            return False
+    return True
+
+
+def _random_decomposition(rng):
+    """A valid decomposition: a random tree on the bags, each vertex held by a
+    random connected set of bags, and edges only inside bags."""
+
+    nb = rng.randint(1, 7)
+    tree = [(rng.randrange(i), i) for i in range(1, nb)]
+    tadj = [[] for _ in range(nb)]
+    for a, b in tree:
+        tadj[a].append(b)
+        tadj[b].append(a)
+    n = rng.randint(1, 8)
+    bags = [set() for _ in range(nb)]
+    for v in range(n):
+        held = [rng.randrange(nb)]
+        for _ in range(rng.randint(0, nb - 1)):
+            grow = [y for x in held for y in tadj[x] if y not in held]
+            if grow:
+                held.append(rng.choice(grow))
+        for i in held:
+            bags[i].add(v)
+    edges = sorted({e for bag in bags for e in itertools.combinations(sorted(bag), 2) if rng.random() < 0.5})
+    return bags, tree, edges, n
+
+
+def _broken_variants(rng, bags, tree, edges, n):
+    """(kind, bags, tree, edges, n) for the decomposition and its breakages."""
+
+    nb = len(bags)
+    out = [("valid", bags, tree, edges, n), ("uncovered-vertex", bags, tree, edges, n + 1)]
+    apart = [(u, v) for u, v in itertools.combinations(range(n), 2) if not any(u in b and v in b for b in bags)]
+    if apart:
+        out.append(("uncovered-edge", bags, tree, sorted(edges + [rng.choice(apart)]), n))
+    out.append(("extra-tree-edge", bags, tree + [(rng.randrange(nb), rng.randrange(nb))], edges, n))
+    if tree:
+        drop = rng.randrange(len(tree))
+        out.append(("missing-tree-edge", bags, tree[:drop] + tree[drop + 1:], edges, n))
+        out.append(("rewired-tree-edge", bags, tree[:drop] + [(rng.randrange(nb), rng.randrange(nb))]
+                    + tree[drop + 1:], edges, n))
+        out.append(("out-of-range-index", bags, tree[:drop] + [(tree[drop][0], rng.choice([nb, nb + 3, -1]))]
+                    + tree[drop + 1:], edges, n))
+    if n:
+        v = rng.randrange(n)
+        spare = [i for i in range(nb) if v not in bags[i]]
+        if spare:
+            i = rng.choice(spare)
+            extended = [bag | {v} if j == i else bag for j, bag in enumerate(bags)]
+            out.append(("split-holder-set", extended, tree, edges, n))
+    return out
+
+
+def test_td_validate_matches_reference_on_valid_and_broken_decompositions():
+    rng = random.Random(2024)
+    verdicts = {}
+    for _ in range(500):
+        for kind, bags, tree, edges, n in _broken_variants(rng, *_random_decomposition(rng)):
+            decomp = TreeDecomposition(tuple(frozenset(b) for b in bags), tuple(tree))
+            verdict = td_validate(decomp, edges, n)
+            assert verdict == _td_validate_reference(decomp, edges, n), (kind, decomp, edges, n)
+            verdicts.setdefault(kind, set()).add(verdict)
+    assert verdicts["valid"] == {True}
+    for kind in ("uncovered-vertex", "uncovered-edge", "extra-tree-edge", "missing-tree-edge",
+                 "out-of-range-index"):
+        assert verdicts[kind] == {False}, kind
+    # rewiring or extending a holder set breaks the decomposition only sometimes
+    assert verdicts["rewired-tree-edge"] == verdicts["split-holder-set"] == {True, False}
+
+
 def test_treewidth_cop_bound():
     path = ((0, 1), (1, 2), (2, 3))
     g = single(path, 4)

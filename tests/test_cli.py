@@ -342,7 +342,7 @@ def _reuse_cases(tmp_path):
 def test_simulate_reuses_strategies_without_changing_matches(tmp_path, capsys, monkeypatch):
     """One strategy object per side for the whole batch gives the same stdout
     and records as fresh objects per seed, with one table build for any
-    tablebase side and one cops-bane layout for the cops-bane robber."""
+    tablebase side and no cops-bane layout build (the robber reads the graph)."""
 
     import mlcr.generators
     import mlcr.solver
@@ -395,7 +395,48 @@ def test_simulate_reuses_strategies_without_changing_matches(tmp_path, capsys, m
         assert code == 0, case
         assert out == expected, case
         assert record_path.read_text() == "".join(rec.render() for rec in fresh), case
-        assert builds == {"table": int("tablebase" in case), "layout": int(robber == "copsbane")}, case
+        assert builds == {"table": int("tablebase" in case), "layout": 0}, case
+
+
+# -- scripted robbers take their construction from the graph ------------------------------
+
+
+@pytest.fixture(scope="module")
+def copsbane8_file(tmp_path_factory):
+    from mlcr.generators import gen_copsbane
+
+    path = tmp_path_factory.mktemp("copsbane") / "cb8.mlg"
+    write_mlg_file(gen_copsbane(8, seed=3)[0], path)
+    return str(path)
+
+
+def _scripted_robber(capsys, graph, alloc, robber, tag):
+    return run_cli(
+        ["simulate", graph, "--allocation", alloc, "--cop-strategy", "greedy", "--robber-strategy", robber,
+         "--batch", "2", "--rounds", "1000"] + (["--tag", tag] if tag else []),
+        capsys,
+    )
+
+
+@pytest.mark.parametrize("tag", [None, "copsbane:8,4", "copsbane:12,3"])
+def test_copsbane_robber_plays_the_same_whatever_the_tag(tag, copsbane8_file, capsys):
+    code, expected, _ = _scripted_robber(capsys, copsbane8_file, "1,1", "copsbane", "copsbane:8,3")
+    assert (code, expected.count("outcome=SURVIVED")) == (0, 2)
+    code, out, err = _scripted_robber(capsys, copsbane8_file, "1,1", "copsbane", tag)
+    assert code == 0, err
+    assert out == expected
+
+
+@pytest.mark.parametrize("tag", [None, "slices:2"])
+def test_slices_robber_reads_k_from_the_vertex_count(tag, tmp_path, capsys):
+    from mlcr.generators import gen_slices
+
+    slices = _write(tmp_path, "slices1.mlg", gen_slices(1)[0])
+    code, expected, _ = _scripted_robber(capsys, slices, "1,0", "slices", "slices:1")
+    assert (code, expected.count("outcome=SURVIVED")) == (0, 2)
+    code, out, err = _scripted_robber(capsys, slices, "1,0", "slices", tag)
+    assert code == 0, err
+    assert out == expected
 
 
 def test_solve_dump_table_builds_once(grid4_file, tmp_path, capsys, monkeypatch):
@@ -434,10 +475,12 @@ def test_solve_dump_table_builds_once(grid4_file, tmp_path, capsys, monkeypatch)
         (["solve", "{binary}", "--allocation", "1"], 2),
         (["experiment", "-n", "8", "--seeds", "a"], 2),
         (["experiment", "-n", "8", "--seeds", ","], 2),
+        # the robber checks the graph, not the tag
+        (["simulate", "{grid}", "--allocation", "1,1", "--robber-strategy", "copsbane", "--tag", "copsbane:8,3"], 2),
     ],
     ids=["unknown-strategy", "strategy-mismatch", "simulate-over-budget", "play-over-budget",
          "solve-bad-allocation", "simulate-bad-allocation", "play-bad-allocation",
-         "solve-non-utf8-file", "experiment-bad-seeds", "experiment-empty-seeds"],
+         "solve-non-utf8-file", "experiment-bad-seeds", "experiment-empty-seeds", "copsbane-on-grid"],
 )
 def test_errors_exit_with_their_code_and_one_error_line(args, code, grid4_file, tmp_path):
     from mlcr.core import MultiLayerGraph, RobberSpec

@@ -180,7 +180,7 @@ CASES = {
         "WROTE={dir}/c.mlg\nVERTICES=73\nLAYERS=2\n",
         {"c.mlg": "2b2ae596b585ac79fc81868c0ced75bebbf9d8c987baa52a7e70e87f095183d4"},
     ),
-    # MLG1 carries no family tag, so the scripted robbers get it from --tag
+    # MLG1 carries no family tag; --tag names the graph in the MR1 records
     "simulate-copsbane-greedy-record": (
         [
             "--seed", "1", "simulate", "{dir}/copsbane8.mlg", "--tag", "copsbane:8,3",

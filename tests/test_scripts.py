@@ -30,3 +30,8 @@ def test_watch_match_grid():
     # header, placement, 33 rounds of a cop and a robber ply, the capturing cop ply, outcome
     assert lines[-1] == "OUTCOME CAPTURE 34"
     assert len(lines) == 70
+
+
+def test_watch_match_copsbane():
+    lines = run_script("watch_match.py", "copsbane", "8")
+    assert lines[0].startswith("MR1 graph=copsbane:8,3")

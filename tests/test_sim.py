@@ -296,8 +296,8 @@ def test_bagsweep_reused_across_seeds_matches_fresh_instances():
 
 
 def test_copsbane_robber_survives_and_flags_degraded_mode():
-    g, _, layout = gen_copsbane(20, seed=3)
-    rec = run_match(g, AllocationPlan((2, 2)), GreedyCops(), CopsbaneRobber(layout), T=300, seed=0)
+    g, _, _ = gen_copsbane(20, seed=3)
+    rec = run_match(g, AllocationPlan((2, 2)), GreedyCops(), CopsbaneRobber(), T=300, seed=0)
     assert rec.outcome == "SURVIVED"
     assert referee_check(rec, g)[0]
 
@@ -350,9 +350,30 @@ def test_interactive_play_human_cops_capture():
     assert rec.outcome == "CAPTURE"
 
 
+def test_copsbane_robber_rejects_anything_but_the_construction():
+    g, _, _ = gen_copsbane(8, seed=1)
+    rec = run_match(g, AllocationPlan((1, 1)), GreedyCops(), CopsbaneRobber(), T=5, seed=0)
+    assert rec.outcome in ("CAPTURE", "SURVIVED")
+    star_edge = max(g.layers[0])
+    core_edge = next(e for e in g.robber_edges if e not in g.layers[1])
+    broken = [
+        MultiLayerGraph(n=g.n, layers=(g.layers[0], g.layers[1] + (core_edge,)),
+                        robber_spec=RobberSpec.EXPLICIT, robber_edges=g.robber_edges),
+        MultiLayerGraph(n=g.n, layers=(tuple(e for e in g.layers[0] if e != star_edge), g.layers[1]),
+                        robber_spec=RobberSpec.EXPLICIT, robber_edges=g.robber_edges),
+        MultiLayerGraph(n=g.n + 1, layers=g.layers, robber_spec=RobberSpec.EXPLICIT, robber_edges=g.robber_edges),
+        MultiLayerGraph(n=g.n, layers=(g.layers[0], g.layers[1], g.layers[1]),
+                        robber_spec=RobberSpec.EXPLICIT, robber_edges=g.robber_edges),
+        MultiLayerGraph(n=g.n, layers=g.layers, robber_spec=RobberSpec.UNION),
+    ]
+    for other in broken:
+        with pytest.raises(StrategyMismatchError):
+            run_match(other, AllocationPlan((1,) * other.tau), GreedyCops(), CopsbaneRobber(), T=5, seed=0)
+
+
 def test_match_record_tags_round_trip():
-    g, _, layout = gen_copsbane(8, seed=1)
-    rec = run_match(g, AllocationPlan((2, 2)), GreedyCops(), CopsbaneRobber(layout), T=30, seed=2)
+    g, _, _ = gen_copsbane(8, seed=1)
+    rec = run_match(g, AllocationPlan((2, 2)), GreedyCops(), CopsbaneRobber(), T=30, seed=2)
     text = rec.render()
     again = parse_match_record(text)
     assert again.tags == rec.tags
