@@ -18,6 +18,7 @@ numpy, so code that only reports or checks verdicts does not load it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -58,6 +59,18 @@ class MlgEdgeError(MlgError):
 # Robber layers for COMPLETE graphs are never materialised beyond this size;
 # adjacency questions are answered implicitly instead.
 COMPLETE_MATERIALISE_LIMIT = 2048
+
+# Bytes per vertex of one LayerView build: tracemalloc saw a peak of ~318 B
+# per vertex for `_build_layer_view(n, ())` (n = 10^5, Python 3.11), where
+# every vertex is its own component.  A graph needs at least one view, so
+# more vertices than physical RAM holds at this rate are refused.
+_LAYER_VIEW_BYTES = 384
+
+
+def _physical_ram() -> int:
+    """Bytes of physical memory on this machine."""
+
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def canonical_edges(edges: Iterable[Sequence[int]], n: int, *, what: str = "edge") -> tuple[Edge, ...]:
@@ -123,6 +136,9 @@ class MultiLayerGraph:
     def __post_init__(self):
         if self.n < 1:
             raise MlgError(f"need at least one vertex, got n={self.n}")
+        budget = _physical_ram() // _LAYER_VIEW_BYTES
+        if self.n > budget:
+            raise StateBudgetExceeded(self.n, budget, what="graph", unit="vertices")
         if len(self.layers) < 1:
             raise MlgError("need at least one cop layer")
         self.layers = tuple(
@@ -215,8 +231,11 @@ class Winner(Enum):
 
 
 class StateBudgetExceeded(MlgError):
-    def __init__(self, required: int, budget: int):
-        super().__init__(f"state space needs {required} states, budget is {budget}")
+    """An instance over its budget: solver states, or vertices whose layer
+    structures would not fit in physical RAM.  The CLI exits with code 3."""
+
+    def __init__(self, required: int, budget: int, what: str = "state space", unit: str = "states"):
+        super().__init__(f"{what} needs {required} {unit}, budget is {budget}")
         self.required = required
         self.budget = budget
 

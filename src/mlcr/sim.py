@@ -205,15 +205,25 @@ class RobberStrategy:
         raise NotImplementedError
 
 
-def _legal_cop_move(g: MultiLayerGraph, layer: int, src: int, dst: int) -> bool:
-    return dst == src or dst in g.layer_view(layer).adjacency[src]
+def _move_sets(
+    g: MultiLayerGraph, assignment: Sequence[int]
+) -> tuple[list[Sequence[Sequence[int]]], Sequence[Sequence[int]] | None]:
+    """Each cop's layer adjacency and the robber's (None on a complete robber
+    layer), looked up once per match or record: one view per distinct layer."""
 
-def _legal_robber_move(g: MultiLayerGraph, src: int, dst: int) -> bool:
+    by_layer = {layer: g.layer_view(layer).adjacency for layer in sorted(set(assignment))}
+    robber = None if g.robber_is_complete() else g.robber_view().adjacency
+    return [by_layer[layer] for layer in assignment], robber
+
+
+def _legal_move(adjacency: Sequence[Sequence[int]] | None, n: int, src: int, dst: int) -> bool:
+    """Stay, or step along an edge; `adjacency` None is the complete layer."""
+
     if dst == src:
         return True
-    if g.robber_is_complete():
-        return 0 <= dst < g.n
-    return dst in g.robber_view().adjacency[src]
+    if adjacency is None:
+        return 0 <= dst < n
+    return dst in adjacency[src]
 
 
 def run_match(
@@ -234,6 +244,7 @@ def run_match(
     if len(plan.counts) != g.tau:
         raise MlgError(f"allocation {plan} does not match tau={g.tau}")
     assignment = plan.assignment()
+    cop_adj, robber_adj = _move_sets(g, assignment)
     rng = random.Random(f"match:{seed}")
     cop_strategy.begin(g, assignment, rng)
     robber_strategy.begin(g, assignment, rng)
@@ -266,7 +277,7 @@ def run_match(
         if len(new_cops) != len(cops):
             raise MlgError(f"cop strategy returned {len(new_cops)} positions for {len(cops)} cops")
         for i, (src, dst) in enumerate(zip(cops, new_cops)):
-            if not _legal_cop_move(g, assignment[i], src, dst):
+            if not _legal_move(cop_adj[i], g.n, src, dst):
                 raise IllegalMoveError(f"cop {i + 1} (layer {assignment[i] + 1})", src, dst)
         cops = new_cops
         record.rows.append((rnd, "C", robber, cops))
@@ -274,7 +285,7 @@ def run_match(
             break
         view = MatchView(g, assignment, cops, robber, rnd, history)
         new_robber = robber_strategy.move(view)
-        if not _legal_robber_move(g, robber, new_robber):
+        if not _legal_move(robber_adj, g.n, robber, new_robber):
             raise IllegalMoveError("robber", robber, new_robber)
         robber = new_robber
         record.rows.append((rnd, "R", robber, cops))
@@ -289,7 +300,7 @@ def referee_check(record: MatchRecord, g: MultiLayerGraph) -> tuple[bool, str]:
     """Independent re-scan of a record: legality of every move and exactness
     of the capture flag."""
 
-    assignment = AllocationPlan(record.allocation).assignment()
+    cop_adj, robber_adj = _move_sets(g, AllocationPlan(record.allocation).assignment())
     rows = record.rows
     if not rows or rows[0][1] != "P":
         return False, "missing placement row"
@@ -306,13 +317,13 @@ def referee_check(record: MatchRecord, g: MultiLayerGraph) -> tuple[bool, str]:
             if r_new != robber:
                 return False, f"round {rnd}: robber moved on a cop row"
             for i, (src, dst) in enumerate(zip(cops, c_new)):
-                if not _legal_cop_move(g, assignment[i], src, dst):
+                if not _legal_move(cop_adj[i], g.n, src, dst):
                     return False, f"round {rnd}: cop {i + 1} illegal {src}->{dst}"
             cops = c_new
         elif mover == "R":
             if c_new != cops:
                 return False, f"round {rnd}: cops moved on a robber row"
-            if not _legal_robber_move(g, robber, r_new):
+            if not _legal_move(robber_adj, g.n, robber, r_new):
                 return False, f"round {rnd}: robber illegal {robber}->{r_new}"
             robber = r_new
         else:
@@ -414,12 +425,13 @@ class TablebaseCops(CopTeamStrategy):
 
     def moves(self, view: MatchView):
         tb = self.table
+        rank = tb.rank_view
         robber, cops = view.robber, list(view.cops)
         state = tb.pack(robber, cops, 0)
         for c in range(tb.k):
             if robber in cops:
                 break  # captured mid-walk; remaining cops stay
-            if tb.rank[state] >= 0:
+            if rank[state] >= 0:
                 state = tb.best_cop_move(state)
             else:
                 state = tb.chase_cop_move(state)
@@ -1140,6 +1152,7 @@ class _Human:
     def begin(self, g, assignment, rng):
         super().begin(g, assignment, rng)
         self.shown = 0  # rows already narrated
+        self.cop_adj, self.robber_adj = _move_sets(g, assignment)
 
     def narrate(self, rows: list) -> None:
         for row in rows[self.shown:]:
@@ -1181,7 +1194,7 @@ class HumanCops(_Human, CopTeamStrategy):
         prompt = f"round {view.round_no}, cops at {_ids(cops)}, robber at {view.robber}; move cops> "
 
         def legal(vs):
-            return all(_legal_cop_move(self.g, self.assignment[i], cops[i], v) for i, v in enumerate(vs))
+            return all(_legal_move(self.cop_adj[i], self.g.n, cops[i], v) for i, v in enumerate(vs))
 
         return tuple(self.ask(prompt, len(cops), legal, view.history))
 
@@ -1197,7 +1210,11 @@ class HumanRobber(_Human, RobberStrategy):
 
     def move(self, view: MatchView):
         prompt = f"round {view.round_no}, cops at {_ids(view.cops)}; move robber from {view.robber}> "
-        return self.ask(prompt, 1, lambda vs: _legal_robber_move(self.g, view.robber, vs[0]), view.history)[0]
+
+        def legal(vs):
+            return _legal_move(self.robber_adj, self.g.n, view.robber, vs[0])
+
+        return self.ask(prompt, 1, legal, view.history)[0]
 
 
 def interactive_play(

@@ -38,7 +38,6 @@ imports it where a table is first built, and takes the verdict types
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -53,6 +52,7 @@ from .core import (
     RobberSpec,
     StateBudgetExceeded,
     Winner,
+    _physical_ram,
     bfs_dist,
     compositions,
 )
@@ -98,7 +98,7 @@ class CopWinTable:
     The policy queries (`successors` and the three move methods) read Python
     move lists and, for `chase_cop_move`, per-(layer, robber) BFS distances;
     both are built on the first query, so a table that is only asked for a
-    verdict pays for neither.
+    verdict pays for neither.  Single states are read through `rank_view`.
     """
 
     graph: MultiLayerGraph
@@ -113,10 +113,20 @@ class CopWinTable:
         self.strides = _digit_strides(self.n, self.k)
         self._moves: list[list[tuple[int, ...]]] | None = None
         self._chase: dict[tuple[int, int], list[float]] = {}
+        self._rank_view: memoryview | None = None
 
     @property
     def n_states(self) -> int:
         return self.rank.shape[0]
+
+    @property
+    def rank_view(self) -> memoryview:
+        """`rank` as a memoryview, made on first use: reading one state gives
+        a Python int instead of boxing a numpy scalar."""
+
+        if self._rank_view is None:
+            self._rank_view = memoryview(self.rank)
+        return self._rank_view
 
     # -- state packing --------------------------------------------------------
 
@@ -137,10 +147,10 @@ class CopWinTable:
         return pos[0], tuple(pos[1:]), t
 
     def is_copwin(self, robber: int, cops: Sequence[int], t: int = 0) -> bool:
-        return bool(self.rank[self.pack(robber, cops, t)] >= 0)
+        return self.rank_view[self.pack(robber, cops, t)] >= 0
 
     def rank_of(self, robber: int, cops: Sequence[int], t: int = 0) -> int:
-        return int(self.rank[self.pack(robber, cops, t)])
+        return self.rank_view[self.pack(robber, cops, t)]
 
     # -- move enumeration (successors in game order) ---------------------------
 
@@ -201,11 +211,11 @@ class CopWinTable:
         best_idx = -1
         if step is not None:
             base, stride, moves = step
-            rank = self.rank
+            rank = self.rank_view
             best_rank = -1
             for q in moves:
                 s = base + q * stride
-                r = int(rank[s])
+                r = rank[s]
                 if r >= 0 and (best_idx < 0 or r < best_rank):
                     best_rank = r
                     best_idx = s
@@ -245,12 +255,12 @@ class CopWinTable:
         if step is None:
             raise MlgError("best_robber_move called on a terminal state")
         base, stride, moves = step
-        rank = self.rank
+        rank = self.rank_view
         best_idx = -1
         best_rank = -1
         for q in moves:
             s = base + q * stride
-            r = int(rank[s])
+            r = rank[s]
             if r < 0:
                 return s  # the smallest robber-win successor
             if r > best_rank:
@@ -284,7 +294,7 @@ class CopWinTable:
         """Smallest robber start that is robber-win against this placement."""
 
         for p0 in range(self.n):
-            if self.rank[self.pack(p0, placement, 0)] < 0:
+            if self.rank_view[self.pack(p0, placement, 0)] < 0:
                 return p0
         return None
 
@@ -297,12 +307,6 @@ def _digit_strides(n: int, k: int) -> tuple[int, ...]:
     """Stride of agent a's position digit in a packed index (agent 0 = robber)."""
 
     return tuple((k + 1) * n ** (k - a) for a in range(k + 1))
-
-
-def _physical_ram() -> int:
-    """Bytes of physical memory on this machine."""
-
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def _check_budget(size: int, kp1: int, rank_bytes: int, counter_bytes: int, state_budget: int) -> None:

@@ -461,6 +461,15 @@ def test_solve_dump_table_builds_once(grid4_file, tmp_path, capsys, monkeypatch)
     assert table_path.read_text() == mlcr.solver.dump_cwt(real(parse_mlg_file(grid4_file), (0, 0)))
 
 
+def _cap_address_space():
+    """Cap the child's address space at 1.5 GB: past it, allocation fails
+    with a MemoryError."""
+
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+
 @pytest.mark.parametrize(
     "args, code",
     [
@@ -477,10 +486,14 @@ def test_solve_dump_table_builds_once(grid4_file, tmp_path, capsys, monkeypatch)
         (["experiment", "-n", "8", "--seeds", ","], 2),
         # the robber checks the graph, not the tag
         (["simulate", "{grid}", "--allocation", "1,1", "--robber-strategy", "copsbane", "--tag", "copsbane:8,3"], 2),
+        # 10^11 vertices: no layer's adjacency lists fit in physical RAM
+        (["bounds", "{huge}"], 3),
+        (["simulate", "{huge}", "--allocation", "1"], 3),
     ],
     ids=["unknown-strategy", "strategy-mismatch", "simulate-over-budget", "play-over-budget",
          "solve-bad-allocation", "simulate-bad-allocation", "play-bad-allocation",
-         "solve-non-utf8-file", "experiment-bad-seeds", "experiment-empty-seeds", "copsbane-on-grid"],
+         "solve-non-utf8-file", "experiment-bad-seeds", "experiment-empty-seeds", "copsbane-on-grid",
+         "bounds-huge-graph", "simulate-huge-graph"],
 )
 def test_errors_exit_with_their_code_and_one_error_line(args, code, grid4_file, tmp_path):
     from mlcr.core import MultiLayerGraph, RobberSpec
@@ -493,14 +506,53 @@ def test_errors_exit_with_their_code_and_one_error_line(args, code, grid4_file, 
     ))
     binary = tmp_path / "binary.mlg"
     binary.write_bytes(b"MLG1 2 1 UNION\nLAYER 1 1\n0 \xff1\n")
+    huge = tmp_path / "huge.mlg"
+    huge.write_text("MLG1 100000000000 1 UNION\nLAYER 1 0\n")
     proc = subprocess.run(
         [sys.executable, "-m", "mlcr.cli",
-         *(a.format(grid=grid4_file, tree=tree, binary=binary) for a in args)],
+         *(a.format(grid=grid4_file, tree=tree, binary=binary, huge=huge) for a in args)],
         input=b"",
         capture_output=True,
         timeout=120,
+        # without the guard these children would allocate until the machine runs out
+        preexec_fn=_cap_address_space if "{huge}" in args else None,
     )
     err = proc.stderr.decode()
     assert proc.returncode == code, err
     assert [line for line in err.splitlines() if line.startswith("error: ")], err
     assert "Traceback" not in err
+
+
+# -- process entry point -------------------------------------------------------------
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(grid4_file, capsys):
+    import gc
+
+    before = gc.get_freeze_count()
+    assert run_cli(["simulate", grid4_file, "--allocation", "2,0", "--cop-strategy", "tablebase",
+                    "--robber-strategy", "tablebase"], capsys)[0] == 0
+    assert run_cli(["solve", grid4_file, "--allocation", "2,x"], capsys)[0] == 2
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("code", [0, 3])
+def test_run_freezes_after_main_returns_and_exits_with_its_code(code, monkeypatch):
+    import gc
+
+    import mlcr.cli
+
+    calls = []
+    monkeypatch.setattr(mlcr.cli, "main", lambda: calls.append("main") or code)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(sys, "exit", lambda status: calls.append(("exit", status)))
+    mlcr.cli.run()
+    assert calls == ["main", "freeze", ("exit", code)]
+
+
+def test_script_entry_point_is_run():
+    from pathlib import Path
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["scripts"] == {"mlcr": "mlcr.cli:run"}

@@ -327,7 +327,7 @@ HELP = {
         '  --rounds ROUNDS\n'
         '  --batch BATCH\n'
         '  --record RECORD       write MR1 records to this file\n'
-        '  --tag TAG             override the graph family tag\n'
+        '  --tag TAG             name the graph in the MR1 records\n'
     ),
     'play': (
         'usage: mlcr play [-h] --allocation ALLOCATION [--role {robber,cops}] graph\n'

@@ -358,3 +358,37 @@ def test_parse_reports_the_edited_edge_line(g, edit, data):
     with pytest.raises(MlgParseError) as info:
         parse_mlg("\n".join(lines) + "\n")
     assert info.value.line_no == i + 1
+
+
+# -- vertex-count guard ------------------------------------------------------------------
+
+
+def test_layer_view_bytes_bound_the_tracemalloc_peak_of_an_edgeless_view():
+    import tracemalloc
+
+    from mlcr.core import _LAYER_VIEW_BYTES, _build_layer_view
+
+    n = 50_000
+    tracemalloc.start()
+    try:
+        _build_layer_view(n, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * _LAYER_VIEW_BYTES
+
+
+def test_vertex_count_is_capped_by_physical_ram_before_any_vertex_list(monkeypatch):
+    import mlcr.core
+    from mlcr.core import _LAYER_VIEW_BYTES, StateBudgetExceeded
+
+    monkeypatch.setattr(mlcr.core, "_physical_ram", lambda: 100 * _LAYER_VIEW_BYTES)
+    assert MultiLayerGraph(n=100, layers=((),)).n == 100
+    with pytest.raises(StateBudgetExceeded, match="graph needs 101 vertices, budget is 100"):
+        MultiLayerGraph(n=101, layers=((),))
+    with pytest.raises(StateBudgetExceeded):
+        parse_mlg("MLG1 101 1 UNION\nLAYER 1 0\n")
+    monkeypatch.undo()
+    # the real guard answers at once, without building anything n-sized
+    with pytest.raises(StateBudgetExceeded):
+        parse_mlg("MLG1 100000000000 1 COMPLETE\nLAYER 1 0\n")

@@ -1,5 +1,6 @@
 import io
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,6 +122,44 @@ def test_referee_rejects_tampered_records():
     bad2 = parse_match_record(rec.render())
     bad2.outcome = "SURVIVED"
     assert not referee_check(bad2, g)[0]
+
+
+def test_simulate_batch_resolves_move_sets_once_per_match(tmp_path, monkeypatch, capsys):
+    """`run_match` and `referee_check` each look up every layer's adjacency
+    once per match or record, not once per move."""
+
+    import mlcr.sim
+    from mlcr.cli import main
+    from mlcr.core import write_mlg_file
+
+    g = gen_grid(4)[0]
+    path = tmp_path / "grid4.mlg"
+    write_mlg_file(g, path)
+    lookups = []
+    for name in ("layer_view", "robber_view"):
+        def counted(self, *args, _real=getattr(MultiLayerGraph, name)):
+            lookups.append(args)
+            return _real(self, *args)
+
+        monkeypatch.setattr(MultiLayerGraph, name, counted)
+    per_call = {"run_match": [], "referee_check": []}
+    for name, counts in per_call.items():
+        def measured(*args, _real=getattr(mlcr.sim, name), _counts=counts, **kwargs):
+            start = len(lookups)
+            out = _real(*args, **kwargs)
+            _counts.append(len(lookups) - start)
+            return out
+
+        monkeypatch.setattr(mlcr.sim, name, measured)
+    code = main([
+        "simulate", str(path), "--allocation", "2,0", "--cop-strategy", "tablebase",
+        "--robber-strategy", "tablebase", "--batch", "3",
+    ])
+    assert code == 0
+    rounds = [int(r) for r in re.findall(r"round=(\d+)", capsys.readouterr().out)]
+    # two cop moves a round and a robber move between rounds: more moves than lookups
+    assert len(rounds) == 3 and min(rounds) >= 2
+    assert all(len(counts) == 3 and max(counts) <= g.tau + 1 for counts in per_call.values()), per_call
 
 
 def test_legality_fuzz_hundred_thousand_matches():
