@@ -10,7 +10,8 @@ import sys
 
 from mlcr.core import AllocationPlan
 from mlcr.generators import gen_copsbane, gen_grid
-from mlcr.sim import CopsbaneRobber, GreedyCops, GridCopGuard, run_match, tablebase_pair
+from mlcr.scripted import CopsbaneRobber, GridCopGuard
+from mlcr.sim import GreedyCops, run_match, tablebase_pair
 
 
 def main():

@@ -19,7 +19,6 @@ Exit codes by command:
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import io
 import sys
@@ -223,7 +222,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_play(args) -> int:
-    from .sim import interactive_play
+    from .scripted import interactive_play
 
     g = parse_mlg_file(args.graph)
     plan = AllocationPlan(_int_list(args.allocation, "--allocation"))
@@ -233,6 +232,8 @@ def cmd_play(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    import csv
+
     from .bounds import domination_bound, domset_greedy, mec_lower_bound
     from .generators import gen_random_layers
 
@@ -378,13 +379,24 @@ def main(argv=None) -> int:
     return code
 
 
+# Young-generation threshold of a CLI process.  Start-up creates ~21,000
+# tracked objects that are never garbage (modules, functions, numpy's
+# types); at the interpreter's default of 700 a tablebase `simulate` spends
+# dozens of young and a few middle-generation passes on them (README,
+# "Start-up and exit").
+GC_GEN0_THRESHOLD = 10_000
+
+
 def run() -> None:
     """Process entry point (the `mlcr` script, `python -m mlcr.cli`): exit
-    with `main`'s code.  Freezing the heap first lets the interpreter's
-    final collections skip every object still alive (about 21,500 after a
-    tablebase `simulate` with numpy 2.4); atexit hooks and stdio flushing
-    still run."""
+    with `main`'s code.  The collector's young generation is raised to
+    `GC_GEN0_THRESHOLD` first (the older generations keep theirs).
+    Freezing the heap after `main` lets the interpreter's final collections
+    skip every object still alive (about 21,500 after a tablebase
+    `simulate` with numpy 2.4); atexit hooks and stdio flushing still run.
+    `main` called in-process changes neither setting."""
 
+    gc.set_threshold(GC_GEN0_THRESHOLD)
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -73,6 +73,16 @@ def _physical_ram() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def check_vertex_count(n: int) -> None:
+    """Refuse a graph of `n` vertices whose layer structures would not fit
+    in physical RAM.  `MultiLayerGraph` checks its own n; the generators
+    call this with the count they will produce, before any n-sized list."""
+
+    budget = _physical_ram() // _LAYER_VIEW_BYTES
+    if n > budget:
+        raise StateBudgetExceeded(n, budget, what="graph", unit="vertices")
+
+
 def canonical_edges(edges: Iterable[Sequence[int]], n: int, *, what: str = "edge") -> tuple[Edge, ...]:
     """Validate and canonicalise an edge collection: u < v, sorted, no dups.
 
@@ -136,9 +146,7 @@ class MultiLayerGraph:
     def __post_init__(self):
         if self.n < 1:
             raise MlgError(f"need at least one vertex, got n={self.n}")
-        budget = _physical_ram() // _LAYER_VIEW_BYTES
-        if self.n > budget:
-            raise StateBudgetExceeded(self.n, budget, what="graph", unit="vertices")
+        check_vertex_count(self.n)
         if len(self.layers) < 1:
             raise MlgError("need at least one cop layer")
         self.layers = tuple(

@@ -29,6 +29,7 @@ from .core import (
     RobberSpec,
     adjacency_lists,
     bfs_dist_adj,
+    check_vertex_count,
     component_sets,
     girth,
     is_connected_edges,
@@ -133,6 +134,7 @@ def gen_grid(n: int) -> tuple[MultiLayerGraph, ConstructionReport]:
 
     if n < 2:
         raise MlgError(f"grid needs n >= 2, got {n}")
+    check_vertex_count(n * n)
     ch, cv = grid_layers(n)
     g = MultiLayerGraph(n=n * n, layers=(ch, cv), robber_spec=RobberSpec.UNION).with_tag(f"grid:{n}")
     report = _report("grid", {"n": n}, g)
@@ -184,6 +186,7 @@ def gen_min_counterexample(
         base_edges, nb = petersen(), 10
     else:
         base_edges, nb = base
+    check_vertex_count(2 * nb - 1)
     gi = girth(base_edges, nb)
     dmin = min_degree(base_edges, nb)
     if gi < 5:
@@ -292,8 +295,9 @@ def gen_slices(k: int) -> tuple[MultiLayerGraph, ConstructionReport]:
 
     if k < 1:
         raise MlgError(f"slices needs k >= 1, got {k}")
-    c1, c2 = slices_layers(k)
     nv = slices_vertex_count(k)
+    check_vertex_count(nv)
+    c1, c2 = slices_layers(k)
     g = MultiLayerGraph(n=nv, layers=(c1, c2), robber_spec=RobberSpec.UNION).with_tag(f"slices:{k}")
     report = _report("slices", {"k": k}, g)
     report.add("vertex_count", g.n == nv, g.n)
@@ -341,6 +345,7 @@ def gen_cycle_matchings(n: int) -> tuple[MultiLayerGraph, ConstructionReport]:
     if n < 2:
         raise MlgError(f"cycle matchings need n >= 2, got {n}")
     nv = 2 * n
+    check_vertex_count(nv)
     c1 = tuple(sorted((2 * i, 2 * i + 1) for i in range(n)))
     c2 = tuple(sorted((min(2 * i + 1, (2 * i + 2) % nv), max(2 * i + 1, (2 * i + 2) % nv)) for i in range(n)))
     g = MultiLayerGraph(n=nv, layers=(c1, c2), robber_spec=RobberSpec.UNION).with_tag(f"cycle-matchings:{n}")
@@ -363,6 +368,7 @@ def gen_domset_reduction(
     """One star layer per vertex of a simple graph: layer u holds the edges
     from u to its neighbours.  Posed as a free-layer-choice instance."""
 
+    check_vertex_count(n)
     adj = adjacency_lists(n, edges)
     layers = tuple(
         tuple(sorted((min(u, w), max(u, w)) for w in adj[u])) for u in range(n)
@@ -427,6 +433,7 @@ def gen_soifer(n: int, tau: int) -> tuple[MultiLayerGraph, ConstructionReport]:
 
     if not (1 <= tau < n // 2):
         raise MlgError(f"need 1 <= tau < floor(n/2), got tau={tau}, n={n}")
+    check_vertex_count(n)
     if n % 2 == 0:
         classes = _soifer_classes_even(n // 2)
     else:
@@ -463,6 +470,7 @@ def gen_soifer(n: int, tau: int) -> tuple[MultiLayerGraph, ConstructionReport]:
 def gen_gnp(n: int, p: float, seed: int) -> tuple[Edge, ...]:
     """Binomial random graph edge set, deterministic per seed."""
 
+    check_vertex_count(n)
     rng = random.Random(f"gnp:{n}:{seed}")
     if p >= 1.0:
         return tuple((u, v) for u in range(n) for v in range(u + 1, n))
@@ -486,6 +494,7 @@ def gen_random_layers(
 
     if not (0.0 <= p <= 1.0):
         raise MlgError(f"p must be in [0, 1], got {p}")
+    check_vertex_count(n)
     q = pstar(p, tau) / tau
     rng = random.Random(f"layers:{n}:{tau}:{seed}")
     layers = []
@@ -651,6 +660,7 @@ def copsbane_layout(
 
     if N < 8 or N % 2 != 0:
         raise MlgError(f"cops-bane needs even N >= 8, got {N}")
+    check_vertex_count(N)
     expansion = -math.inf
     exact = N <= EXPANSION_EXACT_LIMIT
     x_edges: tuple[Edge, ...] = ()
@@ -715,6 +725,7 @@ def gen_copsbane(
     layout = copsbane_layout(N, alpha=alpha, D=D, seed=seed)
     D = layout.D
     nv = N + 1 + N * 2 * D
+    check_vertex_count(nv)
     g = MultiLayerGraph(
         n=nv,
         layers=copsbane_layers(N, D, layout.expander_edges, layout.coloring),

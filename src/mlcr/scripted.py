@@ -1,0 +1,798 @@
+"""Scripted strategies for the paper's constructions, and play from the
+terminal.
+
+The construction strategies implement the blocker/traveller grid sweep,
+the corner dance, the safe-slice navigation, the blocked-set evasion on the
+expander core, the tree squeeze, and the bag sweep along a tree
+decomposition.  Each one checks in `begin` that the graph and assignment
+are ones it was written for, and raises `StrategyMismatchError` otherwise.
+The human players read moves from the terminal; `interactive_play` runs
+them against the tablebase through `sim.run_match`.
+
+Nothing imports this module at top level: the strategy factories in `sim`,
+`cli.cmd_play` and the `verify` criteria that run these players load it
+where they name one, so a generic `simulate` never compiles it.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+from .core import (
+    DEFAULT_STATE_BUDGET,
+    INF,
+    AllocationPlan,
+    MlgError,
+    MultiLayerGraph,
+    adjacency_lists,
+    bfs_dist_adj,
+    component_sets,
+)
+from .sim import (
+    CopTeamStrategy,
+    MatchRecord,
+    MatchView,
+    RobberStrategy,
+    StrategyInvariantError,
+    StrategyMismatchError,
+    _ids,
+    _legal_move,
+    _move_sets,
+    run_match,
+    tablebase_pair,
+)
+
+
+# -- grid strategies -------------------------------------------------------------------
+
+
+class GridCopGuard(CopTeamStrategy):
+    """Two same-layer cops on the two-layer grid: a blocker pins the
+    robber's row while a traveller crosses to the next column over the
+    boundary rows, squeezing the robber toward the far edge."""
+
+    name = "grid_cop_guard"
+
+    def __init__(self, n: int):
+        self.nside = n
+
+    def begin(self, g, assignment, rng):
+        super().begin(g, assignment, rng)
+        from .generators import grid_coords, grid_index, grid_layers
+
+        n = self.nside
+        if g.n != n * n or tuple(g.layers) != grid_layers(n):
+            raise StrategyMismatchError(f"graph is not the {n}-grid construction")
+        # virtual coordinates: both cops live on the all-verticals layer
+        if tuple(assignment) == (1, 1):
+            self._rc = lambda v: grid_coords(v, n)
+            self._idx = lambda i, j: grid_index(i, j, n)
+        elif tuple(assignment) == (0, 0):
+            self._rc = lambda v: grid_coords(v, n)[::-1]
+            self._idx = lambda i, j: grid_index(j, i, n)
+        else:
+            raise StrategyMismatchError("grid guard needs both cops on the same layer")
+        self.adj = g.layer_view(assignment[0]).adjacency
+        self.phase = 1
+        self.blocker = 1
+        self.bcol = 2
+        self.traveler = 0
+        self.tcol = 3
+
+    def moves(self, view: MatchView):
+        capture = self.capture_move(view)
+        if capture is not None:
+            return capture
+        pos = list(view.cops)
+        ri, rj = self._rc(view.robber)
+        if self.phase == 1:
+            ci, _ = self._rc(pos[0])
+            if ci < ri:
+                pos[0] = self._idx(ci + 1, 1)
+                pos[1] = self._idx(ci + 1, 2)
+                return tuple(pos)
+            self.phase = 2
+            self.blocker, self.bcol = 1, 2
+            self.traveler, self.tcol = 0, 3
+        b, t = self.blocker, self.traveler
+        bi, bj = self._rc(pos[b])
+        if bj != self.bcol:
+            raise StrategyInvariantError("blocker drifted off its column")
+        if abs(bi - ri) > 1:
+            raise StrategyInvariantError("blocker lost the robber's row")
+        if bi != ri:
+            pos[b] = self._idx(bi + (1 if ri > bi else -1), bj)
+        ti, tj = self._rc(pos[t])
+        if tj != self.tcol:
+            pos[t] = self._step_to_column(pos[t], self.tcol)
+        elif ti != ri:
+            pos[t] = self._idx(ti + (1 if ri > ti else -1), tj)
+        ti, tj = self._rc(pos[t])
+        if tj == self.tcol and ti == ri and rj > self.tcol:
+            self.blocker, self.traveler = self.traveler, self.blocker
+            self.bcol, self.tcol = self.tcol, self.bcol + 2
+        return tuple(pos)
+
+    def _step_to_column(self, v: int, col: int) -> int:
+        dist = bfs_dist_adj(self.adj, *(self._idx(i, col) for i in range(1, self.nside + 1)))
+        return min((v, *self.adj[v]), key=lambda q: (dist[q], q))
+
+    def place(self):
+        return (self._idx(1, 1), self._idx(1, 2))
+
+
+class GridRobberCorner(RobberStrategy):
+    """Corner dance against one cop per grid layer: recompute the safe
+    corner cell (a, b) from which cop threatens row 1 / column 1 and hop
+    within the top-left 2x2 square."""
+
+    name = "grid_robber_corner"
+
+    def __init__(self, n: int):
+        self.nside = n
+
+    def begin(self, g, assignment, rng):
+        super().begin(g, assignment, rng)
+        from .generators import grid_coords, grid_index, grid_layers
+
+        n = self.nside
+        if g.n != n * n or tuple(g.layers) != grid_layers(n):
+            raise StrategyMismatchError(f"graph is not the {n}-grid construction")
+        if sorted(assignment) != [0, 1]:
+            raise StrategyMismatchError("corner dance needs exactly one cop per layer")
+        if n < 4:
+            raise StrategyMismatchError("corner dance needs n >= 4")
+        self.ch_cop = assignment.index(0)
+        self.cv_cop = assignment.index(1)
+        self._rc = lambda v: grid_coords(v, n)
+        self._idx = lambda i, j: grid_index(i, j, n)
+
+    def _target(self, cops) -> tuple[int, int]:
+        hi, _ = self._rc(cops[self.ch_cop])
+        _, vj = self._rc(cops[self.cv_cop])
+        return (2 if hi == 1 else 1), (2 if vj == 1 else 1)
+
+    def place(self, cops):
+        a, b = self._target(cops)
+        return self._idx(a, b)
+
+    def _check_restrictions(self, view: MatchView):
+        n = self.nside
+        ri, rj = self._rc(view.robber)
+        hi, hj = self._rc(view.cops[self.ch_cop])
+        vi, vj = self._rc(view.cops[self.cv_cop])
+        if hi == ri and hj not in (n, n - 1):
+            raise StrategyInvariantError("row cop too close on the robber's row")
+        if vj == rj and vi not in (n, n - 1):
+            raise StrategyInvariantError("column cop too close on the robber's column")
+        if hi == ri and vj == rj and not (hj == n or vi == n):
+            raise StrategyInvariantError("both cops aligned without a far cop")
+
+    def move(self, view: MatchView):
+        self._check_restrictions(view)
+        a, b = self._target(view.cops)
+        ri, rj = self._rc(view.robber)
+        if (a, b) == (ri, rj):
+            return view.robber
+        if a == ri:
+            return self._idx(a, b)
+        if b == rj:
+            return self._idx(a, b)
+        n = self.nside
+        _, hj = self._rc(view.cops[self.ch_cop])
+        if hj == n:
+            return self._idx(ri, b)
+        return self._idx(a, rj)
+
+
+# -- graph helpers for the scripted robbers ------------------------------------------------
+
+
+def _path_within(adj: Sequence[Sequence[int]], allowed, src: int, dst: int) -> list[int]:
+    """The vertices after `src` on a BFS shortest path to `dst` inside `allowed`."""
+
+    prev = {src: -1}
+    frontier = [src]
+    while dst not in prev and frontier:
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if y in allowed and y not in prev:
+                    prev[y] = x
+                    nxt.append(y)
+        frontier = nxt
+    path = []
+    at = dst
+    while at != src:
+        path.append(at)
+        at = prev[at]
+    path.reverse()
+    return path
+
+
+# -- slices strategy -------------------------------------------------------------------
+
+
+class SlicesRobber(RobberStrategy):
+    """Safe-slice navigation on the slices construction: stay on the ring
+    vertices, pick a slice triple with no cops nearby and a ring column no
+    cop can reach quickly, then travel ring-then-rungs to it."""
+
+    name = "slices_robber"
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def begin(self, g, assignment, rng):
+        super().begin(g, assignment, rng)
+        from .generators import slices_coords, slices_index, slices_layers, slices_vertex_count
+
+        if g.n != slices_vertex_count(self.k) or g.layers != slices_layers(self.k):
+            raise StrategyMismatchError(f"graph is not the slices construction for k={self.k}")
+        self.coords = lambda v: slices_coords(self.k, v)
+        self.index = lambda x, y, z: slices_index(self.k, x, y, z)
+        self.plan: list[int] = []
+        self.radj = g.robber_view().adjacency
+
+    def _cop_slices(self, cops) -> set[int]:
+        return {self.coords(p)[0] for p in cops}
+
+    def _free_slices(self, cops) -> list[int]:
+        bad = self._cop_slices(cops)
+        out = []
+        for x in range(1, 3 * self.k + 1):
+            if not ({x - 1, x, x + 1} & bad):
+                out.append(x)
+        return out
+
+    def _excluded_columns(self, cops) -> set[int]:
+        """Ring columns a cop can reach within 5k-1 moves of its own layer."""
+
+        k = self.k
+        out: set[int] = set()
+        for dist in self._cop_dists(cops):
+            for x in range(1, 3 * k + 1):
+                for y in range(1, k + 1):
+                    for z in (5 * k + 1, 5 * k + 2):
+                        if dist[self.index(x, y, z)] < 5 * k:
+                            out.add(y)
+        return out
+
+    def _ring_path(self, x: int, src: int, dst: int) -> list[int]:
+        """Shortest path from src to dst around the ring of slice x."""
+
+        k = self.k
+        ring = {self.index(x, y, z) for y in range(1, k + 1) for z in (5 * k + 1, 5 * k + 2)}
+        return _path_within(self.radj, ring, src, dst)
+
+    def _cop_dists(self, cops) -> list[list[float]]:
+        return [
+            bfs_dist_adj(self.g.layer_view(self.assignment[c]).adjacency, p)
+            for c, p in enumerate(cops)
+        ]
+
+    def _plan_is_safe(self, cops, plan: list[int]) -> bool:
+        dists = self._cop_dists(cops)
+        for t, v in enumerate(plan, start=1):
+            for d in dists:
+                if d[v] <= t + 1:
+                    return False
+        return True
+
+    def _make_plan(self, cops, cur: int) -> list[int]:
+        k = self.k
+        x_cur, y_cur, z_cur = self.coords(cur)
+        free = self._free_slices(cops)
+        excluded = self._excluded_columns(cops)
+        columns = [y for y in range(1, k + 1) if y not in excluded] or list(range(1, k + 1))
+        cop_slices = self._cop_slices(cops)
+
+        def slice_score(x):
+            return (min((abs(x - s) for s in cop_slices), default=0), -abs(x - x_cur))
+
+        candidates = sorted(free, key=slice_score, reverse=True) or [x_cur]
+        for xs in candidates:
+            for ys in columns:
+                ring_target = self.index(x_cur, ys, 5 * k + 1)
+                path = self._ring_path(x_cur, cur, ring_target) if cur != ring_target else []
+                step = 1 if xs >= x_cur else -1
+                rungs = [self.index(x, ys, 5 * k + 1) for x in range(x_cur + step, xs + step, step)]
+                plan = path + rungs
+                if plan and self._plan_is_safe(cops, plan):
+                    return plan
+        return []
+
+    def _fallback(self, cops, cur: int) -> int:
+        dists = self._cop_dists(cops)
+        options = [cur] + list(self.radj[cur])
+        return max(options, key=lambda v: (min(d[v] for d in dists), -v))
+
+    def place(self, cops):
+        free = self._free_slices(cops)
+        if free:
+            xr = max(free, key=lambda x: min((abs(x - s) for s in self._cop_slices(cops)), default=0))
+            return self.index(xr, 1, 5 * self.k + 1)
+        bad = self._cop_slices(cops)
+        xr = max(range(1, 3 * self.k + 1), key=lambda x: min(abs(x - s) for s in bad))
+        return self.index(xr, 1, 5 * self.k + 1)
+
+    def move(self, view: MatchView):
+        cur = view.robber
+        if self.plan:
+            nxt = self.plan[0]
+            threatened = nxt in view.cops
+            if not threatened:
+                for c, p in enumerate(view.cops):
+                    if nxt in self.g.layer_view(self.assignment[c]).adjacency[p]:
+                        threatened = True
+                        break
+            if threatened:
+                self.plan = []
+            else:
+                self.plan.pop(0)
+                return nxt
+        self.plan = self._make_plan(view.cops, cur)
+        if self.plan:
+            return self.move(view)
+        return self._fallback(view.cops, cur)
+
+
+# -- cops-bane strategy ----------------------------------------------------------------
+
+
+class CopsbaneRobber(RobberStrategy):
+    """Blocked-set evasion on the expander core: a cop blocks exactly the
+    monochromatic component it can reach without passing the hub, so the
+    robber keeps to large small-diameter subgraphs clear of all blocked
+    vertices, falling back (tagged DEGRADED) to plain distance
+    maximisation when no safe subgraph exists at this scale."""
+
+    name = "copsbane_robber"
+
+    def begin(self, g, assignment, rng):
+        """Read the layout from the graph: the EXPLICIT robber edges are the
+        core on 0..N-1, the hub is N, the arms fill n = N + 1 + 2DN and an
+        edge's colour is whether layer 0 holds it."""
+
+        super().begin(g, assignment, rng)
+        from .generators import copsbane_layers
+
+        core = g.robber_edges or ()
+        self.N = N = 1 + max((v for _, v in core), default=0)
+        self.D, rest = divmod(g.n - N - 1, 2 * N)
+        in_first = set(g.layers[0])
+        coloring = {e: int(e not in in_first) for e in core}
+        if not core or rest or g.tau != 2 or g.layers != copsbane_layers(N, self.D, core, coloring):
+            raise StrategyMismatchError("graph is not a cops-bane construction")
+        self.x_adj = adjacency_lists(N, core)
+        self._colour_adj = [adjacency_lists(N, [e for e in core if coloring[e] == c]) for c in (0, 1)]
+        # monochromatic component (as a frozenset) of each core vertex per colour
+        self.comp: list[list[frozenset[int]]] = []
+        for adj in self._colour_adj:
+            comp_of: list[frozenset[int]] = [frozenset()] * self.N
+            for comp in component_sets(adj):
+                fz = frozenset(comp)
+                for v in fz:
+                    comp_of[v] = fz
+            self.comp.append(comp_of)
+        self._comp_dist_cache: dict[tuple[int, int], list[float]] = {}
+        self._safe_cache: dict[frozenset[int], list[set[int]]] = {}
+
+    def _leaf(self, p: int) -> tuple[int, int]:
+        """The core vertex whose arm holds `p` (p itself inside the core), and
+        the number of steps from `p` to it."""
+
+        if p < self.N:
+            return p, 0
+        x, i = divmod(p - self.N - 1, 2 * self.D)
+        return x, 2 * self.D - i
+
+    def _blocked(self, cops) -> set[int]:
+        out: set[int] = set()
+        for c, p in enumerate(cops):
+            if p != self.N:
+                out |= self.comp[self.assignment[c]][self._leaf(p)[0]]
+        return out
+
+    def _safe_components(self, blocked: set[int]) -> list[set[int]]:
+        """Large components of diameter <= D outside `blocked`, memoised per
+        blocked set; callers must not modify the returned sets."""
+
+        key = frozenset(blocked)
+        safe = self._safe_cache.get(key)
+        if safe is None:
+            safe = self._safe_cache[key] = [
+                comp
+                for comp in component_sets(self.x_adj, blocked)
+                if len(comp) >= self.N // 2 + 1 and self._diameter(comp) <= self.D
+            ]
+        return safe
+
+    def _diameter(self, comp: set[int]) -> float:
+        worst = 0.0
+        for s in comp:
+            dist = bfs_dist_adj(self.x_adj, s, within=comp)
+            worst = max(worst, max(dist[v] for v in comp))
+        return worst
+
+    def place(self, cops):
+        blocked = self._blocked(cops)
+        dist = bfs_dist_adj(self.x_adj, *blocked)
+        threat = self._threat(cops)
+        safe = self._safe_components(blocked)
+        if safe:
+            comp = max(safe, key=len)
+            return max(comp, key=lambda v: (dist[v], -v))
+        self.tags.add("DEGRADED")
+        pool = [v for v in range(self.N) if v not in blocked] or list(range(self.N))
+        return max(pool, key=lambda v: (dist[v], threat[v], -v))
+
+    def _threat(self, cops) -> list[float]:
+        """Per core vertex: fewest moves some cop needs to reach it.
+
+        Computed structurally: a cop inside the core moves within its
+        monochromatic component or takes 4D+2 steps through the hub; a cop
+        on an arm is a steps from its leaf and 4D+2-a from everything else.
+        """
+
+        round_trip = 4 * self.D + 2
+        threat = [INF] * self.N
+        for c, p in enumerate(cops):
+            colour = self.assignment[c]
+            if p == self.N:
+                base = 2 * self.D + 1
+                for v in range(self.N):
+                    if base < threat[v]:
+                        threat[v] = base
+                continue
+            leaf, a = self._leaf(p)
+            comp = self.comp[colour][leaf]
+            local = self._comp_dist(colour, leaf)
+            for v in range(self.N):
+                d = round_trip - a
+                if v in comp:
+                    d = min(d, a + local[v])
+                if d < threat[v]:
+                    threat[v] = d
+        return threat
+
+    def _comp_dist(self, colour: int, src: int) -> list[float]:
+        """Distances from `src` in its monochromatic component (inf outside)."""
+
+        key = (colour, src)
+        if key not in self._comp_dist_cache:
+            self._comp_dist_cache[key] = bfs_dist_adj(self._colour_adj[colour], src)
+        return self._comp_dist_cache[key]
+
+    def move(self, view: MatchView):
+        cur = view.robber
+        blocked = self._blocked(view.cops)
+        dist = bfs_dist_adj(self.x_adj, *blocked)
+        threat = self._threat(view.cops)
+        safe = self._safe_components(blocked)
+        home = next((c for c in safe if cur in c), None)
+        if home is not None:
+            target = max(home, key=lambda v: (dist[v], -v))
+            plan = _path_within(self.x_adj, home, cur, target) if target != cur else []
+            if any(v in blocked for v in plan):
+                raise StrategyInvariantError("planned path crosses the blocked set")
+            nxt = plan[0] if plan else cur
+            if threat[nxt] >= 2:
+                return nxt
+        self.tags.add("DEGRADED")
+        options = [cur] + self.x_adj[cur]
+        clear = [v for v in options if threat[v] >= 2]
+        pool = clear or options
+        return max(pool, key=lambda v: (dist[v], threat[v], -v))
+
+
+# -- tree squeeze -----------------------------------------------------------------------
+
+
+class TreeSqueezeCops(CopTeamStrategy):
+    """Territory squeeze for tree robber layers without a robber's edge.
+
+    Cops start inside the components of a clean profile.  Each iteration
+    picks the cop closest to the robber in the tree (the guard at u), aims
+    at the next tree vertex w toward the robber, and routes a cop able to
+    reach w there -- reinforcing u first when the guard itself is the only
+    candidate.  Commitment plus the return-capture rule mirror the textbook
+    squeeze; the robber's territory loses at least u per completed trip."""
+
+    name = "tree_squeeze_cop"
+
+    def begin(self, g, assignment, rng):
+        super().begin(g, assignment, rng)
+        from .treealgo import winning_profile
+
+        profile = winning_profile(g, tuple(assignment))
+        if profile is None:
+            raise StrategyMismatchError("instance has a robber's edge for this assignment")
+        self.profile = profile
+        self.radj = g.robber_view().adjacency
+        self.tasks: list[tuple[int, int]] = []  # (cop, target vertex)
+        self.guard_post: int | None = None
+
+    def place(self):
+        return tuple(min(comp) for comp in self.profile)
+
+    def _replan(self, view: MatchView) -> None:
+        rdist = bfs_dist_adj(self.radj, view.robber)
+        guard = min(range(len(view.cops)), key=lambda c: (rdist[view.cops[c]], c))
+        u = view.cops[guard]
+        w = min(q for q in self.radj[u] if rdist[q] == rdist[u] - 1)
+        reach = [c for c in range(len(view.cops)) if w in self.profile[c]]
+        self.guard_post = u
+        others = [c for c in reach if c != guard]
+        if others:
+            runner = min(others, key=lambda c: (self.cop_dist(c, w)[view.cops[c]], c))
+            self.tasks = [(runner, w)]
+            return
+        if guard not in reach:
+            raise StrategyInvariantError(f"no cop can reach {w}; profile was not clean")
+        d = self.cop_dist(guard, w)[u]
+        if d > 2:
+            helpers = [c for c in range(len(view.cops)) if c != guard and u in self.profile[c]]
+            if not helpers:
+                raise StrategyInvariantError(
+                    f"guard is the sole policer of edge ({u},{w}) at distance {d}"
+                )
+            helper = min(helpers, key=lambda c: (self.cop_dist(c, u)[view.cops[c]], c))
+            self.tasks = [(helper, u), (guard, w)]
+        else:
+            self.tasks = [(guard, w)]
+
+    def moves(self, view: MatchView):
+        capture = self.capture_move(view)
+        if capture is not None:
+            return capture
+        pos = list(view.cops)
+        while True:
+            while self.tasks and pos[self.tasks[0][0]] == self.tasks[0][1]:
+                self.tasks.pop(0)
+            if self.tasks:
+                break
+            self._replan(view)
+        cop, target = self.tasks[0]
+        if (
+            self.guard_post is not None
+            and view.robber == self.guard_post
+            and pos[cop] != self.guard_post
+        ):
+            # the robber stepped onto the vacated guard post: turn back
+            target = self.guard_post
+            self.tasks[0] = (cop, target)
+        pos[cop] = self.step_toward(cop, pos[cop], target)
+        return tuple(pos)
+
+
+# -- bag sweep along a tree decomposition --------------------------------------------------
+
+
+class BagsweepCops(CopTeamStrategy):
+    """Cover one bag of a tree decomposition of the flattened graph and
+    shift, one cop at a time, to the neighbouring bag on the robber's side;
+    the bag intersection stays guarded so the robber's subtree shrinks."""
+
+    name = "bagsweep_cop"
+
+    def __init__(self, decomp):
+        self.decomp = decomp
+
+    def begin(self, g, assignment, rng):
+        super().begin(g, assignment, rng)
+        from .bounds import td_validate
+        from .core import flatten
+
+        if not td_validate(self.decomp, flatten(g), g.n):
+            raise StrategyMismatchError("decomposition does not validate against the graph")
+        for i in range(g.tau):
+            if g.layer_view(i).n_components != 1:
+                raise StrategyMismatchError("bag sweep needs connected cop layers")
+        if len(assignment) < self.decomp.max_bag:
+            raise StrategyMismatchError(
+                f"need at least {self.decomp.max_bag} cops, got {len(assignment)}"
+            )
+        self.tadj = adjacency_lists(len(self.decomp.bags), self.decomp.tree)
+        self.current = 0
+        self.posts: dict[int, int] = {}
+        self.tasks: list[tuple[int, int]] = []
+        self.pending_bag: int | None = None
+
+    def place(self):
+        bag = sorted(self.decomp.bags[self.current])
+        out = []
+        for c in range(len(self.assignment)):
+            if c < len(bag):
+                out.append(bag[c])
+                self.posts[c] = bag[c]
+            else:
+                out.append(bag[0])
+                self.posts[c] = bag[0]
+        return tuple(out)
+
+    def _side_vertices(self, bag_from: int, bag_to: int) -> set[int]:
+        """Vertices in bags of the component of the tree minus `bag_from`
+        that contains `bag_to`."""
+
+        side = next(c for c in component_sets(self.tadj, (bag_from,)) if bag_to in c)
+        return set().union(*(self.decomp.bags[b] for b in side))
+
+    def _plan_shift(self, view: MatchView) -> None:
+        cur_bag = self.decomp.bags[self.current]
+        target_bag = None
+        for m in self.tadj[self.current]:
+            if view.robber in self._side_vertices(self.current, m) - cur_bag:
+                target_bag = m
+                break
+        if target_bag is None:
+            raise StrategyInvariantError("robber is not on any side of the covered bag")
+        new_bag = self.decomp.bags[target_bag]
+        cut = cur_bag & new_bag
+        uncovered = sorted(new_bag - set(self.posts.values()))
+        movers = sorted(
+            (c for c, p in self.posts.items() if p not in new_bag),
+            key=lambda c: self.posts[c],
+        )
+        # cops parked several-to-a-vertex are surplus and may move too
+        seen_posts: set[int] = set()
+        surplus = []
+        for c in sorted(self.posts):
+            p = self.posts[c]
+            if p in cut and p in seen_posts:
+                surplus.append(c)
+            seen_posts.add(p)
+        pool = movers + [c for c in surplus if c not in movers]
+        self.tasks = []
+        for target, cop in zip(uncovered, pool):
+            self.tasks.append((cop, target))
+            self.posts[cop] = target
+        self.pending_bag = target_bag
+
+    def moves(self, view: MatchView):
+        capture = self.capture_move(view)
+        if capture is not None:
+            return capture
+        pos = list(view.cops)
+        while True:
+            while self.tasks and pos[self.tasks[0][0]] == self.tasks[0][1]:
+                self.tasks.pop(0)
+            if self.tasks:
+                break
+            if self.pending_bag is not None:
+                self.current = self.pending_bag
+                self.pending_bag = None
+            self._plan_shift(view)
+            if not self.tasks:
+                # every target already covered; adopt the bag and continue
+                self.current = self.pending_bag
+                self.pending_bag = None
+        cop, target = self.tasks[0]
+        pos[cop] = self.step_toward(cop, pos[cop], target)
+        return tuple(pos)
+
+
+# -- interactive play ------------------------------------------------------------------
+
+
+class MatchAbandoned(Exception):
+    """The human typed 'quit'; `rows` holds the moves played so far."""
+
+    def __init__(self, rows: list):
+        super().__init__("match abandoned")
+        self.rows = rows
+
+
+class _Human:
+    """One side played from the terminal: prompts through `input_fn`,
+    re-prompts on illegal input and raises MatchAbandoned on 'quit'.  Before
+    each prompt it prints, through `output_fn`, the moves the engine made
+    since the last one."""
+
+    engine_says: dict[str, str] = {}  # mover -> line printed for its rows
+
+    def __init__(self, input_fn: Callable[[str], str], output_fn: Callable[[str], None]):
+        self.input_fn = input_fn
+        self.say = output_fn
+
+    def begin(self, g, assignment, rng):
+        super().begin(g, assignment, rng)
+        self.shown = 0  # rows already narrated
+        self.cop_adj, self.robber_adj = _move_sets(g, assignment)
+
+    def narrate(self, rows: list) -> None:
+        for row in rows[self.shown:]:
+            line = self.engine_says.get(row[1])
+            if line is not None:
+                self.say(line.format(rnd=row[0], robber=row[2], cops=_ids(row[3])))
+        self.shown = len(rows)
+
+    def ask(self, prompt: str, count: int, legal: Callable[[list[int]], bool], rows: list) -> list[int]:
+        self.narrate(rows)
+        while True:
+            raw = self.input_fn(prompt).strip()
+            if raw.lower() in ("q", "quit"):
+                raise MatchAbandoned(rows)
+            try:
+                vals = [int(x) for x in raw.replace(",", " ").split()]
+            except ValueError:
+                self.say("enter vertex ids, or 'quit'")
+                continue
+            if len(vals) != count:
+                self.say(f"need {count} vertex id(s)")
+                continue
+            if not legal(vals):
+                self.say("illegal move, try again")
+                continue
+            return vals
+
+
+class HumanCops(_Human, CopTeamStrategy):
+    name = "human"
+    engine_says = {"P": "robber placed at {robber}", "R": "round {rnd}: robber moves to {robber}"}
+
+    def place(self):
+        k = len(self.assignment)
+        return tuple(self.ask(f"place {k} cops> ", k, lambda vs: all(0 <= v < self.g.n for v in vs), []))
+
+    def moves(self, view: MatchView):
+        cops = view.cops
+        prompt = f"round {view.round_no}, cops at {_ids(cops)}, robber at {view.robber}; move cops> "
+
+        def legal(vs):
+            return all(_legal_move(self.cop_adj[i], self.g.n, cops[i], v) for i, v in enumerate(vs))
+
+        return tuple(self.ask(prompt, len(cops), legal, view.history))
+
+
+class HumanRobber(_Human, RobberStrategy):
+    name = "human"
+    engine_says = {"C": "round {rnd}: cops move to {cops}"}
+
+    def place(self, cops):
+        # the placement row is written only after the robber places
+        self.say(f"cops placed at {_ids(cops)}")
+        return self.ask("place robber> ", 1, lambda vs: 0 <= vs[0] < self.g.n, [])[0]
+
+    def move(self, view: MatchView):
+        prompt = f"round {view.round_no}, cops at {_ids(view.cops)}; move robber from {view.robber}> "
+
+        def legal(vs):
+            return _legal_move(self.robber_adj, self.g.n, view.robber, vs[0])
+
+        return self.ask(prompt, 1, legal, view.history)[0]
+
+
+def interactive_play(
+    g: MultiLayerGraph,
+    alloc: AllocationPlan,
+    human_role: str,
+    input_fn: Callable[[str], str] = input,
+    output_fn: Callable[[str], None] = print,
+    max_rounds: int = 10_000,
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> MatchRecord:
+    """Terminal match against the tablebase; illegal input is re-prompted,
+    'quit' abandons the session."""
+
+    if human_role not in ("robber", "cops"):
+        raise MlgError(f"human role must be 'robber' or 'cops', got {human_role!r}")
+    cops, robber, _ = tablebase_pair(g, alloc, state_budget)
+    if human_role == "cops":
+        human = cops = HumanCops(input_fn, output_fn)
+    else:
+        human = robber = HumanRobber(input_fn, output_fn)
+    try:
+        record = run_match(g, alloc, cops, robber, T=max_rounds)
+    except MatchAbandoned as ex:
+        return MatchRecord(
+            graph_id=g.tag, allocation=alloc.counts, assignment=alloc.assignment(),
+            cop_strategy=cops.name, robber_strategy=robber.name, seed=0,
+            horizon=max_rounds, rows=ex.rows, outcome="ABANDONED",
+        )
+    human.narrate(record.rows)
+    if record.capture_round == 0:
+        output_fn("capture at placement")
+    elif record.capture_round is not None:
+        output_fn(f"captured at round {record.capture_round}")
+    return record

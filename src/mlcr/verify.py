@@ -440,7 +440,8 @@ def _c12(budget):
 @criterion("c13-treewidth-sweep", "bag sweep with max-bag-size cops beats optimal robbers")
 def _c13(budget):
     from .bounds import treewidth_cop_bound, treewidth_exact_small
-    from .sim import BagsweepCops, TablebaseRobber, run_match
+    from .scripted import BagsweepCops
+    from .sim import TablebaseRobber, run_match
     from .solver import build_copwin, multilayer_cop_number
 
     rng = random.Random(20240613)
@@ -481,7 +482,8 @@ def _c13(budget):
 @criterion("c14-copsbane", "expander-core family: validators and robber survival")
 def _c14(budget):
     from .generators import gen_copsbane
-    from .sim import CopsbaneRobber, GreedyCops, run_match
+    from .scripted import CopsbaneRobber
+    from .sim import GreedyCops, run_match
 
     ok = True
     details = []

@@ -489,13 +489,19 @@ def _cap_address_space():
         # 10^11 vertices: no layer's adjacency lists fit in physical RAM
         (["bounds", "{huge}"], 3),
         (["simulate", "{huge}", "--allocation", "1"], 3),
+        # the generators check the vertex count they will produce before any n-sized list
+        (["generate", "grid", "-n", "1000000", "-o", "{out}"], 3),
+        (["generate", "random-layers", "-n", "100000000000", "-o", "{out}"], 3),
+        (["generate", "cycle-matchings", "-n", "100000000000", "-o", "{out}"], 3),
+        (["experiment", "-n", "100000000000", "--seeds", "1"], 3),
     ],
     ids=["unknown-strategy", "strategy-mismatch", "simulate-over-budget", "play-over-budget",
          "solve-bad-allocation", "simulate-bad-allocation", "play-bad-allocation",
          "solve-non-utf8-file", "experiment-bad-seeds", "experiment-empty-seeds", "copsbane-on-grid",
-         "bounds-huge-graph", "simulate-huge-graph"],
+         "bounds-huge-graph", "simulate-huge-graph", "generate-huge-grid", "generate-huge-random-layers",
+         "generate-huge-cycle-matchings", "experiment-huge-graph"],
 )
-def test_errors_exit_with_their_code_and_one_error_line(args, code, grid4_file, tmp_path):
+def test_errors_exit_with_their_code_and_one_error_line(args, code, grid4_file, tmp_path, request):
     from mlcr.core import MultiLayerGraph, RobberSpec
 
     tree = _write(tmp_path, "tree4.mlg", MultiLayerGraph(
@@ -508,14 +514,15 @@ def test_errors_exit_with_their_code_and_one_error_line(args, code, grid4_file, 
     binary.write_bytes(b"MLG1 2 1 UNION\nLAYER 1 1\n0 \xff1\n")
     huge = tmp_path / "huge.mlg"
     huge.write_text("MLG1 100000000000 1 UNION\nLAYER 1 0\n")
+    out = tmp_path / "out.mlg"
     proc = subprocess.run(
         [sys.executable, "-m", "mlcr.cli",
-         *(a.format(grid=grid4_file, tree=tree, binary=binary, huge=huge) for a in args)],
+         *(a.format(grid=grid4_file, tree=tree, binary=binary, huge=huge, out=out) for a in args)],
         input=b"",
         capture_output=True,
         timeout=120,
         # without the guard these children would allocate until the machine runs out
-        preexec_fn=_cap_address_space if "{huge}" in args else None,
+        preexec_fn=_cap_address_space if "-huge-" in request.node.callspec.id else None,
     )
     err = proc.stderr.decode()
     assert proc.returncode == code, err
@@ -527,13 +534,16 @@ def test_errors_exit_with_their_code_and_one_error_line(args, code, grid4_file, 
 
 
 def test_main_in_process_leaves_the_heap_unfrozen(grid4_file, capsys):
+    """`main` in-process neither freezes the heap nor changes the collector's
+    thresholds; only `run` does."""
+
     import gc
 
-    before = gc.get_freeze_count()
+    before = gc.get_freeze_count(), gc.get_threshold()
     assert run_cli(["simulate", grid4_file, "--allocation", "2,0", "--cop-strategy", "tablebase",
                     "--robber-strategy", "tablebase"], capsys)[0] == 0
     assert run_cli(["solve", grid4_file, "--allocation", "2,x"], capsys)[0] == 2
-    assert gc.get_freeze_count() == before
+    assert (gc.get_freeze_count(), gc.get_threshold()) == before
 
 
 @pytest.mark.parametrize("code", [0, 3])
@@ -544,10 +554,12 @@ def test_run_freezes_after_main_returns_and_exits_with_its_code(code, monkeypatc
 
     calls = []
     monkeypatch.setattr(mlcr.cli, "main", lambda: calls.append("main") or code)
+    monkeypatch.setattr(gc, "set_threshold", lambda *gens: calls.append(("threshold", gens)))
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
     monkeypatch.setattr(sys, "exit", lambda status: calls.append(("exit", status)))
     mlcr.cli.run()
-    assert calls == ["main", "freeze", ("exit", code)]
+    assert calls == [("threshold", (mlcr.cli.GC_GEN0_THRESHOLD,)), "main", "freeze", ("exit", code)]
+    assert mlcr.cli.GC_GEN0_THRESHOLD > gc.get_threshold()[0]
 
 
 def test_script_entry_point_is_run():

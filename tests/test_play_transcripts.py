@@ -5,7 +5,7 @@ import pytest
 
 from mlcr.core import AllocationPlan, MultiLayerGraph, RobberSpec
 from mlcr.generators import gen_grid
-from mlcr.sim import interactive_play
+from mlcr.scripted import interactive_play
 
 
 def path(n):

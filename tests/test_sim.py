@@ -8,24 +8,26 @@ from hypothesis import given, settings, strategies as st
 from mlcr.core import AllocationPlan, MlgError, MultiLayerGraph, RobberSpec
 from mlcr.generators import gen_copsbane, gen_grid, gen_slices
 from mlcr.solver import Winner, build_copwin
-from mlcr.sim import (
+from mlcr.scripted import (
     BagsweepCops,
     CopsbaneRobber,
-    CopTeamStrategy,
-    GreedyCops,
     GridCopGuard,
     GridRobberCorner,
+    SlicesRobber,
+    TreeSqueezeCops,
+    interactive_play,
+)
+from mlcr.sim import (
+    CopTeamStrategy,
+    GreedyCops,
     IllegalMoveError,
     MatchRecord,
     RandomCops,
     RandomRobber,
-    SlicesRobber,
     StrategyInvariantError,
     StrategyMismatchError,
     TablebaseCops,
     TablebaseRobber,
-    TreeSqueezeCops,
-    interactive_play,
     parse_match_record,
     referee_check,
     run_match,
@@ -215,6 +217,90 @@ def test_tablebase_strategy_assignment_mismatch():
     table = build_copwin(g, (0, 0))
     with pytest.raises(StrategyMismatchError):
         run_match(g, AllocationPlan((1, 1)), TablebaseCops(table), RandomRobber(), T=2, seed=0)
+
+
+def _uncached_cop_move(table, robber, cops):
+    """The cop policy walk straight from the table: cops move one at a time,
+    rank-minimising on cop-win states and chasing otherwise."""
+
+    cops = list(cops)
+    state = table.pack(robber, cops, 0)
+    for c in range(table.k):
+        if robber in cops:
+            break
+        state = table.best_cop_move(state) if table.is_copwin(*table.unpack(state)) else table.chase_cop_move(state)
+        cops[c] = table.unpack(state)[1][c]
+    return tuple(cops)
+
+
+@pytest.mark.parametrize(
+    "make_graph, counts",
+    [
+        (lambda: gen_grid(3)[0], (1, 1)),
+        (lambda: gen_grid(4)[0], (2, 0)),
+        (lambda: gen_grid(4)[0], (1, 1)),
+        (lambda: single(cycle(6), 6), (2,)),
+        (lambda: random_instance(random.Random(11), n_max=6), None),
+    ],
+    ids=["grid3-1,1", "grid4-2,0", "grid4-1,1", "cycle6-2", "random"],
+)
+def test_tablebase_move_cache_matches_the_uncached_policy(make_graph, counts):
+    """Every position a seeded batch visits, against optimal and random
+    opponents: the answer the strategy remembered is the table's policy."""
+
+    g = make_graph()
+    plan = AllocationPlan(counts or (1,) * g.tau)
+    cops, robber, table = tablebase_pair(g, plan)
+    for seed in range(6):
+        run_match(g, plan, cops, robber, T=60, seed=seed)
+        run_match(g, plan, cops, RandomRobber(), T=60, seed=seed)
+        run_match(g, plan, RandomCops(), robber, T=60, seed=seed)
+    assert cops._answers and robber._answers
+    for (r, c), answer in cops._answers.items():
+        assert answer == _uncached_cop_move(table, r, c), (r, c)
+    for (r, c), answer in robber._answers.items():
+        assert answer == table.unpack(table.best_robber_move(table.pack(r, c, table.k)))[0], (r, c)
+
+
+def test_tablebase_batch_queries_the_table_once_per_distinct_position(tmp_path, monkeypatch, capsys):
+    """Grid n=6 with cops (1,1) for 4 x 1000 rounds: 8,000 policy answers
+    from a few dozen distinct positions, each walked through the table once."""
+
+    import mlcr.solver
+    from mlcr.cli import main
+    from mlcr.core import write_mlg_file
+
+    path, records = tmp_path / "grid6.mlg", tmp_path / "matches.mr1"
+    write_mlg_file(gen_grid(6)[0], path)
+    calls = {"best_cop_move": [], "chase_cop_move": [], "best_robber_move": []}
+    for name, states in calls.items():
+        def counted(self, index, _real=getattr(mlcr.solver.CopWinTable, name), _states=states):
+            _states.append((self, index))
+            return _real(self, index)
+
+        monkeypatch.setattr(mlcr.solver.CopWinTable, name, counted)
+    code = main([
+        "--seed", "1", "simulate", str(path), "--allocation", "1,1", "--cop-strategy", "tablebase",
+        "--robber-strategy", "tablebase", "--batch", "4", "--rounds", "1000", "--record", str(records),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("SUMMARY matches=4 captures=0\n")
+    # the position each C and R row answered is the row before it
+    asked = {"C": [], "R": []}
+    for text in records.read_text().split("MR1 ")[1:]:
+        rows = parse_match_record("MR1 " + text).rows
+        for before, row in zip(rows, rows[1:]):
+            asked[row[1]].append((before[2], before[3]))
+    assert len(asked["C"]) == len(asked["R"]) == 4000
+    table = calls["best_robber_move"][0][0]
+    cop_states = calls["best_cop_move"] + calls["chase_cop_move"]
+    assert all(tb is table for tb, _ in cop_states + calls["best_robber_move"])
+    walks = sorted(table.unpack(state)[:2] for _, state in cop_states if table.unpack(state)[2] == 0)
+    assert walks == sorted(set(asked["C"]))
+    assert len(cop_states) <= table.k * len(walks)
+    robber_states = sorted(table.unpack(state)[:2] for _, state in calls["best_robber_move"])
+    assert robber_states == sorted(set(asked["R"]))
+    assert len(walks) + len(robber_states) < 100
 
 
 # -- scripted strategies ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Start-up cost: only the commands that build a table load the solver and
-numpy.  Each case runs in a fresh interpreter, since this test process has
-long since imported both."""
+numpy, and only the commands that name a scripted strategy load
+`mlcr.scripted`.  Each case runs in a fresh interpreter, since this test
+process has long since imported all three."""
 
 import ast
 import json
@@ -40,6 +41,29 @@ CASES = {
     "solve-tree-dump-table": ([SOLVE_TREE + ["--dump-table", "t.cwt"]], True),
 }
 
+SIMULATE_GRID = ["simulate", "g.mlg", "--batch", "2", "--allocation"]
+GENERATE_COPSBANE = ["--seed", "3", "generate", "copsbane", "-n", "8", "-o", "cb.mlg"]
+
+# name: (CLI invocations run in order by one process, whether mlcr.scripted must be loaded)
+SCRIPTED_CASES = {
+    "simulate-greedy-random": ([GENERATE, SIMULATE_GRID + ["1,1"]], False),
+    "simulate-random-random": ([GENERATE, SIMULATE_GRID + ["1,1", "--cop-strategy", "random"]], False),
+    "simulate-tablebase": (
+        [GENERATE, SIMULATE_GRID + ["1,1", "--cop-strategy", "tablebase", "--robber-strategy", "tablebase"]],
+        False,
+    ),
+    # positive controls: a construction strategy is named
+    "simulate-grid-guard": (
+        [GENERATE, SIMULATE_GRID + ["2,0", "--cop-strategy", "grid_guard", "--robber-strategy", "random"]],
+        True,
+    ),
+    "simulate-copsbane": (
+        [GENERATE_COPSBANE, ["simulate", "cb.mlg", "--allocation", "2,2", "--robber-strategy", "copsbane",
+                             "--rounds", "10"]],
+        True,
+    ),
+}
+
 _CHILD = """
 import contextlib, io, json, sys
 runs = json.loads(sys.argv[1])
@@ -50,13 +74,13 @@ else:
     from mlcr.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         codes = [main(args) for args in runs]
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules, "scripted": "mlcr.scripted" in sys.modules}))
 """
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_numpy_loads_only_for_table_builds(name, tmp_path):
-    runs, wants_numpy = CASES[name]
+def _fresh_run(runs, tmp_path):
+    """Run `runs` through `main` in a new interpreter; the modules it loaded."""
+
     (tmp_path / "path4.mlg").write_text(PATH4)
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, json.dumps(runs)],
@@ -65,7 +89,19 @@ def test_numpy_loads_only_for_table_builds(name, tmp_path):
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["codes"] == [0] * len(runs or []), proc.stderr
-    assert got["numpy"] is wants_numpy
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_numpy_loads_only_for_table_builds(name, tmp_path):
+    runs, wants_numpy = CASES[name]
+    assert _fresh_run(runs, tmp_path)["numpy"] is wants_numpy
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTED_CASES))
+def test_scripted_strategies_load_only_when_named(name, tmp_path):
+    runs, wants_scripted = SCRIPTED_CASES[name]
+    assert _fresh_run(runs, tmp_path)["scripted"] is wants_scripted
 
 
 def test_package_names_resolve_lazily():
@@ -78,6 +114,9 @@ def test_package_names_resolve_lazily():
 
 
 def test_only_the_solver_imports_numpy_and_nothing_imports_the_solver_at_top():
+    """`scripted` is loaded where it is first needed as well: the strategy
+    factories and `cmd_play` import it in the branch that names its players."""
+
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.Import):
@@ -89,4 +128,4 @@ def test_only_the_solver_imports_numpy_and_nothing_imports_the_solver_at_top():
             for module in modules:
                 if path.name != "solver.py":
                     assert module.split(".")[0] != "numpy", path.name
-                assert module not in (".solver", "mlcr.solver"), path.name
+                assert module not in (".solver", "mlcr.solver", ".scripted", "mlcr.scripted"), path.name
