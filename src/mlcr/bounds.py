@@ -164,8 +164,8 @@ def domset_exact(g: MultiLayerGraph) -> DominatingSet:
     # pairs that cover vertex w, in (layer, vertex) order
     coverers: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for i in range(tau):
-        for v, nbrs in enumerate(g.layer_view(i).adjacency):
-            for w in (v, *nbrs):
+        for v, row in enumerate(g.moves(i)):
+            for w in row:
                 coverers[w].append((v, i, masks[i][v]))
 
     greedy = domset_greedy(g)

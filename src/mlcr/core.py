@@ -6,8 +6,8 @@ explicit edge set, the union of the cop layers, or the complete graph.
 Everything downstream (solver, bounds, simulator) works on this type, so
 edges are kept canonical: within a layer each edge is stored once as
 (u, v) with u < v, and layers are sorted tuples.  Instances are treated
-as immutable after construction; derived structures (adjacency, components)
-are cached per layer.
+as immutable after construction; derived structures (adjacency, components,
+the move rows of `MultiLayerGraph.moves`) are cached per layer.
 
 The game outcome types shared by the solver and the tree path (`Winner`,
 `GameVerdict`, `StateBudgetExceeded`, `DEFAULT_STATE_BUDGET` and the
@@ -188,6 +188,20 @@ class MultiLayerGraph:
         if "robber_view" not in self._cache:
             self._cache["robber_view"] = _build_layer_view(self.n, self.robber_layer_edges())
         return self._cache["robber_view"]
+
+    def moves(self, layer: int | None) -> Sequence[Sequence[int]]:
+        """The move rule of one layer (None: the robber's): per vertex, the
+        stay plus its neighbours, ascending.  A complete robber layer gives
+        one shared `range(n)` for every vertex and lists no edge."""
+
+        key = ("moves", layer)
+        if key not in self._cache:
+            if layer is None and self.robber_is_complete():
+                self._cache[key] = (range(self.n),) * self.n
+            else:
+                view = self.robber_view() if layer is None else self.layer_view(layer)
+                self._cache[key] = tuple(tuple(sorted((v, *nbrs))) for v, nbrs in enumerate(view.adjacency))
+        return self._cache[key]
 
     def layer_view(self, i: int) -> LayerView:
         key = ("layer_view", i)

@@ -31,6 +31,7 @@ from .core import (
     bfs_dist_adj,
     check_vertex_count,
     component_sets,
+    flatten,
     girth,
     is_connected_edges,
     min_degree,
@@ -302,22 +303,17 @@ def gen_slices(k: int) -> tuple[MultiLayerGraph, ConstructionReport]:
     report = _report("slices", {"k": k}, g)
     report.add("vertex_count", g.n == nv, g.n)
     report.add("layers_connected", all(report.layer_connected))
-    from .core import flatten
-
     report.add("union_connected", is_connected_edges(flatten(g), g.n))
     # slices x >= 2 are pairwise isomorphic: identical under the index shift
-    if k >= 1 and 3 * k >= 3:
-        per = 1 + k * (5 * k + 2)
-        ok = True
-        union = set(c1) | set(c2)
-        ref = {(u % per, v % per) for u, v in union if 2 * per <= u < 3 * per and 2 * per <= v < 3 * per}
-        for x in range(4, 3 * k + 1):
-            lo, hi = (x - 1) * per, x * per
-            cur = {(u % per, v % per) for u, v in union if lo <= u < hi and lo <= v < hi}
-            if cur != ref:
-                ok = False
-                break
-        report.add("interior_slices_isomorphic", ok)
+    per = 1 + k * (5 * k + 2)
+    union = set(c1) | set(c2)
+
+    def inside(x: int) -> set[Edge]:  # edges within slice x, shifted by the slice offset
+        lo, hi = (x - 1) * per, x * per
+        return {(u % per, v % per) for u, v in union if lo <= u < hi and lo <= v < hi}
+
+    ref = inside(3)
+    report.add("interior_slices_isomorphic", all(inside(x) == ref for x in range(4, 3 * k + 1)))
     return _finish(g, report)
 
 
@@ -325,8 +321,6 @@ def slices_induced_robber_slice(k: int, x: int) -> tuple[tuple[Edge, ...], int]:
     """Induced subgraph of the robber layer on slice x, relabelled to 0..m-1."""
 
     g, _ = gen_slices(k)
-    from .core import flatten
-
     union = flatten(g)
     verts = slices_slice_vertices(k, x)
     remap = {v: i for i, v in enumerate(verts)}
@@ -350,8 +344,6 @@ def gen_cycle_matchings(n: int) -> tuple[MultiLayerGraph, ConstructionReport]:
     c2 = tuple(sorted((min(2 * i + 1, (2 * i + 2) % nv), max(2 * i + 1, (2 * i + 2) % nv)) for i in range(n)))
     g = MultiLayerGraph(n=nv, layers=(c1, c2), robber_spec=RobberSpec.UNION).with_tag(f"cycle-matchings:{n}")
     report = _report("cycle-matchings", {"n": n, "vertices": nv}, g)
-    from .core import flatten
-
     union = flatten(g)
     report.add("union_is_cycle", len(union) == nv and is_connected_edges(union, nv))
     report.add("each_layer_n_components", all(g.layer_view(i).n_components == n for i in (0, 1)))
@@ -375,8 +367,6 @@ def gen_domset_reduction(
     )
     g = MultiLayerGraph(n=n, layers=layers, robber_spec=RobberSpec.UNION).with_tag(f"domset-reduction:{n}")
     report = _report("domset-reduction", {"n": n, "m": len(tuple(edges))}, g)
-    from .core import flatten
-
     report.add("union_matches_input", set(flatten(g)) == {(min(u, v), max(u, v)) for u, v in edges})
     report.add("layer_count", g.tau == n, g.tau)
     star_ok = all(all(u in e for e in layers[u]) for u in range(n))
@@ -453,8 +443,6 @@ def gen_soifer(n: int, tau: int) -> tuple[MultiLayerGraph, ConstructionReport]:
     ).with_tag(f"soifer:{n},{tau}")
     report = _report("soifer", {"n": n, "tau": tau}, g)
     report.add("layers_connected", all(report.layer_connected))
-    from .core import flatten
-
     all_edges = {(u, v) for u in range(n) for v in range(u + 1, n)}
     report.add("union_is_complete", set(flatten(g)) == all_edges)
     total = sum(len(layer) for layer in layers)

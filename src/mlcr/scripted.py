@@ -36,8 +36,6 @@ from .sim import (
     StrategyInvariantError,
     StrategyMismatchError,
     _ids,
-    _legal_move,
-    _move_sets,
     run_match,
     tablebase_pair,
 )
@@ -115,7 +113,7 @@ class GridCopGuard(CopTeamStrategy):
 
     def _step_to_column(self, v: int, col: int) -> int:
         dist = bfs_dist_adj(self.adj, *(self._idx(i, col) for i in range(1, self.nside + 1)))
-        return min((v, *self.adj[v]), key=lambda q: (dist[q], q))
+        return min(self.g.moves(self.assignment[0])[v], key=lambda q: (dist[q], q))
 
     def place(self):
         return (self._idx(1, 1), self._idx(1, 2))
@@ -698,7 +696,8 @@ class _Human:
     def begin(self, g, assignment, rng):
         super().begin(g, assignment, rng)
         self.shown = 0  # rows already narrated
-        self.cop_adj, self.robber_adj = _move_sets(g, assignment)
+        # not `self.moves`: that is HumanCops' strategy method
+        self.robber_rows, *self.cop_rows = map(g.moves, (None, *assignment))
 
     def narrate(self, rows: list) -> None:
         for row in rows[self.shown:]:
@@ -740,7 +739,7 @@ class HumanCops(_Human, CopTeamStrategy):
         prompt = f"round {view.round_no}, cops at {_ids(cops)}, robber at {view.robber}; move cops> "
 
         def legal(vs):
-            return all(_legal_move(self.cop_adj[i], self.g.n, cops[i], v) for i, v in enumerate(vs))
+            return all(v in self.cop_rows[i][cops[i]] for i, v in enumerate(vs))
 
         return tuple(self.ask(prompt, len(cops), legal, view.history))
 
@@ -758,7 +757,7 @@ class HumanRobber(_Human, RobberStrategy):
         prompt = f"round {view.round_no}, cops at {_ids(view.cops)}; move robber from {view.robber}> "
 
         def legal(vs):
-            return _legal_move(self.robber_adj, self.g.n, view.robber, vs[0])
+            return vs[0] in self.robber_rows[view.robber]
 
         return self.ask(prompt, 1, legal, view.history)[0]
 

@@ -1,17 +1,20 @@
 """Match engine: records, the match runner, the referee, and the generic
 strategies.
 
-The runner enforces legality (every move is a stay or a single edge of the
-mover's layer) and checks capture after the cop team's full move and after
-the robber's move.  It is the only game loop: interactive play runs through
-it with human strategies that read the terminal.  Strategies are stateful
-objects, and one object plays every match of a batch, so `begin` must reset
-all per-match state.  This module holds the strategy bases and the greedy,
-random and tablebase players; the scripted construction strategies and the
-human players live in `scripted`, which the two `*_strategy_from_name`
-factories import only for the names that need it.  The tablebase players
-remember the answer for each position they were asked about: their table
-never changes, so one lookup per distinct position serves a whole batch.
+A move is legal when it is in the mover's row of `MultiLayerGraph.moves`:
+the stay plus the neighbours in its own layer.  The runner, the referee
+and the human players check moves against those rows, and the solver
+reads the same rows.  The runner checks capture after the cop team's full
+move and after the robber's move.  It is the only game loop: interactive
+play runs through it with human strategies that read the terminal.
+Strategies are stateful objects, and one object plays every match of a
+batch, so `begin` must reset all per-match state.  This module holds the
+strategy bases and the greedy, random and tablebase players; the scripted
+construction strategies and the human players live in `scripted`, which
+the two `*_strategy_from_name` factories import only for the names that
+need it.  The tablebase players remember the answer for each position
+they were asked about: their table never changes, so one lookup per
+distinct position serves a whole batch.
 """
 
 from __future__ import annotations
@@ -176,8 +179,7 @@ class CopTeamStrategy:
         layer; ties go to the smaller vertex id."""
 
         dist = self.cop_dist(cop, target)
-        options = (pos, *self.g.layer_view(self.assignment[cop]).adjacency[pos])
-        return min(options, key=lambda q: (dist[q], q))
+        return min(self.g.moves(self.assignment[cop])[pos], key=lambda q: (dist[q], q))
 
     def capture_move(self, view: MatchView) -> tuple[int, ...] | None:
         """The team move in which the first cop next to the robber takes it,
@@ -205,27 +207,6 @@ class RobberStrategy:
         raise NotImplementedError
 
 
-def _move_sets(
-    g: MultiLayerGraph, assignment: Sequence[int]
-) -> tuple[list[Sequence[Sequence[int]]], Sequence[Sequence[int]] | None]:
-    """Each cop's layer adjacency and the robber's (None on a complete robber
-    layer), looked up once per match or record: one view per distinct layer."""
-
-    by_layer = {layer: g.layer_view(layer).adjacency for layer in sorted(set(assignment))}
-    robber = None if g.robber_is_complete() else g.robber_view().adjacency
-    return [by_layer[layer] for layer in assignment], robber
-
-
-def _legal_move(adjacency: Sequence[Sequence[int]] | None, n: int, src: int, dst: int) -> bool:
-    """Stay, or step along an edge; `adjacency` None is the complete layer."""
-
-    if dst == src:
-        return True
-    if adjacency is None:
-        return 0 <= dst < n
-    return dst in adjacency[src]
-
-
 def run_match(
     g: MultiLayerGraph,
     alloc: AllocationPlan | Sequence[int],
@@ -244,7 +225,7 @@ def run_match(
     if len(plan.counts) != g.tau:
         raise MlgError(f"allocation {plan} does not match tau={g.tau}")
     assignment = plan.assignment()
-    cop_adj, robber_adj = _move_sets(g, assignment)
+    robber_rows, *cop_rows = map(g.moves, (None, *assignment))
     rng = random.Random(f"match:{seed}")
     cop_strategy.begin(g, assignment, rng)
     robber_strategy.begin(g, assignment, rng)
@@ -277,7 +258,7 @@ def run_match(
         if len(new_cops) != len(cops):
             raise MlgError(f"cop strategy returned {len(new_cops)} positions for {len(cops)} cops")
         for i, (src, dst) in enumerate(zip(cops, new_cops)):
-            if not _legal_move(cop_adj[i], g.n, src, dst):
+            if dst not in cop_rows[i][src]:
                 raise IllegalMoveError(f"cop {i + 1} (layer {assignment[i] + 1})", src, dst)
         cops = new_cops
         record.rows.append((rnd, "C", robber, cops))
@@ -285,7 +266,7 @@ def run_match(
             break
         view = MatchView(g, assignment, cops, robber, rnd, history)
         new_robber = robber_strategy.move(view)
-        if not _legal_move(robber_adj, g.n, robber, new_robber):
+        if new_robber not in robber_rows[robber]:
             raise IllegalMoveError("robber", robber, new_robber)
         robber = new_robber
         record.rows.append((rnd, "R", robber, cops))
@@ -300,11 +281,13 @@ def referee_check(record: MatchRecord, g: MultiLayerGraph) -> tuple[bool, str]:
     """Independent re-scan of a record: legality of every move and exactness
     of the capture flag."""
 
-    cop_adj, robber_adj = _move_sets(g, AllocationPlan(record.allocation).assignment())
+    robber_rows, *cop_rows = map(g.moves, (None, *AllocationPlan(record.allocation).assignment()))
     rows = record.rows
     if not rows or rows[0][1] != "P":
         return False, "missing placement row"
     _, _, robber, cops = rows[0]
+    if len(cops) != len(cop_rows) or not all(0 <= p < g.n for p in (robber, *cops)):
+        return False, "placement does not fit the graph and allocation"
     if robber in cops:
         if record.outcome != "CAPTURE" or record.capture_round != 0:
             return False, "capture at placement not flagged"
@@ -316,14 +299,16 @@ def referee_check(record: MatchRecord, g: MultiLayerGraph) -> tuple[bool, str]:
         if mover == "C":
             if r_new != robber:
                 return False, f"round {rnd}: robber moved on a cop row"
+            if len(c_new) != len(cops):
+                return False, f"round {rnd}: {len(c_new)} cops on a row for {len(cops)}"
             for i, (src, dst) in enumerate(zip(cops, c_new)):
-                if not _legal_move(cop_adj[i], g.n, src, dst):
+                if dst not in cop_rows[i][src]:
                     return False, f"round {rnd}: cop {i + 1} illegal {src}->{dst}"
             cops = c_new
         elif mover == "R":
             if c_new != cops:
                 return False, f"round {rnd}: cops moved on a robber row"
-            if not _legal_move(robber_adj, g.n, robber, r_new):
+            if r_new not in robber_rows[robber]:
                 return False, f"round {rnd}: robber illegal {robber}->{r_new}"
             robber = r_new
         else:

@@ -38,7 +38,8 @@ imports it where a table is first built, and takes the verdict types
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -67,51 +68,34 @@ _WORK_BYTES = 80
 _RANK_MAX = np.iinfo(np.int16).max
 
 
-def _csr_with_self(n: int, adjacency: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, int]:
-    """CSR neighbour arrays including the stay move (self loop), and the
-    length of the longest row."""
+def _csr(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A layer's move rows (`MultiLayerGraph.moves`) as CSR arrays: the row
+    lengths, the row ends and the concatenated entries."""
 
-    indptr = [0]
-    indices: list[int] = []
-    widest = 0
-    for v in range(n):
-        row = sorted(set(adjacency[v]) | {v})
-        indices.extend(row)
-        indptr.append(len(indices))
-        if len(row) > widest:
-            widest = len(row)
-    return np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64), widest
-
-
-def _csr_lists(indptr: np.ndarray, indices: np.ndarray) -> list[tuple[int, ...]]:
-    """CSR rows as Python tuples."""
-
-    flat = indices.tolist()
-    bounds = indptr.tolist()
-    return [tuple(flat[bounds[v] : bounds[v + 1]]) for v in range(len(bounds) - 1)]
+    deg = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    return deg, deg.cumsum(), np.fromiter(chain.from_iterable(rows), dtype=np.int64)
 
 
 @dataclass
 class CopWinTable:
-    """Solved table for one assignment of cops to layers.
+    """Solved table for one assignment of cops to layers: the graph, the
+    assignment and `rank`.
 
-    The policy queries (`successors` and the three move methods) read Python
-    move lists and, for `chase_cop_move`, per-(layer, robber) BFS distances;
-    both are built on the first query, so a table that is only asked for a
-    verdict pays for neither.  Single states are read through `rank_view`.
+    The policy queries (`successors` and the three move methods) read the
+    graph's move rows (`MultiLayerGraph.moves`) and, for `chase_cop_move`,
+    per-(layer, robber) BFS distances, both taken on the first query.
+    Single states are read through `rank_view`.
     """
 
     graph: MultiLayerGraph
     assignment: tuple[int, ...]
     rank: np.ndarray  # int16 (int32 past rank 32767), -1 on robber-win states; cop win iff >= 0
-    robber_complete: bool
-    agent_csr: list[tuple[np.ndarray, np.ndarray]] = field(repr=False, default_factory=list)
 
     def __post_init__(self):
         self.n = self.graph.n
         self.k = len(self.assignment)
         self.strides = _digit_strides(self.n, self.k)
-        self._moves: list[list[tuple[int, ...]]] | None = None
+        self._moves: list[Sequence[Sequence[int]]] | None = None
         self._chase: dict[tuple[int, int], list[float]] = {}
         self._rank_view: memoryview | None = None
 
@@ -154,25 +138,7 @@ class CopWinTable:
 
     # -- move enumeration (successors in game order) ---------------------------
 
-    def _move_lists(self) -> list[list[tuple[int, ...]]]:
-        """Per agent (0 = robber) and position: stay plus layer moves, sorted.
-
-        Cops on one layer share their lists; a complete robber layer is one
-        shared `range(n)` tuple."""
-
-        n = self.n
-        if self.robber_complete:
-            lists = [[tuple(range(n))] * n]
-        else:
-            lists = [_csr_lists(*self.agent_csr[0])]
-        by_layer: dict[int, list[tuple[int, ...]]] = {}
-        for c, layer in enumerate(self.assignment):
-            if layer not in by_layer:
-                by_layer[layer] = _csr_lists(*self.agent_csr[c + 1])
-            lists.append(by_layer[layer])
-        return lists
-
-    def _step(self, index: int) -> tuple[int, int, tuple[int, ...]] | None:
+    def _step(self, index: int) -> tuple[int, int, Sequence[int]] | None:
         """(base, stride, moves): successor q of the mover is base + q*stride,
         for q in `moves` (ascending, so successors ascend too).  None on a
         capture state, which is terminal."""
@@ -186,8 +152,8 @@ class CopWinTable:
         mover = 0 if t == self.k else t + 1  # also the turn counter after the move
         stride = strides[mover]
         position = index // stride % n
-        if self._moves is None:
-            self._moves = self._move_lists()
+        if self._moves is None:  # per agent (0 = robber); same-layer cops share their rows
+            self._moves = list(map(self.graph.moves, (None, *self.assignment)))
         return index - t + mover - position * stride, stride, self._moves[mover][position]
 
     def successors(self, index: int) -> Iterator[int]:
@@ -344,17 +310,6 @@ def build_copwin(
     _check_budget(size, kp1, 2, counter_dtype.itemsize, state_budget)
 
     robber_complete = g.robber_is_complete()
-    # one CSR per distinct layer (key None: the robber's); same-layer cops share it
-    csr: dict[int | None, tuple[np.ndarray, np.ndarray, int]] = {}
-    if robber_complete:
-        csr[None] = (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), n)
-    else:
-        csr[None] = _csr_with_self(n, g.robber_view().adjacency)
-    for layer in assignment:
-        if layer not in csr:
-            csr[layer] = _csr_with_self(n, g.layer_view(layer).adjacency)
-    agent_csr = [csr[key][:2] for key in (None, *assignment)]
-
     strides = _digit_strides(n, k)
     n_pos = n**kp1  # position tuples (p0, ..., pk); state = position * (k+1) + t
 
@@ -369,21 +324,19 @@ def build_copwin(
     del cap
 
     # Predecessors of a state that `mover` (= its turn t) has just moved into
-    # are `state + delta[e]` over the CSR entries e of the mover's position:
+    # are `state + delta[e]` over the entries e of the mover's move row:
     # delta undoes the move along the edge and winds the turn back by one.
     # A chunk of `step` frontier states yields at most _BATCH entries.
     moves = []
     for mover, key in enumerate((None, *assignment)):
         dt = k if mover == 0 else -1
         stride = strides[mover]
-        indptr, indices, widest = csr[key]
-        step = max(1, _BATCH // widest)
         if mover == 0 and robber_complete:
-            moves.append((None, None, np.arange(n, dtype=np.int64) * stride + dt, step))
+            moves.append((None, None, np.arange(n, dtype=np.int64) * stride + dt, max(1, _BATCH // n)))
             continue
-        deg = np.diff(indptr)
-        delta = (indices - np.arange(n, dtype=np.int64).repeat(deg)) * stride + dt
-        moves.append((deg, indptr[1:], delta, step))
+        deg, ends, entries = _csr(g.moves(key))
+        delta = (entries - np.arange(n, dtype=np.int64).repeat(deg)) * stride + dt
+        moves.append((deg, ends, delta, max(1, _BATCH // int(deg.max()))))
 
     # robber-turn state position*(k+1) + k: successors not yet cop-win
     counter = np.empty((n, n_pos // n), dtype=counter_dtype)
@@ -449,13 +402,7 @@ def build_copwin(
                             reached[t_pred].append(won)
         frontier = reached
 
-    return CopWinTable(
-        graph=g,
-        assignment=tuple(assignment),
-        rank=rank,
-        robber_complete=robber_complete,
-        agent_csr=agent_csr,
-    )
+    return CopWinTable(graph=g, assignment=tuple(assignment), rank=rank)
 
 
 # -- verdicts ------------------------------------------------------------------
@@ -523,7 +470,9 @@ def decide_free_layer_choice(
     The robber spec of `g` is ignored; its layers are the candidate pool.
     """
 
-    if k <= 0:
+    if k < 0:
+        raise MlgError("cop count must be non-negative")
+    if k == 0:
         return GameVerdict(Winner.ROBBER, safe_vertex=0), None
     variants = [
         MultiLayerGraph(

@@ -83,26 +83,22 @@ def _profile_robbers_edge(
     for v in range(n):
         if not policed_by[v]:
             # the robber camps on v; witness with the first tree edge at v
+            # that at most one cop reaches, else with the first tree edge at v
+            certs = []
             for u, w in robber_edges:
-                if u == v or w == v:
-                    reach = tuple((c, assignment[c]) for c in sorted(set(policed_by[u] + policed_by[w])))
-                    if len(reach) <= 1:
-                        return RobbersEdgeCertificate((u, w), reach, INF)
-            for u, w in robber_edges:
-                if u == v or w == v:
-                    reach = tuple((c, assignment[c]) for c in sorted(set(policed_by[u] + policed_by[w])))
-                    return RobbersEdgeCertificate((u, w), reach, INF)
-            raise MlgError(f"vertex {v} has no incident robber edge")
+                if v in (u, w):
+                    reach = tuple((c, assignment[c]) for c in sorted({*policed_by[u], *policed_by[w]}))
+                    certs.append(RobbersEdgeCertificate((u, w), reach, INF))
+            if not certs:
+                raise MlgError(f"vertex {v} has no incident robber edge")
+            return next((cert for cert in certs if len(cert.reaching_cops) <= 1), certs[0])
     for u, v in robber_edges:
         reach = sorted(set(policed_by[u] + policed_by[v]))
         if len(reach) >= 2:
             continue
         c = reach[0]
         comp = profile[c]
-        if u in comp and v in comp:
-            dist = bfs_dist_adj(g.layer_view(assignment[c]).adjacency, u)[v]
-        else:
-            dist = INF
+        dist = bfs_dist_adj(g.layer_view(assignment[c]).adjacency, u)[v] if u in comp and v in comp else INF
         if dist >= 3:
             return RobbersEdgeCertificate((u, v), ((c, assignment[c]),), dist)
     return None
@@ -115,18 +111,20 @@ def _component_choices(g: MultiLayerGraph, layer: int) -> list[frozenset[int]]:
     return sorted(comps, key=lambda c: (-len(c), min(c)))
 
 
-def find_robbers_edge(
-    g: MultiLayerGraph,
-    assignment: Sequence[int],
-) -> RobbersEdgeCertificate | tuple[frozenset[int], ...]:
-    """Clean component profile for an assignment (start components that
-    leave no robber's edge), or a robber-win certificate when every profile
-    is dirty: that of the first profile in component order.
-    """
+def _tree_edges(g: MultiLayerGraph) -> tuple[tuple[int, int], ...]:
+    """The robber layer's edges, checked to form a spanning tree."""
 
     robber_edges = g.robber_layer_edges()
     if not is_tree(robber_edges, g.n):
         raise MlgError("robber layer is not a tree")
+    return robber_edges
+
+
+def _search_profiles(
+    g: MultiLayerGraph, assignment: Sequence[int], robber_edges: Sequence[tuple[int, int]]
+) -> RobbersEdgeCertificate | tuple[frozenset[int], ...]:
+    """`find_robbers_edge` on robber edges already checked to form a tree."""
+
     choices = [_component_choices(g, layer) for layer in assignment]
     first_cert: RobbersEdgeCertificate | None = None
     for profile in product(*choices):
@@ -140,16 +138,34 @@ def find_robbers_edge(
     return first_cert
 
 
+def find_robbers_edge(
+    g: MultiLayerGraph,
+    assignment: Sequence[int],
+) -> RobbersEdgeCertificate | tuple[frozenset[int], ...]:
+    """Clean component profile for an assignment (start components that
+    leave no robber's edge), or a robber-win certificate when every profile
+    is dirty: that of the first profile in component order.
+    """
+
+    return _search_profiles(g, assignment, _tree_edges(g))
+
+
+def _allocated_verdict(
+    g: MultiLayerGraph, alloc: AllocationPlan, robber_edges: Sequence[tuple[int, int]]
+) -> GameVerdict:
+    assignment = alloc.assignment()
+    found = _search_profiles(g, assignment, robber_edges)
+    if isinstance(found, RobbersEdgeCertificate):
+        return GameVerdict(Winner.ROBBER, assignment=assignment, certificate=found)
+    return GameVerdict(Winner.COP, assignment=assignment, placement=tuple(min(c) for c in found))
+
+
 def decide_tree_allocated(g: MultiLayerGraph, alloc: AllocationPlan) -> GameVerdict:
     """Tree-robber verdict for one allocation: COP with each cop on the
     smallest vertex of its clean-profile component, else ROBBER with the
     robber's-edge certificate."""
 
-    assignment = alloc.assignment()
-    found = find_robbers_edge(g, assignment)
-    if isinstance(found, RobbersEdgeCertificate):
-        return GameVerdict(Winner.ROBBER, assignment=assignment, certificate=found)
-    return GameVerdict(Winner.COP, assignment=assignment, placement=tuple(min(c) for c in found))
+    return _allocated_verdict(g, alloc, _tree_edges(g))
 
 
 def decide_tree_robber(
@@ -159,17 +175,18 @@ def decide_tree_robber(
 
     COP iff some assignment has no robber's edge; the winning allocation is
     the first one found in the composition order used by the exact solver.
+    The tree is checked once, here, for every composition.
     """
 
-    robber_edges = g.robber_layer_edges()
-    if not is_tree(robber_edges, g.n):
-        raise MlgError("robber layer is not a tree")
-    if k <= 0:
+    if k < 0:
+        raise MlgError("cop count must be non-negative")
+    robber_edges = _tree_edges(g)
+    if k == 0:
         return GameVerdict(Winner.ROBBER, safe_vertex=0), None
     last_cert = None
     for comp in compositions(k, g.tau):
         plan = AllocationPlan(comp)
-        verdict = decide_tree_allocated(g, plan)
+        verdict = _allocated_verdict(g, plan, robber_edges)
         if verdict.winner is Winner.COP:
             return verdict, plan
         last_cert = verdict.certificate

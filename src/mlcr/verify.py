@@ -17,6 +17,7 @@ from typing import Callable
 from .core import (
     DEFAULT_STATE_BUDGET,
     AllocationPlan,
+    MlgError,
     MultiLayerGraph,
     RobberSpec,
     Winner,
@@ -47,10 +48,11 @@ def criterion(cid: str, title: str):
 
 def run_criteria(only: str | None = None, state_budget: int | None = None) -> list[CriterionResult]:
     budget = state_budget or DEFAULT_STATE_BUDGET
+    chosen = [entry for entry in _REGISTRY if not only or only in entry[0]]
+    if not chosen:
+        raise MlgError(f"no criterion id contains {only!r} (--only)")
     results = []
-    for cid, title, fn in _REGISTRY:
-        if only and only not in cid:
-            continue
+    for cid, title, fn in chosen:
         t0 = time.perf_counter()
         passed, details = fn(budget)
         results.append(CriterionResult(cid, title, passed, details, time.perf_counter() - t0))

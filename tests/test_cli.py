@@ -494,12 +494,19 @@ def _cap_address_space():
         (["generate", "random-layers", "-n", "100000000000", "-o", "{out}"], 3),
         (["generate", "cycle-matchings", "-n", "100000000000", "-o", "{out}"], 3),
         (["experiment", "-n", "100000000000", "--seeds", "1"], 3),
+        (["solve", "{tree}", "--cops", "-1"], 2),
+        (["solve", "{grid}", "--cops", "-1"], 2),
+        (["solve", "{tree}", "--free-choice", "-1"], 2),
+        (["solve", "{grid}", "--free-choice", "-1"], 2),
+        (["verify-paper", "--only", "c4"], 2),
     ],
     ids=["unknown-strategy", "strategy-mismatch", "simulate-over-budget", "play-over-budget",
          "solve-bad-allocation", "simulate-bad-allocation", "play-bad-allocation",
          "solve-non-utf8-file", "experiment-bad-seeds", "experiment-empty-seeds", "copsbane-on-grid",
          "bounds-huge-graph", "simulate-huge-graph", "generate-huge-grid", "generate-huge-random-layers",
-         "generate-huge-cycle-matchings", "experiment-huge-graph"],
+         "generate-huge-cycle-matchings", "experiment-huge-graph", "solve-tree-negative-cops",
+         "solve-negative-cops", "free-choice-tree-negative-cops", "free-choice-negative-cops",
+         "verify-only-matches-nothing"],
 )
 def test_errors_exit_with_their_code_and_one_error_line(args, code, grid4_file, tmp_path, request):
     from mlcr.core import MultiLayerGraph, RobberSpec
@@ -528,6 +535,13 @@ def test_errors_exit_with_their_code_and_one_error_line(args, code, grid4_file, 
     assert proc.returncode == code, err
     assert [line for line in err.splitlines() if line.startswith("error: ")], err
     assert "Traceback" not in err
+    assert b"VERDICT=" not in proc.stdout and b"TOTAL" not in proc.stdout
+
+
+def test_verify_only_that_matches_nothing_names_the_filter(capsys):
+    code, out, err = run_cli(["verify-paper", "--only", "c4"], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: no criterion id contains 'c4' (--only)"]
 
 
 # -- process entry point -------------------------------------------------------------

@@ -80,6 +80,42 @@ def test_complete_not_materialised_when_large():
         g.robber_layer_edges()
 
 
+# -- move rows ----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_move_rows_are_the_stay_plus_the_neighbours_ascending(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        n = rng.randint(1, 9)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        layers = tuple(tuple(e for e in pairs if rng.random() < 0.4) for _ in range(rng.randint(1, 3)))
+        spec = rng.choice(list(RobberSpec))
+        robber = tuple(e for e in pairs if rng.random() < 0.5) if spec is RobberSpec.EXPLICIT else None
+        g = MultiLayerGraph(n=n, layers=layers, robber_spec=spec, robber_edges=robber)
+        for layer in (None, *range(g.tau)):
+            adj = adjacency_lists(n, g.robber_layer_edges() if layer is None else g.layers[layer])
+            rows = g.moves(layer)
+            assert len(rows) == n
+            for v in range(n):
+                assert tuple(rows[v]) == tuple(sorted({v, *adj[v]}))
+            assert g.moves(layer) is rows  # built once per graph
+
+
+def test_complete_robber_rows_are_one_shared_range_without_listing_edges(monkeypatch):
+    g = MultiLayerGraph(n=5000, layers=(((0, 1),),), robber_spec=RobberSpec.COMPLETE)
+
+    def listed(self):
+        raise AssertionError("the complete robber layer's edges were listed")
+
+    monkeypatch.setattr(MultiLayerGraph, "robber_layer_edges", listed)
+    rows = g.moves(None)
+    assert len(rows) == 5000
+    assert rows[0] == range(5000)
+    assert all(row is rows[0] for row in rows)
+    assert g.moves(0)[:3] == ((0, 1), (0, 1), (2,))
+
+
 # -- flatten / components / degrees ------------------------------------------------------
 
 

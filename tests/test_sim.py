@@ -126,6 +126,55 @@ def test_referee_rejects_tampered_records():
     assert not referee_check(bad2, g)[0]
 
 
+def test_table_runner_referee_and_human_read_the_same_move_rows(monkeypatch):
+    """One move rule: the kernel, the table's policy queries, the runner, the
+    referee and the human players all take the graph's cached rows."""
+
+    from mlcr.scripted import HumanCops, HumanRobber
+
+    seen: dict = {}
+
+    def spy(self, layer, _real=MultiLayerGraph.moves):
+        rows = _real(self, layer)
+        seen.setdefault(layer, set()).add(id(rows))
+        return rows
+
+    monkeypatch.setattr(MultiLayerGraph, "moves", spy)
+    for spec in (RobberSpec.UNION, RobberSpec.COMPLETE):
+        g = MultiLayerGraph(n=9, layers=gen_grid(3)[0].layers, robber_spec=spec)
+        seen.clear()
+        tc, tr, table = tablebase_pair(g, AllocationPlan((1, 1)))
+        rec = run_match(g, AllocationPlan((1, 1)), tc, tr, T=20, seed=3)
+        assert referee_check(rec, g) == (True, "ok")
+        human_cops, human_robber = HumanCops(input, print), HumanRobber(input, print)
+        human_cops.begin(g, (0, 1), random.Random(0))
+        human_robber.begin(g, (0, 1), random.Random(0))
+        rows = [g.moves(None), g.moves(0), g.moves(1)]
+        assert set(seen) == {None, 0, 1} and all(len(ids) == 1 for ids in seen.values())
+        assert all(a is b for a, b in zip(table._moves, rows))
+        assert human_robber.robber_rows is rows[0]
+        assert all(a is b for a, b in zip(human_cops.cop_rows, rows[1:]))
+        # a move off the rows is refused by the referee
+        bad = parse_match_record(rec.render())
+        _, _, robber, cops = bad.rows[0]
+        off = next(v for v in range(g.n) if v not in rows[1][cops[0]])
+        bad.rows[1] = (1, "C", robber, (off,) + cops[1:])
+        assert referee_check(bad, g)[1].startswith("round 1: cop 1 illegal")
+
+
+def test_referee_rejects_positions_that_do_not_fit_the_graph_or_the_cop_count():
+    g, _ = gen_grid(3)
+    rec = run_match(g, AllocationPlan((1, 1)), GreedyCops(), RandomRobber(), T=5, seed=1)
+    for robber, cops in ((-1, rec.rows[0][3]), (rec.rows[0][2], (0, 9)), (rec.rows[0][2], (0,))):
+        bad = parse_match_record(rec.render())
+        bad.rows[0] = (0, "P", robber, cops)
+        assert referee_check(bad, g) == (False, "placement does not fit the graph and allocation")
+    bad = parse_match_record(rec.render())
+    rnd, mover, robber, cops = bad.rows[1]
+    bad.rows[1] = (rnd, mover, robber, cops + (0,))
+    assert referee_check(bad, g) == (False, "round 1: 3 cops on a row for 2")
+
+
 def test_simulate_batch_resolves_move_sets_once_per_match(tmp_path, monkeypatch, capsys):
     """`run_match` and `referee_check` each look up every layer's adjacency
     once per match or record, not once per move."""

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -429,17 +430,23 @@ def test_chase_cop_move_refuses_robber_turn_and_passes_on_capture():
 # distances and lazy move lists.
 
 
+@functools.lru_cache(maxsize=None)
+def _ref_agent_csr(n, adjacency):
+    return _ref_csr_with_self(n, adjacency)
+
+
 def _ref_successors(table, index):
     robber, cops, t = table.unpack(index)
     if robber in cops:
         return []
-    k, n = table.k, table.n
+    g, k, n = table.graph, table.k, table.n
     mover = 0 if t == k else t + 1
     position = robber if mover == 0 else cops[mover - 1]
-    if mover == 0 and table.robber_complete:
+    if mover == 0 and g.robber_is_complete():
         moves = range(n)
     else:
-        indptr, indices = table.agent_csr[mover]
+        view = g.robber_view() if mover == 0 else g.layer_view(table.assignment[mover - 1])
+        indptr, indices = _ref_agent_csr(n, view.adjacency)
         moves = [int(indices[j]) for j in range(int(indptr[position]), int(indptr[position + 1]))]
     stride = (k + 1) * n ** (k - mover)
     t_next = (t + 1) % (k + 1)
@@ -487,7 +494,7 @@ def test_policy_queries_match_unpack_reference_on_random_corpus():
             g = MultiLayerGraph(n=g.n, layers=g.layers, robber_spec=RobberSpec.EXPLICIT, robber_edges=redges)
         k = rng.randint(1, 3)
         table = build_copwin(g, tuple(rng.randrange(g.tau) for _ in range(k)))
-        checked[table.robber_complete] += 1
+        checked[g.robber_is_complete()] += 1
         for idx in range(table.n_states):
             succ = _ref_successors(table, idx)
             assert list(table.successors(idx)) == succ

@@ -138,3 +138,29 @@ def test_equivalence_extends_to_three_layers_and_three_cops():
         fast, _ = decide_tree_robber(g, k)
         slow, _ = decide_choose_allocation(g, k)
         assert fast.winner is slow.winner, (trial, n, tau, k)
+
+
+def test_decide_tree_robber_checks_the_tree_once(monkeypatch):
+    import mlcr.treealgo
+
+    calls = []
+    real = mlcr.treealgo.is_tree
+
+    def counted(edges, n):
+        calls.append(n)
+        return real(edges, n)
+
+    monkeypatch.setattr(mlcr.treealgo, "is_tree", counted)
+    path = [(0, 1), (1, 2), (2, 3)]
+    # three cops on the edgeless layer leave a vertex unpoliced; (2,1) is the second composition
+    verdict, plan = decide_tree_robber(explicit(4, [(), path], path), 3)
+    assert (verdict.winner, plan.counts, len(calls)) == (Winner.COP, (2, 1), 1)
+    # every composition loses on two edgeless layers
+    verdict, plan = decide_tree_robber(explicit(4, [(), ()], path), 2)
+    assert (verdict.winner, plan, len(calls)) == (Winner.ROBBER, None, 2)
+
+
+def test_negative_cop_count_is_refused():
+    path = [(0, 1), (1, 2)]
+    with pytest.raises(MlgError, match="non-negative"):
+        decide_tree_robber(explicit(3, [path], path), -1)
