@@ -56,22 +56,23 @@ def _int_list(text: str, option: str) -> tuple[int, ...]:
 
 def cmd_solve(args) -> int:
     # the solver (and numpy) is imported only where a table is built
-    from .treealgo import decide_tree_allocated, decide_tree_robber, is_tree
+    from .treealgo import decide_tree_allocated, decide_tree_robber, robber_tree_edges
 
     t0 = time.perf_counter()
     g = parse_mlg_file(args.graph)
     modes = [m for m in (args.allocation, args.cops, args.free_choice) if m is not None]
     if len(modes) != 1:
         raise MlgError("pass exactly one of --allocation/--cops/--free-choice")
-    # a complete robber layer is a tree iff n <= 2; its edges are never listed
-    use_tree = g.n <= 2 if g.robber_is_complete() else is_tree(g.robber_layer_edges(), g.n)
+    # checked once here, then handed to the tree path
+    tree = robber_tree_edges(g)
+    use_tree = tree is not None
     if args.allocation is not None:
         plan = AllocationPlan(_int_list(args.allocation, "--allocation"))
         if len(plan.counts) != g.tau:
             raise MlgError(f"allocation has {len(plan.counts)} entries, graph has {g.tau} layers")
         tables: list = []
         if use_tree and plan.total >= 1:
-            verdict = decide_tree_allocated(g, plan)
+            verdict = decide_tree_allocated(g, plan, tree)
             method = "tree"
         else:
             from .solver import decide_allocated
@@ -91,7 +92,7 @@ def cmd_solve(args) -> int:
         print(f"ALLOCATION={plan}")
     elif args.cops is not None:
         if use_tree:
-            verdict, plan = decide_tree_robber(g, args.cops)
+            verdict, plan = decide_tree_robber(g, args.cops, tree)
             print("METHOD=tree")
         else:
             from .solver import decide_choose_allocation

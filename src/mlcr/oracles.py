@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Sequence
 
-from .core import AllocationPlan, MultiLayerGraph, bfs_dist_adj
+from .core import MultiLayerGraph
 
 
 def _agent_adjacency(g: MultiLayerGraph, assignment: Sequence[int]):
@@ -70,63 +70,6 @@ def naive_copwin_status(g: MultiLayerGraph, assignment: Sequence[int]) -> dict[t
     return win
 
 
-def naive_allocated_verdict(g: MultiLayerGraph, alloc: AllocationPlan) -> str:
-    """COP/ROBBER via the naive status map (cops place, robber replies)."""
-
-    if alloc.total == 0:
-        return "ROBBER"
-    assignment = alloc.assignment()
-    win = naive_copwin_status(g, assignment)
-    n, k = g.n, len(assignment)
-    for cops in product(range(n), repeat=k):
-        if all(win[(p0, cops, 0)] for p0 in range(n)):
-            return "COP"
-    return "ROBBER"
-
-
-def simultaneous_move_verdict(g: MultiLayerGraph, alloc: AllocationPlan) -> str:
-    """Verdict under team moves: the cop player moves all cops at once.
-
-    Used to confirm that the one-agent-at-a-time turn encoding decides the
-    same game.
-    """
-
-    if alloc.total == 0:
-        return "ROBBER"
-    assignment = alloc.assignment()
-    n, k = g.n, len(assignment)
-    moves = _agent_adjacency(g, assignment)
-
-    states = [
-        (p0, cops, side)
-        for p0 in range(n)
-        for cops in product(range(n), repeat=k)
-        for side in (0, 1)  # 0 = cop team to move, 1 = robber to move
-    ]
-    win = {s: s[0] in s[1] for s in states}
-    changed = True
-    while changed:
-        changed = False
-        for s in states:
-            if win[s]:
-                continue
-            p0, cops, side = s
-            if side == 0:
-                ok = any(
-                    win[(p0, nc, 1)]
-                    for nc in product(*(moves[c + 1][cops[c]] for c in range(k)))
-                )
-            else:
-                ok = all(win[(q, cops, 0)] for q in moves[0][p0])
-            if ok:
-                win[s] = True
-                changed = True
-    for cops in product(range(n), repeat=k):
-        if all(win[(p0, cops, 0)] for p0 in range(n)):
-            return "COP"
-    return "ROBBER"
-
-
 # -- simple-graph helpers ---------------------------------------------------------
 
 
@@ -146,26 +89,6 @@ def brute_domination_number(edges: Sequence[tuple[int, int]], n: int) -> int:
             if mask == full:
                 return size
     return n
-
-
-def brute_girth(edges: Sequence[tuple[int, int]], n: int) -> float:
-    """Shortest cycle length by per-edge deletion and reconnection distance."""
-
-    from .core import INF
-
-    best = INF
-    edge_list = list(edges)
-    for i, (u, v) in enumerate(edge_list):
-        adj = [[] for _ in range(n)]
-        for j, (a, b) in enumerate(edge_list):
-            if j == i:
-                continue
-            adj[a].append(b)
-            adj[b].append(a)
-        d = bfs_dist_adj(adj, u)[v]
-        if d + 1 < best:
-            best = d + 1
-    return best
 
 
 def brute_treewidth(edges: Sequence[tuple[int, int]], n: int) -> int:

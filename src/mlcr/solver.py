@@ -30,6 +30,15 @@ number to subtract from the counter.  The state budget is capped by
 physical RAM, less the batch work arrays, divided by the bytes per state
 of `rank` plus the counter, and checked before anything is allocated.
 
+One BFS solves a batch of same-shape tables (same n, k and robber-layer
+completeness): table b's state is `b * size + index`, the move rows form
+one CSR with a row block per (table, agent), and counters and capture
+positions are per table.  `build_copwin_batch` groups mixed shapes itself
+and slices each table's `rank` out of its batch's array; `build_copwin`
+is the batch of one.  `copwin_winners` runs the same BFS for callers that
+read only the winner: it counts, per placement, the robber starts not yet
+cop-win and stops once every table has a placement at zero.
+
 This is the only module that imports numpy.  The rest of the package
 imports it where a table is first built, and takes the verdict types
 (`Winner`, `GameVerdict`, `StateBudgetExceeded`, `DEFAULT_STATE_BUDGET`,
@@ -40,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -84,7 +93,9 @@ class CopWinTable:
     The policy queries (`successors` and the three move methods) read the
     graph's move rows (`MultiLayerGraph.moves`) and, for `chase_cop_move`,
     per-(layer, robber) BFS distances, both taken on the first query.
-    Single states are read through `rank_view`.
+    Single states are read through `rank_view`.  A table from
+    `build_copwin_batch` has a `rank` that is a slice (a view) of its
+    batch's array, which it keeps alive.
     """
 
     graph: MultiLayerGraph
@@ -275,39 +286,47 @@ def _digit_strides(n: int, k: int) -> tuple[int, ...]:
     return tuple((k + 1) * n ** (k - a) for a in range(k + 1))
 
 
-def _check_budget(size: int, kp1: int, rank_bytes: int, counter_bytes: int, state_budget: int) -> None:
-    """Refuse `size` states over `state_budget` or over what fits in physical
-    RAM: `rank_bytes` per state, `counter_bytes` per robber-turn state (one in
-    k+1) and the batch work arrays."""
+def _check_budget(
+    size: int, kp1: int, rank_bytes: int, counter_bytes: int, state_budget: int, tables: int = 1
+) -> None:
+    """Refuse a table of `size` states over `state_budget` or over what fits
+    in physical RAM: `rank_bytes` per state, `counter_bytes` per robber-turn
+    state (one in k+1) and the batch work arrays.  A batch of `tables` such
+    tables must fit in physical RAM as a whole."""
 
     ram = max(0, _physical_ram() - _BATCH * _WORK_BYTES)
-    budget = min(state_budget, ram * kp1 // (rank_bytes * kp1 + counter_bytes))
+    ram_states = ram * kp1 // (rank_bytes * kp1 + counter_bytes)
+    budget = min(state_budget, ram_states)
     if size > budget:
         raise StateBudgetExceeded(size, budget)
+    if size * tables > ram_states:
+        raise StateBudgetExceeded(size * tables, ram_states)
 
 
-def build_copwin(
-    g: MultiLayerGraph,
-    assignment: Sequence[int],
-    state_budget: int = DEFAULT_STATE_BUDGET,
-) -> CopWinTable:
-    """Retrograde analysis for cops assigned to layers by `assignment`.
+def _retrograde(
+    pairs: Sequence[tuple[MultiLayerGraph, tuple[int, ...]]],
+    state_budget: int,
+    winner_only: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One retrograde BFS over a batch of same-shape tables (same n, cop
+    count and robber-layer completeness): table b holds the states
+    `b*size .. (b+1)*size - 1` of the returned `rank`.
 
-    The budget is `state_budget` or, if fewer, the states whose `rank`,
-    robber-turn counter and batch work arrays fit in physical RAM."""
+    With `winner_only`, the second result is each table's count of robber
+    starts not yet cop-win, per placement (`b * n^k + code`), and the BFS
+    stops once every table has a placement at 0; `rank` is then partial.
+    """
 
-    k = len(assignment)
-    if k < 1:
-        raise MlgError("build_copwin needs at least one cop")
-    for layer in assignment:
-        if not (0 <= layer < g.tau):
-            raise MlgError(f"assignment layer {layer} out of range (tau={g.tau})")
+    g, assignment = pairs[0]
+    tables = len(pairs)
+    batched = tables > 1
     n = g.n
+    k = len(assignment)
     kp1 = k + 1
     size = state_space_size(n, k)
     # the counter starts at the robber's out-degree, stay included: at most n
     counter_dtype = np.min_scalar_type(n)
-    _check_budget(size, kp1, 2, counter_dtype.itemsize, state_budget)
+    _check_budget(size, kp1, 2, counter_dtype.itemsize, state_budget, tables)
 
     robber_complete = g.robber_is_complete()
     strides = _digit_strides(n, k)
@@ -318,42 +337,49 @@ def build_copwin(
     cap = np.zeros((n,) * kp1, dtype=bool)
     for c in range(1, kp1):
         cap |= eye.reshape((n,) + (1,) * (c - 1) + (n,) + (1,) * (k - c))
-    rank = np.full(n_pos * kp1, -1, dtype=np.int16)
-    rank.reshape(n_pos, kp1)[cap.ravel()] = 0
+    rank = np.full(tables * n_pos * kp1, -1, dtype=np.int16)
+    rank.reshape(tables, n_pos, kp1)[:, cap.ravel()] = 0
     captured = np.flatnonzero(cap)
+    if batched:
+        captured = (np.arange(tables, dtype=np.int64)[:, None] * n_pos + captured).ravel()
+    # per placement, the robber starts not yet cop-win: n less those captured
+    starts = np.tile(n - cap.reshape(n, -1).sum(axis=0), tables) if winner_only else None
     del cap
 
     # Predecessors of a state that `mover` (= its turn t) has just moved into
     # are `state + delta[e]` over the entries e of the mover's move row:
     # delta undoes the move along the edge and winds the turn back by one.
-    # A chunk of `step` frontier states yields at most _BATCH entries.
+    # Row b*n + v is vertex v of table b.  A chunk of `step` frontier states
+    # yields at most _BATCH entries.
     moves = []
-    for mover, key in enumerate((None, *assignment)):
+    for mover in range(kp1):
         dt = k if mover == 0 else -1
         stride = strides[mover]
         if mover == 0 and robber_complete:
             moves.append((None, None, np.arange(n, dtype=np.int64) * stride + dt, max(1, _BATCH // n)))
             continue
-        deg, ends, entries = _csr(g.moves(key))
-        delta = (entries - np.arange(n, dtype=np.int64).repeat(deg)) * stride + dt
+        deg, ends, entries = _csr([row for gb, ab in pairs for row in gb.moves(ab[mover - 1] if mover else None)])
+        vertex = np.arange(tables * n, dtype=np.int64) % n if batched else np.arange(n, dtype=np.int64)
+        delta = (entries - vertex.repeat(deg)) * stride + dt
         moves.append((deg, ends, delta, max(1, _BATCH // int(deg.max()))))
 
     # robber-turn state position*(k+1) + k: successors not yet cop-win
-    counter = np.empty((n, n_pos // n), dtype=counter_dtype)
+    counter = np.empty((tables * n, n_pos // n), dtype=counter_dtype)
     counter[:] = n if robber_complete else moves[0][0][:, None]
-    counter = counter.reshape(n_pos)
+    counter = counter.reshape(tables * n_pos)
 
     # Frontier: per turn, the states ranked at the previous level.  Level 0
     # holds the capture positions instead, shared by every turn.  Order is
     # free: a state's rank depends only on the level it is reached at.
     frontier = [[captured]] * kp1
     del captured
+    n_place = n**k
     level = 0
     while any(frontier):
         level += 1
         if level > _RANK_MAX and rank.dtype == np.int16:
             # the int16 and int32 copies are both live while widening
-            _check_budget(size, kp1, 6, counter_dtype.itemsize, state_budget)
+            _check_budget(size, kp1, 6, counter_dtype.itemsize, state_budget, tables)
             rank = rank.astype(np.int32)
         reached: list[list[np.ndarray]] = [[] for _ in range(kp1)]
         for mover in range(kp1):
@@ -366,13 +392,19 @@ def build_copwin(
                     chunk = part[lo : lo + step]
                     if level == 1:  # capture positions to turn-`mover` states
                         chunk = chunk * kp1 + mover
-                    digit = chunk // stride if mover == 0 else chunk // stride % n
+                    if mover == 0:  # the robber's digit leads: b*n + p0
+                        row = chunk // stride
+                    else:
+                        row = chunk // stride % n
+                        if batched:
+                            row += chunk // size * n
                     if deg is None:  # complete robber layer: every robber position
+                        digit = row % n if batched else row
                         preds = ((chunk - digit * stride)[:, None] + delta).ravel()
                     else:
-                        cnt = deg[digit]
+                        cnt = deg[row]
                         csum = cnt.cumsum()
-                        entry = np.arange(csum[-1]) + (ends[digit] - csum).repeat(cnt)
+                        entry = np.arange(csum[-1]) + (ends[row] - csum).repeat(cnt)
                         preds = chunk.repeat(cnt) + delta[entry]
                     # more than one batch only if a single row is wider than _BATCH
                     for at in range(0, preds.size, _BATCH):
@@ -387,6 +419,11 @@ def build_copwin(
                             won = cand[rank[cand] == tags]
                             rank[won] = level
                             reached[t_pred].append(won)
+                            if starts is not None and mover == 1:  # robber starts (t = 0) won
+                                pos = won // kp1
+                                place = np.bincount(pos // n_pos * n_place + pos % n_place)
+                                hit = place.nonzero()[0]
+                                starts[hit] -= place[hit]
                             continue
                         # robber to move: the surviving tag counts its state's occurrences
                         mult = np.bincount(-2 - rank[cand])
@@ -400,9 +437,98 @@ def build_copwin(
                         if won.size:
                             rank[won] = level
                             reached[t_pred].append(won)
+            if mover == 1 and starts is not None and _placement_won(starts, tables).all():
+                return rank, starts
         frontier = reached
+    return rank, starts
 
-    return CopWinTable(graph=g, assignment=tuple(assignment), rank=rank)
+
+def _placement_won(starts: np.ndarray, tables: int) -> np.ndarray:
+    """Per table of a winner-only batch: some placement has every robber start cop-win."""
+
+    return (starts.reshape(tables, -1) == 0).any(axis=1)
+
+
+def _shape_groups(
+    pairs: Sequence[tuple[MultiLayerGraph, Sequence[int]]],
+) -> list[tuple[list[int], list[tuple[MultiLayerGraph, tuple[int, ...]]]]]:
+    """`pairs` grouped by table shape (n, cop count, robber-layer
+    completeness): per shape, the input positions and the checked pairs."""
+
+    groups: dict[tuple[int, int, bool], tuple[list, list]] = {}
+    for i, (g, assignment) in enumerate(pairs):
+        assignment = _check_assignment(g, assignment)
+        idx, batch = groups.setdefault((g.n, len(assignment), g.robber_is_complete()), ([], []))
+        idx.append(i)
+        batch.append((g, assignment))
+    return list(groups.values())
+
+
+def _check_assignment(g: MultiLayerGraph, assignment: Sequence[int]) -> tuple[int, ...]:
+    """`assignment` as a tuple, once it names at least one cop and only layers of `g`."""
+
+    if len(assignment) < 1:
+        raise MlgError("build_copwin needs at least one cop")
+    for layer in assignment:
+        if not (0 <= layer < g.tau):
+            raise MlgError(f"assignment layer {layer} out of range (tau={g.tau})")
+    return tuple(assignment)
+
+
+def build_copwin_batch(
+    pairs: Sequence[tuple[MultiLayerGraph, Sequence[int]]],
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> list[CopWinTable]:
+    """Full tables for many `(graph, assignment)` pairs, in input order.
+
+    Pairs of one shape (n, cop count, robber-layer completeness) share one
+    retrograde BFS, so numpy's per-call cost is paid once per shape; each
+    table's `rank` is a slice of that batch's array.  `state_budget` bounds
+    each table; each batch must also fit in physical RAM as a whole."""
+
+    tables: list[CopWinTable | None] = [None] * len(pairs)
+    for idx, batch in _shape_groups(pairs):
+        rank, _ = _retrograde(batch, state_budget)
+        size = rank.size // len(batch)
+        for b, (i, (g, assignment)) in enumerate(zip(idx, batch)):
+            tables[i] = CopWinTable(graph=g, assignment=assignment, rank=rank[b * size : (b + 1) * size])
+    return tables
+
+
+def copwin_winners(
+    pairs: Sequence[tuple[MultiLayerGraph, Sequence[int]]],
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> list[Winner]:
+    """Winner of each `(graph, assignment)` pair with cops placing first, in
+    input order: COP iff some placement makes every robber start cop-win.
+
+    Solved as `build_copwin_batch` does, but a batch stops at the level where
+    each of its tables has such a placement; a ROBBER verdict runs to the
+    fixpoint.  No table is returned: its `rank` may be partial."""
+
+    winners = [Winner.ROBBER] * len(pairs)
+    for idx, batch in _shape_groups(pairs):
+        _, starts = _retrograde(batch, state_budget, winner_only=True)
+        for i, won in zip(idx, _placement_won(starts, len(batch)).tolist()):
+            if won:
+                winners[i] = Winner.COP
+    return winners
+
+
+def build_copwin(
+    g: MultiLayerGraph,
+    assignment: Sequence[int],
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> CopWinTable:
+    """Retrograde analysis for cops assigned to layers by `assignment`: the
+    batch of one.
+
+    The budget is `state_budget` or, if fewer, the states whose `rank`,
+    robber-turn counter and batch work arrays fit in physical RAM."""
+
+    assignment = _check_assignment(g, assignment)
+    rank, _ = _retrograde([(g, assignment)], state_budget)
+    return CopWinTable(graph=g, assignment=assignment, rank=rank)
 
 
 # -- verdicts ------------------------------------------------------------------
@@ -498,13 +624,50 @@ def multilayer_cop_number(
     k_max: int,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> int | None:
-    """Least k <= k_max winning under free allocation, else None."""
+    """Least k <= k_max winning under free allocation, else None.
+
+    Compositions are tried in order, each solved winner-only, up to the
+    first that wins."""
 
     for k in range(1, k_max + 1):
-        verdict, _ = decide_choose_allocation(g, k, state_budget=state_budget)
-        if verdict.winner is Winner.COP:
+        lazy = (copwin_winners([pair], state_budget)[0] for pair in _composition_pairs(g, k))
+        if _some_composition_wins(lazy) is Winner.COP:
             return k
     return None
+
+
+def allocation_winners(
+    instances: Sequence[tuple[MultiLayerGraph, int]],
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> list[Winner]:
+    """`decide_choose_allocation(g, k)`'s winner for each `(g, k)`: every
+    composition of every instance is solved in one `copwin_winners` call."""
+
+    pairs: list[tuple[MultiLayerGraph, tuple[int, ...]]] = []
+    spans = []
+    for g, k in instances:
+        if k < 0:
+            raise MlgError("cop count must be non-negative")
+        lo = len(pairs)
+        if k:
+            pairs.extend(_composition_pairs(g, k))
+        spans.append((lo, len(pairs)))
+    winners = copwin_winners(pairs, state_budget)
+    return [_some_composition_wins(winners[lo:hi]) for lo, hi in spans]
+
+
+def _composition_pairs(g: MultiLayerGraph, k: int) -> Iterator[tuple[MultiLayerGraph, tuple[int, ...]]]:
+    """(g, assignment) for each composition of k >= 1 cops, in solver order."""
+
+    for comp in compositions(k, g.tau):
+        yield g, AllocationPlan(comp).assignment()
+
+
+def _some_composition_wins(winners: Iterable[Winner]) -> Winner:
+    """An instance is COP iff one of its compositions is; reading stops at
+    the first COP, so a lazy iterable solves no composition after it."""
+
+    return Winner.COP if Winner.COP in winners else Winner.ROBBER
 
 
 def single_layer_cop_number(

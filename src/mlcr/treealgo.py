@@ -111,12 +111,27 @@ def _component_choices(g: MultiLayerGraph, layer: int) -> list[frozenset[int]]:
     return sorted(comps, key=lambda c: (-len(c), min(c)))
 
 
-def _tree_edges(g: MultiLayerGraph) -> tuple[tuple[int, int], ...]:
-    """The robber layer's edges, checked to form a spanning tree."""
+def robber_tree_edges(g: MultiLayerGraph) -> tuple[tuple[int, int], ...] | None:
+    """The robber layer's edges if they form a spanning tree, else None.
 
+    A complete robber layer is a tree iff n <= 2; a larger one is not listed."""
+
+    if g.robber_is_complete() and g.n > 2:
+        return None
     robber_edges = g.robber_layer_edges()
-    if not is_tree(robber_edges, g.n):
-        raise MlgError("robber layer is not a tree")
+    return robber_edges if is_tree(robber_edges, g.n) else None
+
+
+def _tree_edges(
+    g: MultiLayerGraph, robber_edges: Sequence[tuple[int, int]] | None = None
+) -> Sequence[tuple[int, int]]:
+    """`robber_edges` if given (from `robber_tree_edges`), else the robber
+    layer's edges, checked to form a spanning tree."""
+
+    if robber_edges is None:
+        robber_edges = robber_tree_edges(g)
+        if robber_edges is None:
+            raise MlgError("robber layer is not a tree")
     return robber_edges
 
 
@@ -160,27 +175,31 @@ def _allocated_verdict(
     return GameVerdict(Winner.COP, assignment=assignment, placement=tuple(min(c) for c in found))
 
 
-def decide_tree_allocated(g: MultiLayerGraph, alloc: AllocationPlan) -> GameVerdict:
+def decide_tree_allocated(
+    g: MultiLayerGraph, alloc: AllocationPlan, robber_edges: Sequence[tuple[int, int]] | None = None
+) -> GameVerdict:
     """Tree-robber verdict for one allocation: COP with each cop on the
     smallest vertex of its clean-profile component, else ROBBER with the
-    robber's-edge certificate."""
+    robber's-edge certificate.  `robber_edges`, if given, are the tree
+    `robber_tree_edges(g)` returned; otherwise the tree is checked here."""
 
-    return _allocated_verdict(g, alloc, _tree_edges(g))
+    return _allocated_verdict(g, alloc, _tree_edges(g, robber_edges))
 
 
 def decide_tree_robber(
-    g: MultiLayerGraph, k: int
+    g: MultiLayerGraph, k: int, robber_edges: Sequence[tuple[int, int]] | None = None
 ) -> tuple[GameVerdict, AllocationPlan | None]:
     """Tree-robber decision over all allocations of k cops to layers.
 
     COP iff some assignment has no robber's edge; the winning allocation is
     the first one found in the composition order used by the exact solver.
-    The tree is checked once, here, for every composition.
+    The tree is checked once, here, for every composition, unless
+    `robber_edges` passes the tree `robber_tree_edges(g)` returned.
     """
 
     if k < 0:
         raise MlgError("cop count must be non-negative")
-    robber_edges = _tree_edges(g)
+    robber_edges = _tree_edges(g, robber_edges)
     if k == 0:
         return GameVerdict(Winner.ROBBER, safe_vertex=0), None
     last_cert = None

@@ -209,14 +209,12 @@ def _c05(budget):
 
 @criterion("c06-tree-robber", "tree-robber fast path matches the exact solver")
 def _c06(budget):
-    from .solver import decide_choose_allocation
+    from .solver import allocation_winners
     from .treealgo import decide_tree_robber
 
     rng = random.Random(20240606)
-    ok = True
-    mismatches = []
-    trials = 0
-    while trials < 300:
+    instances = []
+    for _ in range(300):
         n = rng.randint(2, 8)
         tau = rng.randint(1, 2)
         layers = tuple(
@@ -232,14 +230,17 @@ def _c06(budget):
             n=n, layers=layers, robber_spec=RobberSpec.EXPLICIT,
             robber_edges=random_tree_edges(rng, n),
         )
-        k = rng.randint(1, 2)
+        instances.append((g, rng.randint(1, 2)))
+    ok = True
+    mismatches = []
+    # every composition of every instance in one winner-only solve
+    slow = allocation_winners(instances, state_budget=budget)
+    for trial, ((g, k), solver) in enumerate(zip(instances, slow)):
         fast, _ = decide_tree_robber(g, k)
-        slow, _ = decide_choose_allocation(g, k, state_budget=budget)
-        if fast.winner is not slow.winner:
+        if fast.winner is not solver:
             ok = False
-            mismatches.append(f"trial {trials}: tree={fast.winner.value} solver={slow.winner.value}")
-        trials += 1
-    details = [f"{trials} random tree-robber instances, verdicts identical"]
+            mismatches.append(f"trial {trial}: tree={fast.winner.value} solver={solver.value}")
+    details = [f"{len(instances)} random tree-robber instances, verdicts identical"]
     details.extend(mismatches[:5])
     return ok, details
 
@@ -290,24 +291,26 @@ def _c08(budget):
 
 @criterion("c09-solver-oracle", "retrograde table equals naive fixed point, state by state")
 def _c09(budget):
+    import numpy as np
+
     from .oracles import naive_copwin_status
-    from .solver import build_copwin
+    from .solver import build_copwin_batch
 
     rng = random.Random(20240609)
-    ok = True
-    mismatches = []
-    for trial in range(300):
+    pairs = []
+    for _ in range(300):
         g = random_instance(rng, n_max=6, tau_max=2)
         k = rng.randint(1, 2)
-        assignment = tuple(rng.randrange(g.tau) for _ in range(k))
-        table = build_copwin(g, assignment, state_budget=budget)
-        rank = table.rank.tolist()  # one conversion, then plain list lookups
+        pairs.append((g, tuple(rng.randrange(g.tau) for _ in range(k))))
+    ok = True
+    mismatches = []
+    for trial, ((g, assignment), table) in enumerate(zip(pairs, build_copwin_batch(pairs, budget))):
         win = naive_copwin_status(g, assignment)
-        for (p0, cops, t), w in win.items():
-            if (rank[table.pack(p0, cops, t)] >= 0) != w:
-                ok = False
-                mismatches.append(f"trial {trial} state {(p0, cops, t)}")
-                break
+        # the oracle lists its states in packed-index order
+        bad = np.fromiter(win.values(), dtype=bool, count=len(win)) != (table.rank >= 0)
+        if bad.any():
+            ok = False
+            mismatches.append(f"trial {trial} state {table.unpack(int(bad.argmax()))}")
     details = ["300 random instances (n<=6, tau<=2, k<=2) checked state by state"]
     details.extend(mismatches[:5])
     return ok, details

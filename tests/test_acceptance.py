@@ -4,9 +4,41 @@ Each criterion prints one PASS/FAIL line; the same registry backs the
 `mlcr verify-paper` command.
 """
 
+import hashlib
+
 import pytest
 
 from mlcr.verify import _REGISTRY, run_criteria
+
+# SHA-256 of each criterion's `verify-paper` stdout: its PASS line, then its
+# detail lines indented by two spaces, each ending in a newline.
+STDOUT_SHA256 = {
+    "c01-grid": "0c61594838ecae5d9a1340be495042a60acb691cc58150dabcc6e24a0ed9b26d",
+    "c02-mirror": "c40491c426998238653f4fb36222c511a9eb0a9be8aa75918dfff138ee6ea6e4",
+    "c03-cycle-matchings": "f4f0a1bc73d24140187cff077449a2dbcee859bab4fd0ad5ae8206766c4360c6",
+    "c04-slices": "ed7288809b3b32a9e4ccf92e5ff894356fd84514a24bcf319f076d667b08ed21",
+    "c05-star-reduction": "fd9f4388d8858d7fdfa1bd41cbcfcde89b13c7c78eab9b67994f0d2b67533ee4",
+    "c06-tree-robber": "1ef905f364224dfcd541819e661eea62111f131584f8094b58cb902426be95c7",
+    "c07-clique-partition": "c6d4281e9f47bd085b8509a59c9b577f8ad821d5bf0df7b05b5e6256668fe085",
+    "c08-clique-lower-bound": "91a07cebc2d7e620f51f32de4268ddf50e047463668e2f83519d3f3cab0e37c7",
+    "c09-solver-oracle": "4c65cb2eabd337a045e22f686df4297c7c4edfab37f62ec0026b84ece708ad3d",
+    "c10-monotonicity": "ee2b45cfd0dda29ce120a5b36b9d961b456b292aeb31aba6548ff6bb989dd856",
+    "c11-bounds-soundness": "5f9995afad38f8c213a451a1502ea98d52a00648d6fa1151eb3566e47dcc74bf",
+    "c12-pstar-density": "012fc56659a50107785c3bf337b0a7161ac83f82fb8fad88f4b26faacde1d030",
+    "c13-treewidth-sweep": "933079c73b2920a6343c555b741237e0c3f9e09af9978e1808c8632cd694d8ea",
+    "c14-copsbane": "2a0ddc1067767346a98012dc18737eb9e4f2372d48156d0f3375b8a5b2bdd7d4",
+    "c15-determinism": "6cc44cdd1df1d5547dfa71c62cea4a02d4964c9c3bc17205c4eb8af22f0a358a",
+}
+
+
+def _stdout_digest(res) -> str:
+    lines = [f"{'PASS' if res.passed else 'FAIL'} {res.cid} {res.title}"]
+    lines.extend(f"  {line}" for line in res.details)
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+
+
+def test_every_criterion_has_a_pinned_digest():
+    assert sorted(STDOUT_SHA256) == sorted(cid for cid, _, _ in _REGISTRY)
 
 
 @pytest.mark.parametrize("cid,title", [(cid, title) for cid, title, _ in _REGISTRY])
@@ -21,3 +53,4 @@ def test_criterion(cid, title, capsys):
             for line in res.details:
                 print(f"    {line}")
     assert res.passed, f"{res.cid}: " + "; ".join(res.details)
+    assert _stdout_digest(res) == STDOUT_SHA256[cid]

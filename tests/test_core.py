@@ -22,7 +22,7 @@ from mlcr.core import (
     serialize_mlg,
 )
 from mlcr.generators import gen_cycle_matchings, gen_grid, gen_soifer, petersen, grid_index
-from mlcr.oracles import brute_girth
+from reference_oracles import brute_girth
 
 
 def k3():

@@ -7,16 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from mlcr.core import AllocationPlan, MlgError, MultiLayerGraph, RobberSpec
 from mlcr.generators import gen_cycle_matchings, gen_grid, gen_min_counterexample, petersen
-from mlcr.oracles import (
-    naive_allocated_verdict,
-    naive_copwin_status,
-    simultaneous_move_verdict,
-)
+from mlcr.oracles import naive_copwin_status
 from mlcr.solver import (
     StateBudgetExceeded,
     Winner,
+    allocation_winners,
     build_copwin,
+    build_copwin_batch,
     compositions,
+    copwin_winners,
     decide_allocated,
     decide_choose_allocation,
     decide_free_layer_choice,
@@ -25,6 +24,7 @@ from mlcr.solver import (
     single_layer_cop_number,
     state_space_size,
 )
+from reference_oracles import naive_allocated_verdict, simultaneous_move_verdict
 
 
 def single(edges, n, spec=RobberSpec.UNION):
@@ -705,3 +705,148 @@ def test_rank_widens_to_int32_past_the_level_limit(side, assignment, monkeypatch
 
     monkeypatch.setattr(mlcr.solver, "_RANK_MAX", 3)
     _assert_same_rank(gen_grid(side)[0], assignment, dtype=np.int32)
+
+
+# -- batches and winner-only solves ------------------------------------------------------
+
+
+def _batch_corpus(seed=1717, count=240):
+    """Seeded (graph, assignment) pairs of mixed shapes: every robber spec,
+    k = 1..3, assignments that repeat a layer."""
+
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        g = random_instance(rng, n_max=5, tau_max=3)
+        k = rng.randint(1, 3)
+        pairs.append((g, tuple(rng.randrange(g.tau) for _ in range(k))))
+    assert {g.robber_spec for g, _ in pairs} == set(RobberSpec)
+    assert {len(a) for _, a in pairs} == {1, 2, 3}
+    assert any(len(set(a)) < len(a) for _, a in pairs)
+    return pairs
+
+
+def test_batched_ranks_equal_single_table_ranks():
+    pairs = _batch_corpus()
+    tables = build_copwin_batch(pairs)
+    assert len({(g.n, len(a), g.robber_is_complete()) for g, a in pairs}) > 1  # mixed shapes
+    for (g, assignment), table in zip(pairs, tables):
+        single = build_copwin(g, assignment)
+        assert table.graph is g and table.assignment == assignment
+        assert table.rank.dtype == single.rank.dtype
+        assert np.array_equal(table.rank, single.rank), (g, assignment)
+
+
+def test_batched_ranks_equal_single_table_ranks_across_many_chunks(monkeypatch):
+    import mlcr.solver
+
+    pairs = _batch_corpus(seed=1718, count=80)
+    singles = [build_copwin(g, a).rank for g, a in pairs]
+    monkeypatch.setattr(mlcr.solver, "_BATCH", 5)
+    monkeypatch.setattr(mlcr.solver, "_RANK_MAX", 3)  # and widened to int32
+    for want, table in zip(singles, build_copwin_batch(pairs)):
+        assert np.array_equal(table.rank, want)
+
+
+def test_winner_only_equals_full_table_and_naive_oracle():
+    pairs = _batch_corpus(seed=1719, count=120)
+    winners = copwin_winners(pairs)
+    assert set(winners) == {Winner.COP, Winner.ROBBER}
+    for (g, assignment), winner in zip(pairs, winners):
+        full = build_copwin(g, assignment).winning_placements().size > 0
+        assert winner is (Winner.COP if full else Winner.ROBBER)
+        assert copwin_winners([(g, assignment)]) == [winner]  # the batch of one
+        if g.n <= 4:
+            counts = tuple(assignment.count(layer) for layer in range(g.tau))
+            if AllocationPlan(counts).assignment() == assignment:
+                assert winner.value == naive_allocated_verdict(g, AllocationPlan(counts))
+
+
+def test_allocation_winners_equal_decide_choose_allocation():
+    rng = random.Random(1720)
+    instances = [(random_instance(rng, n_max=5), rng.randint(0, 2)) for _ in range(60)]
+    winners = allocation_winners(instances)
+    assert set(winners) == {Winner.COP, Winner.ROBBER}
+    for (g, k), winner in zip(instances, winners):
+        assert winner is decide_choose_allocation(g, k)[0].winner
+    with pytest.raises(MlgError):
+        allocation_winners([(instances[0][0], -1)])
+
+
+def test_cop_number_stops_each_table_at_the_win(monkeypatch):
+    import mlcr.solver
+
+    # a winner-only solve of the mirror graph's pair stops before the fixpoint
+    levels = []
+    real = mlcr.solver._retrograde
+
+    def spied(pairs, state_budget, winner_only=False):
+        rank, starts = real(pairs, state_budget, winner_only)
+        levels.append((winner_only, int(rank.max())))
+        return rank, starts
+
+    g, _ = gen_min_counterexample()
+    full = int(build_copwin(g, (0, 1)).rank.max())
+    monkeypatch.setattr(mlcr.solver, "_retrograde", spied)
+    assert multilayer_cop_number(g, 2) == 2
+    assert all(winner_only for winner_only, _ in levels)
+    assert levels[-1][1] < full
+
+
+def test_batch_over_physical_ram_is_refused_before_allocating(monkeypatch):
+    import tracemalloc
+
+    import mlcr.solver
+
+    g, _ = gen_grid(6)  # (0,1): 139,968 states, 280 kB of rank each
+    size = state_space_size(36, 2)
+    work = mlcr.solver._BATCH * mlcr.solver._WORK_BYTES
+    # room for two tables at 2 B of rank plus a 1-B counter on one state in 3
+    monkeypatch.setattr(mlcr.solver, "_physical_ram", lambda: work + 2 * size * 7 // 3)
+    build_copwin(g, (0, 1))  # one table alone fits
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateBudgetExceeded) as exc:
+            build_copwin_batch([(g, (0, 1))] * 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc.value.required == 4 * size
+    assert exc.value.budget == 2 * size
+    assert peak < 10**5
+    with pytest.raises(StateBudgetExceeded):
+        copwin_winners([(g, (0, 1))] * 4)
+
+
+def test_batch_over_physical_ram_exits_three_through_the_cli(monkeypatch, capsys):
+    import mlcr.solver
+    from mlcr.cli import main
+
+    # c09's tables hold at most 648 states each (n = 6, k = 2), its batches more
+    work = mlcr.solver._BATCH * mlcr.solver._WORK_BYTES
+    monkeypatch.setattr(mlcr.solver, "_physical_ram", lambda: work + 2500)
+    assert main(["verify-paper", "--only", "c09"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_budget_still_bounds_each_table_of_a_batch():
+    g = single(cycle(4), 4)
+    with pytest.raises(StateBudgetExceeded) as exc:
+        build_copwin_batch([(g, (0,)), (g, (0, 0))], state_budget=40)
+    assert exc.value.required == state_space_size(4, 2)
+    assert exc.value.budget == 40
+
+
+def test_oracle_lists_its_states_in_packed_index_order():
+    """c09 compares the oracle's values with `rank >= 0` as one array."""
+
+    rng = random.Random(909)
+    ks = set()
+    for _ in range(6):
+        g = random_instance(rng, n_max=4)
+        assignment = tuple(rng.randrange(g.tau) for _ in range(rng.randint(1, 2)))
+        ks.add(len(assignment))
+        table = build_copwin(g, assignment)
+        assert list(naive_copwin_status(g, assignment)) == [table.unpack(i) for i in range(table.n_states)]
+    assert 2 in ks
