@@ -63,16 +63,14 @@ def cmd_solve(args) -> int:
     modes = [m for m in (args.allocation, args.cops, args.free_choice) if m is not None]
     if len(modes) != 1:
         raise MlgError("pass exactly one of --allocation/--cops/--free-choice")
-    # checked once here, then handed to the tree path
-    tree = robber_tree_edges(g)
-    use_tree = tree is not None
+    use_tree = robber_tree_edges(g) is not None
     if args.allocation is not None:
         plan = AllocationPlan(_int_list(args.allocation, "--allocation"))
         if len(plan.counts) != g.tau:
             raise MlgError(f"allocation has {len(plan.counts)} entries, graph has {g.tau} layers")
         tables: list = []
         if use_tree and plan.total >= 1:
-            verdict = decide_tree_allocated(g, plan, tree)
+            verdict = decide_tree_allocated(g, plan)
             method = "tree"
         else:
             from .solver import decide_allocated
@@ -92,7 +90,7 @@ def cmd_solve(args) -> int:
         print(f"ALLOCATION={plan}")
     elif args.cops is not None:
         if use_tree:
-            verdict, plan = decide_tree_robber(g, args.cops, tree)
+            verdict, plan = decide_tree_robber(g, args.cops)
             print("METHOD=tree")
         else:
             from .solver import decide_choose_allocation

@@ -7,7 +7,8 @@ Everything downstream (solver, bounds, simulator) works on this type, so
 edges are kept canonical: within a layer each edge is stored once as
 (u, v) with u < v, and layers are sorted tuples.  Instances are treated
 as immutable after construction; derived structures (adjacency, components,
-the move rows of `MultiLayerGraph.moves`) are cached per layer.
+the move rows of `MultiLayerGraph.moves`, the distances of `bfs_dist`) are
+cached per layer in the graph.
 
 The game outcome types shared by the solver and the tree path (`Winner`,
 `GameVerdict`, `StateBudgetExceeded`, `DEFAULT_STATE_BUDGET` and the
@@ -109,22 +110,16 @@ def canonical_edges(edges: Iterable[Sequence[int]], n: int, *, what: str = "edge
 
 @dataclass
 class LayerView:
-    """Cached per-layer structure: sorted adjacency and component labels."""
+    """Cached per-layer structure: sorted adjacency and component count."""
 
     adjacency: tuple[tuple[int, ...], ...]
-    component_id: tuple[int, ...]
     n_components: int
     degrees: tuple[int, ...]
 
 
 def _build_layer_view(n: int, edges: Sequence[Edge]) -> LayerView:
     adjacency = tuple(map(tuple, adjacency_lists(n, edges)))
-    comp = [0] * n
-    comps = component_sets(adjacency)
-    for c, members in enumerate(comps):
-        for v in members:
-            comp[v] = c
-    return LayerView(adjacency, tuple(comp), len(comps), tuple(len(a) for a in adjacency))
+    return LayerView(adjacency, len(component_sets(adjacency)), tuple(len(a) for a in adjacency))
 
 
 @dataclass
@@ -318,10 +313,26 @@ def flatten(g: MultiLayerGraph) -> tuple[Edge, ...]:
     return g._cache["flatten"]
 
 
-def bfs_dist(g: MultiLayerGraph, layer: int, source: int) -> list[float]:
-    """Unweighted shortest-path distances within one cop layer (inf if unreachable)."""
+# List slots (2 MiB of pointers) the distances of one graph may hold in its
+# cache; past them the oldest lists are dropped, so a long batch of matches
+# on a large graph keeps a flat footprint instead of n lists of n.
+_DIST_CACHE_SLOTS = 1 << 18
 
-    return bfs_dist_adj(g.layer_view(layer).adjacency, source)
+
+def bfs_dist(g: MultiLayerGraph, layer: int | None, source: int) -> list[float]:
+    """Unweighted shortest-path distances from `source` within one layer
+    (None: the robber's; inf if unreachable), cached per graph up to
+    `_DIST_CACHE_SLOTS` entries.  The list is shared by every caller, so it
+    must only be read."""
+
+    dists = g._cache.setdefault("dist", {})
+    dist = dists.get((layer, source))
+    if dist is None:
+        view = g.robber_view() if layer is None else g.layer_view(layer)
+        dist = dists[layer, source] = bfs_dist_adj(view.adjacency, source)
+        while len(dists) > 1 and len(dists) * g.n > _DIST_CACHE_SLOTS:
+            del dists[next(iter(dists))]
+    return dist
 
 
 # -- graph traversal on adjacency lists ------------------------------------------

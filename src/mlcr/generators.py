@@ -28,6 +28,7 @@ from .core import (
     MultiLayerGraph,
     RobberSpec,
     adjacency_lists,
+    bfs_dist,
     bfs_dist_adj,
     check_vertex_count,
     component_sets,
@@ -730,7 +731,7 @@ def gen_copsbane(
     report.add("core_connected", is_connected_edges(layout.expander_edges, N))
     report.add("layers_connected", all(report.layer_connected))
     arm_len = 2 * D + 1
-    hub_dist = bfs_dist_adj(g.layer_view(0).adjacency, N)
+    hub_dist = bfs_dist(g, 0, N)
     report.add("arm_length", all(hub_dist[x] == arm_len for x in range(N)), arm_len)
     kind = "exact" if layout.expansion_exact else "HEURISTIC"
     report.add("expansion", layout.expansion >= alpha, f"{layout.expansion:.4f} ({kind})")

@@ -89,34 +89,3 @@ def brute_domination_number(edges: Sequence[tuple[int, int]], n: int) -> int:
             if mask == full:
                 return size
     return n
-
-
-def brute_treewidth(edges: Sequence[tuple[int, int]], n: int) -> int:
-    """Treewidth as the best elimination ordering, tried exhaustively (n <= 8)."""
-
-    from itertools import permutations
-
-    if n > 8:
-        raise ValueError("brute_treewidth is for n <= 8")
-    base = [set() for _ in range(n)]
-    for u, v in edges:
-        base[u].add(v)
-        base[v].add(u)
-    best = n - 1
-    for order in permutations(range(n)):
-        adj = [set(a) for a in base]
-        alive = [True] * n
-        width = 0
-        for v in order:
-            nbrs = [w for w in adj[v] if alive[w]]
-            width = max(width, len(nbrs))
-            if width >= best:
-                break
-            for a in nbrs:
-                for b in nbrs:
-                    if a != b:
-                        adj[a].add(b)
-            alive[v] = False
-        best = min(best, width)
-    return best
-

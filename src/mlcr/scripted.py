@@ -25,6 +25,7 @@ from .core import (
     MlgError,
     MultiLayerGraph,
     adjacency_lists,
+    bfs_dist,
     bfs_dist_adj,
     component_sets,
 )
@@ -264,10 +265,7 @@ class SlicesRobber(RobberStrategy):
         return _path_within(self.radj, ring, src, dst)
 
     def _cop_dists(self, cops) -> list[list[float]]:
-        return [
-            bfs_dist_adj(self.g.layer_view(self.assignment[c]).adjacency, p)
-            for c, p in enumerate(cops)
-        ]
+        return [bfs_dist(self.g, self.assignment[c], p) for c, p in enumerate(cops)]
 
     def _plan_is_safe(self, cops, plan: list[int]) -> bool:
         dists = self._cop_dists(cops)
@@ -515,7 +513,7 @@ class TreeSqueezeCops(CopTeamStrategy):
         return tuple(min(comp) for comp in self.profile)
 
     def _replan(self, view: MatchView) -> None:
-        rdist = bfs_dist_adj(self.radj, view.robber)
+        rdist = bfs_dist(self.g, None, view.robber)
         guard = min(range(len(view.cops)), key=lambda c: (rdist[view.cops[c]], c))
         u = view.cops[guard]
         w = min(q for q in self.radj[u] if rdist[q] == rdist[u] - 1)

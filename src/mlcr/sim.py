@@ -30,7 +30,7 @@ from .core import (
     AllocationPlan,
     MlgError,
     MultiLayerGraph,
-    bfs_dist_adj,
+    bfs_dist,
 )
 
 if TYPE_CHECKING:
@@ -158,7 +158,6 @@ class CopTeamStrategy:
         self.assignment = assignment
         self.rng = rng
         self.tags: set[str] = set()
-        self._dist_cache: dict[tuple[int, int], list[float]] = {}
 
     def place(self) -> tuple[int, ...]:
         raise NotImplementedError
@@ -167,12 +166,10 @@ class CopTeamStrategy:
         raise NotImplementedError
 
     def cop_dist(self, cop: int, source: int) -> list[float]:
-        """BFS distances from `source` in cop `cop`'s layer, cached per match."""
+        """BFS distances from `source` in cop `cop`'s layer (`bfs_dist`,
+        cached per graph, so shared by every match on it; read only)."""
 
-        key = (self.assignment[cop], source)
-        if key not in self._dist_cache:
-            self._dist_cache[key] = bfs_dist_adj(self.g.layer_view(key[0]).adjacency, source)
-        return self._dist_cache[key]
+        return bfs_dist(self.g, self.assignment[cop], source)
 
     def step_toward(self, cop: int, pos: int, target: int) -> int:
         """Cop `cop`'s move from `pos` that gets closest to `target` in its

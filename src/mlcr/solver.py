@@ -91,8 +91,9 @@ class CopWinTable:
     assignment and `rank`.
 
     The policy queries (`successors` and the three move methods) read the
-    graph's move rows (`MultiLayerGraph.moves`) and, for `chase_cop_move`,
-    per-(layer, robber) BFS distances, both taken on the first query.
+    graph's move rows (`MultiLayerGraph.moves`), taken on the first query,
+    and, for `chase_cop_move`, the layer distances to the robber that the
+    graph caches (`bfs_dist`).
     Single states are read through `rank_view`.  A table from
     `build_copwin_batch` has a `rank` that is a slice (a view) of its
     batch's array, which it keeps alive.
@@ -107,7 +108,6 @@ class CopWinTable:
         self.k = len(self.assignment)
         self.strides = _digit_strides(self.n, self.k)
         self._moves: list[Sequence[Sequence[int]]] | None = None
-        self._chase: dict[tuple[int, int], list[float]] = {}
         self._rank_view: memoryview | None = None
 
     @property
@@ -209,10 +209,7 @@ class CopWinTable:
         if t == self.k:
             raise MlgError("chase_cop_move called on a robber-turn state")
         robber = index // self.strides[0]
-        key = (self.assignment[t], robber)
-        dist = self._chase.get(key)
-        if dist is None:
-            dist = self._chase[key] = bfs_dist(self.graph, *key)
+        dist = bfs_dist(self.graph, self.assignment[t], robber)
         step = self._step(index)
         if step is None:
             return -1

@@ -34,14 +34,7 @@ from .core import (
     bfs_dist_adj,
     component_sets,
     compositions,
-    is_connected_edges,
 )
-
-
-def is_tree(edges: Sequence[tuple[int, int]], n: int) -> bool:
-    """Connected spanning graph with exactly n-1 edges."""
-
-    return len(edges) == n - 1 and is_connected_edges(edges, n)
 
 
 @dataclass(frozen=True)
@@ -98,9 +91,11 @@ def _profile_robbers_edge(
             continue
         c = reach[0]
         comp = profile[c]
-        dist = bfs_dist_adj(g.layer_view(assignment[c]).adjacency, u)[v] if u in comp and v in comp else INF
-        if dist >= 3:
-            return RobbersEdgeCertificate((u, v), ((c, assignment[c]),), dist)
+        adj = g.layer_view(assignment[c]).adjacency
+        if u in comp and not set(adj[u]).isdisjoint((v, *adj[v])):
+            continue  # the cop's layer joins u and v within two steps
+        dist = bfs_dist_adj(adj, u)[v] if u in comp and v in comp else INF
+        return RobbersEdgeCertificate((u, v), ((c, assignment[c]),), dist)
     return None
 
 
@@ -112,34 +107,36 @@ def _component_choices(g: MultiLayerGraph, layer: int) -> list[frozenset[int]]:
 
 
 def robber_tree_edges(g: MultiLayerGraph) -> tuple[tuple[int, int], ...] | None:
-    """The robber layer's edges if they form a spanning tree, else None.
+    """The robber layer's edges if they form a spanning tree (n-1 edges, one
+    component of the graph's cached robber view), else None.
 
     A complete robber layer is a tree iff n <= 2; a larger one is not listed."""
 
     if g.robber_is_complete() and g.n > 2:
         return None
-    robber_edges = g.robber_layer_edges()
-    return robber_edges if is_tree(robber_edges, g.n) else None
+    edges = g.robber_layer_edges()
+    return edges if len(edges) == g.n - 1 and g.robber_view().n_components == 1 else None
 
 
-def _tree_edges(
-    g: MultiLayerGraph, robber_edges: Sequence[tuple[int, int]] | None = None
-) -> Sequence[tuple[int, int]]:
-    """`robber_edges` if given (from `robber_tree_edges`), else the robber
-    layer's edges, checked to form a spanning tree."""
+def _tree_edges(g: MultiLayerGraph) -> Sequence[tuple[int, int]]:
+    """The robber layer's edges, checked to form a spanning tree."""
 
-    if robber_edges is None:
-        robber_edges = robber_tree_edges(g)
-        if robber_edges is None:
-            raise MlgError("robber layer is not a tree")
-    return robber_edges
+    edges = robber_tree_edges(g)
+    if edges is None:
+        raise MlgError("robber layer is not a tree")
+    return edges
 
 
-def _search_profiles(
-    g: MultiLayerGraph, assignment: Sequence[int], robber_edges: Sequence[tuple[int, int]]
+def find_robbers_edge(
+    g: MultiLayerGraph,
+    assignment: Sequence[int],
 ) -> RobbersEdgeCertificate | tuple[frozenset[int], ...]:
-    """`find_robbers_edge` on robber edges already checked to form a tree."""
+    """Clean component profile for an assignment (start components that
+    leave no robber's edge), or a robber-win certificate when every profile
+    is dirty: that of the first profile in component order.
+    """
 
+    robber_edges = _tree_edges(g)
     choices = [_component_choices(g, layer) for layer in assignment]
     first_cert: RobbersEdgeCertificate | None = None
     for profile in product(*choices):
@@ -153,59 +150,35 @@ def _search_profiles(
     return first_cert
 
 
-def find_robbers_edge(
-    g: MultiLayerGraph,
-    assignment: Sequence[int],
-) -> RobbersEdgeCertificate | tuple[frozenset[int], ...]:
-    """Clean component profile for an assignment (start components that
-    leave no robber's edge), or a robber-win certificate when every profile
-    is dirty: that of the first profile in component order.
-    """
+def decide_tree_allocated(g: MultiLayerGraph, alloc: AllocationPlan) -> GameVerdict:
+    """Tree-robber verdict for one allocation: COP with each cop on the
+    smallest vertex of its clean-profile component, else ROBBER with the
+    robber's-edge certificate."""
 
-    return _search_profiles(g, assignment, _tree_edges(g))
-
-
-def _allocated_verdict(
-    g: MultiLayerGraph, alloc: AllocationPlan, robber_edges: Sequence[tuple[int, int]]
-) -> GameVerdict:
     assignment = alloc.assignment()
-    found = _search_profiles(g, assignment, robber_edges)
+    found = find_robbers_edge(g, assignment)
     if isinstance(found, RobbersEdgeCertificate):
         return GameVerdict(Winner.ROBBER, assignment=assignment, certificate=found)
     return GameVerdict(Winner.COP, assignment=assignment, placement=tuple(min(c) for c in found))
 
 
-def decide_tree_allocated(
-    g: MultiLayerGraph, alloc: AllocationPlan, robber_edges: Sequence[tuple[int, int]] | None = None
-) -> GameVerdict:
-    """Tree-robber verdict for one allocation: COP with each cop on the
-    smallest vertex of its clean-profile component, else ROBBER with the
-    robber's-edge certificate.  `robber_edges`, if given, are the tree
-    `robber_tree_edges(g)` returned; otherwise the tree is checked here."""
-
-    return _allocated_verdict(g, alloc, _tree_edges(g, robber_edges))
-
-
-def decide_tree_robber(
-    g: MultiLayerGraph, k: int, robber_edges: Sequence[tuple[int, int]] | None = None
-) -> tuple[GameVerdict, AllocationPlan | None]:
+def decide_tree_robber(g: MultiLayerGraph, k: int) -> tuple[GameVerdict, AllocationPlan | None]:
     """Tree-robber decision over all allocations of k cops to layers.
 
     COP iff some assignment has no robber's edge; the winning allocation is
     the first one found in the composition order used by the exact solver.
-    The tree is checked once, here, for every composition, unless
-    `robber_edges` passes the tree `robber_tree_edges(g)` returned.
+    A robber layer that is not a tree is refused, also for k = 0.
     """
 
     if k < 0:
         raise MlgError("cop count must be non-negative")
-    robber_edges = _tree_edges(g, robber_edges)
+    _tree_edges(g)
     if k == 0:
         return GameVerdict(Winner.ROBBER, safe_vertex=0), None
     last_cert = None
     for comp in compositions(k, g.tau):
         plan = AllocationPlan(comp)
-        verdict = _allocated_verdict(g, plan, robber_edges)
+        verdict = decide_tree_allocated(g, plan)
         if verdict.winner is Winner.COP:
             return verdict, plan
         last_cert = verdict.certificate

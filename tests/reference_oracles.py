@@ -1,9 +1,10 @@
 """Reference oracles used only by the tests: verdicts from the naive
-status map and from simultaneous team moves, and girth by brute force.
+status map and from simultaneous team moves, and girth and treewidth by
+brute force.
 Like `mlcr.oracles`, they are deliberately naive and run on small
 instances only."""
 
-from itertools import product
+from itertools import permutations, product
 from typing import Sequence
 
 from mlcr.core import INF, AllocationPlan, MultiLayerGraph, bfs_dist_adj
@@ -82,4 +83,32 @@ def brute_girth(edges: Sequence[tuple[int, int]], n: int) -> float:
         d = bfs_dist_adj(adj, u)[v]
         if d + 1 < best:
             best = d + 1
+    return best
+
+
+def brute_treewidth(edges: Sequence[tuple[int, int]], n: int) -> int:
+    """Treewidth as the best elimination ordering, tried exhaustively (n <= 8)."""
+
+    if n > 8:
+        raise ValueError("brute_treewidth is for n <= 8")
+    base = [set() for _ in range(n)]
+    for u, v in edges:
+        base[u].add(v)
+        base[v].add(u)
+    best = n - 1
+    for order in permutations(range(n)):
+        adj = [set(a) for a in base]
+        alive = [True] * n
+        width = 0
+        for v in order:
+            nbrs = [w for w in adj[v] if alive[w]]
+            width = max(width, len(nbrs))
+            if width >= best:
+                break
+            for a in nbrs:
+                for b in nbrs:
+                    if a != b:
+                        adj[a].add(b)
+            alive[v] = False
+        best = min(best, width)
     return best

@@ -21,7 +21,7 @@ from mlcr.bounds import (
 )
 from mlcr.core import MlgError, MultiLayerGraph, RobberSpec, ml_min_degree
 from mlcr.generators import gen_cycle_matchings, gen_domset_reduction, gen_gnp, gen_soifer, petersen
-from mlcr.oracles import brute_treewidth
+from reference_oracles import brute_treewidth
 
 
 def single(edges, n, spec=RobberSpec.UNION):

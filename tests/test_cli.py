@@ -104,22 +104,25 @@ def test_solve_never_lists_a_complete_robber_layer(mode, tmp_path, capsys, monke
 
 @pytest.mark.parametrize("mode", [["--cops", "2"], ["--allocation", "1"]])
 def test_solve_checks_a_tree_robber_layer_once(mode, tmp_path, capsys, monkeypatch):
-    import mlcr.treealgo
+    """`cmd_solve` and the tree path ask the graph, which builds its robber
+    view once and answers every later tree check from it."""
+
     from mlcr.core import MultiLayerGraph, RobberSpec
 
-    calls = []
-    real = mlcr.treealgo.is_tree
+    builds = []
+    real = MultiLayerGraph.robber_view
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(self):
+        if "robber_view" not in self._cache:
+            builds.append(self.n)
+        return real(self)
 
-    monkeypatch.setattr(mlcr.treealgo, "is_tree", counted)
+    monkeypatch.setattr(MultiLayerGraph, "robber_view", counted)
     path = tmp_path / "path4.mlg"
     write_mlg_file(MultiLayerGraph(n=4, layers=(((0, 1), (1, 2), (2, 3)),), robber_spec=RobberSpec.UNION), path)
     code, out, _ = run_cli(["solve", str(path), *mode], capsys)
     assert code in (0, 1) and "METHOD=tree" in out
-    assert len(calls) == 1
+    assert builds == [4]
 
 
 # -- generate ---------------------------------------------------------------------------

@@ -133,7 +133,7 @@ def test_components_single_edge():
     g = MultiLayerGraph(n=3, layers=(((0, 1),),))
     view = g.layer_view(0)
     assert view.n_components == 2
-    assert view.component_id[0] == view.component_id[1] != view.component_id[2]
+    assert component_sets(view.adjacency) == [{0, 1}, {2}]
 
 
 def test_components_cycle_matchings():
@@ -158,6 +158,36 @@ def test_bfs_dist_grid_column():
     g, _ = gen_grid(n)
     dist = bfs_dist(g, 1, grid_index(1, 1, n))
     assert dist[grid_index(n, 1, n)] == n - 1
+
+
+def test_bfs_dist_of_the_robber_layer_is_cached_per_graph():
+    g = MultiLayerGraph(
+        n=5, layers=(((0, 1),), ((2, 3),)), robber_spec=RobberSpec.EXPLICIT,
+        robber_edges=((0, 1), (1, 2), (2, 3)),
+    )
+    dist = bfs_dist(g, None, 0)
+    assert dist == bfs_dist_adj(g.robber_view().adjacency, 0) == [0, 1, 2, 3, math.inf]
+    assert bfs_dist(g, None, 0) is dist
+    assert bfs_dist(g, 0, 0) == [0, 1, math.inf, math.inf, math.inf]
+
+
+def test_bfs_dist_cache_holds_at_most_its_slot_budget(monkeypatch):
+    import mlcr.core
+
+    n = 6
+    g = MultiLayerGraph(n=n, layers=(tuple((v, v + 1) for v in range(n - 1)),))
+    monkeypatch.setattr(mlcr.core, "_DIST_CACHE_SLOTS", 2 * n)
+    for s in range(n):
+        assert bfs_dist(g, 0, s) == [abs(s - v) for v in range(n)]
+    # the two newest lists stay; the oldest were dropped and are searched again
+    assert list(g._cache["dist"]) == [(0, 4), (0, 5)]
+    assert bfs_dist(g, 0, 5) is bfs_dist(g, 0, 5)
+    assert bfs_dist(g, 0, 0) == list(range(n))
+    assert list(g._cache["dist"]) == [(0, 5), (0, 0)]
+    # a budget below one list still keeps the list just searched
+    monkeypatch.setattr(mlcr.core, "_DIST_CACHE_SLOTS", 1)
+    assert bfs_dist(g, None, 2) == [2, 1, 0, 1, 2, 3]
+    assert list(g._cache["dist"]) == [(None, 2)]
 
 
 def _random_graph(seed):

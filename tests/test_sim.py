@@ -213,6 +213,36 @@ def test_simulate_batch_resolves_move_sets_once_per_match(tmp_path, monkeypatch,
     assert all(len(counts) == 3 and max(counts) <= g.tau + 1 for counts in per_call.values()), per_call
 
 
+def test_simulate_batch_runs_each_layer_bfs_once_per_graph(tmp_path, monkeypatch, capsys):
+    """The cops' layer distances are cached in the graph (`bfs_dist`), not
+    per match, so a batch searches each (layer, source) once."""
+
+    import mlcr.core
+    from mlcr.cli import main
+    from mlcr.core import write_mlg_file
+
+    path = tmp_path / "grid6.mlg"
+    write_mlg_file(gen_grid(6)[0], path)
+    searches = []
+    real = mlcr.core.bfs_dist_adj
+
+    def counted(adjacency, *sources, **kwargs):
+        searches.append((id(adjacency), sources))
+        return real(adjacency, *sources, **kwargs)
+
+    monkeypatch.setattr(mlcr.core, "bfs_dist_adj", counted)
+    code = main([
+        "simulate", str(path), "--allocation", "1,0", "--cop-strategy", "greedy",
+        "--robber-strategy", "random", "--rounds", "30", "--batch", "3",
+    ])
+    assert code == 0
+    assert "SUMMARY matches=3" in capsys.readouterr().out
+    # 14 distinct (layer, robber square) pairs over the three matches, each
+    # searched once; the squares repeat across matches, and a per-match
+    # cache searches them again (19 searches)
+    assert len(searches) == len(set(searches)) == 14
+
+
 def test_legality_fuzz_hundred_thousand_matches():
     """10^5 fuzzed matches: no illegal move slips through and the referee
     confirms every capture flag."""

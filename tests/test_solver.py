@@ -463,10 +463,10 @@ def _ref_best_cop_move(table, index):
 
 
 def _ref_chase_cop_move(table, index):
-    from mlcr.core import bfs_dist
+    from mlcr.core import bfs_dist_adj
 
     robber, _, t = table.unpack(index)
-    dist = bfs_dist(table.graph, table.assignment[t], robber)
+    dist = bfs_dist_adj(table.graph.layer_view(table.assignment[t]).adjacency, robber)
     best_idx, best_d = -1, None
     for s in _ref_successors(table, index):
         d = dist[table.unpack(s)[1][t]]
@@ -514,13 +514,14 @@ def test_policy_queries_match_unpack_reference_on_random_corpus():
 def test_move_lists_are_built_on_first_policy_query():
     g, _ = gen_grid(4)
     table = build_copwin(g, (0, 0))
-    assert table._moves is None and table._chase == {}
+    assert table._moves is None
     table.best_robber_move(table.pack(0, (5, 10), 2))
     assert table._moves is not None
     assert table._moves[1] is table._moves[2]  # cops on one layer share their lists
 
 
 def test_chase_distances_computed_once_per_layer_and_robber_in_a_batch(tmp_path, monkeypatch, capsys):
+    import mlcr.core
     import mlcr.solver
     from mlcr.cli import main
     from mlcr.core import write_mlg_file
@@ -528,13 +529,13 @@ def test_chase_distances_computed_once_per_layer_and_robber_in_a_batch(tmp_path,
     path = tmp_path / "grid4.mlg"
     write_mlg_file(gen_grid(4)[0], path)
     calls = []
-    real = mlcr.solver.bfs_dist
+    real = mlcr.core.bfs_dist_adj
 
-    def counted(g, layer, source):
-        calls.append((layer, source))
-        return real(g, layer, source)
+    def counted(adjacency, *sources, **kwargs):
+        calls.append((id(adjacency), sources))
+        return real(adjacency, *sources, **kwargs)
 
-    monkeypatch.setattr(mlcr.solver, "bfs_dist", counted)
+    monkeypatch.setattr(mlcr.core, "bfs_dist_adj", counted)
     tables = []
     real_build = mlcr.solver.build_copwin
 

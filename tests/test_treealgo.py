@@ -5,7 +5,7 @@ import pytest
 
 from mlcr.core import MlgError, MultiLayerGraph, RobberSpec
 from mlcr.solver import Winner, decide_choose_allocation
-from mlcr.treealgo import decide_tree_robber, find_robbers_edge, is_tree, winning_profile
+from mlcr.treealgo import decide_tree_robber, find_robbers_edge, robber_tree_edges, winning_profile
 
 
 def explicit(n, layers, robber):
@@ -19,11 +19,12 @@ def random_tree(rng, n):
     return tuple(sorted((rng.randrange(v), v) for v in range(1, n)))
 
 
-def test_is_tree():
-    assert is_tree(((0, 1), (1, 2)), 3)
-    assert not is_tree(((0, 1), (1, 2), (0, 2)), 3)
-    assert not is_tree(((0, 1), (2, 3)), 4)
-    assert is_tree((), 1)
+def test_robber_tree_edges():
+    assert robber_tree_edges(explicit(3, [()], [(0, 1), (1, 2)])) == ((0, 1), (1, 2))
+    assert robber_tree_edges(explicit(3, [()], [(0, 1), (1, 2), (0, 2)])) is None
+    assert robber_tree_edges(explicit(4, [()], [(0, 1), (2, 3)])) is None
+    assert robber_tree_edges(explicit(4, [()], [(0, 1), (0, 2), (1, 2)])) is None  # n-1 edges, two components
+    assert robber_tree_edges(explicit(1, [()], [])) == ()
 
 
 def test_certificate_distance_three():
@@ -41,6 +42,12 @@ def test_no_certificate_on_own_tree():
     p4 = ((0, 1), (1, 2), (2, 3))
     g = explicit(4, [p4], p4)
     assert find_robbers_edge(g, (0,)) == (frozenset(range(4)),)
+
+
+def test_no_certificate_within_two_cop_steps():
+    # the tree edge 0-2 is two steps apart in the cop's path 0-1-2: covered
+    g = explicit(3, [((0, 1), (1, 2))], ((0, 2), (1, 2)))
+    assert find_robbers_edge(g, (0,)) == (frozenset(range(3)),)
 
 
 def test_certificate_with_no_reaching_cop():
@@ -141,16 +148,18 @@ def test_equivalence_extends_to_three_layers_and_three_cops():
 
 
 def test_decide_tree_robber_checks_the_tree_once(monkeypatch):
-    import mlcr.treealgo
+    """Every composition asks for the tree; the graph builds the robber
+    view that answers it once."""
 
     calls = []
-    real = mlcr.treealgo.is_tree
+    real = MultiLayerGraph.robber_view
 
-    def counted(edges, n):
-        calls.append(n)
-        return real(edges, n)
+    def counted(self):
+        if "robber_view" not in self._cache:
+            calls.append(self.n)
+        return real(self)
 
-    monkeypatch.setattr(mlcr.treealgo, "is_tree", counted)
+    monkeypatch.setattr(MultiLayerGraph, "robber_view", counted)
     path = [(0, 1), (1, 2), (2, 3)]
     # three cops on the edgeless layer leave a vertex unpoliced; (2,1) is the second composition
     verdict, plan = decide_tree_robber(explicit(4, [(), path], path), 3)
@@ -164,3 +173,26 @@ def test_negative_cop_count_is_refused():
     path = [(0, 1), (1, 2)]
     with pytest.raises(MlgError, match="non-negative"):
         decide_tree_robber(explicit(3, [path], path), -1)
+
+
+def test_tree_decision_memory_stays_linear_in_n():
+    """One cop on the robber's own path covers every tree edge; deciding it
+    keeps no per-edge distance lists, so the peak stays below one more
+    layer view's worth of memory."""
+
+    import tracemalloc
+
+    from mlcr.core import _LAYER_VIEW_BYTES
+
+    n = 3000
+    path = [(v, v + 1) for v in range(n - 1)]
+    g = explicit(n, [path], path)
+    robber_tree_edges(g), g.layer_view(0)
+    tracemalloc.start()
+    try:
+        verdict, _ = decide_tree_robber(g, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.winner is Winner.COP
+    assert peak <= n * _LAYER_VIEW_BYTES
