@@ -68,24 +68,25 @@ def cmd_solve(args) -> int:
         plan = AllocationPlan(_int_list(args.allocation, "--allocation"))
         if len(plan.counts) != g.tau:
             raise MlgError(f"allocation has {len(plan.counts)} entries, graph has {g.tau} layers")
-        tables: list = []
+        table = None
+        if args.dump_table and plan.total >= 1:
+            from .solver import build_copwin, dump_cwt
+
+            table = build_copwin(g, plan.assignment(), state_budget=args.state_budget)
+            with open(args.dump_table, "w") as fh:
+                fh.write(dump_cwt(table))
+            print(f"TABLE={args.dump_table}")
         if use_tree and plan.total >= 1:
             verdict = decide_tree_allocated(g, plan)
             method = "tree"
         else:
             from .solver import decide_allocated
 
-            verdict = decide_allocated(g, plan, state_budget=args.state_budget, table_out=tables)
-            method = "state-graph"
-        if args.dump_table and plan.total >= 1:
-            from .solver import build_copwin, dump_cwt
-
-            table = tables[0] if tables else build_copwin(
-                g, plan.assignment(), state_budget=args.state_budget
+            # the dumped table is the state-graph verdict's table
+            verdict = table.allocated_verdict() if table is not None else decide_allocated(
+                g, plan, state_budget=args.state_budget
             )
-            with open(args.dump_table, "w") as fh:
-                fh.write(dump_cwt(table))
-            print(f"TABLE={args.dump_table}")
+            method = "state-graph"
         print(f"METHOD={method}")
         print(f"ALLOCATION={plan}")
     elif args.cops is not None:
@@ -188,6 +189,8 @@ def cmd_simulate(args) -> int:
                       table_source)
 
     t0 = time.perf_counter()
+    if args.batch < 0:
+        raise MlgError(f"--batch needs a count >= 0, got {args.batch}")
     g = parse_mlg_file(args.graph)
     if args.tag:
         g.tag = args.tag

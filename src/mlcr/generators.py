@@ -649,6 +649,8 @@ def copsbane_layout(
 
     if N < 8 or N % 2 != 0:
         raise MlgError(f"cops-bane needs even N >= 8, got {N}")
+    if D is not None and D < 0:
+        raise MlgError(f"cops-bane needs arm parameter D >= 0, got D={D}")
     check_vertex_count(N)
     expansion = -math.inf
     exact = N <= EXPANSION_EXACT_LIMIT

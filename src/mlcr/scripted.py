@@ -681,7 +681,8 @@ class MatchAbandoned(Exception):
 
 class _Human:
     """One side played from the terminal: prompts through `input_fn`,
-    re-prompts on illegal input and raises MatchAbandoned on 'quit'.  Before
+    re-prompts on illegal input and raises MatchAbandoned on 'quit' or at
+    the end of input (`input_fn` raising EOFError).  Before
     each prompt it prints, through `output_fn`, the moves the engine made
     since the last one."""
 
@@ -707,7 +708,11 @@ class _Human:
     def ask(self, prompt: str, count: int, legal: Callable[[list[int]], bool], rows: list) -> list[int]:
         self.narrate(rows)
         while True:
-            raw = self.input_fn(prompt).strip()
+            try:
+                raw = self.input_fn(prompt).strip()
+            except EOFError:
+                self.say("")  # end the prompt's line
+                raw = "quit"
             if raw.lower() in ("q", "quit"):
                 raise MatchAbandoned(rows)
             try:

@@ -218,6 +218,8 @@ def run_match(
     move; the match stops after T robber moves.
     """
 
+    if T < 0:
+        raise MlgError(f"the match horizon needs T >= 0 robber moves, got {T}")
     plan = alloc if isinstance(alloc, AllocationPlan) else AllocationPlan(tuple(alloc))
     if len(plan.counts) != g.tau:
         raise MlgError(f"allocation {plan} does not match tau={g.tau}")

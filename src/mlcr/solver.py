@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -271,6 +271,17 @@ class CopWinTable:
             if self.rank_view[self.pack(p0, placement, 0)] < 0:
                 return p0
         return None
+
+    def allocated_verdict(self) -> GameVerdict:
+        """The allocated game's verdict (cops place first): COP with the first
+        winning placement, else ROBBER with the safe start against placement 0."""
+
+        wins = self.winning_placements()
+        if wins.size:
+            placement = self.decode_placement(int(wins[0]))
+            return GameVerdict(Winner.COP, assignment=self.assignment, placement=placement)
+        safe = self.safe_robber_vertex(self.decode_placement(0))
+        return GameVerdict(Winner.ROBBER, assignment=self.assignment, safe_vertex=safe)
 
 
 def state_space_size(n: int, k: int) -> int:
@@ -535,7 +546,6 @@ def decide_allocated(
     g: MultiLayerGraph,
     alloc: AllocationPlan,
     state_budget: int = DEFAULT_STATE_BUDGET,
-    table_out: list | None = None,
 ) -> GameVerdict:
     """Cops place first, robber replies, cops move first.
 
@@ -548,16 +558,7 @@ def decide_allocated(
         raise MlgError(f"allocation has {len(alloc.counts)} entries, graph has {g.tau} layers")
     if alloc.total == 0:
         return GameVerdict(Winner.ROBBER, assignment=(), safe_vertex=0)
-    assignment = alloc.assignment()
-    table = build_copwin(g, assignment, state_budget=state_budget)
-    if table_out is not None:
-        table_out.append(table)
-    wins = table.winning_placements()
-    if wins.size:
-        placement = table.decode_placement(int(wins[0]))
-        return GameVerdict(Winner.COP, assignment=assignment, placement=placement)
-    safe = table.safe_robber_vertex(table.decode_placement(0))
-    return GameVerdict(Winner.ROBBER, assignment=assignment, safe_vertex=safe)
+    return build_copwin(g, alloc.assignment(), state_budget=state_budget).allocated_verdict()
 
 
 def decide_choose_allocation(
@@ -571,15 +572,12 @@ def decide_choose_allocation(
         raise MlgError("cop count must be non-negative")
     if k == 0:
         return GameVerdict(Winner.ROBBER, safe_vertex=0), None
-    last = None
     for comp in compositions(k, g.tau):
         plan = AllocationPlan(comp)
         verdict = decide_allocated(g, plan, state_budget=state_budget)
         if verdict.winner is Winner.COP:
             return verdict, plan
-        last = verdict
-    assert last is not None
-    return last, None
+    return verdict, None  # the last composition's ROBBER verdict
 
 
 def decide_free_layer_choice(
@@ -598,22 +596,13 @@ def decide_free_layer_choice(
     if k == 0:
         return GameVerdict(Winner.ROBBER, safe_vertex=0), None
     variants = [
-        MultiLayerGraph(
-            n=g.n, layers=g.layers, robber_spec=RobberSpec.EXPLICIT, robber_edges=g.layers[j]
-        )
-        for j in range(g.tau)
+        MultiLayerGraph(n=g.n, layers=g.layers, robber_spec=RobberSpec.EXPLICIT, robber_edges=layer)
+        for layer in g.layers
     ]
-    for comp in compositions(k, g.tau):
-        plan = AllocationPlan(comp)
-        all_cop = True
-        for gj in variants:
-            verdict = decide_allocated(gj, plan, state_budget=state_budget)
-            if verdict.winner is not Winner.COP:
-                all_cop = False
-                break
-        if all_cop:
-            return GameVerdict(Winner.COP, assignment=plan.assignment()), plan
-    return GameVerdict(Winner.ROBBER), None
+    plan = _first_winning_plan(variants, k, state_budget)
+    if plan is None:
+        return GameVerdict(Winner.ROBBER), None
+    return GameVerdict(Winner.COP, assignment=plan.assignment()), plan
 
 
 def multilayer_cop_number(
@@ -621,15 +610,26 @@ def multilayer_cop_number(
     k_max: int,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> int | None:
-    """Least k <= k_max winning under free allocation, else None.
-
-    Compositions are tried in order, each solved winner-only, up to the
-    first that wins."""
+    """Least k <= k_max winning under free allocation, else None."""
 
     for k in range(1, k_max + 1):
-        lazy = (copwin_winners([pair], state_budget)[0] for pair in _composition_pairs(g, k))
-        if _some_composition_wins(lazy) is Winner.COP:
+        if _first_winning_plan([g], k, state_budget) is not None:
             return k
+    return None
+
+
+def _first_winning_plan(graphs: Sequence[MultiLayerGraph], k: int, state_budget: int) -> AllocationPlan | None:
+    """First composition of k >= 1 cops, in solver order, under which every
+    graph of `graphs` (same layer count) is a cop win, else None.
+
+    Each (composition, graph) is one winner-only table, solved alone so that
+    only one table need fit in RAM; a composition stops at its first ROBBER."""
+
+    for comp in compositions(k, graphs[0].tau):
+        plan = AllocationPlan(comp)
+        assignment = plan.assignment()
+        if all(copwin_winners([(h, assignment)], state_budget)[0] is Winner.COP for h in graphs):
+            return plan
     return None
 
 
@@ -650,7 +650,8 @@ def allocation_winners(
             pairs.extend(_composition_pairs(g, k))
         spans.append((lo, len(pairs)))
     winners = copwin_winners(pairs, state_budget)
-    return [_some_composition_wins(winners[lo:hi]) for lo, hi in spans]
+    # an instance is COP iff one of its compositions is
+    return [Winner.COP if Winner.COP in winners[lo:hi] else Winner.ROBBER for lo, hi in spans]
 
 
 def _composition_pairs(g: MultiLayerGraph, k: int) -> Iterator[tuple[MultiLayerGraph, tuple[int, ...]]]:
@@ -658,13 +659,6 @@ def _composition_pairs(g: MultiLayerGraph, k: int) -> Iterator[tuple[MultiLayerG
 
     for comp in compositions(k, g.tau):
         yield g, AllocationPlan(comp).assignment()
-
-
-def _some_composition_wins(winners: Iterable[Winner]) -> Winner:
-    """An instance is COP iff one of its compositions is; reading stops at
-    the first COP, so a lazy iterable solves no composition after it."""
-
-    return Winner.COP if Winner.COP in winners else Winner.ROBBER
 
 
 def single_layer_cop_number(

@@ -107,20 +107,22 @@ def random_instance(
 @criterion("c01-grid", "two-layer grid: same-layer pairs win, split pair loses")
 def _c01(budget):
     from .generators import gen_grid
-    from .solver import decide_allocated
+    from .solver import copwin_winners
 
+    # (n, allocation, wanted winner, allocation as printed)
+    cases = [
+        (n, alloc, want, str(alloc))
+        for n in (4, 5)
+        for alloc, want in (((2, 0), Winner.COP), ((0, 2), Winner.COP), ((1, 1), Winner.ROBBER))
+    ]
+    cases.append((3, (1, 1), Winner.COP, "(1,1)"))
+    grids = {n: gen_grid(n)[0] for n in (3, 4, 5)}
+    pairs = [(grids[n], AllocationPlan(alloc).assignment()) for n, alloc, _, _ in cases]
     details = []
     ok = True
-    for n in (4, 5):
-        g, _ = gen_grid(n)
-        for alloc, want in (((2, 0), Winner.COP), ((0, 2), Winner.COP), ((1, 1), Winner.ROBBER)):
-            got = decide_allocated(g, AllocationPlan(alloc), state_budget=budget).winner
-            ok &= got is want
-            details.append(f"n={n} alloc={alloc}: {got.value} (want {want.value})")
-    g3, _ = gen_grid(3)
-    got = decide_allocated(g3, AllocationPlan((1, 1)), state_budget=budget).winner
-    ok &= got is Winner.COP
-    details.append(f"n=3 alloc=(1,1): {got.value} (want COP)")
+    for (n, _, want, shown), got in zip(cases, copwin_winners(pairs, budget)):
+        ok &= got is want
+        details.append(f"n={n} alloc={shown}: {got.value} (want {want.value})")
     return ok, details
 
 
@@ -159,7 +161,7 @@ def _c03(budget):
 @criterion("c04-slices", "slices construction: cheap layers, expensive game")
 def _c04(budget):
     from .generators import gen_slices, slices_induced_robber_slice
-    from .solver import decide_allocated, single_layer_cop_number
+    from .solver import copwin_winners, single_layer_cop_number
 
     g, _ = gen_slices(2)
     details = []
@@ -173,8 +175,9 @@ def _c04(budget):
         c = single_layer_cop_number(edges, m, 2, state_budget=budget)
         details.append(f"slice {x} cop number = {c} (want <= 2)")
         ok &= c is not None and c <= 2
-    for alloc in ((1, 0), (0, 1)):
-        got = decide_allocated(g, AllocationPlan(alloc), state_budget=budget).winner
+    allocs = ((1, 0), (0, 1))
+    one_cop = copwin_winners([(g, AllocationPlan(alloc).assignment()) for alloc in allocs], budget)
+    for alloc, got in zip(allocs, one_cop):
         details.append(f"one cop alloc={alloc}: {got.value} (want ROBBER)")
         ok &= got is Winner.ROBBER
     return ok, details
@@ -187,7 +190,6 @@ def _c05(budget):
     from .solver import decide_free_layer_choice
 
     rng = random.Random(20240605)
-    ok = True
     checked = 0
     mismatches = []
     for trial in range(200):
@@ -200,11 +202,10 @@ def _c05(budget):
             want = Winner.COP if gamma <= k else Winner.ROBBER
             checked += 1
             if verdict.winner is not want:
-                ok = False
                 mismatches.append(f"trial {trial} n={n} k={k}: got {verdict.winner.value}, gamma={gamma}")
     details = [f"200 graphs x k in 1..3: {checked} verdicts compared against brute-force domination"]
     details.extend(mismatches[:5])
-    return ok, details
+    return not mismatches, details
 
 
 @criterion("c06-tree-robber", "tree-robber fast path matches the exact solver")
@@ -231,25 +232,21 @@ def _c06(budget):
             robber_edges=random_tree_edges(rng, n),
         )
         instances.append((g, rng.randint(1, 2)))
-    ok = True
     mismatches = []
     # every composition of every instance in one winner-only solve
     slow = allocation_winners(instances, state_budget=budget)
     for trial, ((g, k), solver) in enumerate(zip(instances, slow)):
         fast, _ = decide_tree_robber(g, k)
         if fast.winner is not solver:
-            ok = False
             mismatches.append(f"trial {trial}: tree={fast.winner.value} solver={solver.value}")
     details = [f"{len(instances)} random tree-robber instances, verdicts identical"]
     details.extend(mismatches[:5])
-    return ok, details
+    return not mismatches, details
 
 
 @criterion("c07-clique-partition", "clique partition invariants over the full sweep")
 def _c07(budget):
     from .generators import ConstructionError, gen_soifer
-
-    ok = True
     count = 0
     failures = []
     for n in range(4, 31):
@@ -260,16 +257,14 @@ def _c07(budget):
             try:
                 g, report = gen_soifer(n, tau)
             except ConstructionError as ex:
-                ok = False
                 failures.append(f"(n={n}, tau={tau}): {ex}")
                 continue
             max_deg = max(max(g.layer_view(i).degrees) for i in range(tau))
             if max_deg > math.ceil(n / tau):
-                ok = False
                 failures.append(f"(n={n}, tau={tau}): max degree {max_deg}")
     details = [f"{count} (n, tau) pairs: connected layers, exact cover, degree <= ceil(n/tau)"]
     details.extend(failures[:5])
-    return ok, details
+    return not failures, details
 
 
 @criterion("c08-clique-lower-bound", "closed-neighbourhood certificate at k = tau/10")
@@ -302,43 +297,35 @@ def _c09(budget):
         g = random_instance(rng, n_max=6, tau_max=2)
         k = rng.randint(1, 2)
         pairs.append((g, tuple(rng.randrange(g.tau) for _ in range(k))))
-    ok = True
     mismatches = []
     for trial, ((g, assignment), table) in enumerate(zip(pairs, build_copwin_batch(pairs, budget))):
         win = naive_copwin_status(g, assignment)
         # the oracle lists its states in packed-index order
         bad = np.fromiter(win.values(), dtype=bool, count=len(win)) != (table.rank >= 0)
         if bad.any():
-            ok = False
             mismatches.append(f"trial {trial} state {table.unpack(int(bad.argmax()))}")
     details = ["300 random instances (n<=6, tau<=2, k<=2) checked state by state"]
     details.extend(mismatches[:5])
-    return ok, details
+    return not mismatches, details
 
 
 @criterion("c10-monotonicity", "robber edges help the robber, cop edges help the cops")
 def _c10(budget):
-    from .solver import decide_choose_allocation, decide_free_layer_choice
+    from .solver import allocation_winners, decide_free_layer_choice
 
     rng = random.Random(20240610)
-    ok = True
-    failures = []
     all_pairs = lambda n: [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for trial in range(200):
+    # per trial: the base instance, its robber-layer growth, its cop-layer
+    # growth and its union-robber substitution, all with the same k
+    trials = []
+    for _ in range(200):
         g = random_instance(rng, n_max=5, tau_max=2, specs=(RobberSpec.EXPLICIT,))
         n = g.n
         k = rng.randint(1, 2)
-        base, _ = decide_choose_allocation(g, k, state_budget=budget)
-        # robber layer grows: a cop win may only appear on the smaller layer
         extra = [e for e in all_pairs(n) if e not in g.robber_edges]
         rng.shuffle(extra)
         bigger = tuple(sorted(set(g.robber_edges) | set(extra[:2])))
         g_r = MultiLayerGraph(n=n, layers=g.layers, robber_spec=RobberSpec.EXPLICIT, robber_edges=bigger)
-        after, _ = decide_choose_allocation(g_r, k, state_budget=budget)
-        if base.winner is Winner.ROBBER and after.winner is Winner.COP:
-            ok = False
-            failures.append(f"trial {trial}: robber-layer growth flipped ROBBER->COP")
-        # cop layers grow: a cop win must survive
         glayers = []
         for layer in g.layers:
             extra = [e for e in all_pairs(n) if e not in layer]
@@ -347,21 +334,26 @@ def _c10(budget):
         g_c = MultiLayerGraph(
             n=n, layers=tuple(glayers), robber_spec=RobberSpec.EXPLICIT, robber_edges=g.robber_edges
         )
-        after_c, _ = decide_choose_allocation(g_c, k, state_budget=budget)
-        if base.winner is Winner.COP and after_c.winner is Winner.ROBBER:
-            ok = False
+        g_u = MultiLayerGraph(n=n, layers=g.layers, robber_spec=RobberSpec.UNION)
+        trials.append((k, (g, g_r, g_c, g_u)))
+    winners = allocation_winners([(h, k) for k, graphs in trials for h in graphs], state_budget=budget)
+    failures = []
+    for trial, (k, (_, _, _, g_u)) in enumerate(trials):
+        base, after, after_c, union = winners[4 * trial : 4 * trial + 4]
+        # robber layer grows: a cop win may only appear on the smaller layer
+        if base is Winner.ROBBER and after is Winner.COP:
+            failures.append(f"trial {trial}: robber-layer growth flipped ROBBER->COP")
+        # cop layers grow: a cop win must survive
+        if base is Winner.COP and after_c is Winner.ROBBER:
             failures.append(f"trial {trial}: cop-layer growth flipped COP->ROBBER")
         # union-robber win implies free-layer-choice win
-        g_u = MultiLayerGraph(n=n, layers=g.layers, robber_spec=RobberSpec.UNION)
-        union_verdict, _ = decide_choose_allocation(g_u, k, state_budget=budget)
-        if union_verdict.winner is Winner.COP:
+        if union is Winner.COP:
             free_verdict, _ = decide_free_layer_choice(g_u, k, state_budget=budget)
             if free_verdict.winner is not Winner.COP:
-                ok = False
                 failures.append(f"trial {trial}: union win without free-layer-choice win")
     details = ["200 random instances under edge additions and robber-layer substitution"]
     details.extend(failures[:5])
-    return ok, details
+    return not failures, details
 
 
 @criterion("c11-bounds-soundness", "existential closure and domination bound the cop number")
@@ -370,7 +362,6 @@ def _c11(budget):
     from .solver import multilayer_cop_number
 
     rng = random.Random(20240611)
-    ok = True
     failures = []
     mec_hits = 0
     dom_checks = 0
@@ -383,31 +374,27 @@ def _c11(budget):
                 mec_hits += 1
                 mc = multilayer_cop_number(g, k, state_budget=budget)
                 if mc is not None:
-                    ok = False
                     failures.append(f"trial {trial}: mec at k={k} but cop number {mc} <= k")
         ds = domset_exact(g)
         mc = multilayer_cop_number(g, len(ds), state_budget=budget)
         dom_checks += 1
         if mc is None:
-            ok = False
             failures.append(f"trial {trial}: domination {len(ds)} does not bound the cop number")
         greedy = domset_greedy(g)
         if len(ds) > len(greedy):
-            ok = False
             failures.append(f"trial {trial}: exact {len(ds)} > greedy {len(greedy)}")
         delta = ml_min_degree(g)
         if delta >= tau * (math.e - 1):
             chain_checks += 1
             bound = domination_bound(n, tau, delta)
             if len(greedy) > bound + 1e-9:
-                ok = False
                 failures.append(f"trial {trial}: greedy {len(greedy)} above bound {bound:.3f}")
     details = [
         f"120 complete-robber instances: {mec_hits} mec certificates, "
         f"{dom_checks} domination bounds, {chain_checks} dense chain checks"
     ]
     details.extend(failures[:5])
-    return ok, details
+    return not failures, details
 
 
 @criterion("c12-pstar-density", "splitting probability and layered density")
@@ -450,7 +437,6 @@ def _c13(budget):
     from .solver import build_copwin, multilayer_cop_number
 
     rng = random.Random(20240613)
-    ok = True
     failures = []
     tested = 0
     while tested < 50:
@@ -472,16 +458,14 @@ def _c13(budget):
         table = build_copwin(g, plan.assignment(), state_budget=budget)
         rec = run_match(g, plan, BagsweepCops(decomp), TablebaseRobber(table), T=60 * n * n, seed=tested)
         if rec.outcome != "CAPTURE":
-            ok = False
             failures.append(f"instance {tested}: bag sweep did not capture (n={n}, cops={cops})")
         mc = multilayer_cop_number(g, cops, state_budget=budget)
         if mc is None:
-            ok = False
             failures.append(f"instance {tested}: cop number above bag bound {cops}")
         tested += 1
     details = [f"50 random connected-layer instances, bag-size cops always capture"]
     details.extend(failures[:5])
-    return ok, details
+    return not failures, details
 
 
 @criterion("c14-copsbane", "expander-core family: validators and robber survival")

@@ -1,13 +1,23 @@
 """Reference oracles used only by the tests: verdicts from the naive
-status map and from simultaneous team moves, and girth and treewidth by
-brute force.
+status map, from simultaneous team moves and from full tables per
+composition, and girth and treewidth by brute force.
 Like `mlcr.oracles`, they are deliberately naive and run on small
 instances only."""
 
 from itertools import permutations, product
 from typing import Sequence
 
-from mlcr.core import INF, AllocationPlan, MultiLayerGraph, bfs_dist_adj
+from mlcr.core import (
+    INF,
+    AllocationPlan,
+    GameVerdict,
+    MlgError,
+    MultiLayerGraph,
+    RobberSpec,
+    Winner,
+    bfs_dist_adj,
+    compositions,
+)
 from mlcr.oracles import _agent_adjacency, naive_copwin_status
 
 
@@ -23,6 +33,34 @@ def naive_allocated_verdict(g: MultiLayerGraph, alloc: AllocationPlan) -> str:
         if all(win[(p0, cops, 0)] for p0 in range(n)):
             return "COP"
     return "ROBBER"
+
+
+def robber_layer_variants(g: MultiLayerGraph) -> list[MultiLayerGraph]:
+    """Free layer choice's games: `g` with the robber on each of its layers."""
+
+    return [
+        MultiLayerGraph(n=g.n, layers=g.layers, robber_spec=RobberSpec.EXPLICIT, robber_edges=layer)
+        for layer in g.layers
+    ]
+
+
+def full_table_free_layer_choice(g: MultiLayerGraph, k: int) -> tuple[GameVerdict, AllocationPlan | None]:
+    """`decide_free_layer_choice` from full tables: `decide_allocated` on
+    every robber-layer variant, per composition in solver order, up to the
+    first composition that wins them all."""
+
+    from mlcr.solver import decide_allocated
+
+    if k < 0:
+        raise MlgError("cop count must be non-negative")
+    if k == 0:
+        return GameVerdict(Winner.ROBBER, safe_vertex=0), None
+    variants = robber_layer_variants(g)
+    for comp in compositions(k, g.tau):
+        plan = AllocationPlan(comp)
+        if all(decide_allocated(gj, plan).winner is Winner.COP for gj in variants):
+            return GameVerdict(Winner.COP, assignment=plan.assignment()), plan
+    return GameVerdict(Winner.ROBBER), None
 
 
 def simultaneous_move_verdict(g: MultiLayerGraph, alloc: AllocationPlan) -> str:

@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 
@@ -559,6 +560,67 @@ def test_errors_exit_with_their_code_and_one_error_line(args, code, grid4_file, 
     assert [line for line in err.splitlines() if line.startswith("error: ")], err
     assert "Traceback" not in err
     assert b"VERDICT=" not in proc.stdout and b"TOTAL" not in proc.stdout
+
+
+# -- never a traceback: every integer option at -1 ------------------------------------
+
+# (subcommand, option) -> (command line, exit code, text the output must contain).
+# "" is the top-level parser; each option is set to -1 on the cheapest command
+# that reads it.
+NEGATIVE_OPTIONS = {
+    ("", "--state-budget"): (["--state-budget", "-1", "solve", "{grid}", "--allocation", "1,0"], 3, "budget"),
+    ("", "--seed"): (["--seed", "-1", "simulate", "{grid}", "--allocation", "1,0"], 0, "MATCH seed=-1"),
+    ("solve", "--cops"): (["solve", "{grid}", "--cops", "-1"], 2, "cop count"),
+    ("solve", "--free-choice"): (["solve", "{grid}", "--free-choice", "-1"], 2, "cop count"),
+    ("generate", "-n"): (["generate", "grid", "-n", "-1", "-o", "{out}"], 2, "n >= 2"),
+    ("generate", "-k"): (["generate", "slices", "-k", "-1", "-o", "{out}"], 2, "k >= 1"),
+    ("generate", "--tau"): (["generate", "soifer", "-n", "8", "--tau", "-1", "-o", "{out}"], 2, "tau=-1"),
+    ("generate", "--D"): (["generate", "copsbane", "-n", "8", "--D", "-1", "-o", "{out}"], 2, "D=-1"),
+    ("bounds", "--max-k"): (["bounds", "{grid}", "--max-k", "-1"], 0, "LB_mec=0"),
+    ("simulate", "--rounds"): (["simulate", "{grid}", "--allocation", "1,0", "--rounds", "-1"], 2, "T >= 0"),
+    ("simulate", "--batch"): (["simulate", "{grid}", "--allocation", "1,0", "--batch", "-1"], 2, "--batch"),
+    ("experiment", "-n"): (["experiment", "-n", "-1", "--seeds", "1"], 2, "n=-1"),
+    ("experiment", "--tau"): (["experiment", "-n", "8", "--tau", "-1", "--seeds", "1"], 2, "tau must be >= 1"),
+}
+
+
+def _integer_options():
+    from mlcr.cli import build_parser
+
+    parsers = {"": build_parser()}
+    found = set()
+    while parsers:
+        name, parser = parsers.popitem()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.update(action.choices)
+            elif action.type is int:
+                found.add((name, action.option_strings[0]))
+    return found
+
+
+def test_every_integer_option_has_a_negative_case():
+    assert _integer_options() == set(NEGATIVE_OPTIONS)
+
+
+@pytest.mark.parametrize(
+    "args, code, text",
+    [*NEGATIVE_OPTIONS.values(), (["play", "{grid}", "--allocation", "1,0"], 0, "OUTCOME=ABANDONED")],
+    ids=[f"{cmd or 'mlcr'}{opt}" for cmd, opt in NEGATIVE_OPTIONS] + ["play-empty-stdin"],
+)
+def test_cli_never_ends_in_a_traceback(args, code, text, grid4_file, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "mlcr.cli", *(a.format(grid=grid4_file, out=tmp_path / "o.mlg") for a in args)],
+        input=b"",
+        capture_output=True,
+        timeout=120,
+    )
+    out, err = proc.stdout.decode(), proc.stderr.decode()
+    assert "Traceback" not in err
+    assert proc.returncode == code, err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == (1 if code in (2, 3) else 0), err
+    assert text in out + err
 
 
 def test_verify_only_that_matches_nothing_names_the_filter(capsys):

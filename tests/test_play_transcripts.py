@@ -19,6 +19,7 @@ def grid4():
 
 # name: (graph, allocation, human role, answers, max_rounds, transcript, record)
 # Transcript entries are output lines, or a prompt followed by the answer.
+# An answer of EOFError is the end of input: the prompt shows, nothing is read.
 SESSIONS = {
     "robber_captured": (
         path(5), (1,), "robber", ["4", "4", "4", "4"], 6,
@@ -106,6 +107,17 @@ SESSIONS = {
         "MR1 graph=grid:4 alloc=2,0 cop=tablebase_cop robber=human seed=0 T=10000\n"
         "OUTCOME ABANDONED\n",
     ),
+    "end_of_input": (
+        path(5), (1,), "cops", ["0", EOFError], 6,
+        [
+            "place 1 cops> 0",
+            "robber placed at 2",
+            "round 1, cops at 0, robber at 2; move cops> ",
+            "",
+        ],
+        "MR1 graph=- alloc=1 cop=human robber=tablebase_robber seed=0 T=6\n"
+        "0 P 2 0\nOUTCOME ABANDONED\n",
+    ),
     "placement_capture": (
         path(3), (1,), "robber", ["0"], 3,
         ["cops placed at 0", "place robber> 0", "capture at placement"],
@@ -123,6 +135,9 @@ def test_play_transcript_is_pinned(name):
 
     def fake_input(prompt):
         answer = next(answers)
+        if answer is EOFError:
+            log.append(prompt)
+            raise EOFError
         log.append(prompt + answer)
         return answer
 

@@ -24,7 +24,12 @@ from mlcr.solver import (
     single_layer_cop_number,
     state_space_size,
 )
-from reference_oracles import naive_allocated_verdict, simultaneous_move_verdict
+from reference_oracles import (
+    full_table_free_layer_choice,
+    naive_allocated_verdict,
+    robber_layer_variants,
+    simultaneous_move_verdict,
+)
 
 
 def single(edges, n, spec=RobberSpec.UNION):
@@ -772,6 +777,72 @@ def test_allocation_winners_equal_decide_choose_allocation():
         assert winner is decide_choose_allocation(g, k)[0].winner
     with pytest.raises(MlgError):
         allocation_winners([(instances[0][0], -1)])
+
+
+def _free_choice_corpus(seed=1721, count=100):
+    """Seeded free-layer-choice games: tau = 2..3, the first layer often
+    repeated, k = 0..3."""
+
+    rng = random.Random(seed)
+    games = []
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        layers = [
+            tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35)
+            for _ in range(rng.randint(2, 3))
+        ]
+        if rng.random() < 0.4:
+            layers[-1] = layers[0]
+        games.append((MultiLayerGraph(n=n, layers=tuple(layers)), rng.randint(0, 3)))
+    return games
+
+
+def test_free_layer_choice_equals_full_tables_and_naive_oracle():
+    games = _free_choice_corpus()
+    assert any(len(set(g.layers)) < g.tau for g, _ in games)
+    winners = set()
+    for g, k in games:
+        verdict, plan = decide_free_layer_choice(g, k)
+        want, want_plan = full_table_free_layer_choice(g, k)
+        assert (verdict.record_lines(), plan) == (want.record_lines(), want_plan), (g, k)
+        winners.add(verdict.winner)
+        if g.n <= 5 and k:
+            naive = any(
+                all(naive_allocated_verdict(gj, AllocationPlan(comp)) == "COP" for gj in robber_layer_variants(g))
+                for comp in compositions(k, g.tau)
+            )
+            assert verdict.winner is (Winner.COP if naive else Winner.ROBBER), (g, k)
+    assert winners == {Winner.COP, Winner.ROBBER}
+
+
+def test_winner_only_questions_build_no_full_table(monkeypatch, tmp_path):
+    """c01, c04, c05, c10 and `solve --free-choice` read only winners, so
+    they run no full retrograde BFS; `solve --allocation` still runs one."""
+
+    import mlcr.solver
+    from mlcr.cli import main
+    from mlcr.core import write_mlg_file
+    from mlcr.verify import run_criteria
+
+    full = []
+    real = mlcr.solver._retrograde
+
+    def spied(pairs, state_budget, winner_only=False):
+        if not winner_only:
+            full.append(len(pairs))
+        return real(pairs, state_budget, winner_only)
+
+    monkeypatch.setattr(mlcr.solver, "_retrograde", spied)
+    for cid in ("c01", "c04", "c05", "c10"):
+        (res,) = run_criteria(only=cid)
+        assert res.passed and full == [], cid
+    path = str(tmp_path / "grid4.mlg")
+    write_mlg_file(gen_grid(4)[0], path)
+    assert main(["solve", path, "--free-choice", "1"]) == 1
+    assert main(["solve", path, "--free-choice", "2"]) == 0
+    assert full == []
+    assert main(["solve", path, "--allocation", "2,0"]) == 0
+    assert full == [1]
 
 
 def test_cop_number_stops_each_table_at_the_win(monkeypatch):
