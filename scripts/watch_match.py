@@ -11,7 +11,8 @@ import sys
 from mlcr.core import AllocationPlan
 from mlcr.generators import gen_copsbane, gen_grid
 from mlcr.scripted import CopsbaneRobber, GridCopGuard
-from mlcr.sim import GreedyCops, run_match, tablebase_pair
+from mlcr.sim import GreedyCops, TablebaseRobber, run_match
+from mlcr.solver import build_copwin
 
 
 def main():
@@ -20,7 +21,7 @@ def main():
         n = int(sys.argv[2]) if len(sys.argv) > 2 else 5
         g, _ = gen_grid(n)
         plan = AllocationPlan((0, 2))
-        _, robber, _ = tablebase_pair(g, plan)
+        robber = TablebaseRobber(build_copwin(g, plan.assignment()))
         record = run_match(g, plan, GridCopGuard(n), robber, T=40 * n * n, seed=1)
     elif kind == "copsbane":
         N = int(sys.argv[2]) if len(sys.argv) > 2 else 20

@@ -159,6 +159,8 @@ def cmd_bounds(args) -> int:
     from .core import flatten
 
     t0 = time.perf_counter()
+    if args.max_k < 0:
+        raise MlgError(f"--max-k needs a cop count >= 0, got {args.max_k}")
     g = parse_mlg_file(args.graph)
     print(f"LB_mec={mec_lower_bound(g, args.max_k)}")
     try:
@@ -191,6 +193,8 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     if args.batch < 0:
         raise MlgError(f"--batch needs a count >= 0, got {args.batch}")
+    if args.rounds < 0:
+        raise MlgError(f"--rounds needs a match horizon T >= 0, got {args.rounds}")
     g = parse_mlg_file(args.graph)
     if args.tag:
         g.tag = args.tag

@@ -6,8 +6,10 @@ the corner dance, the safe-slice navigation, the blocked-set evasion on the
 expander core, the tree squeeze, and the bag sweep along a tree
 decomposition.  Each one checks in `begin` that the graph and assignment
 are ones it was written for, and raises `StrategyMismatchError` otherwise.
-The human players read moves from the terminal; `interactive_play` runs
-them against the tablebase through `sim.run_match`.
+The two grid players share that check in `_OnGrid`, and the tree squeeze
+and the bag sweep share one task-queue round in `_TaskCops`.  The human
+players read moves from the terminal; `interactive_play` runs them against
+the tablebase through `sim.run_match`.
 
 Nothing imports this module at top level: the strategy factories in `sim`,
 `cli.cmd_play` and the `verify` criteria that run these players load it
@@ -34,23 +36,24 @@ from .sim import (
     MatchRecord,
     MatchView,
     RobberStrategy,
+    Strategy,
     StrategyInvariantError,
     StrategyMismatchError,
+    TablebaseCops,
+    TablebaseRobber,
     _ids,
     run_match,
-    tablebase_pair,
+    table_source,
 )
 
 
 # -- grid strategies -------------------------------------------------------------------
 
 
-class GridCopGuard(CopTeamStrategy):
-    """Two same-layer cops on the two-layer grid: a blocker pins the
-    robber's row while a traveller crosses to the next column over the
-    boundary rows, squeezing the robber toward the far edge."""
-
-    name = "grid_cop_guard"
+class _OnGrid(Strategy):
+    """A player for the two-layer n-grid: `begin` refuses any other graph
+    and sets the (row, column) maps `_rc` and `_idx`, rows and columns
+    counted from 1."""
 
     def __init__(self, n: int):
         self.nside = n
@@ -62,14 +65,25 @@ class GridCopGuard(CopTeamStrategy):
         n = self.nside
         if g.n != n * n or tuple(g.layers) != grid_layers(n):
             raise StrategyMismatchError(f"graph is not the {n}-grid construction")
+        self._rc = lambda v: grid_coords(v, n)
+        self._idx = lambda i, j: grid_index(i, j, n)
+
+
+class GridCopGuard(_OnGrid, CopTeamStrategy):
+    """Two same-layer cops on the two-layer grid: a blocker pins the
+    robber's row while a traveller crosses to the next column over the
+    boundary rows, squeezing the robber toward the far edge."""
+
+    name = "grid_cop_guard"
+
+    def begin(self, g, assignment, rng):
+        super().begin(g, assignment, rng)
         # virtual coordinates: both cops live on the all-verticals layer
-        if tuple(assignment) == (1, 1):
-            self._rc = lambda v: grid_coords(v, n)
-            self._idx = lambda i, j: grid_index(i, j, n)
-        elif tuple(assignment) == (0, 0):
-            self._rc = lambda v: grid_coords(v, n)[::-1]
-            self._idx = lambda i, j: grid_index(j, i, n)
-        else:
+        if tuple(assignment) == (0, 0):
+            rc, idx = self._rc, self._idx
+            self._rc = lambda v: rc(v)[::-1]
+            self._idx = lambda i, j: idx(j, i)
+        elif tuple(assignment) != (1, 1):
             raise StrategyMismatchError("grid guard needs both cops on the same layer")
         self.adj = g.layer_view(assignment[0]).adjacency
         self.phase = 1
@@ -120,31 +134,21 @@ class GridCopGuard(CopTeamStrategy):
         return (self._idx(1, 1), self._idx(1, 2))
 
 
-class GridRobberCorner(RobberStrategy):
+class GridRobberCorner(_OnGrid, RobberStrategy):
     """Corner dance against one cop per grid layer: recompute the safe
     corner cell (a, b) from which cop threatens row 1 / column 1 and hop
     within the top-left 2x2 square."""
 
     name = "grid_robber_corner"
 
-    def __init__(self, n: int):
-        self.nside = n
-
     def begin(self, g, assignment, rng):
         super().begin(g, assignment, rng)
-        from .generators import grid_coords, grid_index, grid_layers
-
-        n = self.nside
-        if g.n != n * n or tuple(g.layers) != grid_layers(n):
-            raise StrategyMismatchError(f"graph is not the {n}-grid construction")
         if sorted(assignment) != [0, 1]:
             raise StrategyMismatchError("corner dance needs exactly one cop per layer")
-        if n < 4:
+        if self.nside < 4:
             raise StrategyMismatchError("corner dance needs n >= 4")
         self.ch_cop = assignment.index(0)
         self.cv_cop = assignment.index(1)
-        self._rc = lambda v: grid_coords(v, n)
-        self._idx = lambda i, j: grid_index(i, j, n)
 
     def _target(self, cops) -> tuple[int, int]:
         hi, _ = self._rc(cops[self.ch_cop])
@@ -361,17 +365,16 @@ class CopsbaneRobber(RobberStrategy):
         if not core or rest or g.tau != 2 or g.layers != copsbane_layers(N, self.D, core, coloring):
             raise StrategyMismatchError("graph is not a cops-bane construction")
         self.x_adj = adjacency_lists(N, core)
-        self._colour_adj = [adjacency_lists(N, [e for e in core if coloring[e] == c]) for c in (0, 1)]
         # monochromatic component (as a frozenset) of each core vertex per colour
         self.comp: list[list[frozenset[int]]] = []
-        for adj in self._colour_adj:
+        for colour in (0, 1):
+            adj = adjacency_lists(N, [e for e in core if coloring[e] == colour])
             comp_of: list[frozenset[int]] = [frozenset()] * self.N
             for comp in component_sets(adj):
                 fz = frozenset(comp)
                 for v in fz:
                     comp_of[v] = fz
             self.comp.append(comp_of)
-        self._comp_dist_cache: dict[tuple[int, int], list[float]] = {}
         self._safe_cache: dict[frozenset[int], list[set[int]]] = {}
 
     def _leaf(self, p: int) -> tuple[int, int]:
@@ -443,7 +446,9 @@ class CopsbaneRobber(RobberStrategy):
                 continue
             leaf, a = self._leaf(p)
             comp = self.comp[colour][leaf]
-            local = self._comp_dist(colour, leaf)
+            # layer `colour` is that colour class of the core plus the star, so inside the leaf's
+            # component local = min(mono, 4D+2), and min(4D+2-a, a+local) = min(4D+2-a, a+mono)
+            local = bfs_dist(self.g, colour, leaf)
             for v in range(self.N):
                 d = round_trip - a
                 if v in comp:
@@ -451,14 +456,6 @@ class CopsbaneRobber(RobberStrategy):
                 if d < threat[v]:
                     threat[v] = d
         return threat
-
-    def _comp_dist(self, colour: int, src: int) -> list[float]:
-        """Distances from `src` in its monochromatic component (inf outside)."""
-
-        key = (colour, src)
-        if key not in self._comp_dist_cache:
-            self._comp_dist_cache[key] = bfs_dist_adj(self._colour_adj[colour], src)
-        return self._comp_dist_cache[key]
 
     def move(self, view: MatchView):
         cur = view.robber
@@ -482,10 +479,45 @@ class CopsbaneRobber(RobberStrategy):
         return max(pool, key=lambda v: (dist[v], threat[v], -v))
 
 
+# -- cop teams that work through a task queue -------------------------------------------
+
+
+class _TaskCops(CopTeamStrategy):
+    """A cop team driven by a queue of (cop, target vertex) tasks.  Each
+    round it takes the capture if one is on; otherwise it drops the tasks
+    already done, asks `_replan` for more when the queue is empty, and
+    moves the cop of `_task` one step toward its target."""
+
+    def begin(self, g, assignment, rng):
+        super().begin(g, assignment, rng)
+        self.tasks: list[tuple[int, int]] = []
+
+    def _replan(self, view: MatchView) -> None:
+        raise NotImplementedError  # refill `tasks`; a queue left empty is asked again
+
+    def _task(self, view: MatchView) -> tuple[int, int]:
+        return self.tasks[0]
+
+    def moves(self, view: MatchView):
+        capture = self.capture_move(view)
+        if capture is not None:
+            return capture
+        pos = list(view.cops)
+        while True:
+            while self.tasks and pos[self.tasks[0][0]] == self.tasks[0][1]:
+                self.tasks.pop(0)
+            if self.tasks:
+                break
+            self._replan(view)
+        cop, target = self._task(view)
+        pos[cop] = self.step_toward(cop, pos[cop], target)
+        return tuple(pos)
+
+
 # -- tree squeeze -----------------------------------------------------------------------
 
 
-class TreeSqueezeCops(CopTeamStrategy):
+class TreeSqueezeCops(_TaskCops):
     """Territory squeeze for tree robber layers without a robber's edge.
 
     Cops start inside the components of a clean profile.  Each iteration
@@ -506,7 +538,6 @@ class TreeSqueezeCops(CopTeamStrategy):
             raise StrategyMismatchError("instance has a robber's edge for this assignment")
         self.profile = profile
         self.radj = g.robber_view().adjacency
-        self.tasks: list[tuple[int, int]] = []  # (cop, target vertex)
         self.guard_post: int | None = None
 
     def place(self):
@@ -538,34 +569,22 @@ class TreeSqueezeCops(CopTeamStrategy):
         else:
             self.tasks = [(guard, w)]
 
-    def moves(self, view: MatchView):
-        capture = self.capture_move(view)
-        if capture is not None:
-            return capture
-        pos = list(view.cops)
-        while True:
-            while self.tasks and pos[self.tasks[0][0]] == self.tasks[0][1]:
-                self.tasks.pop(0)
-            if self.tasks:
-                break
-            self._replan(view)
-        cop, target = self.tasks[0]
+    def _task(self, view: MatchView) -> tuple[int, int]:
+        cop = self.tasks[0][0]
         if (
             self.guard_post is not None
             and view.robber == self.guard_post
-            and pos[cop] != self.guard_post
+            and view.cops[cop] != self.guard_post
         ):
             # the robber stepped onto the vacated guard post: turn back
-            target = self.guard_post
-            self.tasks[0] = (cop, target)
-        pos[cop] = self.step_toward(cop, pos[cop], target)
-        return tuple(pos)
+            self.tasks[0] = (cop, self.guard_post)
+        return self.tasks[0]
 
 
 # -- bag sweep along a tree decomposition --------------------------------------------------
 
 
-class BagsweepCops(CopTeamStrategy):
+class BagsweepCops(_TaskCops):
     """Cover one bag of a tree decomposition of the flattened graph and
     shift, one cop at a time, to the neighbouring bag on the robber's side;
     the bag intersection stays guarded so the robber's subtree shrinks."""
@@ -592,8 +611,6 @@ class BagsweepCops(CopTeamStrategy):
         self.tadj = adjacency_lists(len(self.decomp.bags), self.decomp.tree)
         self.current = 0
         self.posts: dict[int, int] = {}
-        self.tasks: list[tuple[int, int]] = []
-        self.pending_bag: int | None = None
 
     def place(self):
         bag = sorted(self.decomp.bags[self.current])
@@ -614,7 +631,11 @@ class BagsweepCops(CopTeamStrategy):
         side = next(c for c in component_sets(self.tadj, (bag_from,)) if bag_to in c)
         return set().union(*(self.decomp.bags[b] for b in side))
 
-    def _plan_shift(self, view: MatchView) -> None:
+    def _replan(self, view: MatchView) -> None:
+        """Plan the shift from the covered bag to its neighbour on the
+        robber's side, and take that bag as covered: nothing reads `current`
+        before the shift's tasks are done and the next plan starts."""
+
         cur_bag = self.decomp.bags[self.current]
         target_bag = None
         for m in self.tadj[self.current]:
@@ -639,33 +660,10 @@ class BagsweepCops(CopTeamStrategy):
                 surplus.append(c)
             seen_posts.add(p)
         pool = movers + [c for c in surplus if c not in movers]
-        self.tasks = []
         for target, cop in zip(uncovered, pool):
             self.tasks.append((cop, target))
             self.posts[cop] = target
-        self.pending_bag = target_bag
-
-    def moves(self, view: MatchView):
-        capture = self.capture_move(view)
-        if capture is not None:
-            return capture
-        pos = list(view.cops)
-        while True:
-            while self.tasks and pos[self.tasks[0][0]] == self.tasks[0][1]:
-                self.tasks.pop(0)
-            if self.tasks:
-                break
-            if self.pending_bag is not None:
-                self.current = self.pending_bag
-                self.pending_bag = None
-            self._plan_shift(view)
-            if not self.tasks:
-                # every target already covered; adopt the bag and continue
-                self.current = self.pending_bag
-                self.pending_bag = None
-        cop, target = self.tasks[0]
-        pos[cop] = self.step_toward(cop, pos[cop], target)
-        return tuple(pos)
+        self.current = target_bag
 
 
 # -- interactive play ------------------------------------------------------------------
@@ -779,10 +777,12 @@ def interactive_play(
 
     if human_role not in ("robber", "cops"):
         raise MlgError(f"human role must be 'robber' or 'cops', got {human_role!r}")
-    cops, robber, _ = tablebase_pair(g, alloc, state_budget)
+    table = table_source(g, alloc, state_budget)()
     if human_role == "cops":
         human = cops = HumanCops(input_fn, output_fn)
+        robber = TablebaseRobber(table)
     else:
+        cops = TablebaseCops(table)
         human = robber = HumanRobber(input_fn, output_fn)
     try:
         record = run_match(g, alloc, cops, robber, T=max_rounds)

@@ -8,13 +8,16 @@ reads the same rows.  The runner checks capture after the cop team's full
 move and after the robber's move.  It is the only game loop: interactive
 play runs through it with human strategies that read the terminal.
 Strategies are stateful objects, and one object plays every match of a
-batch, so `begin` must reset all per-match state.  This module holds the
-strategy bases and the greedy, random and tablebase players; the scripted
-construction strategies and the human players live in `scripted`, which
-the two `*_strategy_from_name` factories import only for the names that
-need it.  The tablebase players remember the answer for each position
-they were asked about: their table never changes, so one lookup per
-distinct position serves a whole batch.
+batch, so `begin` must reset all per-match state.  `Strategy.begin` hands
+a player its graph, assignment, rng and tags; `CopTeamStrategy` and
+`RobberStrategy` derive from it, and the two tablebase players share
+`_Tablebase`, which checks the table against the assignment and keeps the
+answer memo.  This module holds the strategy bases and the greedy, random
+and tablebase players; the scripted construction strategies and the human
+players live in `scripted`, which the two `*_strategy_from_name` factories
+import only for the names that need it.  The tablebase players remember
+the answer for each position they were asked about: their table never
+changes, so one lookup per distinct position serves a whole batch.
 """
 
 from __future__ import annotations
@@ -61,10 +64,9 @@ class StrategyMismatchError(MlgError):
 
 @dataclass
 class MatchView:
-    """Everything a strategy may look at: full information plus history."""
+    """The position and history a strategy sees each turn; the graph and the
+    assignment it has from `begin`."""
 
-    graph: MultiLayerGraph
-    assignment: tuple[int, ...]
     cops: tuple[int, ...]
     robber: int
     round_no: int
@@ -148,16 +150,21 @@ def parse_match_record(text: str) -> MatchRecord:
 # -- strategy interface ---------------------------------------------------------------
 
 
-class CopTeamStrategy:
-    """Controls all cops; emits one (possibly stay) move per cop per round."""
-
-    name = "cop-team"
+class Strategy:
+    """What every player is given when a match begins: the graph, the cops'
+    layer assignment, the match's rng and an empty tag set."""
 
     def begin(self, g: MultiLayerGraph, assignment: tuple[int, ...], rng: random.Random) -> None:
         self.g = g
         self.assignment = assignment
         self.rng = rng
         self.tags: set[str] = set()
+
+
+class CopTeamStrategy(Strategy):
+    """Controls all cops; emits one (possibly stay) move per cop per round."""
+
+    name = "cop-team"
 
     def place(self) -> tuple[int, ...]:
         raise NotImplementedError
@@ -188,14 +195,8 @@ class CopTeamStrategy:
         return None
 
 
-class RobberStrategy:
+class RobberStrategy(Strategy):
     name = "robber"
-
-    def begin(self, g: MultiLayerGraph, assignment: tuple[int, ...], rng: random.Random) -> None:
-        self.g = g
-        self.assignment = assignment
-        self.rng = rng
-        self.tags: set[str] = set()
 
     def place(self, cops: tuple[int, ...]) -> int:
         raise NotImplementedError
@@ -252,7 +253,7 @@ def run_match(
     rnd = 0
     while robber not in cops and rnd < T:
         rnd += 1
-        view = MatchView(g, assignment, cops, robber, rnd, history)
+        view = MatchView(cops, robber, rnd, history)
         new_cops = tuple(cop_strategy.moves(view))
         if len(new_cops) != len(cops):
             raise MlgError(f"cop strategy returned {len(new_cops)} positions for {len(cops)} cops")
@@ -263,7 +264,7 @@ def run_match(
         record.rows.append((rnd, "C", robber, cops))
         if robber in cops:
             break
-        view = MatchView(g, assignment, cops, robber, rnd, history)
+        view = MatchView(cops, robber, rnd, history)
         new_robber = robber_strategy.move(view)
         if new_robber not in robber_rows[robber]:
             raise IllegalMoveError("robber", robber, new_robber)
@@ -383,17 +384,15 @@ class RandomCops(CopTeamStrategy):
 # -- tablebase strategies ------------------------------------------------------------------
 
 
-class TablebaseCops(CopTeamStrategy):
-    """Optimal play from a solved table: rank-minimising on cop-win states,
-    greedy chase otherwise."""
-
-    name = "tablebase_cop"
+class _Tablebase(Strategy):
+    """One side played from a solved table, which must be built for the
+    match's assignment."""
 
     def __init__(self, table: CopWinTable):
         self.table = table
-        # (robber, cops) -> the team move returned there; the table never
-        # changes, so an answer holds for every match this object plays
-        self._answers: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+        # (robber, cops) -> the move returned there; the table never changes,
+        # so an answer holds for every match this object plays
+        self._answers: dict = {}
 
     def begin(self, g, assignment, rng):
         super().begin(g, assignment, rng)
@@ -401,6 +400,13 @@ class TablebaseCops(CopTeamStrategy):
             raise StrategyMismatchError(
                 f"table was built for assignment {self.table.assignment}, match uses {assignment}"
             )
+
+
+class TablebaseCops(_Tablebase, CopTeamStrategy):
+    """Optimal play from a solved table: rank-minimising on cop-win states,
+    greedy chase otherwise."""
+
+    name = "tablebase_cop"
 
     def place(self):
         wins = self.table.winning_placements()
@@ -434,22 +440,11 @@ class TablebaseCops(CopTeamStrategy):
         return tuple(cops)
 
 
-class TablebaseRobber(RobberStrategy):
+class TablebaseRobber(_Tablebase, RobberStrategy):
     """Optimal robber: place on a surviving vertex when one exists, move to
     robber-win successors, otherwise maximise the delay."""
 
     name = "tablebase_robber"
-
-    def __init__(self, table: CopWinTable):
-        self.table = table
-        self._answers: dict[tuple[int, tuple[int, ...]], int] = {}  # as in TablebaseCops
-
-    def begin(self, g, assignment, rng):
-        super().begin(g, assignment, rng)
-        if assignment != self.table.assignment:
-            raise StrategyMismatchError(
-                f"table was built for assignment {self.table.assignment}, match uses {assignment}"
-            )
 
     def place(self, cops):
         tb = self.table
@@ -470,15 +465,6 @@ class TablebaseRobber(RobberStrategy):
             tb = self.table
             answer = self._answers[key] = tb.best_robber_move(tb.pack(*key, tb.k)) // tb.strides[0]
         return answer
-
-
-def tablebase_pair(
-    g: MultiLayerGraph, alloc: AllocationPlan, state_budget: int = DEFAULT_STATE_BUDGET
-) -> tuple[TablebaseCops, TablebaseRobber, CopWinTable]:
-    """Build one table and both optimal strategies for it."""
-
-    table = table_source(g, alloc, state_budget)()
-    return TablebaseCops(table), TablebaseRobber(table), table
 
 
 def table_source(

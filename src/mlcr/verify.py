@@ -46,15 +46,14 @@ def criterion(cid: str, title: str):
     return wrap
 
 
-def run_criteria(only: str | None = None, state_budget: int | None = None) -> list[CriterionResult]:
-    budget = state_budget or DEFAULT_STATE_BUDGET
+def run_criteria(only: str | None = None, state_budget: int = DEFAULT_STATE_BUDGET) -> list[CriterionResult]:
     chosen = [entry for entry in _REGISTRY if not only or only in entry[0]]
     if not chosen:
         raise MlgError(f"no criterion id contains {only!r} (--only)")
     results = []
     for cid, title, fn in chosen:
         t0 = time.perf_counter()
-        passed, details = fn(budget)
+        passed, details = fn(state_budget)
         results.append(CriterionResult(cid, title, passed, details, time.perf_counter() - t0))
     return results
 

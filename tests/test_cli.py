@@ -576,7 +576,7 @@ NEGATIVE_OPTIONS = {
     ("generate", "-k"): (["generate", "slices", "-k", "-1", "-o", "{out}"], 2, "k >= 1"),
     ("generate", "--tau"): (["generate", "soifer", "-n", "8", "--tau", "-1", "-o", "{out}"], 2, "tau=-1"),
     ("generate", "--D"): (["generate", "copsbane", "-n", "8", "--D", "-1", "-o", "{out}"], 2, "D=-1"),
-    ("bounds", "--max-k"): (["bounds", "{grid}", "--max-k", "-1"], 0, "LB_mec=0"),
+    ("bounds", "--max-k"): (["bounds", "{grid}", "--max-k", "-1"], 2, "--max-k"),
     ("simulate", "--rounds"): (["simulate", "{grid}", "--allocation", "1,0", "--rounds", "-1"], 2, "T >= 0"),
     ("simulate", "--batch"): (["simulate", "{grid}", "--allocation", "1,0", "--batch", "-1"], 2, "--batch"),
     ("experiment", "-n"): (["experiment", "-n", "-1", "--seeds", "1"], 2, "n=-1"),
@@ -603,10 +603,21 @@ def test_every_integer_option_has_a_negative_case():
     assert _integer_options() == set(NEGATIVE_OPTIONS)
 
 
+# cases that are not one integer option at -1, so the table above cannot key them
+EDGE_CASES = {
+    "play-empty-stdin": (["play", "{grid}", "--allocation", "1,0"], 0, "OUTCOME=ABANDONED"),
+    "simulate--rounds-no-matches": (
+        ["simulate", "{grid}", "--allocation", "1,0", "--batch", "0", "--rounds", "-1"], 2, "T >= 0"
+    ),
+    "verify-paper-zero-budget": (["--state-budget", "0", "verify-paper", "--only", "c01"], 3, "budget is 0"),
+    "verify-paper-zero-budget-no-table": (["--state-budget", "0", "verify-paper", "--only", "c07"], 0, "PASS c07"),
+}
+
+
 @pytest.mark.parametrize(
     "args, code, text",
-    [*NEGATIVE_OPTIONS.values(), (["play", "{grid}", "--allocation", "1,0"], 0, "OUTCOME=ABANDONED")],
-    ids=[f"{cmd or 'mlcr'}{opt}" for cmd, opt in NEGATIVE_OPTIONS] + ["play-empty-stdin"],
+    [*NEGATIVE_OPTIONS.values(), *EDGE_CASES.values()],
+    ids=[f"{cmd or 'mlcr'}{opt}" for cmd, opt in NEGATIVE_OPTIONS] + list(EDGE_CASES),
 )
 def test_cli_never_ends_in_a_traceback(args, code, text, grid4_file, tmp_path):
     proc = subprocess.run(

@@ -73,3 +73,69 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports_in_src(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+# -- dead private code ------------------------------------------------------------------
+
+_DEFINITIONS = (*_FUNCTIONS, ast.ClassDef)
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unreferenced_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """`file:line: name` for each private function, class or method that no
+    tree reads as a name, an attribute or an import.  A decorated definition
+    counts as referenced: its decorator holds on to it (a registry, say)."""
+
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name.split(".")[-1])
+    out = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, _DEFINITIONS)
+                and node.name.startswith("_")
+                and not _is_dunder(node.name)
+                and not node.decorator_list
+                and node.name not in referenced
+            ):
+                out.append(f"{name}:{node.lineno}: {node.name}")
+    return out
+
+
+def test_the_scan_finds_dead_private_code():
+    source = (
+        "import m\n"
+        "from n import _imported\n"
+        "class _Used:\n"
+        "    def _dead(self):\n"
+        "        return self._read()\n"
+        "    def _read(self):\n"
+        "        return _imported\n"
+        "    def __repr__(self):\n"
+        "        return ''\n"
+        "@m.register\n"
+        "def _registered():\n"
+        "    pass\n"
+        "def _unused():\n"
+        "    return _Used\n"
+        "class _Gone:\n"
+        "    pass\n"
+    )
+    assert unreferenced_private_definitions({"a.py": ast.parse(source)}) == [
+        "a.py:13: _unused", "a.py:15: _Gone", "a.py:4: _dead",
+    ]
+
+
+def test_no_dead_private_code_in_src():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_definitions(trees) == []

@@ -31,7 +31,6 @@ from mlcr.sim import (
     parse_match_record,
     referee_check,
     run_match,
-    tablebase_pair,
 )
 
 
@@ -99,7 +98,8 @@ def test_illegal_move_aborts_with_diagnostic():
 
 def test_match_record_render_parse_round_trip():
     g, _ = gen_grid(4)
-    tc, tr, _ = tablebase_pair(g, AllocationPlan((2, 0)))
+    table = build_copwin(g, (0, 0))
+    tc, tr = TablebaseCops(table), TablebaseRobber(table)
     rec = run_match(g, AllocationPlan((2, 0)), tc, tr, T=60, seed=9)
     text = rec.render()
     again = parse_match_record(text)
@@ -111,7 +111,8 @@ def test_match_record_render_parse_round_trip():
 
 def test_referee_rejects_tampered_records():
     g, _ = gen_grid(4)
-    tc, tr, _ = tablebase_pair(g, AllocationPlan((2, 0)))
+    table = build_copwin(g, (0, 0))
+    tc, tr = TablebaseCops(table), TablebaseRobber(table)
     rec = run_match(g, AllocationPlan((2, 0)), tc, tr, T=60, seed=9)
     assert referee_check(rec, g)[0]
     # robber teleports
@@ -143,7 +144,8 @@ def test_table_runner_referee_and_human_read_the_same_move_rows(monkeypatch):
     for spec in (RobberSpec.UNION, RobberSpec.COMPLETE):
         g = MultiLayerGraph(n=9, layers=gen_grid(3)[0].layers, robber_spec=spec)
         seen.clear()
-        tc, tr, table = tablebase_pair(g, AllocationPlan((1, 1)))
+        table = build_copwin(g, (0, 1))
+        tc, tr = TablebaseCops(table), TablebaseRobber(table)
         rec = run_match(g, AllocationPlan((1, 1)), tc, tr, T=20, seed=3)
         assert referee_check(rec, g) == (True, "ok")
         human_cops, human_robber = HumanCops(input, print), HumanRobber(input, print)
@@ -277,7 +279,8 @@ def test_legality_fuzz_hundred_thousand_matches():
 
 def test_tablebase_capture_within_rank():
     g, _ = gen_grid(4)
-    tc, tr, table = tablebase_pair(g, AllocationPlan((0, 2)))
+    table = build_copwin(g, (1, 1))
+    tc, tr = TablebaseCops(table), TablebaseRobber(table)
     rec = run_match(g, AllocationPlan((0, 2)), tc, tr, T=200, seed=4)
     assert rec.outcome == "CAPTURE"
     start_rank = table.rank_of(rec.rows[0][2], rec.rows[0][3], 0)
@@ -286,8 +289,8 @@ def test_tablebase_capture_within_rank():
 
 def test_tablebase_robber_survives_split_cops():
     g, _ = gen_grid(4)
-    tc, tr, _ = tablebase_pair(g, AllocationPlan((1, 1)))
-    rec = run_match(g, AllocationPlan((1, 1)), tc, tr, T=200, seed=4)
+    table = build_copwin(g, (0, 1))
+    rec = run_match(g, AllocationPlan((1, 1)), TablebaseCops(table), TablebaseRobber(table), T=200, seed=4)
     assert rec.outcome == "SURVIVED"
 
 
@@ -329,7 +332,8 @@ def test_tablebase_move_cache_matches_the_uncached_policy(make_graph, counts):
 
     g = make_graph()
     plan = AllocationPlan(counts or (1,) * g.tau)
-    cops, robber, table = tablebase_pair(g, plan)
+    table = build_copwin(g, plan.assignment())
+    cops, robber = TablebaseCops(table), TablebaseRobber(table)
     for seed in range(6):
         run_match(g, plan, cops, robber, T=60, seed=seed)
         run_match(g, plan, cops, RandomRobber(), T=60, seed=seed)
@@ -389,7 +393,7 @@ def test_tablebase_batch_queries_the_table_once_per_distinct_position(tmp_path, 
 @pytest.mark.parametrize("alloc", [(0, 2), (2, 0)])
 def test_grid_guard_beats_optimal_robber(n, alloc):
     g, _ = gen_grid(n)
-    _, tr, _ = tablebase_pair(g, AllocationPlan(alloc))
+    tr = TablebaseRobber(build_copwin(g, AllocationPlan(alloc).assignment()))
     rec = run_match(g, AllocationPlan(alloc), GridCopGuard(n), tr, T=30 * n * n, seed=7)
     assert rec.outcome == "CAPTURE"
     assert referee_check(rec, g)[0]
@@ -398,7 +402,7 @@ def test_grid_guard_beats_optimal_robber(n, alloc):
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_grid_corner_survives_optimal_cops(n):
     g, _ = gen_grid(n)
-    tc, _, _ = tablebase_pair(g, AllocationPlan((1, 1)))
+    tc = TablebaseCops(build_copwin(g, (0, 1)))
     rec = run_match(g, AllocationPlan((1, 1)), tc, GridRobberCorner(n), T=500, seed=8)
     assert rec.outcome == "SURVIVED"
     assert referee_check(rec, g)[0]
@@ -471,19 +475,24 @@ def test_bagsweep_needs_enough_cops_and_connected_layers():
     assert rec.outcome == "CAPTURE"
 
 
-def test_bagsweep_reused_across_seeds_matches_fresh_instances():
-    """`begin` resets every per-match field, so one BagsweepCops object plays
-    a batch exactly as fresh objects would."""
+def _plays_like_fresh_objects(g, plan, make_cops, make_robber, T):
+    """`begin` resets every per-match field: one object per side plays seeds
+    0-5 exactly as a fresh pair of objects plays each of them."""
 
+    def play(cops, robber, seed):
+        try:
+            return run_match(g, plan, cops, robber, T=T, seed=seed).render()
+        except StrategyInvariantError as ex:
+            return repr(ex)
+
+    cops, robber = make_cops(), make_robber()
+    return all(play(cops, robber, seed) == play(make_cops(), make_robber(), seed) for seed in range(6))
+
+
+def test_bagsweep_reused_across_seeds_matches_fresh_instances():
     from mlcr.bounds import treewidth_exact_small
     from mlcr.core import flatten
     from mlcr.generators import gen_random_layers
-
-    def play(g, plan, cops, seed):
-        try:
-            return run_match(g, plan, cops, RandomRobber(), T=60, seed=seed).render()
-        except StrategyInvariantError as ex:
-            return repr(ex)
 
     compared = 0
     for s in range(40):
@@ -492,11 +501,42 @@ def test_bagsweep_reused_across_seeds_matches_fresh_instances():
             continue
         _, decomp = treewidth_exact_small(flatten(g), g.n)
         plan = AllocationPlan((decomp.max_bag, 0))
-        reused = BagsweepCops(decomp)
-        for seed in range(6):
-            assert play(g, plan, reused, seed) == play(g, plan, BagsweepCops(decomp), seed), (s, seed)
-            compared += 1
-    assert compared == 102
+        assert _plays_like_fresh_objects(g, plan, lambda: BagsweepCops(decomp), RandomRobber, 60), s
+        compared += 1
+    assert compared == 17
+
+
+def _reuse_case(name):
+    """(graph, plan, cop factory, robber factory, horizon) for one strategy
+    that keeps per-match state."""
+
+    if name.startswith("grid_guard"):
+        counts = (2, 0) if name.endswith("0,0") else (0, 2)
+        return gen_grid(5)[0], AllocationPlan(counts), lambda: GridCopGuard(5), RandomRobber, 100
+    if name == "grid_corner":
+        return gen_grid(5)[0], AllocationPlan((1, 1)), RandomCops, lambda: GridRobberCorner(5), 60
+    if name == "tree_squeeze":
+        # three legs of five from vertex 0, where the cop starts: a task left
+        # over from the last match would send it down the wrong leg
+        spider = tuple((0 if v % 5 == 1 else v - 1, v) for v in range(1, 16))
+        g = MultiLayerGraph(n=16, layers=(spider,), robber_spec=RobberSpec.EXPLICIT, robber_edges=spider)
+        return g, AllocationPlan((1,)), TreeSqueezeCops, RandomRobber, 100
+    if name == "slices":
+        # k=2: a route left over from the last match would make an illegal move
+        return gen_slices(2)[0], AllocationPlan((1, 0)), RandomCops, lambda: SlicesRobber(2), 60
+    if name == "copsbane":
+        # some of these matches are tagged DEGRADED and some are not
+        return gen_copsbane(8, seed=3)[0], AllocationPlan((1, 0)), RandomCops, CopsbaneRobber, 60
+    g = gen_grid(4)[0]
+    table = build_copwin(g, (0, 1))
+    return g, AllocationPlan((1, 1)), lambda: TablebaseCops(table), lambda: TablebaseRobber(table), 60
+
+
+@pytest.mark.parametrize(
+    "name", ["grid_guard-0,0", "grid_guard-1,1", "grid_corner", "tree_squeeze", "slices", "copsbane", "tablebase"]
+)
+def test_one_object_per_side_plays_a_batch_as_fresh_objects(name):
+    assert _plays_like_fresh_objects(*_reuse_case(name))
 
 
 def test_copsbane_robber_survives_and_flags_degraded_mode():
