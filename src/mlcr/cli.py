@@ -63,13 +63,15 @@ def cmd_solve(args) -> int:
     modes = [m for m in (args.allocation, args.cops, args.free_choice) if m is not None]
     if len(modes) != 1:
         raise MlgError("pass exactly one of --allocation/--cops/--free-choice")
+    if args.dump_table and not any(_int_list(args.allocation or "0", "--allocation")):
+        raise MlgError("--dump-table needs --allocation with at least one cop")
     use_tree = robber_tree_edges(g) is not None
     if args.allocation is not None:
         plan = AllocationPlan(_int_list(args.allocation, "--allocation"))
         if len(plan.counts) != g.tau:
             raise MlgError(f"allocation has {len(plan.counts)} entries, graph has {g.tau} layers")
         table = None
-        if args.dump_table and plan.total >= 1:
+        if args.dump_table:
             from .solver import build_copwin, dump_cwt
 
             table = build_copwin(g, plan.assignment(), state_budget=args.state_budget)

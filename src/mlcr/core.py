@@ -11,9 +11,9 @@ the move rows of `MultiLayerGraph.moves`, the distances of `bfs_dist`) are
 cached per layer in the graph.
 
 The game outcome types shared by the solver and the tree path (`Winner`,
-`GameVerdict`, `StateBudgetExceeded`, `DEFAULT_STATE_BUDGET` and the
-allocation order `compositions`) live here too.  This module imports no
-numpy, so code that only reports or checks verdicts does not load it.
+`GameVerdict`, `StateBudgetExceeded`, `DEFAULT_STATE_BUDGET`, the
+allocation order `compositions` and its `allocation_plans`) live here too.
+This module imports no numpy, so code that only checks verdicts skips it.
 """
 
 from __future__ import annotations
@@ -297,6 +297,15 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(total, -1, -1):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def allocation_plans(k: int, tau: int) -> Iterator[AllocationPlan]:
+    """The plans of k cops over tau layers, in solver order; none for k = 0.
+    `([g], allocation_plans(k, g.tau))` asks whether k cops win on `g`."""
+
+    if k < 0:
+        raise MlgError("cop count must be non-negative")
+    return (AllocationPlan(comp) for comp in compositions(k, tau)) if k else iter(())
 
 
 # -- basic operations ---------------------------------------------------------

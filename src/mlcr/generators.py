@@ -459,12 +459,11 @@ def gen_soifer(n: int, tau: int) -> tuple[MultiLayerGraph, ConstructionReport]:
 def gen_gnp(n: int, p: float, seed: int) -> tuple[Edge, ...]:
     """Binomial random graph edge set, deterministic per seed."""
 
+    if not (0.0 <= p <= 1.0):
+        raise MlgError(f"p must be in [0, 1], got {p}")
     check_vertex_count(n)
     rng = random.Random(f"gnp:{n}:{seed}")
-    if p >= 1.0:
-        return tuple((u, v) for u in range(n) for v in range(u + 1, n))
-    if p <= 0.0:
-        return ()
+    # random() < 1 always holds and random() < 0 never does
     return tuple(
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     )
@@ -481,10 +480,8 @@ def gen_random_layers(
 
     from .bounds import pstar
 
-    if not (0.0 <= p <= 1.0):
-        raise MlgError(f"p must be in [0, 1], got {p}")
+    q = pstar(p, tau) / tau  # refuses p outside [0, 1] and tau < 1
     check_vertex_count(n)
-    q = pstar(p, tau) / tau
     rng = random.Random(f"layers:{n}:{tau}:{seed}")
     layers = []
     for _ in range(tau):

@@ -538,7 +538,6 @@ class TreeSqueezeCops(_TaskCops):
             raise StrategyMismatchError("instance has a robber's edge for this assignment")
         self.profile = profile
         self.radj = g.robber_view().adjacency
-        self.guard_post: int | None = None
 
     def place(self):
         return tuple(min(comp) for comp in self.profile)
@@ -571,11 +570,7 @@ class TreeSqueezeCops(_TaskCops):
 
     def _task(self, view: MatchView) -> tuple[int, int]:
         cop = self.tasks[0][0]
-        if (
-            self.guard_post is not None
-            and view.robber == self.guard_post
-            and view.cops[cop] != self.guard_post
-        ):
+        if view.robber == self.guard_post and view.cops[cop] != self.guard_post:
             # the robber stepped onto the vacated guard post: turn back
             self.tasks[0] = (cop, self.guard_post)
         return self.tasks[0]

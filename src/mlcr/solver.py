@@ -37,19 +37,23 @@ positions are per table.  `build_copwin_batch` groups mixed shapes itself
 and slices each table's `rank` out of its batch's array; `build_copwin`
 is the batch of one.  `copwin_winners` runs the same BFS for callers that
 read only the winner: it counts, per placement, the robber starts not yet
-cop-win and stops once every table has a placement at zero.
+cop-win and stops once every table has a placement at zero.  The search
+questions (cop number, free layer choice, some allocation of k cops) ask
+for the first plan under which each of their graphs is a cop win;
+`first_winning_plans` advances them all together, solving the next table
+of every open question in one `copwin_winners` call per round.
 
 This is the only module that imports numpy.  The rest of the package
 imports it where a table is first built, and takes the verdict types
 (`Winner`, `GameVerdict`, `StateBudgetExceeded`, `DEFAULT_STATE_BUDGET`,
-`compositions`) from `core`; they are re-exported here.
+`allocation_plans`) from `core`; they are re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -63,8 +67,8 @@ from .core import (
     StateBudgetExceeded,
     Winner,
     _physical_ram,
+    allocation_plans,
     bfs_dist,
-    compositions,
 )
 
 # Predecessor entries per batch: their dedupe tags -2 .. -1-_BATCH fit int16.
@@ -296,11 +300,11 @@ def _digit_strides(n: int, k: int) -> tuple[int, ...]:
 
 def _check_budget(
     size: int, kp1: int, rank_bytes: int, counter_bytes: int, state_budget: int, tables: int = 1
-) -> None:
+) -> int:
     """Refuse a table of `size` states over `state_budget` or over what fits
     in physical RAM: `rank_bytes` per state, `counter_bytes` per robber-turn
     state (one in k+1) and the batch work arrays.  A batch of `tables` such
-    tables must fit in physical RAM as a whole."""
+    tables must fit there as a whole; returns how many such tables would."""
 
     ram = max(0, _physical_ram() - _BATCH * _WORK_BYTES)
     ram_states = ram * kp1 // (rank_bytes * kp1 + counter_bytes)
@@ -309,6 +313,7 @@ def _check_budget(
         raise StateBudgetExceeded(size, budget)
     if size * tables > ram_states:
         raise StateBudgetExceeded(size * tables, ram_states)
+    return ram_states // size
 
 
 def _retrograde(
@@ -445,21 +450,21 @@ def _retrograde(
                         if won.size:
                             rank[won] = level
                             reached[t_pred].append(won)
-            if mover == 1 and starts is not None and _placement_won(starts, tables).all():
+            if mover == 1 and starts is not None and _placement_won(starts, n_place).all():
                 return rank, starts
         frontier = reached
     return rank, starts
 
 
-def _placement_won(starts: np.ndarray, tables: int) -> np.ndarray:
+def _placement_won(starts: np.ndarray, n_place: int) -> np.ndarray:
     """Per table of a winner-only batch: some placement has every robber start cop-win."""
 
-    return (starts.reshape(tables, -1) == 0).any(axis=1)
+    return (starts.reshape(-1, n_place) == 0).any(axis=1)
 
 
 def _shape_groups(
     pairs: Sequence[tuple[MultiLayerGraph, Sequence[int]]],
-) -> list[tuple[list[int], list[tuple[MultiLayerGraph, tuple[int, ...]]]]]:
+) -> Iterable[tuple[tuple[int, int, bool], tuple[list[int], list[tuple[MultiLayerGraph, tuple[int, ...]]]]]]:
     """`pairs` grouped by table shape (n, cop count, robber-layer
     completeness): per shape, the input positions and the checked pairs."""
 
@@ -469,7 +474,7 @@ def _shape_groups(
         idx, batch = groups.setdefault((g.n, len(assignment), g.robber_is_complete()), ([], []))
         idx.append(i)
         batch.append((g, assignment))
-    return list(groups.values())
+    return groups.items()
 
 
 def _check_assignment(g: MultiLayerGraph, assignment: Sequence[int]) -> tuple[int, ...]:
@@ -495,7 +500,7 @@ def build_copwin_batch(
     each table; each batch must also fit in physical RAM as a whole."""
 
     tables: list[CopWinTable | None] = [None] * len(pairs)
-    for idx, batch in _shape_groups(pairs):
+    for _, (idx, batch) in _shape_groups(pairs):
         rank, _ = _retrograde(batch, state_budget)
         size = rank.size // len(batch)
         for b, (i, (g, assignment)) in enumerate(zip(idx, batch)):
@@ -512,14 +517,16 @@ def copwin_winners(
 
     Solved as `build_copwin_batch` does, but a batch stops at the level where
     each of its tables has such a placement; a ROBBER verdict runs to the
-    fixpoint.  No table is returned: its `rank` may be partial."""
+    fixpoint.  No table is returned (its `rank` may be partial), so a shape
+    over the RAM cap as one batch is solved in batches that fit."""
 
     winners = [Winner.ROBBER] * len(pairs)
-    for idx, batch in _shape_groups(pairs):
-        _, starts = _retrograde(batch, state_budget, winner_only=True)
-        for i, won in zip(idx, _placement_won(starts, len(batch)).tolist()):
-            if won:
-                winners[i] = Winner.COP
+    for (n, k, _), (idx, batch) in _shape_groups(pairs):
+        fit = _check_budget(state_space_size(n, k), k + 1, 2, np.min_scalar_type(n).itemsize, state_budget)
+        for lo in range(0, len(batch), fit):
+            _, starts = _retrograde(batch[lo : lo + fit], state_budget, winner_only=True)
+            for i, won in zip(idx[lo : lo + fit], _placement_won(starts, n**k).tolist()):
+                winners[i] = Winner.COP if won else Winner.ROBBER
     return winners
 
 
@@ -568,12 +575,8 @@ def decide_choose_allocation(
 ) -> tuple[GameVerdict, AllocationPlan | None]:
     """COP iff some composition of k cops over layers wins; first such plan returned."""
 
-    if k < 0:
-        raise MlgError("cop count must be non-negative")
-    if k == 0:
-        return GameVerdict(Winner.ROBBER, safe_vertex=0), None
-    for comp in compositions(k, g.tau):
-        plan = AllocationPlan(comp)
+    verdict = GameVerdict(Winner.ROBBER, safe_vertex=0)  # zero cops
+    for plan in allocation_plans(k, g.tau):
         verdict = decide_allocated(g, plan, state_budget=state_budget)
         if verdict.winner is Winner.COP:
             return verdict, plan
@@ -591,17 +594,9 @@ def decide_free_layer_choice(
     The robber spec of `g` is ignored; its layers are the candidate pool.
     """
 
-    if k < 0:
-        raise MlgError("cop count must be non-negative")
-    if k == 0:
-        return GameVerdict(Winner.ROBBER, safe_vertex=0), None
-    variants = [
-        MultiLayerGraph(n=g.n, layers=g.layers, robber_spec=RobberSpec.EXPLICIT, robber_edges=layer)
-        for layer in g.layers
-    ]
-    plan = _first_winning_plan(variants, k, state_budget)
-    if plan is None:
-        return GameVerdict(Winner.ROBBER), None
+    (plan,) = first_winning_plans([free_choice_question(g, k)], state_budget)
+    if plan is None:  # against zero cops every start is safe, vertex 0 first
+        return GameVerdict(Winner.ROBBER, safe_vertex=0 if k == 0 else None), None
     return GameVerdict(Winner.COP, assignment=plan.assignment()), plan
 
 
@@ -612,53 +607,55 @@ def multilayer_cop_number(
 ) -> int | None:
     """Least k <= k_max winning under free allocation, else None."""
 
-    for k in range(1, k_max + 1):
-        if _first_winning_plan([g], k, state_budget) is not None:
-            return k
-    return None
+    plans = chain.from_iterable(allocation_plans(k, g.tau) for k in range(1, k_max + 1))
+    (plan,) = first_winning_plans([([g], plans)], state_budget)
+    return None if plan is None else plan.total
 
 
-def _first_winning_plan(graphs: Sequence[MultiLayerGraph], k: int, state_budget: int) -> AllocationPlan | None:
-    """First composition of k >= 1 cops, in solver order, under which every
-    graph of `graphs` (same layer count) is a cop win, else None.
+def free_choice_question(g: MultiLayerGraph, k: int) -> tuple[list[MultiLayerGraph], Iterator[AllocationPlan]]:
+    """Does some composition of k cops win on `g` whatever layer the robber picks?"""
 
-    Each (composition, graph) is one winner-only table, solved alone so that
-    only one table need fit in RAM; a composition stops at its first ROBBER."""
+    return [
+        MultiLayerGraph(n=g.n, layers=g.layers, robber_spec=RobberSpec.EXPLICIT, robber_edges=layer)
+        for layer in g.layers
+    ], allocation_plans(k, g.tau)
 
-    for comp in compositions(k, graphs[0].tau):
-        plan = AllocationPlan(comp)
-        assignment = plan.assignment()
-        if all(copwin_winners([(h, assignment)], state_budget)[0] is Winner.COP for h in graphs):
+
+def _search(graphs: Sequence[MultiLayerGraph], plans: Iterable[AllocationPlan]):
+    """A question as a coroutine: yields each `(graph, assignment)` to solve and
+    is sent its winner; returns the answer (None past the last plan)."""
+
+    for plan in plans:
+        for g in graphs:
+            if (yield g, plan.assignment()) is Winner.ROBBER:
+                break
+        else:
             return plan
-    return None
 
 
-def allocation_winners(
-    instances: Sequence[tuple[MultiLayerGraph, int]],
+def first_winning_plans(
+    questions: Sequence[tuple[Sequence[MultiLayerGraph], Iterable[AllocationPlan]]],
     state_budget: int = DEFAULT_STATE_BUDGET,
-) -> list[Winner]:
-    """`decide_choose_allocation(g, k)`'s winner for each `(g, k)`: every
-    composition of every instance is solved in one `copwin_winners` call."""
+) -> list[AllocationPlan | None]:
+    """Each question's answer, in input order.  A question is some graphs of
+    one layer count and the plans to try on them, drawn one at a time; its
+    answer is the first plan under which every graph is a cop win (a plan
+    stops at its first ROBBER graph), else None.  Each round solves the
+    pending `(graph, plan)` of every open question in one `copwin_winners`
+    call, so a question solves the same tables, in the same order, as alone."""
 
-    pairs: list[tuple[MultiLayerGraph, tuple[int, ...]]] = []
-    spans = []
-    for g, k in instances:
-        if k < 0:
-            raise MlgError("cop count must be non-negative")
-        lo = len(pairs)
-        if k:
-            pairs.extend(_composition_pairs(g, k))
-        spans.append((lo, len(pairs)))
-    winners = copwin_winners(pairs, state_budget)
-    # an instance is COP iff one of its compositions is
-    return [Winner.COP if Winner.COP in winners[lo:hi] else Winner.ROBBER for lo, hi in spans]
-
-
-def _composition_pairs(g: MultiLayerGraph, k: int) -> Iterator[tuple[MultiLayerGraph, tuple[int, ...]]]:
-    """(g, assignment) for each composition of k >= 1 cops, in solver order."""
-
-    for comp in compositions(k, g.tau):
-        yield g, AllocationPlan(comp).assignment()
+    answers: list[AllocationPlan | None] = [None] * len(questions)
+    searches = [(i, _search(*question), None) for i, question in enumerate(questions)]
+    while searches:
+        pending = []
+        for i, search, winner in searches:
+            try:
+                pending.append((i, search, search.send(winner)))  # a new search is sent None
+            except StopIteration as done:
+                answers[i] = done.value
+        winners = copwin_winners([pair for _, _, pair in pending], state_budget)
+        searches = [(i, search, winner) for (i, search, _), winner in zip(pending, winners)]
+    return answers
 
 
 def single_layer_cop_number(

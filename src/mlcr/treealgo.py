@@ -31,9 +31,9 @@ from .core import (
     MlgError,
     MultiLayerGraph,
     Winner,
+    allocation_plans,
     bfs_dist_adj,
     component_sets,
-    compositions,
 )
 
 
@@ -170,14 +170,12 @@ def decide_tree_robber(g: MultiLayerGraph, k: int) -> tuple[GameVerdict, Allocat
     A robber layer that is not a tree is refused, also for k = 0.
     """
 
-    if k < 0:
-        raise MlgError("cop count must be non-negative")
+    plans = allocation_plans(k, g.tau)  # refuses k < 0 before the tree check
     _tree_edges(g)
     if k == 0:
         return GameVerdict(Winner.ROBBER, safe_vertex=0), None
     last_cert = None
-    for comp in compositions(k, g.tau):
-        plan = AllocationPlan(comp)
+    for plan in plans:
         verdict = decide_tree_allocated(g, plan)
         if verdict.winner is Winner.COP:
             return verdict, plan

@@ -186,30 +186,30 @@ def _c04(budget):
 def _c05(budget):
     from .generators import gen_domset_reduction
     from .oracles import brute_domination_number
-    from .solver import decide_free_layer_choice
+    from .solver import first_winning_plans, free_choice_question
 
     rng = random.Random(20240605)
-    checked = 0
-    mismatches = []
+    cases = []
     for trial in range(200):
         n = rng.randint(3, 7)
         edges = random_connected_edges(rng, n, rng.randint(0, n))
         g, _ = gen_domset_reduction(edges, n)
         gamma = brute_domination_number(edges, n)
-        for k in (1, 2, 3):
-            verdict, _ = decide_free_layer_choice(g, k, state_budget=budget)
-            want = Winner.COP if gamma <= k else Winner.ROBBER
-            checked += 1
-            if verdict.winner is not want:
-                mismatches.append(f"trial {trial} n={n} k={k}: got {verdict.winner.value}, gamma={gamma}")
-    details = [f"200 graphs x k in 1..3: {checked} verdicts compared against brute-force domination"]
+        cases += [(f"trial {trial} n={n} k={k}", k, gamma, free_choice_question(g, k)) for k in (1, 2, 3)]
+    plans = first_winning_plans([question for *_, question in cases], budget)
+    mismatches = [
+        f"{case}: got {'ROBBER' if plan is None else 'COP'}, gamma={gamma}"
+        for (case, k, gamma, _), plan in zip(cases, plans)
+        if (plan is not None) != (gamma <= k)
+    ]
+    details = [f"200 graphs x k in 1..3: {len(cases)} verdicts compared against brute-force domination"]
     details.extend(mismatches[:5])
     return not mismatches, details
 
 
 @criterion("c06-tree-robber", "tree-robber fast path matches the exact solver")
 def _c06(budget):
-    from .solver import allocation_winners
+    from .solver import allocation_plans, first_winning_plans
     from .treealgo import decide_tree_robber
 
     rng = random.Random(20240606)
@@ -232,10 +232,11 @@ def _c06(budget):
         )
         instances.append((g, rng.randint(1, 2)))
     mismatches = []
-    # every composition of every instance in one winner-only solve
-    slow = allocation_winners(instances, state_budget=budget)
-    for trial, ((g, k), solver) in enumerate(zip(instances, slow)):
+    # the instances advance together, each up to its first winning composition
+    slow = first_winning_plans([([g], allocation_plans(k, g.tau)) for g, k in instances], budget)
+    for trial, ((g, k), plan) in enumerate(zip(instances, slow)):
         fast, _ = decide_tree_robber(g, k)
+        solver = Winner.ROBBER if plan is None else Winner.COP
         if fast.winner is not solver:
             mismatches.append(f"trial {trial}: tree={fast.winner.value} solver={solver.value}")
     details = [f"{len(instances)} random tree-robber instances, verdicts identical"]
@@ -310,7 +311,7 @@ def _c09(budget):
 
 @criterion("c10-monotonicity", "robber edges help the robber, cop edges help the cops")
 def _c10(budget):
-    from .solver import allocation_winners, decide_free_layer_choice
+    from .solver import allocation_plans, decide_free_layer_choice, first_winning_plans
 
     rng = random.Random(20240610)
     all_pairs = lambda n: [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -335,7 +336,8 @@ def _c10(budget):
         )
         g_u = MultiLayerGraph(n=n, layers=g.layers, robber_spec=RobberSpec.UNION)
         trials.append((k, (g, g_r, g_c, g_u)))
-    winners = allocation_winners([(h, k) for k, graphs in trials for h in graphs], state_budget=budget)
+    questions = [([h], allocation_plans(k, h.tau)) for k, graphs in trials for h in graphs]
+    winners = [Winner.ROBBER if plan is None else Winner.COP for plan in first_winning_plans(questions, budget)]
     failures = []
     for trial, (k, (_, _, _, g_u)) in enumerate(trials):
         base, after, after_c, union = winners[4 * trial : 4 * trial + 4]

@@ -611,6 +611,28 @@ EDGE_CASES = {
     ),
     "verify-paper-zero-budget": (["--state-budget", "0", "verify-paper", "--only", "c01"], 3, "budget is 0"),
     "verify-paper-zero-budget-no-table": (["--state-budget", "0", "verify-paper", "--only", "c07"], 0, "PASS c07"),
+    # only a state-graph --allocation of at least one cop has a table to dump
+    "solve-dump-table-cops": (
+        ["solve", "{grid}", "--cops", "2", "--dump-table", "{out}"], 2, "--dump-table needs --allocation with at least one cop"
+    ),
+    "solve-dump-table-free-choice": (
+        ["solve", "{grid}", "--free-choice", "1", "--dump-table", "{out}"], 2, "--dump-table needs --allocation with at least one cop"
+    ),
+    "solve-dump-table-zero-cops": (
+        ["solve", "{grid}", "--allocation", "0,0", "--dump-table", "{out}"], 2, "--dump-table needs --allocation with at least one cop"
+    ),
+    **{
+        f"generate-domset-reduction-p-{p}": (
+            ["generate", "domset-reduction", "-n", "6", "--p", p, "-o", "{out}"], 2, f"p must be in [0, 1], got {p}"
+        )
+        for p in ("nan", "7", "-1")
+    },
+    **{
+        f"generate-domset-reduction-p-{p}": (
+            ["generate", "domset-reduction", "-n", "6", "--p", p, "-o", "{out}"], 0, "WROTE="
+        )
+        for p in ("0", "1")
+    },
 }
 
 

@@ -189,6 +189,12 @@ def test_gnp_extremes():
     assert gen_gnp(10, 0.0, 0) == ()
 
 
+@pytest.mark.parametrize("p", [float("nan"), 7.0, -1.0, 1.0000001])
+def test_gnp_refuses_p_outside_the_unit_interval(p):
+    with pytest.raises(MlgError, match=r"p must be in \[0, 1\]"):
+        gen_gnp(10, p, 0)
+
+
 def test_random_regular_degrees_and_determinism():
     edges = gen_random_regular(10, 3, 7)
     deg = [0] * 10

@@ -5,21 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlcr.core import AllocationPlan, MlgError, MultiLayerGraph, RobberSpec
+from mlcr.core import AllocationPlan, MlgError, MultiLayerGraph, RobberSpec, allocation_plans, compositions
 from mlcr.generators import gen_cycle_matchings, gen_grid, gen_min_counterexample, petersen
 from mlcr.oracles import naive_copwin_status
 from mlcr.solver import (
     StateBudgetExceeded,
     Winner,
-    allocation_winners,
     build_copwin,
     build_copwin_batch,
-    compositions,
     copwin_winners,
     decide_allocated,
     decide_choose_allocation,
     decide_free_layer_choice,
     dump_cwt,
+    first_winning_plans,
+    free_choice_question,
     multilayer_cop_number,
     single_layer_cop_number,
     state_space_size,
@@ -768,15 +768,124 @@ def test_winner_only_equals_full_table_and_naive_oracle():
                 assert winner.value == naive_allocated_verdict(g, AllocationPlan(counts))
 
 
-def test_allocation_winners_equal_decide_choose_allocation():
+def test_allocation_questions_equal_decide_choose_allocation():
     rng = random.Random(1720)
     instances = [(random_instance(rng, n_max=5), rng.randint(0, 2)) for _ in range(60)]
-    winners = allocation_winners(instances)
-    assert set(winners) == {Winner.COP, Winner.ROBBER}
-    for (g, k), winner in zip(instances, winners):
-        assert winner is decide_choose_allocation(g, k)[0].winner
+    plans = first_winning_plans([([g], allocation_plans(k, g.tau)) for g, k in instances])
+    assert None in plans and any(plans)
+    for (g, k), plan in zip(instances, plans):
+        assert plan == decide_choose_allocation(g, k)[1]
     with pytest.raises(MlgError):
-        allocation_winners([(instances[0][0], -1)])
+        allocation_plans(-1, 2)
+
+
+def _allocation_question(g, k):
+    return [g], allocation_plans(k, g.tau)
+
+
+def _cop_number_question(g, k_max):
+    return [g], (plan for k in range(1, k_max + 1) for plan in allocation_plans(k, g.tau))
+
+
+def _mixed_questions(seed=2101, count=120):
+    """Seeded questions of every kind, built anew on each call since their
+    plans are drawn lazily: every robber spec, k = 0..3, tau = 1..3 and the
+    first layer often repeated."""
+
+    rng = random.Random(seed)
+    kinds = (_allocation_question, free_choice_question, _cop_number_question)
+    questions = []
+    for i in range(count):
+        g = random_instance(rng, n_max=4, tau_max=3)
+        if g.tau > 1 and rng.random() < 0.4:
+            g = MultiLayerGraph(
+                n=g.n, layers=(*g.layers[:-1], g.layers[0]), robber_spec=g.robber_spec, robber_edges=g.robber_edges
+            )
+        questions.append((kinds[i % 3], g, rng.randint(0, 3)))
+    return questions
+
+
+def test_questions_asked_together_equal_questions_asked_alone():
+    corpus = _mixed_questions()
+    assert {g.robber_spec for _, g, _ in corpus} == set(RobberSpec)
+    assert {g.tau for _, g, _ in corpus} == {1, 2, 3}
+    assert any(len(set(g.layers)) < g.tau for _, g, _ in corpus)
+    together = first_winning_plans([kind(g, k) for kind, g, k in corpus])
+    alone = [first_winning_plans([kind(g, k)])[0] for kind, g, k in corpus]
+    assert together == alone
+    for kind in {kind for kind, _, _ in corpus}:
+        answers = [plan for (asked, _, _), plan in zip(corpus, together) if asked is kind]
+        assert None in answers and any(answers), kind.__name__
+    for (kind, g, k), plan in zip(corpus, together):
+        if kind is _allocation_question:
+            assert plan == decide_choose_allocation(g, k)[1]
+        elif kind is free_choice_question:
+            assert plan == full_table_free_layer_choice(g, k)[1]
+        else:
+            assert (plan and plan.total) == multilayer_cop_number(g, k) == next(
+                (j for j in range(1, k + 1) if decide_choose_allocation(g, j)[1]), None
+            )
+
+
+def _spy_retrograde(monkeypatch):
+    """Record the pairs of every retrograde BFS run from now on."""
+
+    import mlcr.solver
+
+    runs = []
+    real = mlcr.solver._retrograde
+
+    def spied(pairs, state_budget, winner_only=False):
+        runs.append(list(pairs))
+        return real(pairs, state_budget, winner_only)
+
+    monkeypatch.setattr(mlcr.solver, "_retrograde", spied)
+    return runs
+
+
+def test_c05_and_c06_questions_advance_in_few_batches(monkeypatch):
+    from mlcr.verify import run_criteria
+
+    runs = _spy_retrograde(monkeypatch)
+    (res,) = run_criteria(only="c05")
+    assert res.passed
+    # the 3,883 tables the questions would solve one at a time, in at most 200 runs
+    assert len(runs) <= 200 and sum(map(len, runs)) == 3883
+    runs.clear()
+    (res,) = run_criteria(only="c06")
+    assert res.passed
+    assert sum(map(len, runs)) <= 534  # at most every composition of every instance
+
+
+def test_lone_free_choice_question_solves_one_table_at_a_time(monkeypatch, tmp_path):
+    from mlcr.cli import main
+    from mlcr.core import write_mlg_file
+
+    g, _ = gen_grid(4)
+    path = str(tmp_path / "grid4.mlg")
+    write_mlg_file(g, path)
+    for k, code in ((1, 1), (2, 0)):
+        # per composition, each robber-layer variant up to its first ROBBER
+        want = []
+        for comp in compositions(k, g.tau):
+            assignment = AllocationPlan(comp).assignment()
+            for variant in robber_layer_variants(g):
+                want.append([(variant, assignment)])
+                if copwin_winners([(variant, assignment)])[0] is Winner.ROBBER:
+                    break
+            else:
+                break
+        runs = _spy_retrograde(monkeypatch)
+        assert main(["solve", path, "--free-choice", str(k)]) == code
+        assert runs == want
+        monkeypatch.undo()
+
+
+def test_over_budget_question_names_the_first_table_too_large(capsys):
+    from mlcr.cli import main
+
+    assert main(["--state-budget", "100", "verify-paper", "--only", "c05"]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: state space needs 1029 states, budget is 100"]
 
 
 def _free_choice_corpus(seed=1721, count=100):
@@ -880,14 +989,20 @@ def test_batch_over_physical_ram_is_refused_before_allocating(monkeypatch):
     try:
         with pytest.raises(StateBudgetExceeded) as exc:
             build_copwin_batch([(g, (0, 1))] * 4)
+        # a single table over the cap is refused by the winner-only solve too
+        with pytest.raises(StateBudgetExceeded) as alone:
+            copwin_winners([(g, (0, 0, 1))])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert exc.value.required == 4 * size
     assert exc.value.budget == 2 * size
+    assert alone.value.required == state_space_size(36, 3)
     assert peak < 10**5
-    with pytest.raises(StateBudgetExceeded):
-        copwin_winners([(g, (0, 1))] * 4)
+    # winner-only tables are dropped once read, so they are split into batches that fit
+    runs = _spy_retrograde(monkeypatch)
+    assert copwin_winners([(g, (0, 1))] * 4) == copwin_winners([(g, (0, 1))]) * 4
+    assert list(map(len, runs)) == [2, 2, 1]
 
 
 def test_batch_over_physical_ram_exits_three_through_the_cli(monkeypatch, capsys):
