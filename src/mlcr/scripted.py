@@ -486,7 +486,7 @@ class _TaskCops(CopTeamStrategy):
     """A cop team driven by a queue of (cop, target vertex) tasks.  Each
     round it takes the capture if one is on; otherwise it drops the tasks
     already done, asks `_replan` for more when the queue is empty, and
-    moves the cop of `_task` one step toward its target."""
+    moves the cop of the first task one step toward its target."""
 
     def begin(self, g, assignment, rng):
         super().begin(g, assignment, rng)
@@ -494,9 +494,6 @@ class _TaskCops(CopTeamStrategy):
 
     def _replan(self, view: MatchView) -> None:
         raise NotImplementedError  # refill `tasks`; a queue left empty is asked again
-
-    def _task(self, view: MatchView) -> tuple[int, int]:
-        return self.tasks[0]
 
     def moves(self, view: MatchView):
         capture = self.capture_move(view)
@@ -509,7 +506,7 @@ class _TaskCops(CopTeamStrategy):
             if self.tasks:
                 break
             self._replan(view)
-        cop, target = self._task(view)
+        cop, target = self.tasks[0]
         pos[cop] = self.step_toward(cop, pos[cop], target)
         return tuple(pos)
 
@@ -524,8 +521,10 @@ class TreeSqueezeCops(_TaskCops):
     picks the cop closest to the robber in the tree (the guard at u), aims
     at the next tree vertex w toward the robber, and routes a cop able to
     reach w there -- reinforcing u first when the guard itself is the only
-    candidate.  Commitment plus the return-capture rule mirror the textbook
-    squeeze; the robber's territory loses at least u per completed trip."""
+    candidate.  Commitment mirrors the textbook squeeze: the guard leaves u
+    empty only for a w at most two steps away in its layer, so a robber
+    that steps back onto u is taken by the capture rule; the robber's
+    territory loses at least u per completed trip."""
 
     name = "tree_squeeze_cop"
 
@@ -548,7 +547,6 @@ class TreeSqueezeCops(_TaskCops):
         u = view.cops[guard]
         w = min(q for q in self.radj[u] if rdist[q] == rdist[u] - 1)
         reach = [c for c in range(len(view.cops)) if w in self.profile[c]]
-        self.guard_post = u
         others = [c for c in reach if c != guard]
         if others:
             runner = min(others, key=lambda c: (self.cop_dist(c, w)[view.cops[c]], c))
@@ -567,13 +565,6 @@ class TreeSqueezeCops(_TaskCops):
             self.tasks = [(helper, u), (guard, w)]
         else:
             self.tasks = [(guard, w)]
-
-    def _task(self, view: MatchView) -> tuple[int, int]:
-        cop = self.tasks[0][0]
-        if view.robber == self.guard_post and view.cops[cop] != self.guard_post:
-            # the robber stepped onto the vacated guard post: turn back
-            self.tasks[0] = (cop, self.guard_post)
-        return self.tasks[0]
 
 
 # -- bag sweep along a tree decomposition --------------------------------------------------
@@ -783,9 +774,8 @@ def interactive_play(
         record = run_match(g, alloc, cops, robber, T=max_rounds)
     except MatchAbandoned as ex:
         return MatchRecord(
-            graph_id=g.tag, allocation=alloc.counts, assignment=alloc.assignment(),
-            cop_strategy=cops.name, robber_strategy=robber.name, seed=0,
-            horizon=max_rounds, rows=ex.rows, outcome="ABANDONED",
+            graph_id=g.tag, allocation=alloc.counts, cop_strategy=cops.name, robber_strategy=robber.name,
+            seed=0, horizon=max_rounds, rows=ex.rows, outcome="ABANDONED",
         )
     human.narrate(record.rows)
     if record.capture_round == 0:

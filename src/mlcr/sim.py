@@ -83,7 +83,6 @@ class MatchRecord:
 
     graph_id: str
     allocation: tuple[int, ...]
-    assignment: tuple[int, ...]
     cop_strategy: str
     robber_strategy: str
     seed: int
@@ -122,8 +121,7 @@ def parse_match_record(text: str) -> MatchRecord:
         kv = dict(part.split("=", 1) for part in ln.split()[1:])
         rec = MatchRecord(
             graph_id="" if kv["graph"] == "-" else kv["graph"],
-            allocation=tuple(int(x) for x in kv["alloc"].split(",")),
-            assignment=(),
+            allocation=AllocationPlan(tuple(int(x) for x in kv["alloc"].split(","))).counts,
             cop_strategy=kv["cop"],
             robber_strategy=kv["robber"],
             seed=int(kv["seed"]),
@@ -143,7 +141,6 @@ def parse_match_record(text: str) -> MatchRecord:
             rec.rows.append((int(parts[0]), parts[1], int(parts[2]), tuple(int(x) for x in parts[3:])))
     except (IndexError, KeyError, ValueError) as ex:
         raise MlgError(f"malformed MR1 line {ln!r}: {type(ex).__name__} {ex}") from None
-    rec.assignment = AllocationPlan(rec.allocation).assignment()
     return rec
 
 
@@ -233,7 +230,6 @@ def run_match(
     record = MatchRecord(
         graph_id=g.tag,
         allocation=plan.counts,
-        assignment=assignment,
         cop_strategy=cop_strategy.name,
         robber_strategy=robber_strategy.name,
         seed=seed,

@@ -1,11 +1,26 @@
 """Reference oracles used only by the tests: verdicts from the naive
 status map, from simultaneous team moves and from full tables per
-composition, and girth and treewidth by brute force.
-Like `mlcr.oracles`, they are deliberately naive and run on small
-instances only."""
+composition, and girth and treewidth by brute force, all deliberately
+naive and run on small instances only, like `mlcr.oracles`; and
+`rank_violations`, the certificate of a solved table at any size.
+
+The certificate checks the game's defining equations, state by state:
+rank 0 exactly on capture states; a cop-turn state is cop-win iff some
+successor is, a robber-turn state iff every successor is, with rank 1 +
+the min (cop) or max (robber) over the cop-win successors; -1 elsewhere.
+They determine `rank` (the standard local check of a retrograde table;
+Thompson, "Retrograde analysis of certain endgames", ICCA J. 9(3), 1986):
+the -1 states form a trap the robber never has to leave; from rank r the
+cops capture within r moves by stepping to a smaller rank; and by
+induction on the game's value v, rank <= v.  The move rows come from the
+layer views plus the stay, not from `MultiLayerGraph.moves` or the
+solver's arrays, so a fault in either still shows.
+"""
 
 from itertools import permutations, product
 from typing import Sequence
+
+import numpy as np
 
 from mlcr.core import (
     INF,
@@ -19,6 +34,59 @@ from mlcr.core import (
     compositions,
 )
 from mlcr.oracles import _agent_adjacency, naive_copwin_status
+
+# States per chunk of the certificate: its work arrays stay O(chunk).
+_CERT_CHUNK = 1 << 22
+
+
+def _move_rows(n: int, adjacency: Sequence[Sequence[int]] | None) -> np.ndarray:
+    """Per vertex, the stay and its neighbours, padded with the stay to the
+    widest row (a repeated successor changes no min, max or "any -1");
+    every vertex on every row for a complete layer (None)."""
+
+    if adjacency is None:
+        return np.tile(np.arange(n), (n, 1))
+    rows = np.repeat(np.arange(n)[:, None], 1 + max(map(len, adjacency)), axis=1)
+    for v, nbrs in enumerate(adjacency):
+        rows[v, 1 : 1 + len(nbrs)] = nbrs
+    return rows
+
+
+def rank_violations(table) -> np.ndarray:
+    """Indices of the states where `table.rank` breaks the game's defining
+    equations (see the module docstring); empty iff it is the game's value."""
+
+    g, rank = table.graph, table.rank
+    n, k = g.n, len(table.assignment)
+    kp1 = k + 1
+    size = n**kp1 * kp1
+    assert rank.shape == (size,) and rank.dtype in (np.int16, np.int32)
+    strides = [kp1 * n ** (k - a) for a in range(kp1)]  # agent a's digit; 0 = robber
+    rows = [_move_rows(n, None if g.robber_is_complete() else g.robber_view().adjacency)]
+    rows += [_move_rows(n, g.layer_view(layer).adjacency) for layer in table.assignment]
+    step = _CERT_CHUNK // kp1 * kp1
+    bad = []
+    for lo, t in product(range(0, size, step), range(kp1)):
+        state = np.arange(lo + t, min(lo + step, size), kp1)
+        mover = 0 if t == k else t + 1  # also the turn after the move
+        pos = state // strides[mover] % n
+        base = state - t + mover - pos * strides[mover]  # the successor with the mover on 0
+        lost = np.zeros(state.size, dtype=bool)
+        least = np.full(state.size, 1 << 40)
+        most = np.full(state.size, -1)
+        for column in rows[mover].T:
+            r = rank[base + column[pos] * strides[mover]]
+            lost |= r < 0
+            np.minimum(least, r, out=least, where=r >= 0)
+            np.maximum(most, r, out=most)
+        if mover:  # cop to move: cop-win iff some successor is
+            want = np.where(most < 0, -1, least + 1)
+        else:  # robber to move: cop-win iff every successor is
+            want = np.where(lost, -1, most + 1)
+        robber = state // strides[0]
+        want[np.any([state // s % n == robber for s in strides[1:]], axis=0)] = 0  # capture
+        bad.append(state[rank[state] != want])
+    return np.concatenate(bad)
 
 
 def naive_allocated_verdict(g: MultiLayerGraph, alloc: AllocationPlan) -> str:

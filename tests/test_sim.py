@@ -451,6 +451,26 @@ def test_tree_squeeze_captures_within_bound():
         checked += 1
 
 
+def test_tree_squeeze_reinforces_a_guard_far_from_its_next_vertex(monkeypatch):
+    # both cops start on u = 0; the guard is the only cop that reaches w = 1,
+    # three steps away in its layer, so the other cop is given u first
+    tree = ((0, 1), (0, 3), (1, 2), (3, 4))
+    layers = (((0, 4), (1, 2), (2, 4)), ((0, 2), (0, 3), (0, 4), (3, 4)))
+    g = MultiLayerGraph(n=5, layers=layers, robber_spec=RobberSpec.EXPLICIT, robber_edges=tree)
+    plans = []
+    real = TreeSqueezeCops._replan
+
+    def replan(self, view):
+        real(self, view)
+        plans.append(list(self.tasks))
+
+    monkeypatch.setattr(TreeSqueezeCops, "_replan", replan)
+    rec = run_match(g, AllocationPlan((1, 1)), TreeSqueezeCops(), RandomRobber(), T=85, seed=2030)
+    assert [(1, 0), (0, 1)] in plans  # helper to u, then guard to w
+    assert rec.outcome == "CAPTURE"
+    assert referee_check(rec, g)[0]
+
+
 def test_tree_squeeze_refuses_robber_win_instances():
     g = MultiLayerGraph(
         n=4, layers=(((0, 1), (1, 2), (2, 3)),), robber_spec=RobberSpec.EXPLICIT,
@@ -665,7 +685,6 @@ def _match_records(draw):
     return MatchRecord(
         graph_id=draw(st.one_of(st.just(""), _token)),
         allocation=tuple(draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3))),
-        assignment=(),
         cop_strategy=draw(_token),
         robber_strategy=draw(_token),
         seed=draw(st.integers(min_value=-1000, max_value=10**6)),
