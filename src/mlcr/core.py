@@ -483,11 +483,11 @@ def serialize_mlg(g: MultiLayerGraph) -> str:
     lines = [f"MLG1 {g.n} {g.tau} {g.robber_spec.value}"]
     for i, layer in enumerate(g.layers):
         lines.append(f"LAYER {i + 1} {len(layer)}")
-        lines.extend(f"{u} {v}" for u, v in sorted(layer))
+        lines.extend(f"{u} {v}" for u, v in layer)
     if g.robber_spec is RobberSpec.EXPLICIT:
         assert g.robber_edges is not None
         lines.append(f"ROBBER {len(g.robber_edges)}")
-        lines.extend(f"{u} {v}" for u, v in sorted(g.robber_edges))
+        lines.extend(f"{u} {v}" for u, v in g.robber_edges)
     return "\n".join(lines) + "\n"
 
 

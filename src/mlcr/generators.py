@@ -444,10 +444,9 @@ def gen_soifer(n: int, tau: int) -> tuple[MultiLayerGraph, ConstructionReport]:
     ).with_tag(f"soifer:{n},{tau}")
     report = _report("soifer", {"n": n, "tau": tau}, g)
     report.add("layers_connected", all(report.layer_connected))
-    all_edges = {(u, v) for u in range(n) for v in range(u + 1, n)}
-    report.add("union_is_complete", set(flatten(g)) == all_edges)
+    report.add("union_is_complete", flatten(g) == tuple(combinations(range(n), 2)))
     total = sum(len(layer) for layer in layers)
-    report.add("layers_edge_disjoint", total == len(all_edges), total)
+    report.add("layers_edge_disjoint", total == n * (n - 1) // 2, total)
     max_deg = max(max(g.layer_view(i).degrees) for i in range(tau))
     report.add("max_layer_degree_le_ceil", max_deg <= math.ceil(n / tau), max_deg)
     return _finish(g, report)

@@ -110,40 +110,6 @@ class MatchRecord:
         return "\n".join(lines) + "\n"
 
 
-def parse_match_record(text: str) -> MatchRecord:
-    """Inverse of `MatchRecord.render`; malformed text raises `MlgError`."""
-
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split()[0] != "MR1":
-        raise MlgError(f"not an MR1 record: {lines[0] if lines else text!r}")
-    ln = lines[0]
-    try:
-        kv = dict(part.split("=", 1) for part in ln.split()[1:])
-        rec = MatchRecord(
-            graph_id="" if kv["graph"] == "-" else kv["graph"],
-            allocation=AllocationPlan(tuple(int(x) for x in kv["alloc"].split(","))).counts,
-            cop_strategy=kv["cop"],
-            robber_strategy=kv["robber"],
-            seed=int(kv["seed"]),
-            horizon=int(kv["T"]),
-        )
-        for ln in lines[1:]:
-            parts = ln.split()
-            if ln.startswith("OUTCOME"):
-                rec.outcome = parts[1]
-                rest = [p for p in parts[2:] if not p.startswith("tags=")]
-                if rest:
-                    rec.capture_round = int(rest[0])
-                for p in parts[2:]:
-                    if p.startswith("tags="):
-                        rec.tags = tuple(p[5:].split(","))
-                continue
-            rec.rows.append((int(parts[0]), parts[1], int(parts[2]), tuple(int(x) for x in parts[3:])))
-    except (IndexError, KeyError, ValueError) as ex:
-        raise MlgError(f"malformed MR1 line {ln!r}: {type(ex).__name__} {ex}") from None
-    return rec
-
-
 # -- strategy interface ---------------------------------------------------------------
 
 
@@ -405,11 +371,9 @@ class TablebaseCops(_Tablebase, CopTeamStrategy):
     name = "tablebase_cop"
 
     def place(self):
-        wins = self.table.winning_placements()
-        if wins.size:
-            return self.table.decode_placement(int(wins[0]))
-        mat = self.table.placement_matrix()
-        col = int(mat.sum(axis=0).argmax())
+        # a winning placement's column sums to n, so the first largest
+        # column is the first winning placement when there is one
+        col = int(self.table.placement_matrix().sum(axis=0).argmax())
         return self.table.decode_placement(col)
 
     def moves(self, view: MatchView):
@@ -443,16 +407,10 @@ class TablebaseRobber(_Tablebase, RobberStrategy):
     name = "tablebase_robber"
 
     def place(self, cops):
+        # the first safe start, else the first deepest one
         tb = self.table
-        safe = tb.safe_robber_vertex(cops)
-        if safe is not None:
-            return safe
-        best_v, best_rank = 0, -1
-        for v in range(self.g.n):
-            r = tb.rank_of(v, cops, 0)
-            if r > best_rank:
-                best_v, best_rank = v, r
-        return best_v
+        ranks = [tb.rank_view[tb.pack(v, cops, 0)] for v in range(self.g.n)]
+        return max(range(self.g.n), key=lambda v: (ranks[v] < 0, ranks[v]))
 
     def move(self, view: MatchView):
         key = (view.robber, view.cops)

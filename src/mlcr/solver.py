@@ -94,10 +94,10 @@ class CopWinTable:
     """Solved table for one assignment of cops to layers: the graph, the
     assignment and `rank`.
 
-    The policy queries (`successors` and the three move methods) read the
-    graph's move rows (`MultiLayerGraph.moves`), taken on the first query,
-    and, for `chase_cop_move`, the layer distances to the robber that the
-    graph caches (`bfs_dist`).
+    The three move methods read the graph's move rows
+    (`MultiLayerGraph.moves`), taken on the first query, and, for
+    `chase_cop_move`, the layer distances to the robber that the graph
+    caches (`bfs_dist`).
     Single states are read through `rank_view`.  A table from
     `build_copwin_batch` has a `rank` that is a slice (a view) of its
     batch's array, which it keeps alive.
@@ -145,12 +145,6 @@ class CopWinTable:
         pos.reverse()
         return pos[0], tuple(pos[1:]), t
 
-    def is_copwin(self, robber: int, cops: Sequence[int], t: int = 0) -> bool:
-        return self.rank_view[self.pack(robber, cops, t)] >= 0
-
-    def rank_of(self, robber: int, cops: Sequence[int], t: int = 0) -> int:
-        return self.rank_view[self.pack(robber, cops, t)]
-
     # -- move enumeration (successors in game order) ---------------------------
 
     def _step(self, index: int) -> tuple[int, int, Sequence[int]] | None:
@@ -170,16 +164,6 @@ class CopWinTable:
         if self._moves is None:  # per agent (0 = robber); same-layer cops share their rows
             self._moves = list(map(self.graph.moves, (None, *self.assignment)))
         return index - t + mover - position * stride, stride, self._moves[mover][position]
-
-    def successors(self, index: int) -> Iterator[int]:
-        """Successor state indices; capture states are terminal (none)."""
-
-        step = self._step(index)
-        if step is None:
-            return
-        base, stride, moves = step
-        for q in moves:
-            yield base + q * stride
 
     # -- optimal policies ------------------------------------------------------
     # Successors ascend with the move, so keeping the first of equal

@@ -253,13 +253,9 @@ def _c07(budget):
         for tau in range(1, n // 2):
             count += 1
             try:
-                g, report = gen_soifer(n, tau)
+                gen_soifer(n, tau)  # checks each invariant, raising on a failure
             except ConstructionError as ex:
                 failures.append(f"(n={n}, tau={tau}): {ex}")
-                continue
-            max_deg = max(max(g.layer_view(i).degrees) for i in range(tau))
-            if max_deg > math.ceil(n / tau):
-                failures.append(f"(n={n}, tau={tau}): max degree {max_deg}")
     details = [f"{count} (n, tau) pairs: connected layers, exact cover, degree <= ceil(n/tau)"]
     details.extend(failures[:5])
     return not failures, details
@@ -376,12 +372,14 @@ def _c11(budget):
                 mc = multilayer_cop_number(g, k, state_budget=budget)
                 if mc is not None:
                     failures.append(f"trial {trial}: mec at k={k} but cop number {mc} <= k")
-        ds = domset_exact(g)
+        ds, greedy = domset_exact(g), domset_greedy(g)
+        for name, dset in (("exact", ds), ("greedy", greedy)):
+            if not dset.is_valid(g):
+                failures.append(f"trial {trial}: {name} dominating set misses a vertex")
         mc = multilayer_cop_number(g, len(ds), state_budget=budget)
         dom_checks += 1
         if mc is None:
             failures.append(f"trial {trial}: domination {len(ds)} does not bound the cop number")
-        greedy = domset_greedy(g)
         if len(ds) > len(greedy):
             failures.append(f"trial {trial}: exact {len(ds)} > greedy {len(greedy)}")
         delta = ml_min_degree(g)

@@ -1,6 +1,9 @@
-"""Every name imported into `src/mlcr` is used: an `ast` scan, so the check
-needs no linter.  An import inside a function must be used in that
-function; the package's re-exports count as used through `__all__`."""
+"""Every name imported into `src/mlcr` is used, and every function, class
+or method defined there is read somewhere: `ast` scans, so the checks need
+no linter.  An import inside a function must be used in that function; the
+package's re-exports count as used through `__all__`.  A private definition
+must be read within `src/mlcr`, a public one within `src/mlcr`, `scripts/`
+or `perfbench/`; the tests do not count as readers."""
 
 import ast
 from pathlib import Path
@@ -84,13 +87,11 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def unreferenced_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
-    """`file:line: name` for each private function, class or method that no
-    tree reads as a name, an attribute or an import.  A decorated definition
-    counts as referenced: its decorator holds on to it (a registry, say)."""
+def _referenced_names(readers) -> set[str]:
+    """Every name the reader trees read as a name, an attribute or an import."""
 
     referenced = set()
-    for tree in trees.values():
+    for tree in readers:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
@@ -98,18 +99,44 @@ def unreferenced_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
                 referenced.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name.split(".")[-1])
+    return referenced
+
+
+def _unreferenced(trees: dict[str, ast.Module], readers, private: bool) -> list[str]:
+    """`file:line: name` for each function, class or method of `trees`, private
+    or public as asked, that no reader reads.  A dunder counts as referenced,
+    and so does a decorated definition: its decorator holds on to it (a
+    registry, say)."""
+
+    referenced = _referenced_names(readers)
     out = []
     for name, tree in trees.items():
         for node in ast.walk(tree):
             if (
                 isinstance(node, _DEFINITIONS)
-                and node.name.startswith("_")
+                and node.name.startswith("_") == private
                 and not _is_dunder(node.name)
                 and not node.decorator_list
                 and node.name not in referenced
             ):
                 out.append(f"{name}:{node.lineno}: {node.name}")
     return out
+
+
+def unreferenced_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """The private definitions that no tree of `trees` reads."""
+
+    return _unreferenced(trees, trees.values(), private=True)
+
+
+def unreferenced_public_definitions(trees: dict[str, ast.Module], readers) -> list[str]:
+    """The public definitions of `trees` that no reader reads."""
+
+    return _unreferenced(trees, readers, private=False)
+
+
+def _src_trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
 def test_the_scan_finds_dead_private_code():
@@ -137,5 +164,46 @@ def test_the_scan_finds_dead_private_code():
 
 
 def test_no_dead_private_code_in_src():
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    assert unreferenced_private_definitions(trees) == []
+    assert unreferenced_private_definitions(_src_trees()) == []
+
+
+# -- dead public code: read from the package, its scripts or the benchmark, not the tests
+
+READERS = (SRC, SRC.parent.parent / "scripts", SRC.parent.parent / "perfbench")
+
+
+def test_the_scan_finds_dead_public_code():
+    source = (
+        "import m\n"
+        "class Used:\n"
+        "    def dead(self):\n"
+        "        return self.read()\n"
+        "    def read(self):\n"
+        "        return 0\n"
+        "    def imported(self):\n"
+        "        return 1\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "@m.register\n"
+        "def registered():\n"
+        "    pass\n"
+        "def unused():\n"
+        "    return Used\n"
+        "class Gone:\n"
+        "    def _private(self):\n"
+        "        pass\n"
+    )
+    reader = "from a import imported\nprint(unused().attr)\n"
+    # the definitions' own file does not count unless it is among the readers
+    assert unreferenced_public_definitions({"a.py": ast.parse(source)}, [ast.parse(reader)]) == [
+        "a.py:2: Used", "a.py:16: Gone", "a.py:3: dead", "a.py:5: read",
+    ]
+    tree = ast.parse(source)
+    assert unreferenced_public_definitions({"a.py": tree}, [tree, ast.parse(reader)]) == [
+        "a.py:16: Gone", "a.py:3: dead",
+    ]
+
+
+def test_no_dead_public_code_in_src():
+    readers = [ast.parse(path.read_text()) for folder in READERS for path in sorted(folder.glob("*.py"))]
+    assert unreferenced_public_definitions(_src_trees(), readers) == []
