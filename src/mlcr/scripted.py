@@ -7,9 +7,11 @@ expander core, the tree squeeze, and the bag sweep along a tree
 decomposition.  Each one checks in `begin` that the graph and assignment
 are ones it was written for, and raises `StrategyMismatchError` otherwise.
 The two grid players share that check in `_OnGrid`, and the tree squeeze
-and the bag sweep share one task-queue round in `_TaskCops`.  The human
-players read moves from the terminal; `interactive_play` runs them against
-the tablebase through `sim.run_match`.
+and the bag sweep share one task-queue round in `_TaskCops`.  The two
+robbers measure the cops only through `Strategy.cop_dists`, each cop's
+layer distances as cached per graph.  The human players read moves from
+the terminal; `interactive_play` runs them against the tablebase through
+`sim.run_match`.
 
 Nothing imports this module at top level: the strategy factories in `sim`,
 `cli.cmd_play` and the `verify` criteria that run these players load it
@@ -253,7 +255,7 @@ class SlicesRobber(RobberStrategy):
 
         k = self.k
         out: set[int] = set()
-        for dist in self._cop_dists(cops):
+        for dist in self.cop_dists(cops):
             for x in range(1, 3 * k + 1):
                 for y in range(1, k + 1):
                     for z in (5 * k + 1, 5 * k + 2):
@@ -268,11 +270,8 @@ class SlicesRobber(RobberStrategy):
         ring = {self.index(x, y, z) for y in range(1, k + 1) for z in (5 * k + 1, 5 * k + 2)}
         return _path_within(self.radj, ring, src, dst)
 
-    def _cop_dists(self, cops) -> list[list[float]]:
-        return [bfs_dist(self.g, self.assignment[c], p) for c, p in enumerate(cops)]
-
     def _plan_is_safe(self, cops, plan: list[int]) -> bool:
-        dists = self._cop_dists(cops)
+        dists = self.cop_dists(cops)
         for t, v in enumerate(plan, start=1):
             for d in dists:
                 if d[v] <= t + 1:
@@ -303,7 +302,7 @@ class SlicesRobber(RobberStrategy):
         return []
 
     def _fallback(self, cops, cur: int) -> int:
-        dists = self._cop_dists(cops)
+        dists = self.cop_dists(cops)
         options = [cur] + list(self.radj[cur])
         return max(options, key=lambda v: (min(d[v] for d in dists), -v))
 
@@ -320,13 +319,7 @@ class SlicesRobber(RobberStrategy):
         cur = view.robber
         if self.plan:
             nxt = self.plan[0]
-            threatened = nxt in view.cops
-            if not threatened:
-                for c, p in enumerate(view.cops):
-                    if nxt in self.g.layer_view(self.assignment[c]).adjacency[p]:
-                        threatened = True
-                        break
-            if threatened:
+            if any(d[nxt] <= 1 for d in self.cop_dists(view.cops)):  # a cop on or next to it
                 self.plan = []
             else:
                 self.plan.pop(0)
@@ -377,20 +370,16 @@ class CopsbaneRobber(RobberStrategy):
             self.comp.append(comp_of)
         self._safe_cache: dict[frozenset[int], list[set[int]]] = {}
 
-    def _leaf(self, p: int) -> tuple[int, int]:
-        """The core vertex whose arm holds `p` (p itself inside the core), and
-        the number of steps from `p` to it."""
+    def _leaf(self, p: int) -> int:
+        """The core vertex whose arm holds `p` (p itself inside the core)."""
 
-        if p < self.N:
-            return p, 0
-        x, i = divmod(p - self.N - 1, 2 * self.D)
-        return x, 2 * self.D - i
+        return p if p < self.N else (p - self.N - 1) // (2 * self.D)
 
     def _blocked(self, cops) -> set[int]:
         out: set[int] = set()
         for c, p in enumerate(cops):
             if p != self.N:
-                out |= self.comp[self.assignment[c]][self._leaf(p)[0]]
+                out |= self.comp[self.assignment[c]][self._leaf(p)]
         return out
 
     def _safe_components(self, blocked: set[int]) -> list[set[int]]:
@@ -427,35 +416,10 @@ class CopsbaneRobber(RobberStrategy):
         return max(pool, key=lambda v: (dist[v], threat[v], -v))
 
     def _threat(self, cops) -> list[float]:
-        """Per core vertex: fewest moves some cop needs to reach it.
+        """Per core vertex: fewest moves some cop needs to reach it (INF with
+        no cops; the INF column also stops the zip at the core)."""
 
-        Computed structurally: a cop inside the core moves within its
-        monochromatic component or takes 4D+2 steps through the hub; a cop
-        on an arm is a steps from its leaf and 4D+2-a from everything else.
-        """
-
-        round_trip = 4 * self.D + 2
-        threat = [INF] * self.N
-        for c, p in enumerate(cops):
-            colour = self.assignment[c]
-            if p == self.N:
-                base = 2 * self.D + 1
-                for v in range(self.N):
-                    if base < threat[v]:
-                        threat[v] = base
-                continue
-            leaf, a = self._leaf(p)
-            comp = self.comp[colour][leaf]
-            # layer `colour` is that colour class of the core plus the star, so inside the leaf's
-            # component local = min(mono, 4D+2), and min(4D+2-a, a+local) = min(4D+2-a, a+mono)
-            local = bfs_dist(self.g, colour, leaf)
-            for v in range(self.N):
-                d = round_trip - a
-                if v in comp:
-                    d = min(d, a + local[v])
-                if d < threat[v]:
-                    threat[v] = d
-        return threat
+        return [min(col) for col in zip([INF] * self.N, *self.cop_dists(cops))]
 
     def move(self, view: MatchView):
         cur = view.robber

@@ -9,8 +9,10 @@ move and after the robber's move.  It is the only game loop: interactive
 play runs through it with human strategies that read the terminal.
 Strategies are stateful objects, and one object plays every match of a
 batch, so `begin` must reset all per-match state.  `Strategy.begin` hands
-a player its graph, assignment, rng and tags; `CopTeamStrategy` and
-`RobberStrategy` derive from it, and the two tablebase players share
+a player its graph, assignment, rng and tags, and `Strategy.cop_dists` is
+how the robbers measure the cops: each cop's distances in its own layer,
+from the per-graph `bfs_dist` cache.  `CopTeamStrategy` and
+`RobberStrategy` derive from `Strategy`, and the two tablebase players share
 `_Tablebase`, which checks the table against the assignment and keeps the
 answer memo.  This module holds the strategy bases and the greedy, random
 and tablebase players; the scripted construction strategies and the human
@@ -122,6 +124,13 @@ class Strategy:
         self.assignment = assignment
         self.rng = rng
         self.tags: set[str] = set()
+
+    def cop_dists(self, cops: Sequence[int]) -> list[list[float]]:
+        """Per cop, the distances from its position in its own layer
+        (`bfs_dist`, cached per graph, so shared by every match on it; read
+        only)."""
+
+        return [bfs_dist(self.g, self.assignment[c], p) for c, p in enumerate(cops)]
 
 
 class CopTeamStrategy(Strategy):

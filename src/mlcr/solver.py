@@ -245,12 +245,9 @@ class CopWinTable:
         return np.nonzero(mat.all(axis=0))[0]
 
     def decode_placement(self, code: int) -> tuple[int, ...]:
-        pos = []
-        for _ in range(self.k):
-            pos.append(code % self.n)
-            code //= self.n
-        pos.reverse()
-        return tuple(pos)
+        """The cops of placement `code`: its state at t=0 with robber 0."""
+
+        return self.unpack(code * (self.k + 1))[1]
 
     def safe_robber_vertex(self, placement: Sequence[int]) -> int | None:
         """Smallest robber start that is robber-win against this placement."""
@@ -316,7 +313,6 @@ def _retrograde(
 
     g, assignment = pairs[0]
     tables = len(pairs)
-    batched = tables > 1
     n = g.n
     k = len(assignment)
     kp1 = k + 1
@@ -336,9 +332,7 @@ def _retrograde(
         cap |= eye.reshape((n,) + (1,) * (c - 1) + (n,) + (1,) * (k - c))
     rank = np.full(tables * n_pos * kp1, -1, dtype=np.int16)
     rank.reshape(tables, n_pos, kp1)[:, cap.ravel()] = 0
-    captured = np.flatnonzero(cap)
-    if batched:
-        captured = (np.arange(tables, dtype=np.int64)[:, None] * n_pos + captured).ravel()
+    captured = np.add.outer(np.arange(0, tables * n_pos, n_pos), np.flatnonzero(cap)).ravel()
     # per placement, the robber starts not yet cop-win: n less those captured
     starts = np.tile(n - cap.reshape(n, -1).sum(axis=0), tables) if winner_only else None
     del cap
@@ -356,7 +350,7 @@ def _retrograde(
             moves.append((None, None, np.arange(n, dtype=np.int64) * stride + dt, max(1, _BATCH // n)))
             continue
         deg, ends, entries = _csr([row for gb, ab in pairs for row in gb.moves(ab[mover - 1] if mover else None)])
-        vertex = np.arange(tables * n, dtype=np.int64) % n if batched else np.arange(n, dtype=np.int64)
+        vertex = np.tile(np.arange(n, dtype=np.int64), tables)
         delta = (entries - vertex.repeat(deg)) * stride + dt
         moves.append((deg, ends, delta, max(1, _BATCH // int(deg.max()))))
 
@@ -393,11 +387,9 @@ def _retrograde(
                         row = chunk // stride
                     else:
                         row = chunk // stride % n
-                        if batched:
-                            row += chunk // size * n
+                        row += chunk // size * n
                     if deg is None:  # complete robber layer: every robber position
-                        digit = row % n if batched else row
-                        preds = ((chunk - digit * stride)[:, None] + delta).ravel()
+                        preds = ((chunk - row % n * stride)[:, None] + delta).ravel()
                     else:
                         cnt = deg[row]
                         csum = cnt.cumsum()

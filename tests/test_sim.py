@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from mlcr.core import AllocationPlan, MultiLayerGraph, RobberSpec
+from mlcr.core import INF, AllocationPlan, MultiLayerGraph, RobberSpec, adjacency_lists, bfs_dist_adj
 from mlcr.generators import gen_copsbane, gen_grid, gen_slices
 from mlcr.solver import Winner, build_copwin
 from mlcr.scripted import (
@@ -20,6 +20,7 @@ from mlcr.sim import (
     CopTeamStrategy,
     GreedyCops,
     IllegalMoveError,
+    MatchView,
     RandomCops,
     RandomRobber,
     StrategyInvariantError,
@@ -407,6 +408,41 @@ def test_grid_guard_rejects_wrong_graph_or_alloc():
         run_match(other2, AllocationPlan((0, 2)), GridCopGuard(4), RandomRobber(), T=2, seed=0)
 
 
+def _old_step_is_threatened(g, assignment, cops, nxt):
+    """The slices robber's former step rule: a cop on `nxt`, or `nxt` next to
+    a cop in that cop's layer."""
+
+    return nxt in cops or any(nxt in g.layer_view(assignment[c]).adjacency[p] for c, p in enumerate(cops))
+
+
+def test_slices_robber_drops_a_step_exactly_when_the_old_rule_did():
+    """The robber replans (here: a spy `_make_plan` that finds no plan) when a
+    cop is within one move of its next step, and keeps the step otherwise."""
+
+    g, _ = gen_slices(2)
+    rng = random.Random(11)
+    seen = set()
+    for alloc in ((1, 0), (0, 1), (1, 1), (2, 1)):
+        assignment = AllocationPlan(alloc).assignment()
+        robber = SlicesRobber(2)
+        robber.begin(g, assignment, random.Random(0))
+        replans = []
+        robber._make_plan = lambda cops, cur: replans.append(cur) or []
+        for _ in range(5):
+            cops = tuple(rng.randrange(g.n) for _ in assignment)
+            cur = rng.randrange(g.n)
+            for nxt in range(g.n):
+                replans.clear()
+                robber.plan = [nxt]
+                got = robber.move(MatchView(cops, cur, 1, []))
+                old = _old_step_is_threatened(g, assignment, cops, nxt)
+                assert bool(replans) is old, (alloc, cops, nxt)
+                if not old:
+                    assert got == nxt and robber.plan == []
+                seen.add(old)
+    assert seen == {False, True}
+
+
 def test_slices_robber_survives_one_cop():
     g, _ = gen_slices(2)
     for alloc in ((1, 0), (0, 1)):
@@ -546,6 +582,44 @@ def _reuse_case(name):
 )
 def test_one_object_per_side_plays_a_batch_as_fresh_objects(name):
     assert _plays_like_fresh_objects(*_reuse_case(name))
+
+
+def _copsbane_threat_closed_form(layout, assignment, cops):
+    """Per core vertex, the fewest moves some cop needs to reach it, from the
+    layout alone: 2D+1 from the hub; from arm offset a of leaf x (a = 0 on
+    the core), 4D+2-a through the hub, or a plus the distance inside x's
+    component of the cop's colour."""
+
+    N, D = layout.N, layout.D
+    threat = [INF] * N
+    for c, p in enumerate(cops):
+        colour = assignment[c]
+        if p == N:
+            threat = [min(t, 2 * D + 1) for t in threat]
+            continue
+        if p < N:
+            leaf, a = p, 0
+        else:
+            leaf, i = divmod(p - N - 1, 2 * D)
+            a = 2 * D - i
+        mono = adjacency_lists(N, [e for e in layout.expander_edges if layout.coloring[e] == colour])
+        inside = bfs_dist_adj(mono, leaf)
+        threat = [min(t, 4 * D + 2 - a, a + inside[v]) for v, t in enumerate(threat)]
+    return threat
+
+
+@pytest.mark.parametrize("N", [8, 12])
+def test_copsbane_threat_matches_the_layout_closed_form(N):
+    g, _, layout = gen_copsbane(N, seed=3)
+    rng = random.Random(N)
+    for alloc in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 2), (3, 1)):
+        assignment = AllocationPlan(alloc).assignment()
+        robber = CopsbaneRobber()
+        robber.begin(g, assignment, random.Random(0))
+        for _ in range(30):
+            # the hub, a core vertex or any vertex (mostly an arm vertex)
+            cops = tuple(rng.choice((N, rng.randrange(N), rng.randrange(g.n))) for _ in assignment)
+            assert robber._threat(cops) == _copsbane_threat_closed_form(layout, assignment, cops), (alloc, cops)
 
 
 def test_copsbane_robber_survives_and_flags_degraded_mode():

@@ -20,6 +20,8 @@ GENERATE = ["generate", "grid", "-n", "4", "-o", "g.mlg"]
 # the 4-vertex path, robber on the same edges: a tree robber layer
 PATH4 = "MLG1 4 1 UNION\nLAYER 1 3\n0 1\n1 2\n2 3\n"
 SOLVE_TREE = ["solve", "path4.mlg", "--allocation", "1"]
+GENERATE_COPSBANE = ["--seed", "3", "generate", "copsbane", "-n", "8", "-o", "cb.mlg"]
+GENERATE_SLICES = ["generate", "slices", "-k", "2", "-o", "s.mlg"]
 
 # name: (CLI invocations run in order by one process, whether numpy must be loaded)
 CASES = {
@@ -35,6 +37,17 @@ CASES = {
         False,
     ),
     "import-only": (None, False),
+    # the scripted robbers measure the cops with `bfs_dist` and build no table
+    "simulate-copsbane": (
+        [GENERATE_COPSBANE, ["simulate", "cb.mlg", "--allocation", "2,2", "--robber-strategy", "copsbane",
+                             "--rounds", "10"]],
+        False,
+    ),
+    "simulate-slices": (
+        [GENERATE_SLICES, ["simulate", "s.mlg", "--allocation", "1,1", "--robber-strategy", "slices",
+                           "--rounds", "10"]],
+        False,
+    ),
     "solve-tree": ([SOLVE_TREE], False),
     # positive controls: a state-graph solve and a table dump build a table
     "solve-state-graph": ([GENERATE, ["solve", "g.mlg", "--allocation", "2,0"]], True),
@@ -42,7 +55,6 @@ CASES = {
 }
 
 SIMULATE_GRID = ["simulate", "g.mlg", "--batch", "2", "--allocation"]
-GENERATE_COPSBANE = ["--seed", "3", "generate", "copsbane", "-n", "8", "-o", "cb.mlg"]
 
 # name: (CLI invocations run in order by one process, whether mlcr.scripted must be loaded)
 SCRIPTED_CASES = {
