@@ -30,6 +30,7 @@ from .core import (
     MlgError,
     StateBudgetExceeded,
     Winner,
+    checked_assignment,
     ml_min_degree,
     parse_mlg_file,
     write_mlg_file,
@@ -68,13 +69,12 @@ def cmd_solve(args) -> int:
     use_tree = robber_tree_edges(g) is not None
     if args.allocation is not None:
         plan = AllocationPlan(_int_list(args.allocation, "--allocation"))
-        if len(plan.counts) != g.tau:
-            raise MlgError(f"allocation has {len(plan.counts)} entries, graph has {g.tau} layers")
+        assignment = checked_assignment(g, plan)
         table = None
         if args.dump_table:
             from .solver import build_copwin, dump_cwt
 
-            table = build_copwin(g, plan.assignment(), state_budget=args.state_budget)
+            table = build_copwin(g, assignment, state_budget=args.state_budget)
             with open(args.dump_table, "w") as fh:
                 fh.write(dump_cwt(table))
             print(f"TABLE={args.dump_table}")

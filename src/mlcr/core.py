@@ -206,10 +206,6 @@ class MultiLayerGraph:
             self._cache[key] = _build_layer_view(self.n, self.layers[i])
         return self._cache[key]
 
-    def with_tag(self, tag: str) -> "MultiLayerGraph":
-        self.tag = tag
-        return self
-
 
 @dataclass(frozen=True)
 class AllocationPlan:
@@ -235,6 +231,14 @@ class AllocationPlan:
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.counts)
+
+
+def checked_assignment(g: MultiLayerGraph, plan: AllocationPlan) -> tuple[int, ...]:
+    """`plan.assignment()`, once `plan` has one count per layer of `g`."""
+
+    if len(plan.counts) != g.tau:
+        raise MlgError(f"allocation has {len(plan.counts)} entries, graph has {g.tau} layers")
+    return plan.assignment()
 
 
 # -- game outcome types (numpy-free; see the module docstring) ------------------
@@ -413,6 +417,14 @@ def bfs_dist_adj(
                     nxt.append(y)
         frontier = nxt
     return dist
+
+
+def diameter(adjacency: Sequence[Sequence[int]], within: set[int] | None = None) -> float:
+    """Largest distance between vertices of `within` (default: all, never
+    none) in the subgraph they induce, inf if it is not connected."""
+
+    vertices = range(len(adjacency)) if within is None else within
+    return max(max(map(bfs_dist_adj(adjacency, s, within=within).__getitem__, vertices)) for s in vertices)
 
 
 def ml_min_degree(g: MultiLayerGraph) -> int:

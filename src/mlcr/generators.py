@@ -2,9 +2,10 @@
 
 Every generator validates its family invariants on the constructed object
 and attaches a ConstructionReport; a failed invariant is a hard error.
-Seeded generators are deterministic functions of their parameters and seed.
+Seeded generators are deterministic functions of their parameters and seed,
+and hand the graph its family tag ("grid:6") when they construct it.
 
-Vertex indexing conventions (used by the scripted strategies, which rebuild
+Vertex indexing conventions (the scripted grid and slices players rebuild
 these coordinate maps from the same helpers):
 
 * grid:   (row i, col j), 1-based, maps to (i-1)*n + (j-1).
@@ -29,9 +30,9 @@ from .core import (
     RobberSpec,
     adjacency_lists,
     bfs_dist,
-    bfs_dist_adj,
     check_vertex_count,
     component_sets,
+    diameter,
     flatten,
     girth,
     is_connected_edges,
@@ -138,7 +139,7 @@ def gen_grid(n: int) -> tuple[MultiLayerGraph, ConstructionReport]:
         raise MlgError(f"grid needs n >= 2, got {n}")
     check_vertex_count(n * n)
     ch, cv = grid_layers(n)
-    g = MultiLayerGraph(n=n * n, layers=(ch, cv), robber_spec=RobberSpec.UNION).with_tag(f"grid:{n}")
+    g = MultiLayerGraph(n=n * n, layers=(ch, cv), robber_spec=RobberSpec.UNION, tag=f"grid:{n}")
     report = _report("grid", {"n": n}, g)
     report.add("layers_connected", all(report.layer_connected))
     shared = set(ch) & set(cv)
@@ -209,7 +210,8 @@ def gen_min_counterexample(
         n=2 * n - 1,
         layers=(tuple(sorted(e1)), tuple(sorted(e2))),
         robber_spec=RobberSpec.UNION,
-    ).with_tag(f"mirror:{n}")
+        tag=f"mirror:{n}",
+    )
     report = _report("mirror", {"base_n": nb, "girth": gi, "min_degree": dmin}, g)
     report.add("layers_connected", all(report.layer_connected))
     report.add("vertex_count", g.n == 2 * n - 1, g.n)
@@ -300,7 +302,7 @@ def gen_slices(k: int) -> tuple[MultiLayerGraph, ConstructionReport]:
     nv = slices_vertex_count(k)
     check_vertex_count(nv)
     c1, c2 = slices_layers(k)
-    g = MultiLayerGraph(n=nv, layers=(c1, c2), robber_spec=RobberSpec.UNION).with_tag(f"slices:{k}")
+    g = MultiLayerGraph(n=nv, layers=(c1, c2), robber_spec=RobberSpec.UNION, tag=f"slices:{k}")
     report = _report("slices", {"k": k}, g)
     report.add("vertex_count", g.n == nv, g.n)
     report.add("layers_connected", all(report.layer_connected))
@@ -343,7 +345,7 @@ def gen_cycle_matchings(n: int) -> tuple[MultiLayerGraph, ConstructionReport]:
     check_vertex_count(nv)
     c1 = tuple(sorted((2 * i, 2 * i + 1) for i in range(n)))
     c2 = tuple(sorted((min(2 * i + 1, (2 * i + 2) % nv), max(2 * i + 1, (2 * i + 2) % nv)) for i in range(n)))
-    g = MultiLayerGraph(n=nv, layers=(c1, c2), robber_spec=RobberSpec.UNION).with_tag(f"cycle-matchings:{n}")
+    g = MultiLayerGraph(n=nv, layers=(c1, c2), robber_spec=RobberSpec.UNION, tag=f"cycle-matchings:{n}")
     report = _report("cycle-matchings", {"n": n, "vertices": nv}, g)
     union = flatten(g)
     report.add("union_is_cycle", len(union) == nv and is_connected_edges(union, nv))
@@ -366,7 +368,7 @@ def gen_domset_reduction(
     layers = tuple(
         tuple(sorted((min(u, w), max(u, w)) for w in adj[u])) for u in range(n)
     )
-    g = MultiLayerGraph(n=n, layers=layers, robber_spec=RobberSpec.UNION).with_tag(f"domset-reduction:{n}")
+    g = MultiLayerGraph(n=n, layers=layers, robber_spec=RobberSpec.UNION, tag=f"domset-reduction:{n}")
     report = _report("domset-reduction", {"n": n, "m": len(tuple(edges))}, g)
     report.add("union_matches_input", set(flatten(g)) == {(min(u, v), max(u, v)) for u, v in edges})
     report.add("layer_count", g.tau == n, g.tau)
@@ -440,8 +442,8 @@ def gen_soifer(n: int, tau: int) -> tuple[MultiLayerGraph, ConstructionReport]:
         at += s
 
     g = MultiLayerGraph(
-        n=n, layers=tuple(layers), robber_spec=RobberSpec.COMPLETE
-    ).with_tag(f"soifer:{n},{tau}")
+        n=n, layers=tuple(layers), robber_spec=RobberSpec.COMPLETE, tag=f"soifer:{n},{tau}"
+    )
     report = _report("soifer", {"n": n, "tau": tau}, g)
     report.add("layers_connected", all(report.layer_connected))
     report.add("union_is_complete", flatten(g) == tuple(combinations(range(n), 2)))
@@ -493,8 +495,8 @@ def gen_random_layers(
             )
         )
     spec = RobberSpec.COMPLETE if robber == "COMPLETE" else RobberSpec.UNION
-    g = MultiLayerGraph(n=n, layers=tuple(layers), robber_spec=spec).with_tag(
-        f"random-layers:{n},{p},{tau},{seed}"
+    g = MultiLayerGraph(
+        n=n, layers=tuple(layers), robber_spec=spec, tag=f"random-layers:{n},{p},{tau},{seed}"
     )
     report = _report("random-layers", {"n": n, "p": p, "tau": tau, "seed": seed}, g)
     report.add("per_layer_probability", True, f"{q:.6f}")
@@ -611,15 +613,10 @@ def sampled_vertex_expansion(edges: list[Edge], n: int, seed: int) -> float:
 
 
 def graph_diameter(edges: list[Edge], n: int) -> int:
-    adj = adjacency_lists(n, edges)
-    diam = 0
-    for s in range(n):
-        dist = bfs_dist_adj(adj, s)
-        worst = max(dist)
-        if worst == math.inf:
-            raise ConstructionError("diameter of a disconnected graph")
-        diam = max(diam, int(worst))
-    return diam
+    diam = diameter(adjacency_lists(n, edges))
+    if diam == math.inf:
+        raise ConstructionError("diameter of a disconnected graph")
+    return int(diam)
 
 
 @dataclass
@@ -718,7 +715,8 @@ def gen_copsbane(
         layers=copsbane_layers(N, D, layout.expander_edges, layout.coloring),
         robber_spec=RobberSpec.EXPLICIT,
         robber_edges=layout.expander_edges,
-    ).with_tag(f"copsbane:{N},{seed}")
+        tag=f"copsbane:{N},{seed}",
+    )
     report = _report(
         "copsbane",
         {"N": N, "alpha": alpha, "D": D, "seed": seed},

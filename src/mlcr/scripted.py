@@ -9,8 +9,9 @@ are ones it was written for, and raises `StrategyMismatchError` otherwise.
 The two grid players share that check in `_OnGrid`, and the tree squeeze
 and the bag sweep share one task-queue round in `_TaskCops`.  The two
 robbers measure the cops only through `Strategy.cop_dists`, each cop's
-layer distances as cached per graph.  The human players read moves from
-the terminal; `interactive_play` runs them against the tablebase through
+layer distances as cached per graph, and read their structure from the
+graph's layer views and `core`.  The human players read moves from the
+terminal; `interactive_play` runs them against the tablebase through
 `sim.run_match`.
 
 Nothing imports this module at top level: the strategy factories in `sim`,
@@ -32,6 +33,7 @@ from .core import (
     bfs_dist,
     bfs_dist_adj,
     component_sets,
+    diameter,
 )
 from .sim import (
     CopTeamStrategy,
@@ -303,31 +305,22 @@ class SlicesRobber(RobberStrategy):
 
     def _fallback(self, cops, cur: int) -> int:
         dists = self.cop_dists(cops)
-        options = [cur] + list(self.radj[cur])
-        return max(options, key=lambda v: (min(d[v] for d in dists), -v))
+        return max(self.g.moves(None)[cur], key=lambda v: (min(d[v] for d in dists), -v))
 
     def place(self, cops):
-        free = self._free_slices(cops)
-        if free:
-            xr = max(free, key=lambda x: min((abs(x - s) for s in self._cop_slices(cops)), default=0))
-            return self.index(xr, 1, 5 * self.k + 1)
+        # the slice farthest from the cops' slices; free (at distance >= 2) whenever one is
         bad = self._cop_slices(cops)
-        xr = max(range(1, 3 * self.k + 1), key=lambda x: min(abs(x - s) for s in bad))
+        xr = max(range(1, 3 * self.k + 1), key=lambda x: min((abs(x - s) for s in bad), default=0))
         return self.index(xr, 1, 5 * self.k + 1)
 
     def move(self, view: MatchView):
-        cur = view.robber
+        if self.plan and any(d[self.plan[0]] <= 1 for d in self.cop_dists(view.cops)):
+            self.plan = []  # a cop is on or next to the planned step
+        if not self.plan:  # `_plan_is_safe` clears a fresh plan's first step against these cops
+            self.plan = self._make_plan(view.cops, view.robber)
         if self.plan:
-            nxt = self.plan[0]
-            if any(d[nxt] <= 1 for d in self.cop_dists(view.cops)):  # a cop on or next to it
-                self.plan = []
-            else:
-                self.plan.pop(0)
-                return nxt
-        self.plan = self._make_plan(view.cops, cur)
-        if self.plan:
-            return self.move(view)
-        return self._fallback(view.cops, cur)
+            return self.plan.pop(0)
+        return self._fallback(view.cops, view.robber)
 
 
 # -- cops-bane strategy ----------------------------------------------------------------
@@ -358,28 +351,18 @@ class CopsbaneRobber(RobberStrategy):
         if not core or rest or g.tau != 2 or g.layers != copsbane_layers(N, self.D, core, coloring):
             raise StrategyMismatchError("graph is not a cops-bane construction")
         self.x_adj = adjacency_lists(N, core)
-        # monochromatic component (as a frozenset) of each core vertex per colour
-        self.comp: list[list[frozenset[int]]] = []
-        for colour in (0, 1):
-            adj = adjacency_lists(N, [e for e in core if coloring[e] == colour])
-            comp_of: list[frozenset[int]] = [frozenset()] * self.N
-            for comp in component_sets(adj):
-                fz = frozenset(comp)
-                for v in fz:
-                    comp_of[v] = fz
-            self.comp.append(comp_of)
+        # per layer, what a cop off the hub blocks: the core part of its component without the hub
+        self.comp: list[dict[int, frozenset[int]]] = [{}, {}]
+        for layer, comp_of in enumerate(self.comp):
+            for comp in component_sets(g.layer_view(layer).adjacency, (N,)):
+                comp_of.update(dict.fromkeys(comp, frozenset(v for v in comp if v < N)))
         self._safe_cache: dict[frozenset[int], list[set[int]]] = {}
-
-    def _leaf(self, p: int) -> int:
-        """The core vertex whose arm holds `p` (p itself inside the core)."""
-
-        return p if p < self.N else (p - self.N - 1) // (2 * self.D)
 
     def _blocked(self, cops) -> set[int]:
         out: set[int] = set()
         for c, p in enumerate(cops):
             if p != self.N:
-                out |= self.comp[self.assignment[c]][self._leaf(p)]
+                out |= self.comp[self.assignment[c]][p]
         return out
 
     def _safe_components(self, blocked: set[int]) -> list[set[int]]:
@@ -392,16 +375,9 @@ class CopsbaneRobber(RobberStrategy):
             safe = self._safe_cache[key] = [
                 comp
                 for comp in component_sets(self.x_adj, blocked)
-                if len(comp) >= self.N // 2 + 1 and self._diameter(comp) <= self.D
+                if len(comp) >= self.N // 2 + 1 and diameter(self.x_adj, comp) <= self.D
             ]
         return safe
-
-    def _diameter(self, comp: set[int]) -> float:
-        worst = 0.0
-        for s in comp:
-            dist = bfs_dist_adj(self.x_adj, s, within=comp)
-            worst = max(worst, max(dist[v] for v in comp))
-        return worst
 
     def place(self, cops):
         blocked = self._blocked(cops)
@@ -431,8 +407,6 @@ class CopsbaneRobber(RobberStrategy):
         if home is not None:
             target = max(home, key=lambda v: (dist[v], -v))
             plan = _path_within(self.x_adj, home, cur, target) if target != cur else []
-            if any(v in blocked for v in plan):
-                raise StrategyInvariantError("planned path crosses the blocked set")
             nxt = plan[0] if plan else cur
             if threat[nxt] >= 2:
                 return nxt
@@ -560,19 +534,11 @@ class BagsweepCops(_TaskCops):
             )
         self.tadj = adjacency_lists(len(self.decomp.bags), self.decomp.tree)
         self.current = 0
-        self.posts: dict[int, int] = {}
 
     def place(self):
         bag = sorted(self.decomp.bags[self.current])
-        out = []
-        for c in range(len(self.assignment)):
-            if c < len(bag):
-                out.append(bag[c])
-                self.posts[c] = bag[c]
-            else:
-                out.append(bag[0])
-                self.posts[c] = bag[0]
-        return tuple(out)
+        self.posts = {c: bag[c] if c < len(bag) else bag[0] for c in range(len(self.assignment))}
+        return tuple(self.posts.values())
 
     def _side_vertices(self, bag_from: int, bag_to: int) -> set[int]:
         """Vertices in bags of the component of the tree minus `bag_from`

@@ -36,6 +36,7 @@ from .core import (
     MlgError,
     MultiLayerGraph,
     bfs_dist,
+    checked_assignment,
 )
 
 if TYPE_CHECKING:
@@ -194,9 +195,7 @@ def run_match(
     if T < 0:
         raise MlgError(f"the match horizon needs T >= 0 robber moves, got {T}")
     plan = alloc if isinstance(alloc, AllocationPlan) else AllocationPlan(tuple(alloc))
-    if len(plan.counts) != g.tau:
-        raise MlgError(f"allocation {plan} does not match tau={g.tau}")
-    assignment = plan.assignment()
+    assignment = checked_assignment(g, plan)
     robber_rows, *cop_rows = map(g.moves, (None, *assignment))
     rng = random.Random(f"match:{seed}")
     cop_strategy.begin(g, assignment, rng)
@@ -435,13 +434,16 @@ def table_source(
 ) -> Callable[[], CopWinTable]:
     """The table for `alloc` on `g`, built on the first call and shared by
     every later one.  The solver (and with it numpy) is imported by that
-    first call, so strategies that never read a table do not load it."""
+    first call, so strategies that never read a table do not load it.  An
+    allocation that does not fit `g` is refused before any call."""
+
+    assignment = checked_assignment(g, alloc)
 
     @functools.cache
     def build() -> CopWinTable:
         from .solver import build_copwin
 
-        return build_copwin(g, alloc.assignment(), state_budget=state_budget)
+        return build_copwin(g, assignment, state_budget=state_budget)
 
     return build
 

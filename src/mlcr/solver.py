@@ -69,6 +69,7 @@ from .core import (
     _physical_ram,
     allocation_plans,
     bfs_dist,
+    checked_assignment,
 )
 
 # Predecessor entries per batch: their dedupe tags -2 .. -1-_BATCH fit int16.
@@ -537,11 +538,10 @@ def decide_allocated(
     Zero cops lose on any non-empty graph.
     """
 
-    if len(alloc.counts) != g.tau:
-        raise MlgError(f"allocation has {len(alloc.counts)} entries, graph has {g.tau} layers")
-    if alloc.total == 0:
+    assignment = checked_assignment(g, alloc)
+    if not assignment:
         return GameVerdict(Winner.ROBBER, assignment=(), safe_vertex=0)
-    return build_copwin(g, alloc.assignment(), state_budget=state_budget).allocated_verdict()
+    return build_copwin(g, assignment, state_budget=state_budget).allocated_verdict()
 
 
 def decide_choose_allocation(

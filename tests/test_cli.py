@@ -494,9 +494,44 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
 
+# an allocation whose length is not the graph's layer count (grid: 2 layers)
+WRONG_LENGTH_ALLOCATIONS = {
+    "solve-allocation-too-short": ["solve", "{grid}", "--allocation", "3"],
+    "simulate-tablebase-allocation-too-short": ["simulate", "{grid}", "--allocation", "3", "--cop-strategy", "tablebase"],
+    "simulate-tablebase-allocation-too-short-small-budget": [
+        "--state-budget", "1000", "simulate", "{grid}", "--allocation", "3", "--cop-strategy", "tablebase"
+    ],
+    "simulate-no-matches-allocation-too-short": ["simulate", "{grid}", "--allocation", "3", "--batch", "0"],
+    "simulate-tablebase-allocation-too-long": [
+        "simulate", "{grid}", "--allocation", "1,1,1", "--cop-strategy", "tablebase"
+    ],
+    "play-allocation-too-short": ["play", "{grid}", "--allocation", "3"],
+    "play-allocation-too-short-small-budget": ["--state-budget", "1000", "play", "{grid}", "--allocation", "3"],
+}
+
+
+@pytest.mark.parametrize("args", WRONG_LENGTH_ALLOCATIONS.values(), ids=list(WRONG_LENGTH_ALLOCATIONS))
+def test_a_wrong_length_allocation_is_refused_before_any_table_is_built(args, grid4_file, capsys, monkeypatch):
+    import mlcr.solver
+
+    calls = []
+    real = mlcr.solver.build_copwin
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(mlcr.solver, "build_copwin", counted)
+    code, out, err = run_cli([a.format(grid=grid4_file) for a in args], capsys)
+    entries = len(args[args.index("--allocation") + 1].split(","))
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert (code, errors, calls, out) == (2, [f"error: allocation has {entries} entries, graph has 2 layers"], [], "")
+
+
 @pytest.mark.parametrize(
     "args, code",
     [
+        *((args, 2) for args in WRONG_LENGTH_ALLOCATIONS.values()),
         (["simulate", "{grid}", "--allocation", "2,0", "--cop-strategy", "bogus"], 2),
         # one cop on the path 0-1-2-3 leaves the tree edge 0-3 as a robber's edge
         (["simulate", "{tree}", "--allocation", "1", "--cop-strategy", "tree_squeeze"], 2),
@@ -524,7 +559,7 @@ def _cap_address_space():
         (["solve", "{grid}", "--free-choice", "-1"], 2),
         (["verify-paper", "--only", "c4"], 2),
     ],
-    ids=["unknown-strategy", "strategy-mismatch", "simulate-over-budget", "play-over-budget",
+    ids=[*WRONG_LENGTH_ALLOCATIONS, "unknown-strategy", "strategy-mismatch", "simulate-over-budget", "play-over-budget",
          "solve-bad-allocation", "simulate-bad-allocation", "play-bad-allocation",
          "solve-non-utf8-file", "experiment-bad-seeds", "experiment-empty-seeds", "copsbane-on-grid",
          "bounds-huge-graph", "simulate-huge-graph", "generate-huge-grid", "generate-huge-random-layers",
@@ -557,7 +592,7 @@ def test_errors_exit_with_their_code_and_one_error_line(args, code, grid4_file, 
     )
     err = proc.stderr.decode()
     assert proc.returncode == code, err
-    assert [line for line in err.splitlines() if line.startswith("error: ")], err
+    assert len([line for line in err.splitlines() if line.startswith("error: ")]) == 1, err
     assert "Traceback" not in err
     assert b"VERDICT=" not in proc.stdout and b"TOTAL" not in proc.stdout
 

@@ -14,6 +14,7 @@ from mlcr.core import (
     bfs_dist,
     bfs_dist_adj,
     component_sets,
+    diameter,
     flatten,
     girth,
     min_degree,
@@ -228,6 +229,34 @@ def test_bfs_dist_adj_matches_networkx(seed):
         lengths = nx.multi_source_dijkstra_path_length(H, sources)
         want = [lengths.get(v, math.inf) for v in range(n)]
         assert bfs_dist_adj(adj, *sources, within=allowed) == want
+
+
+def _all_pairs_distances(n, edges):
+    """Floyd-Warshall: the reference distances for `diameter`."""
+
+    d = [[0 if u == v else math.inf for v in range(n)] for u in range(n)]
+    for u, v in edges:
+        d[u][v] = d[v][u] = 1
+    for w in range(n):
+        for u in range(n):
+            for v in range(n):
+                d[u][v] = min(d[u][v], d[u][w] + d[w][v])
+    return d
+
+
+def test_diameter_is_the_all_pairs_maximum_of_the_graph_and_of_each_component():
+    connected = set()
+    for seed in range(25):
+        _, n, edges = _random_graph(seed)
+        adj = adjacency_lists(n, edges)
+        d = _all_pairs_distances(n, edges)
+        comps = component_sets(adj)
+        assert diameter(adj) == max(map(max, d)), seed
+        assert (diameter(adj) == math.inf) is (len(comps) > 1), seed
+        for comp in comps:  # each induces a connected subgraph; isolated vertices too
+            assert diameter(adj, comp) == max(d[u][v] for u in comp for v in comp), (seed, comp)
+        connected.add(len(comps) == 1 and n > 2)
+    assert connected == {False, True}
 
 
 def test_ml_min_degree_examples():

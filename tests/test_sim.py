@@ -4,7 +4,15 @@ import re
 
 import pytest
 
-from mlcr.core import INF, AllocationPlan, MultiLayerGraph, RobberSpec, adjacency_lists, bfs_dist_adj
+from mlcr.core import (
+    INF,
+    AllocationPlan,
+    MultiLayerGraph,
+    RobberSpec,
+    adjacency_lists,
+    bfs_dist_adj,
+    component_sets,
+)
 from mlcr.generators import gen_copsbane, gen_grid, gen_slices
 from mlcr.solver import Winner, build_copwin
 from mlcr.scripted import (
@@ -443,6 +451,38 @@ def test_slices_robber_drops_a_step_exactly_when_the_old_rule_did():
     assert seen == {False, True}
 
 
+def _old_slices_place(robber, cops):
+    """The slices robber's former placement: the free slice farthest from the
+    cops' slices, or, with no free slice, the farthest of all 3k slices."""
+
+    k = robber.k
+    free = robber._free_slices(cops)
+    if free:
+        xr = max(free, key=lambda x: min((abs(x - s) for s in robber._cop_slices(cops)), default=0))
+        return robber.index(xr, 1, 5 * k + 1)
+    bad = robber._cop_slices(cops)
+    xr = max(range(1, 3 * k + 1), key=lambda x: min(abs(x - s) for s in bad))
+    return robber.index(xr, 1, 5 * k + 1)
+
+
+def test_slices_robber_places_by_the_old_two_branch_rule():
+    g, _ = gen_slices(2)
+    rng = random.Random(5)
+    robber = SlicesRobber(2)
+    branches = set()
+    for alloc in ((0, 0), (1, 0), (1, 1), (2, 1), (3, 2)):
+        assignment = AllocationPlan(alloc).assignment()
+        robber.begin(g, assignment, random.Random(0))
+        cases = [tuple(rng.randrange(g.n) for _ in assignment) for _ in range(40)]
+        if len(assignment) == 2:
+            # every pair of cop slices; with slices 2 and 5, no slice of k=2 is free
+            cases += [(robber.index(x, 1, 1), robber.index(y, 2, 3)) for x in range(1, 7) for y in range(1, 7)]
+        for cops in cases:
+            assert robber.place(cops) == _old_slices_place(robber, cops), (alloc, cops)
+            branches.add(bool(robber._free_slices(cops)))
+    assert branches == {False, True}
+
+
 def test_slices_robber_survives_one_cop():
     g, _ = gen_slices(2)
     for alloc in ((1, 0), (0, 1)):
@@ -518,6 +558,20 @@ def test_bagsweep_needs_enough_cops_and_connected_layers():
         TablebaseRobber(build_copwin(g, (0, 0))), T=200, seed=0,
     )
     assert rec.outcome == "CAPTURE"
+
+
+def test_bagsweep_parks_the_extra_cops_on_the_smallest_vertex_of_the_bag():
+    from mlcr.bounds import treewidth_exact_small
+
+    path = ((0, 1), (1, 2), (2, 3))
+    g = single(path, 4)
+    _, decomp = treewidth_exact_small(path, 4)
+    cops = BagsweepCops(decomp)
+    cops.begin(g, (0,) * 5, random.Random(0))
+    bag = sorted(decomp.bags[0])
+    assert len(bag) == 2
+    assert cops.place() == (bag[0], bag[1], bag[0], bag[0], bag[0])
+    assert cops.posts == dict(enumerate(cops.place()))
 
 
 def _plays_like_fresh_objects(g, plan, make_cops, make_robber, T):
@@ -606,6 +660,27 @@ def _copsbane_threat_closed_form(layout, assignment, cops):
         inside = bfs_dist_adj(mono, leaf)
         threat = [min(t, 4 * D + 2 - a, a + inside[v]) for v, t in enumerate(threat)]
     return threat
+
+
+def _copsbane_old_blocked_component(layout, colour, p):
+    """The cops-bane robber's former rule: the core vertex whose arm holds
+    `p` (p itself inside the core), then its component in the colour class."""
+
+    N, D = layout.N, layout.D
+    leaf = p if p < N else (p - N - 1) // (2 * D)
+    mono = adjacency_lists(N, [e for e in layout.expander_edges if layout.coloring[e] == colour])
+    return frozenset(next(c for c in component_sets(mono) if leaf in c))
+
+
+@pytest.mark.parametrize("N", [8, 12])
+def test_copsbane_blocked_components_match_the_colour_class_rule(N):
+    g, _, layout = gen_copsbane(N, seed=3)
+    robber = CopsbaneRobber()
+    robber.begin(g, (0, 1), random.Random(0))
+    for layer in (0, 1):
+        for p in range(g.n):
+            if p != N:
+                assert robber.comp[layer][p] == _copsbane_old_blocked_component(layout, layer, p), (layer, p)
 
 
 @pytest.mark.parametrize("N", [8, 12])
