@@ -133,11 +133,9 @@ def cmd_generate(args) -> int:
         g, report = gen.gen_random_layers(args.n, args.p, args.tau, args.seed, robber=args.robber)
     elif fam == "copsbane":
         g, report, _ = gen.gen_copsbane(args.n, alpha=args.alpha, D=args.D, seed=args.seed)
-    elif fam == "domset-reduction":
+    else:  # domset-reduction, the last of the parser's choices
         base = gen.gen_gnp(args.n, args.p, args.seed)
         g, report = gen.gen_domset_reduction(base, args.n)
-    else:
-        raise MlgError(f"unknown family {fam!r}")
     write_mlg_file(g, args.output)
     print(f"WROTE={args.output}")
     print(f"VERTICES={g.n}")

@@ -551,7 +551,9 @@ def _mono_components(edges: list[Edge], n: int, coloring: dict[Edge, int], colou
 def two_edge_coloring(edges: list[Edge], n: int, seed: int) -> tuple[dict[Edge, int], int]:
     """Repair-based local search for a 2-edge-colouring with small
     monochromatic components.  Returns the colouring and the achieved
-    clustering (largest monochromatic component, in vertices)."""
+    clustering (largest monochromatic component, in vertices).  All
+    `COLOURING_FLIPS` flips are tried: on a cubic graph, the only input,
+    some vertex has two edges of one colour, so no colouring gets below 3."""
 
     def components() -> list[tuple[int, set[int]]]:
         return [(colour, comp) for colour in (0, 1) for comp in _mono_components(edges, n, coloring, colour)]
@@ -561,8 +563,6 @@ def two_edge_coloring(edges: list[Edge], n: int, seed: int) -> tuple[dict[Edge, 
     comps = components()
     current = max((len(comp) for _, comp in comps), default=0)
     for _ in range(COLOURING_FLIPS):
-        if current <= 2:
-            break
         # flip a random edge out of the first largest monochromatic component
         worst_colour, worst_comp = max(comps, key=lambda cc: len(cc[1]))
         candidates = [e for e in edges if coloring[e] == worst_colour and e[0] in worst_comp and e[1] in worst_comp]
@@ -610,13 +610,6 @@ def sampled_vertex_expansion(edges: list[Edge], n: int, seed: int) -> float:
         size = rng.randint(1, n // 2)
         best = min(best, _expansion_ratio(nbr, rng.sample(range(n), size)))
     return best
-
-
-def graph_diameter(edges: list[Edge], n: int) -> int:
-    diam = diameter(adjacency_lists(n, edges))
-    if diam == math.inf:
-        raise ConstructionError("diameter of a disconnected graph")
-    return int(diam)
 
 
 @dataclass
@@ -669,7 +662,7 @@ def copsbane_layout(
             f"achieved clustering {clustering} exceeds cap {CLUSTERING_CAP}"
         )
     if D is None:
-        D = 2 * graph_diameter(list(x_edges), N)
+        D = 2 * int(diameter(adjacency_lists(N, x_edges)))  # the loop keeps only a connected core
     return CopsbaneLayout(
         N=N,
         D=D,

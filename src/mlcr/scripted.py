@@ -423,15 +423,13 @@ class CopsbaneRobber(RobberStrategy):
 class _TaskCops(CopTeamStrategy):
     """A cop team driven by a queue of (cop, target vertex) tasks.  Each
     round it takes the capture if one is on; otherwise it drops the tasks
-    already done, asks `_replan` for more when the queue is empty, and
-    moves the cop of the first task one step toward its target."""
+    already done, asks the subclass's `_replan(view)` to refill the queue
+    while it is empty, and moves the cop of the first task one step toward
+    its target."""
 
     def begin(self, g, assignment, rng):
         super().begin(g, assignment, rng)
         self.tasks: list[tuple[int, int]] = []
-
-    def _replan(self, view: MatchView) -> None:
-        raise NotImplementedError  # refill `tasks`; a queue left empty is asked again
 
     def moves(self, view: MatchView):
         capture = self.capture_move(view)
@@ -490,15 +488,10 @@ class TreeSqueezeCops(_TaskCops):
             runner = min(others, key=lambda c: (self.cop_dist(c, w)[view.cops[c]], c))
             self.tasks = [(runner, w)]
             return
-        if guard not in reach:
-            raise StrategyInvariantError(f"no cop can reach {w}; profile was not clean")
-        d = self.cop_dist(guard, w)[u]
-        if d > 2:
+        # a clean profile polices w, here by the guard alone, and covers the
+        # tree edge (u, w) by at most two guard steps or a second cop policing u
+        if self.cop_dist(guard, w)[u] > 2:
             helpers = [c for c in range(len(view.cops)) if c != guard and u in self.profile[c]]
-            if not helpers:
-                raise StrategyInvariantError(
-                    f"guard is the sole policer of edge ({u},{w}) at distance {d}"
-                )
             helper = min(helpers, key=lambda c: (self.cop_dist(c, u)[view.cops[c]], c))
             self.tasks = [(helper, u), (guard, w)]
         else:

@@ -6,9 +6,13 @@ the stay plus the neighbours in its own layer.  The runner, the referee
 and the human players check moves against those rows, and the solver
 reads the same rows.  The runner checks capture after the cop team's full
 move and after the robber's move.  It is the only game loop: interactive
-play runs through it with human strategies that read the terminal.
-Strategies are stateful objects, and one object plays every match of a
-batch, so `begin` must reset all per-match state.  `Strategy.begin` hands
+play runs through it with human strategies that read the terminal.  The
+referee re-checks a record against one schedule: after the placement row,
+row i is round (i+1)//2's cop row when i is odd and its robber row when i
+is even; no row follows a capture or round T's robber row, a record
+without a capture ends with that row, and the outcome is what the rows
+show.  Strategies are stateful objects, and one object plays every match
+of a batch, so `begin` must reset all per-match state.  `Strategy.begin` hands
 a player its graph, assignment, rng and tags, and `Strategy.cop_dists` is
 how the robbers measure the cops: each cop's distances in its own layer,
 from the per-graph `bfs_dist` cache.  `CopTeamStrategy` and
@@ -135,15 +139,10 @@ class Strategy:
 
 
 class CopTeamStrategy(Strategy):
-    """Controls all cops; emits one (possibly stay) move per cop per round."""
+    """Controls all cops; a player defines `place()` and `moves(view)`, one
+    vertex per cop each, a move being a stay or an edge of the cop's layer."""
 
     name = "cop-team"
-
-    def place(self) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def moves(self, view: MatchView) -> tuple[int, ...]:
-        raise NotImplementedError
 
     def cop_dist(self, cop: int, source: int) -> list[float]:
         """BFS distances from `source` in cop `cop`'s layer (`bfs_dist`,
@@ -169,13 +168,9 @@ class CopTeamStrategy(Strategy):
 
 
 class RobberStrategy(Strategy):
+    """A player defines `place(cops)` and `move(view)`, each one vertex."""
+
     name = "robber"
-
-    def place(self, cops: tuple[int, ...]) -> int:
-        raise NotImplementedError
-
-    def move(self, view: MatchView) -> int:
-        raise NotImplementedError
 
 
 def run_match(
@@ -248,49 +243,51 @@ def run_match(
 
 
 def referee_check(record: MatchRecord, g: MultiLayerGraph) -> tuple[bool, str]:
-    """Independent re-scan of a record: legality of every move and exactness
-    of the capture flag."""
+    """Independent re-scan of a record: the schedule of its rows (see the
+    module docstring), the legality of every move, and `(outcome,
+    capture_round)`, which is ("CAPTURE", the last row's round) when the
+    robber ends on a cop and ("SURVIVED", None) otherwise."""
 
     robber_rows, *cop_rows = map(g.moves, (None, *AllocationPlan(record.allocation).assignment()))
     rows = record.rows
-    if not rows or rows[0][1] != "P":
+    if not rows or rows[0][:2] != (0, "P"):
         return False, "missing placement row"
     _, _, robber, cops = rows[0]
     if len(cops) != len(cop_rows) or not all(0 <= p < g.n for p in (robber, *cops)):
         return False, "placement does not fit the graph and allocation"
-    if robber in cops:
-        if record.outcome != "CAPTURE" or record.capture_round != 0:
-            return False, "capture at placement not flagged"
-        if len(rows) != 1:
-            return False, "rows after terminal capture"
-        return True, "ok"
-    for idx in range(1, len(rows)):
-        rnd, mover, r_new, c_new = rows[idx]
-        if mover == "C":
+    last = 2 * record.horizon  # round r's cop row is row 2r - 1, its robber row 2r
+    if len(rows) - 1 > last:
+        return False, f"{len(rows) - 1} rows after placement for horizon T={record.horizon}"
+    for i, (rnd, mover, r_new, c_new) in enumerate(rows[1:], 1):
+        if robber in cops:
+            return False, f"row {i} follows the capture"
+        if i & 1:
+            if mover != "C" or rnd * 2 - 1 != i:
+                return False, f"row {i} is {rnd} {mover}, not round {(i + 1) // 2}'s cop row"
             if r_new != robber:
                 return False, f"round {rnd}: robber moved on a cop row"
             if len(c_new) != len(cops):
                 return False, f"round {rnd}: {len(c_new)} cops on a row for {len(cops)}"
-            for i, (src, dst) in enumerate(zip(cops, c_new)):
-                if dst not in cop_rows[i][src]:
-                    return False, f"round {rnd}: cop {i + 1} illegal {src}->{dst}"
+            for c, (src, dst) in enumerate(zip(cops, c_new)):
+                if dst not in cop_rows[c][src]:
+                    return False, f"round {rnd}: cop {c + 1} illegal {src}->{dst}"
             cops = c_new
-        elif mover == "R":
+        else:
+            if mover != "R" or rnd * 2 != i:
+                return False, f"row {i} is {rnd} {mover}, not round {i // 2}'s robber row"
             if c_new != cops:
                 return False, f"round {rnd}: cops moved on a robber row"
             if r_new not in robber_rows[robber]:
                 return False, f"round {rnd}: robber illegal {robber}->{r_new}"
             robber = r_new
-        else:
-            return False, f"unknown mover {mover!r}"
-        terminal = idx == len(rows) - 1
-        if robber in cops:
-            if not (terminal and record.outcome == "CAPTURE" and record.capture_round == rnd):
-                return False, f"round {rnd}: capture not flagged exactly"
-        elif terminal and record.outcome == "CAPTURE":
-            return False, "CAPTURE outcome without overlap"
-    if record.outcome == "SURVIVED" and robber in cops:
-        return False, "SURVIVED but captured"
+    if robber in cops:
+        shown = ("CAPTURE", rows[-1][0])
+    elif len(rows) - 1 < last:
+        return False, f"record ends after {len(rows) - 1} rows, before round {record.horizon}'s robber row"
+    else:
+        shown = ("SURVIVED", None)
+    if (record.outcome, record.capture_round) != shown:
+        return False, f"outcome {record.outcome} {record.capture_round} where the rows show {shown[0]} {shown[1]}"
     return True, "ok"
 
 

@@ -447,22 +447,13 @@ def _shape_groups(
 
     groups: dict[tuple[int, int, bool], tuple[list, list]] = {}
     for i, (g, assignment) in enumerate(pairs):
-        assignment = _check_assignment(g, assignment)
+        if not assignment:
+            raise MlgError("build_copwin needs at least one cop")
+        assignment = tuple(assignment)
         idx, batch = groups.setdefault((g.n, len(assignment), g.robber_is_complete()), ([], []))
         idx.append(i)
         batch.append((g, assignment))
     return groups.items()
-
-
-def _check_assignment(g: MultiLayerGraph, assignment: Sequence[int]) -> tuple[int, ...]:
-    """`assignment` as a tuple, once it names at least one cop and only layers of `g`."""
-
-    if len(assignment) < 1:
-        raise MlgError("build_copwin needs at least one cop")
-    for layer in assignment:
-        if not (0 <= layer < g.tau):
-            raise MlgError(f"assignment layer {layer} out of range (tau={g.tau})")
-    return tuple(assignment)
 
 
 def build_copwin_batch(
@@ -518,9 +509,7 @@ def build_copwin(
     The budget is `state_budget` or, if fewer, the states whose `rank`,
     robber-turn counter and batch work arrays fit in physical RAM."""
 
-    assignment = _check_assignment(g, assignment)
-    rank, _ = _retrograde([(g, assignment)], state_budget)
-    return CopWinTable(graph=g, assignment=assignment, rank=rank)
+    return build_copwin_batch([(g, assignment)], state_budget)[0]
 
 
 # -- verdicts ------------------------------------------------------------------

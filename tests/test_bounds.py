@@ -135,6 +135,17 @@ def test_clique_lb_requires_complete_robber():
         clique_lb_check(single(K3, 3, RobberSpec.UNION), 1)
 
 
+def test_clique_lb_without_cops_or_over_the_enumeration_budget(monkeypatch):
+    import mlcr.bounds
+
+    # zero cops: any second vertex is a safe reply
+    assert clique_lb_check(single((), 2, RobberSpec.COMPLETE), 0)
+    assert not clique_lb_check(single((), 1, RobberSpec.COMPLETE), 0)
+    # C5 is certified by enumeration (below); over the budget it is not claimed
+    monkeypatch.setattr(mlcr.bounds, "MEC_ENUMERATION_BUDGET", 0)
+    assert not clique_lb_check(single(cycle(5), 5, RobberSpec.COMPLETE), 1)
+
+
 # -- dominating sets --------------------------------------------------------------------
 
 
@@ -256,6 +267,7 @@ def test_td_validate_rejects_bad_decompositions():
     assert not td_validate(missing_edge, edges, 3)
     missing_vertex = TreeDecomposition((frozenset({0, 1}),), ())
     assert not td_validate(missing_vertex, edges, 3)
+    assert not td_validate(TreeDecomposition((), ()), edges, 3)
     broken_subtree = TreeDecomposition(
         (frozenset({0, 1}), frozenset({2, 1}), frozenset({0, 2})),
         ((0, 1), (1, 2)),
@@ -387,8 +399,11 @@ def test_treewidth_cop_bound():
     w, decomp = treewidth_exact_small(path, 4)
     assert treewidth_cop_bound(g, decomp) == w + 1 == 2
     disconnected = MultiLayerGraph(n=4, layers=(path, ((0, 1),)))
-    with pytest.raises(MlgError, match="disconnected"):
+    with pytest.raises(MlgError, match="layer 2 is disconnected; bag sweep needs connected layers"):
         treewidth_cop_bound(disconnected, decomp)
+    one_bag_short = TreeDecomposition(decomp.bags[:-1], ())
+    with pytest.raises(MlgError, match="tree decomposition does not validate against the flattened graph"):
+        treewidth_cop_bound(g, one_bag_short)
 
 
 def test_treewidth_cop_bound_c4():

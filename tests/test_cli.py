@@ -656,6 +656,16 @@ EDGE_CASES = {
     "solve-dump-table-zero-cops": (
         ["solve", "{grid}", "--allocation", "0,0", "--dump-table", "{out}"], 2, "--dump-table needs --allocation with at least one cop"
     ),
+    # a tablebase side needs a table, and a table at least one cop
+    "simulate-tablebase-zero-cops": (
+        ["simulate", "{grid}", "--allocation", "0,0", "--cop-strategy", "tablebase"], 2, "build_copwin needs at least one cop"
+    ),
+    "play-zero-cops": (["play", "{grid}", "--allocation", "0,0"], 2, "build_copwin needs at least one cop"),
+    "simulate-unknown-robber-strategy": (
+        ["simulate", "{grid}", "--allocation", "1,0", "--robber-strategy", "nope"], 2, "unknown robber strategy 'nope'"
+    ),
+    # no cop polices the path's vertices
+    "solve-tree-zero-cops": (["solve", "{tree}", "--cops", "0"], 1, "VERDICT=ROBBER"),
     **{
         f"generate-domset-reduction-p-{p}": (
             ["generate", "domset-reduction", "-n", "6", "--p", p, "-o", "{out}"], 2, f"p must be in [0, 1], got {p}"
@@ -677,8 +687,13 @@ EDGE_CASES = {
     ids=[f"{cmd or 'mlcr'}{opt}" for cmd, opt in NEGATIVE_OPTIONS] + list(EDGE_CASES),
 )
 def test_cli_never_ends_in_a_traceback(args, code, text, grid4_file, tmp_path):
+    from mlcr.core import MultiLayerGraph, RobberSpec
+
+    tree = _write(tmp_path, "path4.mlg", MultiLayerGraph(
+        n=4, layers=(((0, 1),),), robber_spec=RobberSpec.EXPLICIT, robber_edges=((0, 1), (1, 2), (2, 3))
+    ))
     proc = subprocess.run(
-        [sys.executable, "-m", "mlcr.cli", *(a.format(grid=grid4_file, out=tmp_path / "o.mlg") for a in args)],
+        [sys.executable, "-m", "mlcr.cli", *(a.format(grid=grid4_file, tree=tree, out=tmp_path / "o.mlg") for a in args)],
         input=b"",
         capture_output=True,
         timeout=120,

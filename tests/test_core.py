@@ -47,6 +47,31 @@ def test_rejects_self_loop_and_duplicates_and_range():
         MultiLayerGraph(n=3, layers=(((0, 3),),))
 
 
+GRAPH_REFUSALS = {
+    "no-vertex": (lambda: MultiLayerGraph(n=0, layers=((),)), "need at least one vertex, got n=0"),
+    "no-cop-layer": (lambda: MultiLayerGraph(n=3, layers=()), "need at least one cop layer"),
+    "explicit-without-robber-edges": (
+        lambda: MultiLayerGraph(n=3, layers=(k3(),), robber_spec=RobberSpec.EXPLICIT),
+        "EXPLICIT robber spec requires robber_edges",
+    ),
+    "robber-edges-without-explicit": (
+        lambda: MultiLayerGraph(n=3, layers=(k3(),), robber_edges=((0, 1),)),
+        "robber_edges given but robber spec is UNION",
+    ),
+    "complete-robber-over-the-limit": (
+        lambda: MultiLayerGraph(n=2049, layers=((),), robber_spec=RobberSpec.COMPLETE).robber_layer_edges(),
+        r"refusing to materialise complete robber layer for n=2049 \(limit 2048\)",
+    ),
+    "layer-out-of-range": (lambda: MultiLayerGraph(n=3, layers=(k3(),)).layer_view(1), r"layer index 1 out of range \(tau=1\)"),
+}
+
+
+@pytest.mark.parametrize("call, message", GRAPH_REFUSALS.values(), ids=GRAPH_REFUSALS.keys())
+def test_graph_refuses_what_it_cannot_represent(call, message):
+    with pytest.raises(MlgError, match=message):
+        call()
+
+
 def test_duplicate_edges_across_layers_are_fine():
     g = MultiLayerGraph(n=2, layers=(((0, 1),), ((0, 1),)))
     assert g.tau == 2
@@ -355,6 +380,7 @@ def test_parse_error_line_numbers():
         ("MLG1 2 1 UNION\nLAYER 1 -1\n", 2, "negative edge count"),
         ("MLG1 3 1 UNION\nLAYER 1 2\n0 1\n", 3, "unexpected end of input"),
         ("MLG1 3 1 UNION\nLAYER 1 1\n0 1\n1 2\n", 4, "trailing content"),
+        ("MLG1 3 1 UNION\nLAYER 1 1\n0 1 2\n", 3, "expected '<u> <v>', got '0 1 2'"),
         ("MLG1 3 1 UNION\nLAYER 1 1\n0 1\nLAYER 2 0\n", 4, "trailing content"),
         # robber section
         ("MLG1 2 1 EXPLICIT\nLAYER 1 0\n", 2, "unexpected end of input"),

@@ -22,6 +22,7 @@ from mlcr.generators import (
     slices_coords,
     slices_index,
     slices_vertex_count,
+    two_edge_coloring,
 )
 
 
@@ -283,3 +284,70 @@ def test_random_layers_union_robber_flag():
     g, _ = gen_random_layers(12, 0.4, 2, 3, robber="UNION")
     assert g.robber_spec is RobberSpec.UNION
     assert g.robber_layer_edges() == flatten(g)
+
+
+# -- refusals -------------------------------------------------------------------------------
+
+_PATH5 = ((0, 1), (1, 2), (2, 3), (3, 4))
+_TWO_C5 = tuple((o + i, o + i + 1) for o in (0, 5) for i in range(4)) + ((0, 4), (5, 9))
+_TWO_K4 = tuple((u + o, v + o) for o in (0, 4) for u in range(4) for v in range(u + 1, 4))
+
+GENERATOR_REFUSALS = {
+    "grid-n1": (lambda: gen_grid(1), MlgError, "grid needs n >= 2, got 1"),
+    "mirror-base-min-degree-1": (lambda: gen_min_counterexample((_PATH5, 5)), ConstructionError, "min degree 1, need >= 2"),
+    "mirror-base-disconnected": (lambda: gen_min_counterexample((_TWO_C5, 10)), ConstructionError, "must be connected"),
+    "slices-k0": (lambda: gen_slices(0), MlgError, "slices needs k >= 1, got 0"),
+    "cycle-matchings-n1": (lambda: gen_cycle_matchings(1), MlgError, "cycle matchings need n >= 2, got 1"),
+    "soifer-tau-0": (lambda: gen_soifer(8, 0), MlgError, r"need 1 <= tau < floor\(n/2\), got tau=0, n=8"),
+    "gnp-p-above-1": (lambda: gen_gnp(10, 2.0, 0), MlgError, r"p must be in \[0, 1\], got 2.0"),
+    "random-layers-p-above-1": (lambda: gen_random_layers(10, 2.0, 2, 0), MlgError, r"p must be in \[0, 1\], got 2.0"),
+    "random-layers-tau-0": (lambda: gen_random_layers(10, 0.5, 0, 0), MlgError, "tau must be >= 1, got 0"),
+    "regular-odd-stub-count": (lambda: gen_random_regular(5, 3, 0), MlgError, r"n\*d must be even"),
+    "regular-degree-n": (lambda: gen_random_regular(4, 4, 0), MlgError, "need 0 <= d < n"),
+    "copsbane-odd-N": (lambda: gen_copsbane(9), MlgError, "cops-bane needs even N >= 8, got 9"),
+    "copsbane-negative-D": (lambda: gen_copsbane(8, D=-1), MlgError, "arm parameter D >= 0, got D=-1"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GENERATOR_REFUSALS.values(), ids=GENERATOR_REFUSALS.keys())
+def test_generators_refuse_parameters_outside_their_family(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def _understated_colouring(edges, n, seed, _real=two_edge_coloring):
+    coloring, _ = _real(edges, n, seed)
+    return coloring, 1
+
+
+# (patches of `mlcr.generators`, call, message): samplers that run out of
+# tries, and a colouring whose clustering the validator must not believe
+EXHAUSTED = {
+    "regular-tries-run-out": (
+        {"REGULAR_TRIES": 0}, lambda: gen_random_regular(8, 3, 0),
+        "failed to sample a simple 3-regular graph in 0 tries",
+    ),
+    "expander-resamples-run-out": (
+        {"EXPANDER_RESAMPLES": 3, "gen_random_regular": lambda n, d, seed: _TWO_K4}, lambda: gen_copsbane(8),
+        r"no 3-regular graph with expansion >= 0.3 found in 3 attempts",
+    ),
+    "expansion-never-reached": (
+        {"EXPANDER_RESAMPLES": 2}, lambda: gen_copsbane(8, alpha=10.0),
+        r"no 3-regular graph with expansion >= 10.0 found in 2 attempts",
+    ),
+    "clustering-over-the-cap": ({"CLUSTERING_CAP": 2}, lambda: gen_copsbane(8), r"achieved clustering \d+ exceeds cap 2"),
+    "clustering-understated": (
+        {"two_edge_coloring": _understated_colouring}, lambda: gen_copsbane(8),
+        "copsbane: invariant failure: mono_components_le_clustering=",
+    ),
+}
+
+
+@pytest.mark.parametrize("patches, call, message", EXHAUSTED.values(), ids=EXHAUSTED.keys())
+def test_copsbane_sampling_and_validation_refusals(monkeypatch, patches, call, message):
+    import mlcr.generators
+
+    for name, value in patches.items():
+        monkeypatch.setattr(mlcr.generators, name, value)
+    with pytest.raises(ConstructionError, match=message):
+        call()

@@ -35,3 +35,27 @@ def test_watch_match_grid():
 def test_watch_match_copsbane():
     lines = run_script("watch_match.py", "copsbane", "8")
     assert lines[0].startswith("MR1 graph=copsbane:8,3")
+
+
+def test_statement_reach_names_the_branch_a_test_skips(tmp_path):
+    import inspect
+    import re
+
+    from mlcr import treealgo
+
+    test = tmp_path / "test_complete_robber.py"
+    test.write_text(
+        "from mlcr.core import MultiLayerGraph, RobberSpec\n"
+        "from mlcr.treealgo import robber_tree_edges\n\n\n"
+        "def test_a_complete_robber_layer_on_three_vertices_is_no_tree():\n"
+        "    g = MultiLayerGraph(n=3, layers=((),), robber_spec=RobberSpec.COMPLETE)\n"
+        "    assert robber_tree_edges(g) is None\n"
+    )
+    *missed, total = run_script("statement_reach.py", str(test))
+    reached, count = map(int, re.fullmatch(r"REACHED (\d+)/(\d+)", total).groups())
+    assert 0 < reached < count == reached + len(missed)
+    assert all(re.fullmatch(r"src/mlcr/\w+\.py:\d+", line) for line in missed)
+    source, first = inspect.getsourcelines(treealgo.robber_tree_edges)
+    line_of = {text.strip(): first + i for i, text in enumerate(source)}
+    assert f"src/mlcr/treealgo.py:{line_of['return None']}" not in missed
+    assert f"src/mlcr/treealgo.py:{line_of['edges = g.robber_layer_edges()']}" in missed

@@ -7,6 +7,7 @@ import pytest
 from mlcr.core import (
     INF,
     AllocationPlan,
+    MlgError,
     MultiLayerGraph,
     RobberSpec,
     adjacency_lists,
@@ -31,6 +32,7 @@ from mlcr.sim import (
     MatchView,
     RandomCops,
     RandomRobber,
+    RobberStrategy,
     StrategyInvariantError,
     StrategyMismatchError,
     TablebaseCops,
@@ -123,6 +125,128 @@ def test_referee_rejects_tampered_records():
     # outcome forged
     bad2 = dataclasses.replace(rec, outcome="SURVIVED")
     assert not referee_check(bad2, g)[0]
+
+
+@pytest.fixture(scope="module")
+def real_records():
+    """Two records `run_match` made on the 4-grid: a tablebase capture in
+    round 17 (T=60) and a random match that survives T=5."""
+
+    g, _ = gen_grid(4)
+    table = build_copwin(g, (0, 0))
+    cap = run_match(g, AllocationPlan((2, 0)), TablebaseCops(table), TablebaseRobber(table), T=60, seed=9)
+    survived = run_match(g, AllocationPlan((1, 1)), RandomCops(), RandomRobber(), T=5, seed=1)
+    assert (cap.outcome, cap.capture_round, len(cap.rows)) == ("CAPTURE", 17, 34)
+    assert (survived.outcome, survived.capture_round, len(survived.rows)) == ("SURVIVED", None, 11)
+    return g, {"cap": cap, "survived": survived}
+
+
+def _rows(rec, rows):
+    return dataclasses.replace(rec, rows=rows)
+
+
+def _row(rec, i, row):
+    return _rows(rec, rec.rows[:i] + [row] + rec.rows[i + 1:])
+
+
+# (record, tamper, the referee's message); the survived record's first rows
+# are (0 P 8 2 6), (1 C 8 2 10), (1 R 12 2 10), the capture's last row is
+# (17 C 12 12 8), and its round-14 robber row (14 R 12 15 4) is a stay
+TAMPERED = {
+    "no-rows": ("survived", lambda r: _rows(r, []), "missing placement row"),
+    "placement-by-a-cop": ("survived", lambda r: _row(r, 0, (0, "C", 8, (2, 6))), "missing placement row"),
+    "placement-in-round-1": ("survived", lambda r: _row(r, 0, (1, "P", 8, (2, 6))), "missing placement row"),
+    "placement-off-the-graph": (
+        "survived", lambda r: _row(r, 0, (0, "P", 16, (2, 6))), "placement does not fit the graph and allocation"
+    ),
+    # forged: the horizon lowered below the rounds played, or a row after the last one
+    "horizon-lowered": (
+        "survived", lambda r: dataclasses.replace(r, horizon=4), "10 rows after placement for horizon T=4"
+    ),
+    "capture-horizon-lowered": (
+        "cap", lambda r: dataclasses.replace(r, horizon=16), "33 rows after placement for horizon T=16"
+    ),
+    "row-after-the-last": (
+        "survived", lambda r: _rows(r, r.rows + [(6, "C", 14, (7, 2))]), "11 rows after placement for horizon T=5"
+    ),
+    "row-after-the-capture": ("cap", lambda r: _rows(r, r.rows + [(17, "R", 12, (12, 8))]), "row 34 follows the capture"),
+    "capture-at-placement-then-rows": (
+        "survived", lambda r: _row(r, 0, (0, "P", 2, (2, 6))), "row 1 follows the capture"
+    ),
+    # forged: every row renumbered to round 9
+    "renumbered-round-9": (
+        "survived",
+        lambda r: _rows(r, r.rows[:1] + [(9, *row[1:]) for row in r.rows[1:]]),
+        "row 1 is 9 C, not round 1's cop row",
+    ),
+    "unknown-mover": ("survived", lambda r: _row(r, 1, (1, "X", 8, (2, 10))), "row 1 is 1 X, not round 1's cop row"),
+    # forged: two cop rows in a row (a robber's stay relabelled)
+    "two-cop-rows": ("cap", lambda r: _row(r, 28, (14, "C", 12, (15, 4))), "row 28 is 14 C, not round 14's robber row"),
+    "robber-moves-on-a-cop-row": (
+        "survived", lambda r: _row(r, 1, (1, "C", 9, (2, 10))), "round 1: robber moved on a cop row"
+    ),
+    "three-cops-for-two": ("survived", lambda r: _row(r, 1, (1, "C", 8, (2, 10, 0))), "round 1: 3 cops on a row for 2"),
+    "cop-off-its-layer": ("survived", lambda r: _row(r, 1, (1, "C", 8, (0, 10))), "round 1: cop 1 illegal 2->0"),
+    "cops-move-on-a-robber-row": (
+        "survived", lambda r: _row(r, 2, (1, "R", 12, (3, 10))), "round 1: cops moved on a robber row"
+    ),
+    "robber-off-its-layer": ("survived", lambda r: _row(r, 2, (1, "R", 0, (2, 10))), "round 1: robber illegal 8->0"),
+    # forged: a record cut short
+    "cut-short": ("survived", lambda r: _rows(r, r.rows[:-1]), "record ends after 9 rows, before round 5's robber row"),
+    # forged: only the placement row, flagged CAPTURE 0 with no cop on the robber
+    "placement-only-flagged-capture": (
+        "cap",
+        lambda r: dataclasses.replace(r, rows=r.rows[:1], horizon=0, capture_round=0),
+        "outcome CAPTURE 0 where the rows show SURVIVED None",
+    ),
+    # forged: the outcome rewritten to BOGUS, or a capture round on a survived match
+    "bogus-outcome": (
+        "survived", lambda r: dataclasses.replace(r, outcome="BOGUS"), "outcome BOGUS None where the rows show SURVIVED None"
+    ),
+    "survived-with-a-capture-round": (
+        "survived", lambda r: dataclasses.replace(r, capture_round=3), "outcome SURVIVED 3 where the rows show SURVIVED None"
+    ),
+    "capture-flag-without-overlap": (
+        "survived",
+        lambda r: dataclasses.replace(r, outcome="CAPTURE", capture_round=5),
+        "outcome CAPTURE 5 where the rows show SURVIVED None",
+    ),
+    "capture-flagged-survived": (
+        "cap",
+        lambda r: dataclasses.replace(r, outcome="SURVIVED", capture_round=None),
+        "outcome SURVIVED None where the rows show CAPTURE 17",
+    ),
+    "capture-round-off-by-one": (
+        "cap", lambda r: dataclasses.replace(r, capture_round=16), "outcome CAPTURE 16 where the rows show CAPTURE 17"
+    ),
+}
+
+
+@pytest.mark.parametrize("base, tamper, message", TAMPERED.values(), ids=TAMPERED.keys())
+def test_referee_names_the_one_tamper_of_a_real_record(real_records, base, tamper, message):
+    g, records = real_records
+    rec = records[base]
+    assert referee_check(rec, g) == (True, "ok")
+    assert referee_check(tamper(rec), g) == (False, message)
+
+
+def test_simulate_exits_2_on_a_record_the_referee_rejects(tmp_path, monkeypatch, capsys):
+    import mlcr.sim
+    from mlcr.cli import main
+    from mlcr.core import write_mlg_file
+
+    path = tmp_path / "grid4.mlg"
+    write_mlg_file(gen_grid(4)[0], path)
+
+    def forged(*args, _real=run_match, **kwargs):
+        return dataclasses.replace(_real(*args, **kwargs), outcome="BOGUS")
+
+    monkeypatch.setattr(mlcr.sim, "run_match", forged)
+    code = main(["simulate", str(path), "--allocation", "1,1", "--rounds", "5", "--batch", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: referee rejected record: outcome BOGUS")
 
 
 def test_table_runner_referee_and_human_read_the_same_move_rows(monkeypatch):
@@ -771,3 +895,163 @@ def test_copsbane_robber_rejects_anything_but_the_construction():
     for other in broken:
         with pytest.raises(StrategyMismatchError):
             run_match(other, AllocationPlan((1,) * other.tau), GreedyCops(), CopsbaneRobber(), T=5, seed=0)
+
+
+# -- refusals of the runner and the scripted players ------------------------------------------
+
+
+class _FixedCops(CopTeamStrategy):
+    name = "fixed_cop"
+
+    def __init__(self, start, step=None):
+        self.start, self.step = start, step
+
+    def place(self):
+        return self.start
+
+    def moves(self, view):
+        return view.cops if self.step is None else self.step
+
+
+class _FixedRobber(RobberStrategy):
+    name = "fixed_robber"
+
+    def __init__(self, start, step):
+        self.start, self.step = start, step
+
+    def place(self, cops):
+        return self.start
+
+    def move(self, view):
+        return self.step
+
+
+# (cops, robber, T, message) for one cop on the column layer of the 4-grid
+RUNNER_REFUSALS = {
+    "negative-horizon": (_FixedCops((0,)), _FixedRobber(15, 15), -1, "the match horizon needs T >= 0 robber moves, got -1"),
+    "cop-placed-off-the-graph": (_FixedCops((16,)), _FixedRobber(15, 15), 5, "cop 1 placement: illegal move -1 -> 16"),
+    "robber-placed-off-the-graph": (_FixedCops((0,)), _FixedRobber(-1, 15), 5, "robber placement: illegal move -1 -> -1"),
+    "two-positions-for-one-cop": (_FixedCops((0,), (0, 4)), _FixedRobber(15, 15), 5, "cop strategy returned 2 positions for 1 cops"),
+    "robber-jumps": (_FixedCops((0,)), _FixedRobber(15, 0), 5, "robber: illegal move 15 -> 0"),
+}
+
+
+@pytest.mark.parametrize("cops, robber, T, message", RUNNER_REFUSALS.values(), ids=RUNNER_REFUSALS.keys())
+def test_run_match_refuses_what_no_match_can_record(cops, robber, T, message):
+    g, _ = gen_grid(4)
+    with pytest.raises(MlgError, match=re.escape(message)):
+        run_match(g, AllocationPlan((0, 1)), cops, robber, T=T, seed=0)
+
+
+def _path(n):
+    return single([(i, i + 1) for i in range(n - 1)], n)
+
+
+def _path_decomposition(n):
+    from mlcr.bounds import treewidth_exact_small
+
+    return treewidth_exact_small([(i, i + 1) for i in range(n - 1)], n)[1]
+
+
+# (player, graph, assignment, message): graphs and assignments from outside
+# the player's construction family
+MISMATCHES = {
+    "grid-guard-on-the-5-grid": (lambda: GridCopGuard(4), lambda: gen_grid(5)[0], (1, 1), "graph is not the 4-grid construction"),
+    "grid-guard-split-cops": (lambda: GridCopGuard(4), lambda: gen_grid(4)[0], (0, 1), "grid guard needs both cops on the same layer"),
+    "corner-dance-same-layer": (
+        lambda: GridRobberCorner(4), lambda: gen_grid(4)[0], (0, 0), "corner dance needs exactly one cop per layer"
+    ),
+    "corner-dance-on-the-3-grid": (lambda: GridRobberCorner(3), lambda: gen_grid(3)[0], (0, 1), "corner dance needs n >= 4"),
+    "slices-on-a-grid": (
+        lambda: SlicesRobber(2), lambda: gen_grid(4)[0], (0, 1), "graph is not the slices construction for k=2"
+    ),
+    "copsbane-on-a-grid": (lambda: CopsbaneRobber(), lambda: gen_grid(4)[0], (0, 1), "graph is not a cops-bane construction"),
+    "tree-squeeze-with-a-robbers-edge": (
+        lambda: TreeSqueezeCops(),
+        lambda: MultiLayerGraph(n=4, layers=(((0, 1),),), robber_spec=RobberSpec.EXPLICIT, robber_edges=((0, 1), (1, 2), (2, 3))),
+        (0,),
+        "instance has a robber's edge for this assignment",
+    ),
+    "bagsweep-decomposition-of-another-graph": (
+        lambda: BagsweepCops(_path_decomposition(4)), lambda: single(cycle(4), 4), (0, 0, 0),
+        "decomposition does not validate against the graph",
+    ),
+    "bagsweep-disconnected-layer": (
+        lambda: BagsweepCops(_path_decomposition(4)),
+        lambda: MultiLayerGraph(n=4, layers=(((0, 1), (1, 2), (2, 3)), ((0, 1),))),
+        (0, 0),
+        "bag sweep needs connected cop layers",
+    ),
+    "bagsweep-too-few-cops": (
+        lambda: BagsweepCops(_path_decomposition(4)), lambda: _path(4), (0,), "need at least 2 cops, got 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("player, graph, assignment, message", MISMATCHES.values(), ids=MISMATCHES.keys())
+def test_scripted_players_refuse_graphs_outside_their_family(player, graph, assignment, message):
+    with pytest.raises(StrategyMismatchError, match=re.escape(message)):
+        player().begin(graph(), assignment, random.Random(0))
+
+
+def _grid4(i, j):
+    return (i - 1) * 4 + (j - 1)
+
+
+def _bag_robber_without_cover():
+    """A robber on the covered bag with both cops far away: `begin`'s cover
+    has been lost."""
+
+    decomp = _path_decomposition(6)
+    robber = min(decomp.bags[0])
+    far = 0 if robber > 2 else 5
+    return MatchView((far, far), robber, 1, [])
+
+
+# (player, graph, assignment, crafted view, message): positions the
+# player's own moves never lead to
+INVARIANTS = {
+    "grid-blocker-off-its-column": (
+        lambda: GridCopGuard(4), lambda: gen_grid(4)[0], (1, 1),
+        MatchView((_grid4(2, 1), _grid4(3, 3)), _grid4(1, 4), 1, []), "blocker drifted off its column",
+    ),
+    "grid-blocker-off-the-robbers-row": (
+        lambda: GridCopGuard(4), lambda: gen_grid(4)[0], (1, 1),
+        MatchView((_grid4(2, 1), _grid4(4, 2)), _grid4(1, 4), 1, []), "blocker lost the robber's row",
+    ),
+    "corner-row-cop-too-close": (
+        lambda: GridRobberCorner(4), lambda: gen_grid(4)[0], (0, 1),
+        MatchView((_grid4(1, 2), _grid4(4, 4)), _grid4(1, 1), 1, []), "row cop too close on the robber's row",
+    ),
+    "corner-column-cop-too-close": (
+        lambda: GridRobberCorner(4), lambda: gen_grid(4)[0], (0, 1),
+        MatchView((_grid4(2, 4), _grid4(2, 1)), _grid4(1, 1), 1, []), "column cop too close on the robber's column",
+    ),
+    "corner-both-aligned-none-far": (
+        lambda: GridRobberCorner(4), lambda: gen_grid(4)[0], (0, 1),
+        MatchView((_grid4(1, 3), _grid4(3, 1)), _grid4(1, 1), 1, []), "both cops aligned without a far cop",
+    ),
+    "bagsweep-robber-inside-the-covered-bag": (
+        lambda: BagsweepCops(_path_decomposition(6)), lambda: _path(6), (0, 0),
+        _bag_robber_without_cover(), "robber is not on any side of the covered bag",
+    ),
+}
+
+
+@pytest.mark.parametrize("player, graph, assignment, view, message", INVARIANTS.values(), ids=INVARIANTS.keys())
+def test_scripted_players_detect_a_broken_invariant(player, graph, assignment, view, message):
+    strategy = player()
+    strategy.begin(graph(), assignment, random.Random(0))
+    if isinstance(strategy, CopTeamStrategy):
+        strategy.place()  # the bag sweep posts its cops here
+        act = strategy.moves
+    else:
+        act = strategy.move
+    with pytest.raises(StrategyInvariantError, match=re.escape(message)):
+        act(view)
+
+
+def test_interactive_play_refuses_an_unknown_role():
+    g, _ = gen_grid(4)
+    with pytest.raises(MlgError, match="human role must be 'robber' or 'cops', got 'judge'"):
+        interactive_play(g, AllocationPlan((1, 1)), "judge", input, print)

@@ -91,6 +91,15 @@ def test_grid_both_layers_cop_win():
     assert table.winning_placements().size > 0
 
 
+@pytest.mark.parametrize(
+    "assignment, message", [((), "build_copwin needs at least one cop"), ((5,), r"layer index 5 out of range \(tau=2\)")]
+)
+def test_build_copwin_refuses_an_assignment_with_no_cop_or_a_layer_off_the_graph(assignment, message):
+    g, _ = gen_grid(4)
+    with pytest.raises(MlgError, match=message):
+        build_copwin(g, assignment)
+
+
 def test_state_budget_guard():
     g = single(cycle(4), 4)
     with pytest.raises(StateBudgetExceeded) as exc:

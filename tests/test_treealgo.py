@@ -66,6 +66,12 @@ def test_find_robbers_edge_requires_tree():
         find_robbers_edge(g, (0,))
 
 
+def test_an_unpoliced_vertex_without_a_tree_edge_has_no_certificate():
+    # one vertex and no cop: the robber camps, but no tree edge can witness it
+    with pytest.raises(MlgError, match="vertex 0 has no incident robber edge"):
+        find_robbers_edge(explicit(1, [()], []), ())
+
+
 def test_decide_examples():
     # connected cop layer, two cops: always a cop win on a tree robber layer
     rng = random.Random(1)
