@@ -289,17 +289,18 @@ def cmd_experiment(args) -> int:
 def cmd_verify_paper(args) -> int:
     from .verify import run_criteria
 
-    results = run_criteria(only=args.only, state_budget=args.state_budget)
-    failed = 0
-    for res in results:
+    ran = failed = 0
+    # each criterion is printed as it finishes, before a later one can raise
+    for res in run_criteria(only=args.only, state_budget=args.state_budget):
         status = "PASS" if res.passed else "FAIL"
         print(f"{status} {res.cid} {res.title}")
         for line in res.details:
             print(f"  {line}")
+        sys.stdout.flush()
         print(f"# {res.cid}: {res.elapsed:.2f}s", file=sys.stderr)
-        if not res.passed:
-            failed += 1
-    print(f"TOTAL {len(results) - failed}/{len(results)} PASS")
+        ran += 1
+        failed += not res.passed
+    print(f"TOTAL {ran - failed}/{ran} PASS")
     return 0 if failed == 0 else 1
 
 

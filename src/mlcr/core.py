@@ -267,8 +267,8 @@ class GameVerdict:
 
     For COP the witness is a winning initial cop placement (with the
     assignment of cops to layers).  For ROBBER the witness is a safe robber
-    start against the lexicographically first cop placement; `safe_vertex`
-    on the table answers the same query for any other placement.
+    start against the lexicographically first cop placement; the table's
+    `robber_placement` answers the same query for any other placement.
     """
 
     winner: Winner

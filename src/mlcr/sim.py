@@ -17,13 +17,15 @@ a player its graph, assignment, rng and tags, and `Strategy.cop_dists` is
 how the robbers measure the cops: each cop's distances in its own layer,
 from the per-graph `bfs_dist` cache.  `CopTeamStrategy` and
 `RobberStrategy` derive from `Strategy`, and the two tablebase players share
-`_Tablebase`, which checks the table against the assignment and keeps the
-answer memo.  This module holds the strategy bases and the greedy, random
-and tablebase players; the scripted construction strategies and the human
-players live in `scripted`, which the two `*_strategy_from_name` factories
-import only for the names that need it.  The tablebase players remember
-the answer for each position they were asked about: their table never
-changes, so one lookup per distinct position serves a whole batch.
+`_Tablebase`, which checks the table against the assignment.  They pass
+positions to the table and take its answers (`CopWinTable.cop_placement`,
+`robber_placement`, `cop_moves`, `robber_move`); the table alone knows its
+packed state layout, and it remembers each move answer, so one walk per
+distinct position serves a whole batch.  This module holds the strategy
+bases and the greedy, random and tablebase players; the scripted
+construction strategies and the human players live in `scripted`, which
+the two `*_strategy_from_name` factories import only for the names that
+need it.
 """
 
 from __future__ import annotations
@@ -353,13 +355,10 @@ class RandomCops(CopTeamStrategy):
 
 class _Tablebase(Strategy):
     """One side played from a solved table, which must be built for the
-    match's assignment."""
+    match's assignment; the table answers in positions."""
 
     def __init__(self, table: CopWinTable):
         self.table = table
-        # (robber, cops) -> the move returned there; the table never changes,
-        # so an answer holds for every match this object plays
-        self._answers: dict = {}
 
     def begin(self, g, assignment, rng):
         super().begin(g, assignment, rng)
@@ -376,33 +375,10 @@ class TablebaseCops(_Tablebase, CopTeamStrategy):
     name = "tablebase_cop"
 
     def place(self):
-        # a winning placement's column sums to n, so the first largest
-        # column is the first winning placement when there is one
-        col = int(self.table.placement_matrix().sum(axis=0).argmax())
-        return self.table.decode_placement(col)
+        return self.table.cop_placement()
 
     def moves(self, view: MatchView):
-        key = (view.robber, view.cops)
-        answer = self._answers.get(key)
-        if answer is None:
-            answer = self._answers[key] = self._walk(view.robber, list(view.cops))
-        return answer
-
-    def _walk(self, robber: int, cops: list[int]) -> tuple[int, ...]:
-        """Move the cops one at a time along the table's policy."""
-
-        tb = self.table
-        rank = tb.rank_view
-        state = tb.pack(robber, cops, 0)
-        for c in range(tb.k):
-            if robber in cops:
-                break  # captured mid-walk; remaining cops stay
-            if rank[state] >= 0:
-                state = tb.best_cop_move(state)
-            else:
-                state = tb.chase_cop_move(state)
-            cops[c] = state // tb.strides[c + 1] % tb.n  # only cop c moved
-        return tuple(cops)
+        return self.table.cop_moves(view.robber, view.cops)
 
 
 class TablebaseRobber(_Tablebase, RobberStrategy):
@@ -412,18 +388,10 @@ class TablebaseRobber(_Tablebase, RobberStrategy):
     name = "tablebase_robber"
 
     def place(self, cops):
-        # the first safe start, else the first deepest one
-        tb = self.table
-        ranks = [tb.rank_view[tb.pack(v, cops, 0)] for v in range(self.g.n)]
-        return max(range(self.g.n), key=lambda v: (ranks[v] < 0, ranks[v]))
+        return self.table.robber_placement(cops)
 
     def move(self, view: MatchView):
-        key = (view.robber, view.cops)
-        answer = self._answers.get(key)
-        if answer is None:
-            tb = self.table
-            answer = self._answers[key] = tb.best_robber_move(tb.pack(*key, tb.k)) // tb.strides[0]
-        return answer
+        return self.table.robber_move(view.robber, view.cops)
 
 
 def table_source(

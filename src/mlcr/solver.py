@@ -43,6 +43,9 @@ for the first plan under which each of their graphs is a cop win;
 `first_winning_plans` advances them all together, solving the next table
 of every open question in one `copwin_winners` call per round.
 
+The table answers the players in positions, so `sim` never sees a packed
+state, and the verdict's witnesses come from the players' placement rules.
+
 This is the only module that imports numpy.  The rest of the package
 imports it where a table is first built, and takes the verdict types
 (`Winner`, `GameVerdict`, `StateBudgetExceeded`, `DEFAULT_STATE_BUDGET`,
@@ -95,10 +98,11 @@ class CopWinTable:
     """Solved table for one assignment of cops to layers: the graph, the
     assignment and `rank`.
 
-    The three move methods read the graph's move rows
-    (`MultiLayerGraph.moves`), taken on the first query, and, for
-    `chase_cop_move`, the layer distances to the robber that the graph
-    caches (`bfs_dist`).
+    The three policy methods map a packed state to a successor; they read
+    the graph's move rows (`MultiLayerGraph.moves`), taken on the first
+    query, and, for `chase_cop_move`, the layer distances to the robber that
+    the graph caches (`bfs_dist`).  The players and the verdict ask in
+    positions: `cop_placement`, `robber_placement`, `cop_moves`, `robber_move`.
     Single states are read through `rank_view`.  A table from
     `build_copwin_batch` has a `rank` that is a slice (a view) of its
     batch's array, which it keeps alive.
@@ -113,20 +117,15 @@ class CopWinTable:
         self.k = len(self.assignment)
         self.strides = _digit_strides(self.n, self.k)
         self._moves: list[Sequence[Sequence[int]]] | None = None
-        self._rank_view: memoryview | None = None
+        # reading one state gives a Python int instead of boxing a numpy scalar
+        self.rank_view = memoryview(self.rank)
+        # (robber, cops) -> `cop_moves` / `robber_move` there: one walk per position
+        self._cop_answers: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+        self._robber_answers: dict[tuple[int, tuple[int, ...]], int] = {}
 
     @property
     def n_states(self) -> int:
         return self.rank.shape[0]
-
-    @property
-    def rank_view(self) -> memoryview:
-        """`rank` as a memoryview, made on first use: reading one state gives
-        a Python int instead of boxing a numpy scalar."""
-
-        if self._rank_view is None:
-            self._rank_view = memoryview(self.rank)
-        return self._rank_view
 
     # -- state packing --------------------------------------------------------
 
@@ -231,42 +230,62 @@ class CopWinTable:
                 best_idx = s
         return best_idx
 
-    # -- verdict queries -------------------------------------------------------
+    # -- positional answers: (robber, cops) in, placements and moves out ---------
 
-    def placement_matrix(self) -> np.ndarray:
-        """Bool matrix [p0, placement] of cop-win at t=0, placements in lex order."""
+    def cop_placement(self) -> tuple[int, ...]:
+        """The first placement (lex order) with the most cop-win robber
+        starts: the first winning placement when there is one."""
 
         k = self.k
-        return self.rank.reshape(self.n, self.n**k, k + 1)[:, :, 0] >= 0
+        wins = (self.rank.reshape(self.n, self.n**k, k + 1)[:, :, 0] >= 0).sum(axis=0)
+        return self.unpack(int(wins.argmax()) * (k + 1))[1]
 
-    def winning_placements(self) -> np.ndarray:
-        """Packed placement codes where every robber reply is cop-win."""
+    def robber_placement(self, cops: Sequence[int]) -> int:
+        """The robber's start against `cops`: the first robber-win start,
+        else the first deepest one."""
 
-        mat = self.placement_matrix()
-        return np.nonzero(mat.all(axis=0))[0]
+        ranks = [self.rank_view[self.pack(v, cops, 0)] for v in range(self.n)]
+        return max(range(self.n), key=lambda v: (ranks[v] < 0, ranks[v]))
 
-    def decode_placement(self, code: int) -> tuple[int, ...]:
-        """The cops of placement `code`: its state at t=0 with robber 0."""
+    def cop_moves(self, robber: int, cops: tuple[int, ...]) -> tuple[int, ...]:
+        """The cops' team move at `(robber, cops)`: cop by cop, `best_cop_move`
+        on a cop-win state and `chase_cop_move` otherwise; the cops after a
+        capture stay.  The answer is remembered per position."""
 
-        return self.unpack(code * (self.k + 1))[1]
+        key = (robber, cops)
+        answer = self._cop_answers.get(key)
+        if answer is None:
+            moved = list(cops)
+            state = self.pack(robber, cops, 0)
+            for c in range(self.k):
+                if robber in moved:
+                    break
+                state = self.best_cop_move(state) if self.rank_view[state] >= 0 else self.chase_cop_move(state)
+                moved[c] = state // self.strides[c + 1] % self.n  # only cop c moved
+            answer = self._cop_answers[key] = tuple(moved)
+        return answer
 
-    def safe_robber_vertex(self, placement: Sequence[int]) -> int | None:
-        """Smallest robber start that is robber-win against this placement."""
+    def robber_move(self, robber: int, cops: tuple[int, ...]) -> int:
+        """The robber's move at `(robber, cops)` (`best_robber_move`),
+        remembered per position."""
 
-        for p0 in range(self.n):
-            if self.rank_view[self.pack(p0, placement, 0)] < 0:
-                return p0
-        return None
+        key = (robber, cops)
+        answer = self._robber_answers.get(key)
+        if answer is None:
+            state = self.best_robber_move(self.pack(robber, cops, self.k))
+            answer = self._robber_answers[key] = state // self.strides[0]
+        return answer
 
     def allocated_verdict(self) -> GameVerdict:
-        """The allocated game's verdict (cops place first): COP with the first
-        winning placement, else ROBBER with the safe start against placement 0."""
+        """The allocated game's verdict (cops place first): COP with
+        `cop_placement` when the robber's reply to it is cop-win, else ROBBER
+        with `robber_placement` against placement 0 (robber-win, as no
+        placement wins)."""
 
-        wins = self.winning_placements()
-        if wins.size:
-            placement = self.decode_placement(int(wins[0]))
+        placement = self.cop_placement()
+        if self.rank_view[self.pack(self.robber_placement(placement), placement, 0)] >= 0:
             return GameVerdict(Winner.COP, assignment=self.assignment, placement=placement)
-        safe = self.safe_robber_vertex(self.decode_placement(0))
+        safe = self.robber_placement((0,) * self.k)
         return GameVerdict(Winner.ROBBER, assignment=self.assignment, safe_vertex=safe)
 
 
@@ -322,6 +341,9 @@ def _retrograde(
     counter_dtype = np.min_scalar_type(n)
     _check_budget(size, kp1, 2, counter_dtype.itemsize, state_budget, tables)
 
+    # every agent's move rows per table (0 = robber), before any table array:
+    # a cop's layer off the graph is refused here
+    rows = [[gb.moves(ab[mover - 1] if mover else None) for gb, ab in pairs] for mover in range(kp1)]
     robber_complete = g.robber_is_complete()
     strides = _digit_strides(n, k)
     n_pos = n**kp1  # position tuples (p0, ..., pk); state = position * (k+1) + t
@@ -350,7 +372,7 @@ def _retrograde(
         if mover == 0 and robber_complete:
             moves.append((None, None, np.arange(n, dtype=np.int64) * stride + dt, max(1, _BATCH // n)))
             continue
-        deg, ends, entries = _csr([row for gb, ab in pairs for row in gb.moves(ab[mover - 1] if mover else None)])
+        deg, ends, entries = _csr(list(chain.from_iterable(rows[mover])))
         vertex = np.tile(np.arange(n, dtype=np.int64), tables)
         delta = (entries - vertex.repeat(deg)) * stride + dt
         moves.append((deg, ends, delta, max(1, _BATCH // int(deg.max()))))

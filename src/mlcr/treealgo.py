@@ -77,13 +77,12 @@ def _profile_robbers_edge(
         if not policed_by[v]:
             # the robber camps on v; witness with the first tree edge at v
             # that at most one cop reaches, else with the first tree edge at v
+            # (one exists: with a cop placed, an unpoliced v means n >= 2)
             certs = []
             for u, w in robber_edges:
                 if v in (u, w):
                     reach = tuple((c, assignment[c]) for c in sorted({*policed_by[u], *policed_by[w]}))
                     certs.append(RobbersEdgeCertificate((u, w), reach, INF))
-            if not certs:
-                raise MlgError(f"vertex {v} has no incident robber edge")
             return next((cert for cert in certs if len(cert.reaching_cops) <= 1), certs[0])
     for u, v in robber_edges:
         reach = sorted(set(policed_by[u] + policed_by[v]))
@@ -133,9 +132,11 @@ def find_robbers_edge(
 ) -> RobbersEdgeCertificate | tuple[frozenset[int], ...]:
     """Clean component profile for an assignment (start components that
     leave no robber's edge), or a robber-win certificate when every profile
-    is dirty: that of the first profile in component order.
+    is dirty: that of the first profile in component order.  No cop: refused.
     """
 
+    if not assignment:
+        raise MlgError("find_robbers_edge needs at least one cop")
     robber_edges = _tree_edges(g)
     choices = [_component_choices(g, layer) for layer in assignment]
     first_cert: RobbersEdgeCertificate | None = None

@@ -2,8 +2,9 @@
 
 Each criterion is a registered function returning (passed, detail lines);
 `run_criteria` executes them in order with fixed seeds so repeated runs
-produce identical reports.  The pytest acceptance module and the
-`verify-paper` CLI subcommand both drive this registry.
+produce identical reports, and yields each result as it is made.  The
+pytest acceptance module and the `verify-paper` CLI subcommand both drive
+this registry.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from .core import (
     DEFAULT_STATE_BUDGET,
@@ -46,16 +47,16 @@ def criterion(cid: str, title: str):
     return wrap
 
 
-def run_criteria(only: str | None = None, state_budget: int = DEFAULT_STATE_BUDGET) -> list[CriterionResult]:
+def run_criteria(only: str | None = None, state_budget: int = DEFAULT_STATE_BUDGET) -> Iterator[CriterionResult]:
+    """Each chosen criterion's result as soon as it finishes."""
+
     chosen = [entry for entry in _REGISTRY if not only or only in entry[0]]
     if not chosen:
         raise MlgError(f"no criterion id contains {only!r} (--only)")
-    results = []
     for cid, title, fn in chosen:
         t0 = time.perf_counter()
         passed, details = fn(state_budget)
-        results.append(CriterionResult(cid, title, passed, details, time.perf_counter() - t0))
-    return results
+        yield CriterionResult(cid, title, passed, details, time.perf_counter() - t0)
 
 
 # -- shared corpus builders ---------------------------------------------------------

@@ -43,7 +43,7 @@ def test_every_criterion_has_a_pinned_digest():
 
 @pytest.mark.parametrize("cid,title", [(cid, title) for cid, title, _ in _REGISTRY])
 def test_criterion(cid, title, capsys):
-    results = run_criteria(only=cid)
+    results = list(run_criteria(only=cid))
     assert len(results) == 1
     res = results[0]
     with capsys.disabled():

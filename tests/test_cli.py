@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from mlcr.cli import main
-from mlcr.core import parse_mlg_file, write_mlg_file
+from mlcr.core import MlgError, parse_mlg_file, write_mlg_file
 from mlcr.generators import gen_grid
 
 
@@ -268,6 +268,26 @@ def test_verify_paper_reports_failures(capsys, monkeypatch):
     assert "FAIL c99-doomed" in out
     assert "injected failure" in out
     assert "TOTAL 0/1 PASS" in out
+
+
+def test_verify_paper_prints_each_criterion_as_it_finishes(capsys, monkeypatch):
+    """A criterion that raises after one that passed: the first one's lines
+    are already out, and the run ends in exit 2 with one `error:` line."""
+
+    import mlcr.verify as verify
+
+    def broken(budget):
+        raise MlgError("planted fault")
+
+    monkeypatch.setattr(verify, "_REGISTRY", [
+        ("c98-fine", "passes", lambda budget: (True, ["detail"])),
+        ("c99-broken", "raises", broken),
+    ])
+    code, out, err = run_cli(["verify-paper"], capsys)
+    assert code == 2
+    assert out == "PASS c98-fine passes\n  detail\n"
+    assert [line for line in err.splitlines() if not line.startswith("# c98-fine: ")] == ["error: planted fault"]
+    assert err.startswith("# c98-fine: ")
 
 
 @pytest.mark.parametrize(
@@ -666,6 +686,11 @@ EDGE_CASES = {
     ),
     # no cop polices the path's vertices
     "solve-tree-zero-cops": (["solve", "{tree}", "--cops", "0"], 1, "VERDICT=ROBBER"),
+    # the tree squeeze on the one-vertex tree, with no cop to place
+    "simulate-tree-squeeze-zero-cops": (
+        ["simulate", "{point}", "--allocation", "0", "--cop-strategy", "tree_squeeze"], 2,
+        "find_robbers_edge needs at least one cop",
+    ),
     **{
         f"generate-domset-reduction-p-{p}": (
             ["generate", "domset-reduction", "-n", "6", "--p", p, "-o", "{out}"], 2, f"p must be in [0, 1], got {p}"
@@ -692,8 +717,10 @@ def test_cli_never_ends_in_a_traceback(args, code, text, grid4_file, tmp_path):
     tree = _write(tmp_path, "path4.mlg", MultiLayerGraph(
         n=4, layers=(((0, 1),),), robber_spec=RobberSpec.EXPLICIT, robber_edges=((0, 1), (1, 2), (2, 3))
     ))
+    point = _write(tmp_path, "point.mlg", MultiLayerGraph(n=1, layers=((),), robber_spec=RobberSpec.EXPLICIT, robber_edges=()))
+    files = {"grid": grid4_file, "tree": tree, "point": point, "out": tmp_path / "o.mlg"}
     proc = subprocess.run(
-        [sys.executable, "-m", "mlcr.cli", *(a.format(grid=grid4_file, tree=tree, out=tmp_path / "o.mlg") for a in args)],
+        [sys.executable, "-m", "mlcr.cli", *(a.format(**files) for a in args)],
         input=b"",
         capture_output=True,
         timeout=120,

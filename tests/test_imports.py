@@ -207,3 +207,36 @@ def test_the_scan_finds_dead_public_code():
 def test_no_dead_public_code_in_src():
     readers = [ast.parse(path.read_text()) for folder in READERS for path in sorted(folder.glob("*.py"))]
     assert unreferenced_public_definitions(_src_trees(), readers) == []
+
+
+# -- the packed state layout stays in the solver: the players ask in positions
+
+PACKED_STATE_NAMES = {"pack", "unpack", "strides", "rank", "rank_view", "decode_placement"}
+
+
+def packed_state_reads(tree: ast.Module) -> list[str]:
+    """`line: name` for each name or attribute of the table's packed state
+    layout that `tree` reads."""
+
+    out = []
+    for node in ast.walk(tree):
+        name = node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name) else None
+        if name in PACKED_STATE_NAMES:
+            out.append(f"{node.lineno}: {name}")
+    return out
+
+
+def test_the_check_finds_a_packed_state_read():
+    source = (
+        "def move(tb, view):\n"
+        "    state = tb.pack(view.robber, view.cops, 0)\n"
+        "    return tb.best_robber_move(state) // tb.strides[0]\n"
+        "def place(tb):\n"
+        "    return tb.cop_placement()\n"
+    )
+    assert packed_state_reads(ast.parse(source)) == ["2: pack", "3: strides"]
+
+
+@pytest.mark.parametrize("name", ["sim.py", "scripted.py"])
+def test_players_never_read_a_packed_state(name):
+    assert packed_state_reads(ast.parse((SRC / name).read_text())) == []

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import re
 
@@ -460,11 +461,36 @@ def test_tablebase_move_cache_matches_the_uncached_policy(make_graph, counts):
         run_match(g, plan, cops, robber, T=60, seed=seed)
         run_match(g, plan, cops, RandomRobber(), T=60, seed=seed)
         run_match(g, plan, RandomCops(), robber, T=60, seed=seed)
-    assert cops._answers and robber._answers
-    for (r, c), answer in cops._answers.items():
+    assert table._cop_answers and table._robber_answers
+    for (r, c), answer in table._cop_answers.items():
         assert answer == _uncached_cop_move(table, r, c), (r, c)
-    for (r, c), answer in robber._answers.items():
+    for (r, c), answer in table._robber_answers.items():
         assert answer == table.unpack(table.best_robber_move(table.pack(r, c, table.k)))[0], (r, c)
+
+
+def _policy_table(case):
+    """Grid n=4 with the cops on layers `case`, or, for an int, a seeded
+    random instance with one to three cops on random layers."""
+
+    if isinstance(case, tuple):
+        return build_copwin(gen_grid(4)[0], case)
+    rng = random.Random(case)
+    g = random_instance(rng, n_max=6)
+    return build_copwin(g, tuple(rng.randrange(g.tau) for _ in range(rng.randint(1, 3))))
+
+
+@pytest.mark.parametrize("case", [(0, 0), (0, 1), (0, 1, 1), *range(20)])
+def test_table_moves_equal_the_policy_at_every_position(case):
+    """`cop_moves` and `robber_move` at every position `(robber, cops)` equal
+    the policy walked straight from the packed states."""
+
+    table = _policy_table(case)
+    for robber, *cops in itertools.product(range(table.n), repeat=table.k + 1):
+        cops = tuple(cops)
+        assert table.cop_moves(robber, cops) == _uncached_cop_move(table, robber, cops), (robber, cops)
+        if robber not in cops:  # the robber never moves from a capture
+            want = table.unpack(table.best_robber_move(table.pack(robber, cops, table.k)))[0]
+            assert table.robber_move(robber, cops) == want, (robber, cops)
 
 
 def test_tablebase_batch_queries_the_table_once_per_distinct_position(tmp_path, monkeypatch, capsys):

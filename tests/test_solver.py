@@ -1,5 +1,6 @@
 import functools
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -55,6 +56,24 @@ def random_instance(rng, n_max=5, tau_max=2):
     return MultiLayerGraph(n=n, layers=layers, robber_spec=spec, robber_edges=redges)
 
 
+def _start_ranks(table, cops):
+    """The rank of each robber start against `cops`, cops to move, read from `table.rank`."""
+
+    return [int(table.rank[table.pack(v, cops, 0)]) for v in range(table.n)]
+
+
+def _winning_placements(table):
+    """The placements (lex order) against which every robber start is cop-win."""
+
+    return [cops for cops in product(range(table.n), repeat=table.k) if min(_start_ranks(table, cops)) >= 0]
+
+
+def _safe_vertex(table, cops):
+    """The smallest robber start that is robber-win against `cops`, else None."""
+
+    return next((v for v, r in enumerate(_start_ranks(table, cops)) if r < 0), None)
+
+
 def random_plan(rng, g, k):
     """k cops, each on a seeded layer of `g`."""
 
@@ -82,13 +101,13 @@ def test_c4_single_cop_is_robber_win():
     # every cop placement leaves a safe robber start
     table = build_copwin(g, (0,))
     for p1 in range(4):
-        assert table.safe_robber_vertex((p1,)) is not None
+        assert _safe_vertex(table, (p1,)) is not None
 
 
 def test_grid_both_layers_cop_win():
     g, _ = gen_grid(4)
     table = build_copwin(g, (1, 1))  # both cops on the column layer
-    assert table.winning_placements().size > 0
+    assert _winning_placements(table)
 
 
 @pytest.mark.parametrize(
@@ -98,6 +117,22 @@ def test_build_copwin_refuses_an_assignment_with_no_cop_or_a_layer_off_the_graph
     g, _ = gen_grid(4)
     with pytest.raises(MlgError, match=message):
         build_copwin(g, assignment)
+
+
+def test_a_layer_off_the_graph_is_refused_before_the_table_is_allocated():
+    """The 3-cop grid-6 table would take megabytes; the bad layer is refused first."""
+
+    import tracemalloc
+
+    g, _ = gen_grid(6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MlgError, match=r"layer index 5 out of range \(tau=2\)"):
+            build_copwin(g, (0, 0, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_state_budget_guard():
@@ -274,7 +309,7 @@ def test_one_at_a_time_equals_simultaneous_moves():
 def test_cop_policy_wins_within_rank_against_all_replies():
     g, _ = gen_grid(4)
     table = build_copwin(g, (1, 1))
-    placement = table.decode_placement(int(table.winning_placements()[0]))
+    placement = _winning_placements(table)[0]
     assert all(table.rank[table.pack(p0, placement, 0)] >= 0 for p0 in range(g.n))
     # the certified rank drops along every robber reply from a cop-win state;
     # if the policy move drops it too, the cops capture within rank(start)
@@ -291,7 +326,7 @@ def test_robber_policy_never_enters_a_copwin_state():
     rng = random.Random(11)
     for trial in range(50):
         cop = rng.randrange(4)
-        robber = table.safe_robber_vertex((cop,))
+        robber = _safe_vertex(table, (cop,))
         assert robber is not None
         state = table.pack(robber, (cop,), 0)
         for _ in range(100):
@@ -325,29 +360,28 @@ def test_robber_policy_survives_random_cop_teams():
 def _two_step_cop_placement(table):
     """The first winning placement, else the first with the most cop-win starts."""
 
-    wins = table.winning_placements()
-    if wins.size:
-        return table.decode_placement(int(wins[0]))
-    return table.decode_placement(int(table.placement_matrix().sum(axis=0).argmax()))
+    wins = _winning_placements(table)
+    if wins:
+        return wins[0]
+    placements = list(product(range(table.n), repeat=table.k))
+    counts = [sum(r >= 0 for r in _start_ranks(table, cops)) for cops in placements]
+    return placements[counts.index(max(counts))]
 
 
 def _two_step_robber_placement(table, cops):
     """The first safe start, else the first start of the largest rank."""
 
-    safe = table.safe_robber_vertex(cops)
+    safe = _safe_vertex(table, cops)
     if safe is not None:
         return safe
     best_v, best_rank = 0, -1
-    for v in range(table.n):
-        r = int(table.rank[table.pack(v, cops, 0)])
+    for v, r in enumerate(_start_ranks(table, cops)):
         if r > best_rank:
             best_v, best_rank = v, r
     return best_v
 
 
 def test_tablebase_placements_follow_the_two_step_rules():
-    from itertools import product
-
     from mlcr.sim import TablebaseCops, TablebaseRobber
 
     cop_wins = set()
@@ -357,12 +391,32 @@ def test_tablebase_placements_follow_the_two_step_rules():
         tc, tr = TablebaseCops(table), TablebaseRobber(table)
         tc.begin(g, assignment, random.Random(0))
         tr.begin(g, assignment, random.Random(0))
-        cop_wins.add(table.winning_placements().size > 0)
+        cop_wins.add(bool(_winning_placements(table)))
         assert tc.place() == _two_step_cop_placement(table)
         for cops in product(range(g.n), repeat=table.k):
-            robber_safe.add(table.safe_robber_vertex(cops) is not None)
+            robber_safe.add(_safe_vertex(table, cops) is not None)
             assert tr.place(cops) == _two_step_robber_placement(table, cops)
     assert cop_wins == robber_safe == {True, False}  # both steps of both rules ran
+
+
+def test_allocated_verdict_takes_its_witnesses_from_the_placement_rules():
+    """PLACEMENT is the cops' placement rule whenever the verdict is COP, and
+    SAFE_VERTEX the robber's rule against placement 0 whenever it is ROBBER;
+    both are the witnesses read straight from `rank`."""
+
+    winners = set()
+    for g, assignment in _random_corpus():
+        table = build_copwin(g, assignment)
+        verdict = table.allocated_verdict()
+        winners.add(verdict.winner)
+        wins = _winning_placements(table)
+        if verdict.winner is Winner.COP:
+            assert verdict.placement == table.cop_placement() == wins[0]
+        else:
+            first = (0,) * table.k
+            assert not wins
+            assert verdict.safe_vertex == table.robber_placement(first) == _safe_vertex(table, first)
+    assert winners == {Winner.COP, Winner.ROBBER}
 
 
 def test_cwt_dump_shape():
@@ -397,7 +451,7 @@ def test_verdict_witnesses_check_out_against_the_table():
         if verdict.winner is Winner.COP:
             assert all(table.rank[table.pack(p0, verdict.placement, 0)] >= 0 for p0 in range(g.n))
         else:
-            first = table.decode_placement(0)
+            first = (0,) * table.k
             assert verdict.safe_vertex is not None
             assert table.rank[table.pack(verdict.safe_vertex, first, 0)] < 0
 
@@ -698,7 +752,7 @@ def test_winner_only_equals_full_table_and_naive_oracle():
     winners = copwin_winners(pairs)
     assert set(winners) == {Winner.COP, Winner.ROBBER}
     for (g, assignment), winner in zip(pairs, winners):
-        full = build_copwin(g, assignment).winning_placements().size > 0
+        full = bool(_winning_placements(build_copwin(g, assignment)))
         assert winner is (Winner.COP if full else Winner.ROBBER)
         assert copwin_winners([(g, assignment)]) == [winner]  # the batch of one
         if g.n <= 4:

@@ -67,8 +67,9 @@ def test_find_robbers_edge_requires_tree():
 
 
 def test_an_unpoliced_vertex_without_a_tree_edge_has_no_certificate():
-    # one vertex and no cop: the robber camps, but no tree edge can witness it
-    with pytest.raises(MlgError, match="vertex 0 has no incident robber edge"):
+    # one vertex and no cop: the robber camps, but no tree edge can witness
+    # it, so an assignment without a cop is refused before any profile
+    with pytest.raises(MlgError, match="find_robbers_edge needs at least one cop"):
         find_robbers_edge(explicit(1, [()], []), ())
 
 
