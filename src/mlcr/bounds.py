@@ -29,10 +29,7 @@ class EnumerationBudgetExceeded(MlgError):
 
 
 def _closed_masks(g: MultiLayerGraph) -> list[list[int]]:
-    return [
-        [m | (1 << v) for v, m in enumerate(neighbour_masks(g.layer_view(i).adjacency))]
-        for i in range(g.tau)
-    ]
+    return [neighbour_masks(g.moves(i)) for i in range(g.tau)]
 
 
 def mec_check(g: MultiLayerGraph, k: int) -> bool:
@@ -106,7 +103,7 @@ def clique_lb_check(g: MultiLayerGraph, k: int) -> bool:
     conservatively reported False when the enumeration exceeds the budget.
     """
 
-    if g.robber_spec.name != "COMPLETE":
+    if not g.robber_is_complete():
         raise MlgError("clique_lb_check requires a COMPLETE robber layer")
     n, tau = g.n, g.tau
     if k >= n:
@@ -137,8 +134,7 @@ class DominatingSet:
     def is_valid(self, g: MultiLayerGraph) -> bool:
         covered = set()
         for v, i in self.pairs:
-            covered.add(v)
-            covered.update(g.layer_view(i).adjacency[v])
+            covered.update(g.moves(i)[v])
         return len(covered) == g.n
 
     def render(self) -> str:

@@ -265,12 +265,9 @@ def cmd_experiment(args) -> int:
 
     results = [one_row(s) for s in seeds]
 
-    fieldnames = ["n", "p", "tau", "seed", "delta_mlg", "gamma_greedy", "domination_bound", "mec_lb_k"]
     buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=["format"] + fieldnames, extrasaction="ignore", lineterminator="\n"
-    )
-    buf.write("format," + ",".join(fieldnames) + "\n")
+    writer = csv.DictWriter(buf, fieldnames=["format", *results[0][0]], lineterminator="\n")
+    writer.writeheader()
     for row, _ in results:
         writer.writerow({"format": "mlcr-experiment-v1", **row})
     mean_gamma = sum(r["gamma_greedy"] for r, _ in results) / len(results)

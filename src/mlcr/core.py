@@ -503,9 +503,21 @@ def serialize_mlg(g: MultiLayerGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(tokens: Sequence[str], line_no: int, message: str) -> list[int]:
+    """The tokens as integers, or an MlgParseError with `message` at `line_no`."""
+
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise MlgParseError(line_no, message) from None
+
+
 def parse_mlg(text: str | bytes) -> MultiLayerGraph:
     """Parse MLG1 text; '#' comments and blank lines are ignored.
 
+    After the header come tau sections `LAYER i <m>`, then `ROBBER <m>` when
+    the spec is EXPLICIT. One rule reads every section: its head line, m
+    edge lines `u v` with u < v, and one `canonical_edges` check of the lot.
     Errors carry the offending 1-based line number of the raw input.
     """
 
@@ -524,27 +536,19 @@ def parse_mlg(text: str | bytes) -> MultiLayerGraph:
             numbered.append((ln, stripped))
     if not numbered:
         raise MlgParseError(1, "empty input")
-
-    pos = 0
+    lines = iter(numbered)
 
     def take() -> tuple[int, str]:
-        nonlocal pos
-        if pos >= len(numbered):
-            last = numbered[-1][0] if numbered else 1
-            raise MlgParseError(last, "unexpected end of input")
-        item = numbered[pos]
-        pos += 1
+        item = next(lines, None)
+        if item is None:
+            raise MlgParseError(numbered[-1][0], "unexpected end of input")
         return item
 
     ln, header = take()
     parts = header.split()
     if len(parts) != 4 or parts[0] != "MLG1":
         raise MlgParseError(ln, f"malformed header {header!r}")
-    try:
-        n = int(parts[1])
-        tau = int(parts[2])
-    except ValueError:
-        raise MlgParseError(ln, f"malformed header {header!r}") from None
+    n, tau = _ints(parts[1:3], ln, f"malformed header {header!r}")
     try:
         spec = RobberSpec(parts[3])
     except ValueError:
@@ -554,20 +558,29 @@ def parse_mlg(text: str | bytes) -> MultiLayerGraph:
     if tau < 1:
         raise MlgParseError(ln, f"layer count must be positive, got {tau}")
 
-    def read_edges(count: int, what: str) -> tuple[Edge, ...]:
-        """Token checks here; range, self-loops and duplicates in canonical_edges."""
+    def section(keyword: str, index: list[int], what: str) -> tuple[Edge, ...]:
+        """`<keyword> [index] <m>`, then m edge lines; range, self-loops and
+        duplicates are checked in canonical_edges."""
 
+        hln, line = take()
+        toks = line.split()
+        head = " ".join([keyword, *map(str, index)])
+        shape = f"expected '{head} <m>', got {line!r}"
+        if len(toks) != len(index) + 2 or toks[0] != keyword:
+            raise MlgParseError(hln, shape)
+        *got, m = _ints(toks[1:], hln, shape)
+        if got != index:
+            raise MlgParseError(hln, f"expected layer {index[0]}, got layer {got[0]}")
+        if m < 0:
+            raise MlgParseError(hln, f"negative edge count {m}")
         edges: list[Edge] = []
         line_nos: list[int] = []
-        for _ in range(count):
+        for _ in range(m):
             eln, line = take()
             toks = line.split()
             if len(toks) != 2:
                 raise MlgParseError(eln, f"expected '<u> <v>', got {line!r}")
-            try:
-                u, v = int(toks[0]), int(toks[1])
-            except ValueError:
-                raise MlgParseError(eln, f"expected integers, got {line!r}") from None
+            u, v = _ints(toks, eln, f"expected integers, got {line!r}")
             if u > v:
                 raise MlgParseError(eln, f"edge must satisfy u < v, got {u} {v}")
             edges.append((u, v))
@@ -577,40 +590,13 @@ def parse_mlg(text: str | bytes) -> MultiLayerGraph:
         except MlgEdgeError as ex:
             raise MlgParseError(line_nos[ex.position], str(ex)) from None
 
-    layers: list[tuple[Edge, ...]] = []
-    for i in range(1, tau + 1):
-        hln, line = take()
-        toks = line.split()
-        if len(toks) != 3 or toks[0] != "LAYER":
-            raise MlgParseError(hln, f"expected 'LAYER {i} <m>', got {line!r}")
-        try:
-            idx, m = int(toks[1]), int(toks[2])
-        except ValueError:
-            raise MlgParseError(hln, f"expected 'LAYER {i} <m>', got {line!r}") from None
-        if idx != i:
-            raise MlgParseError(hln, f"expected layer {i}, got layer {idx}")
-        if m < 0:
-            raise MlgParseError(hln, f"negative edge count {m}")
-        layers.append(read_edges(m, f"layer {i} edge"))
+    layers = tuple(section("LAYER", [i], f"layer {i} edge") for i in range(1, tau + 1))
+    robber_edges = section("ROBBER", [], "robber edge") if spec is RobberSpec.EXPLICIT else None
+    extra = next(lines, None)
+    if extra is not None:
+        raise MlgParseError(extra[0], f"trailing content {extra[1]!r}")
 
-    robber_edges: tuple[Edge, ...] | None = None
-    if spec is RobberSpec.EXPLICIT:
-        hln, line = take()
-        toks = line.split()
-        if len(toks) != 2 or toks[0] != "ROBBER":
-            raise MlgParseError(hln, f"expected 'ROBBER <m>', got {line!r}")
-        try:
-            m = int(toks[1])
-        except ValueError:
-            raise MlgParseError(hln, f"expected 'ROBBER <m>', got {line!r}") from None
-        if m < 0:
-            raise MlgParseError(hln, f"negative edge count {m}")
-        robber_edges = read_edges(m, "robber edge")
-
-    if pos != len(numbered):
-        raise MlgParseError(numbered[pos][0], f"trailing content {numbered[pos][1]!r}")
-
-    return MultiLayerGraph(n=n, layers=tuple(layers), robber_spec=spec, robber_edges=robber_edges)
+    return MultiLayerGraph(n=n, layers=layers, robber_spec=spec, robber_edges=robber_edges)
 
 
 def parse_mlg_file(path) -> MultiLayerGraph:

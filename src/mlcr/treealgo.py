@@ -91,7 +91,7 @@ def _profile_robbers_edge(
         c = reach[0]
         comp = profile[c]
         adj = g.layer_view(assignment[c]).adjacency
-        if u in comp and not set(adj[u]).isdisjoint((v, *adj[v])):
+        if u in comp and not set(adj[u]).isdisjoint(g.moves(assignment[c])[v]):
             continue  # the cop's layer joins u and v within two steps
         dist = bfs_dist_adj(adj, u)[v] if u in comp and v in comp else INF
         return RobbersEdgeCertificate((u, v), ((c, assignment[c]),), dist)

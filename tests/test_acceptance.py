@@ -8,6 +8,8 @@ import hashlib
 
 import pytest
 
+from mlcr import bounds, treealgo
+from mlcr.core import MultiLayerGraph
 from mlcr.verify import _REGISTRY, run_criteria
 
 # SHA-256 of each criterion's `verify-paper` stdout: its PASS line, then its
@@ -54,3 +56,43 @@ def test_criterion(cid, title, capsys):
                 print(f"    {line}")
     assert res.passed, f"{res.cid}: " + "; ".join(res.details)
     assert _stdout_digest(res) == STDOUT_SHA256[cid]
+
+
+# -- seeded faults: each row breaks code that its criteria judge, with
+# monkeypatch and never by editing the package, and runs only those criteria.
+
+
+def _moves_without_the_stay(monkeypatch):
+    """Every move row loses its stay; an isolated vertex keeps it, so that
+    no row is empty."""
+
+    moves = MultiLayerGraph.moves
+    monkeypatch.setattr(MultiLayerGraph, "moves", lambda g, layer: tuple(
+        tuple(w for w in row if w != v) or (v,) for v, row in enumerate(moves(g, layer))
+    ))
+
+
+def _every_tree_profile_clean(monkeypatch):
+    monkeypatch.setattr(treealgo, "_profile_robbers_edge", lambda *args: None)
+
+
+def _greedy_drops_its_first_pair(monkeypatch):
+    greedy = bounds.domset_greedy
+    monkeypatch.setattr(
+        bounds, "domset_greedy", lambda g: bounds.DominatingSet(frozenset(sorted(greedy(g).pairs)[1:]))
+    )
+
+
+FAULTS = [
+    (_moves_without_the_stay, ["c03", "c06", "c09", "c10", "c11"]),
+    (_every_tree_profile_clean, ["c06"]),
+    (_greedy_drops_its_first_pair, ["c11"]),
+]
+
+
+@pytest.mark.parametrize("fault, cids", FAULTS, ids=[fault.__name__.lstrip("_") for fault, _ in FAULTS])
+def test_a_seeded_fault_fails_the_criteria_that_judge_it(fault, cids, monkeypatch):
+    fault(monkeypatch)
+    for cid in cids:
+        (res,) = run_criteria(only=cid)
+        assert not res.passed, f"{res.cid} passed under the fault"

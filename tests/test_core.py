@@ -366,6 +366,7 @@ def test_parse_error_line_numbers():
         ("MLG1 2 1 UNION extra\nLAYER 1 0\n", 1, "malformed header"),
         ("MLG1 two 1 UNION\nLAYER 1 0\n", 1, "malformed header"),
         ("MLG1 2 1.5 UNION\nLAYER 1 0\n", 1, "malformed header"),
+        ("MLG1 2 x UNION\n", 1, "malformed header"),
         ("MLG1 2 1 union\nLAYER 1 0\n", 1, "unknown robber spec"),
         ("MLG1 0 1 UNION\nLAYER 1 0\n", 1, "vertex count must be positive"),
         ("MLG1 -3 1 UNION\nLAYER 1 0\n", 1, "vertex count must be positive"),
@@ -376,6 +377,8 @@ def test_parse_error_line_numbers():
         ("MLG1 2 1 UNION\nLAYER 1\n", 2, "expected 'LAYER 1 <m>'"),
         ("MLG1 2 1 UNION\nLAYER 1 x\n", 2, "expected 'LAYER 1 <m>'"),
         ("MLG1 2 1 UNION\nLAYERS 1 0\n", 2, "expected 'LAYER 1 <m>'"),
+        ("MLG1 2 1 UNION\nLAYER x 0\n", 2, "expected 'LAYER 1 <m>'"),
+        ("MLG1 2 1 UNION\nLAYER 1 0 7\n", 2, "expected 'LAYER 1 <m>'"),
         ("MLG1 2 2 UNION\nLAYER 1 0\nLAYER 3 0\n", 3, "expected layer 2, got layer 3"),
         ("MLG1 2 1 UNION\nLAYER 1 -1\n", 2, "negative edge count"),
         ("MLG1 3 1 UNION\nLAYER 1 2\n0 1\n", 3, "unexpected end of input"),
@@ -387,6 +390,8 @@ def test_parse_error_line_numbers():
         ("MLG1 2 1 EXPLICIT\nLAYER 1 0\nROBBER -1\n", 3, "negative edge count"),
         ("MLG1 2 1 EXPLICIT\nLAYER 1 0\nROBBER\n", 3, "expected 'ROBBER <m>'"),
         ("MLG1 2 1 EXPLICIT\nLAYER 1 0\nROBBER x\n", 3, "expected 'ROBBER <m>'"),
+        ("MLG1 2 1 EXPLICIT\nLAYER 1 0\nROBBER 1 2\n", 3, "expected 'ROBBER <m>'"),
+        ("MLG1 2 1 EXPLICIT\nLAYER 1 0\nROBBER 0 x\n", 3, "expected 'ROBBER <m>'"),
         ("MLG1 2 1 EXPLICIT\nLAYER 1 0\nLAYER 2 0\n", 3, "expected 'ROBBER <m>'"),
         ("MLG1 2 1 EXPLICIT\nLAYER 1 0\nROBBER 2\n0 1\n", 4, "unexpected end of input"),
         ("MLG1 2 1 UNION\nLAYER 1 0\nROBBER 0\n", 3, "trailing content"),
