@@ -61,7 +61,7 @@ def mec_check(g: MultiLayerGraph, k: int) -> bool:
             if (full & ~covered).bit_count() < 2:
                 return False
         return True
-    robber_masks = neighbour_masks(g.robber_view().adjacency)
+    robber_masks = neighbour_masks(g.layer_view(None))
     for chosen in combinations(enumerate(closed), k):
         occupied = covered = 0
         for p, m in chosen:
@@ -110,7 +110,7 @@ def clique_lb_check(g: MultiLayerGraph, k: int) -> bool:
         return False
     if k == 0:
         return n >= 2
-    max_deg = max(max(g.layer_view(i).degrees) for i in range(tau))
+    max_deg = max(len(row) for i in range(tau) for row in g.layer_view(i))
     if 1 + k + k * (max_deg + 1) < n:
         return True
     try:
@@ -395,7 +395,7 @@ def treewidth_cop_bound(g: MultiLayerGraph, decomp: TreeDecomposition) -> int:
     cop layer to be connected (the sweep routes cops within their layer)."""
 
     for i in range(g.tau):
-        if g.layer_view(i).n_components != 1:
+        if len(g.components(i)) != 1:
             raise MlgError(f"layer {i + 1} is disconnected; bag sweep needs connected layers")
     if not td_validate(decomp, flatten(g), g.n):
         raise MlgError("tree decomposition does not validate against the flattened graph")

@@ -173,7 +173,7 @@ def cmd_bounds(args) -> int:
         print(f"UB_domset={len(ds)} (greedy)")
     try:
         width, decomp = treewidth_exact_small(flatten(g), g.n)
-        connected = all(g.layer_view(i).n_components == 1 for i in range(g.tau))
+        connected = all(len(g.components(i)) == 1 for i in range(g.tau))
         if connected:
             print(f"UB_treewidth={width + 1}")
         else:

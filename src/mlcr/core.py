@@ -6,9 +6,10 @@ explicit edge set, the union of the cop layers, or the complete graph.
 Everything downstream (solver, bounds, simulator) works on this type, so
 edges are kept canonical: within a layer each edge is stored once as
 (u, v) with u < v, and layers are sorted tuples.  Instances are treated
-as immutable after construction; derived structures (adjacency, components,
-the move rows of `MultiLayerGraph.moves`, the distances of `bfs_dist`) are
-cached per layer in the graph.
+as immutable after construction; what is derived from a layer is cached per
+layer in the graph: its view (`MultiLayerGraph.layer_view`, the sorted
+neighbours of each vertex), its `components`, the move rows of `moves` and
+the distances of `bfs_dist`.  Layer None is the robber's.
 
 The game outcome types shared by the solver and the tree path (`Winner`,
 `GameVerdict`, `StateBudgetExceeded`, `DEFAULT_STATE_BUDGET`, the
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -61,10 +63,11 @@ class MlgEdgeError(MlgError):
 # adjacency questions are answered implicitly instead.
 COMPLETE_MATERIALISE_LIMIT = 2048
 
-# Bytes per vertex of one LayerView build: tracemalloc saw a peak of ~318 B
-# per vertex for `_build_layer_view(n, ())` (n = 10^5, Python 3.11), where
-# every vertex is its own component.  A graph needs at least one view, so
-# more vertices than physical RAM holds at this rate are refused.
+# Bytes per vertex of one layer view plus one walk of its components, as the
+# robber-tree check and the generator reports make: tracemalloc saw a peak of
+# ~272 B per vertex (~74 B of it the view) for `layer_view(0)`, `components(0)`
+# of an edgeless graph (n = 10^5, Python 3.11).  A graph needs at least one
+# view, so more vertices than physical RAM holds at this rate are refused.
 _LAYER_VIEW_BYTES = 384
 
 
@@ -106,20 +109,6 @@ def canonical_edges(edges: Iterable[Sequence[int]], n: int, *, what: str = "edge
         seen.add((u, v))
         out.append((u, v))
     return tuple(sorted(out))
-
-
-@dataclass
-class LayerView:
-    """Cached per-layer structure: sorted adjacency and component count."""
-
-    adjacency: tuple[tuple[int, ...], ...]
-    n_components: int
-    degrees: tuple[int, ...]
-
-
-def _build_layer_view(n: int, edges: Sequence[Edge]) -> LayerView:
-    adjacency = tuple(map(tuple, adjacency_lists(n, edges)))
-    return LayerView(adjacency, len(component_sets(adjacency)), tuple(len(a) for a in adjacency))
 
 
 @dataclass
@@ -179,10 +168,26 @@ class MultiLayerGraph:
     def robber_is_complete(self) -> bool:
         return self.robber_spec is RobberSpec.COMPLETE
 
-    def robber_view(self) -> LayerView:
-        if "robber_view" not in self._cache:
-            self._cache["robber_view"] = _build_layer_view(self.n, self.robber_layer_edges())
-        return self._cache["robber_view"]
+    def layer_view(self, layer: int | None) -> tuple[tuple[int, ...], ...]:
+        """One layer (None: the robber's) as each vertex's sorted neighbour
+        tuple, cached per graph; see `robber_layer_edges` for its limit."""
+
+        key = ("layer_view", layer)
+        if key not in self._cache:
+            if layer is not None and not 0 <= layer < self.tau:
+                raise MlgError(f"layer index {layer} out of range (tau={self.tau})")
+            edges = self.robber_layer_edges() if layer is None else self.layers[layer]
+            self._cache[key] = tuple(map(tuple, adjacency_lists(self.n, edges)))
+        return self._cache[key]
+
+    def components(self, layer: int | None) -> list[set[int]]:
+        """`component_sets` of one layer's view (None: the robber's), cached
+        per graph and shared by every caller, so it must only be read."""
+
+        key = ("components", layer)
+        if key not in self._cache:
+            self._cache[key] = component_sets(self.layer_view(layer))
+        return self._cache[key]
 
     def moves(self, layer: int | None) -> Sequence[Sequence[int]]:
         """The move rule of one layer (None: the robber's): per vertex, the
@@ -194,16 +199,7 @@ class MultiLayerGraph:
             if layer is None and self.robber_is_complete():
                 self._cache[key] = (range(self.n),) * self.n
             else:
-                view = self.robber_view() if layer is None else self.layer_view(layer)
-                self._cache[key] = tuple(tuple(sorted((v, *nbrs))) for v, nbrs in enumerate(view.adjacency))
-        return self._cache[key]
-
-    def layer_view(self, i: int) -> LayerView:
-        key = ("layer_view", i)
-        if key not in self._cache:
-            if not (0 <= i < self.tau):
-                raise MlgError(f"layer index {i} out of range (tau={self.tau})")
-            self._cache[key] = _build_layer_view(self.n, self.layers[i])
+                self._cache[key] = tuple(tuple(sorted((v, *nbrs))) for v, nbrs in enumerate(self.layer_view(layer)))
         return self._cache[key]
 
 
@@ -341,8 +337,7 @@ def bfs_dist(g: MultiLayerGraph, layer: int | None, source: int) -> list[float]:
     dists = g._cache.setdefault("dist", {})
     dist = dists.get((layer, source))
     if dist is None:
-        view = g.robber_view() if layer is None else g.layer_view(layer)
-        dist = dists[layer, source] = bfs_dist_adj(view.adjacency, source)
+        dist = dists[layer, source] = bfs_dist_adj(g.layer_view(layer), source)
         while len(dists) > 1 and len(dists) * g.n > _DIST_CACHE_SLOTS:
             del dists[next(iter(dists))]
     return dist
@@ -433,11 +428,8 @@ def ml_min_degree(g: MultiLayerGraph) -> int:
     An edge present in several layers counts once per layer.
     """
 
-    totals = [0] * g.n
-    for i in range(g.tau):
-        for v, d in enumerate(g.layer_view(i).degrees):
-            totals[v] += d
-    return min(totals)
+    views = [g.layer_view(i) for i in range(g.tau)]
+    return min(sum(len(view[v]) for view in views) for v in range(g.n))
 
 
 def min_degree(edges: Sequence[Edge], n: int) -> int:
@@ -504,12 +496,12 @@ def serialize_mlg(g: MultiLayerGraph) -> str:
 
 
 def _ints(tokens: Sequence[str], line_no: int, message: str) -> list[int]:
-    """The tokens as integers, or an MlgParseError with `message` at `line_no`."""
+    """The tokens as integers, each an optional '-' and ASCII digits, or an
+    MlgParseError with `message` at `line_no`."""
 
-    try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        raise MlgParseError(line_no, message) from None
+    if not all(re.fullmatch("-?[0-9]+", t) for t in tokens):
+        raise MlgParseError(line_no, message)
+    return [int(t) for t in tokens]
 
 
 def parse_mlg(text: str | bytes) -> MultiLayerGraph:

@@ -75,13 +75,9 @@ class ConstructionReport:
 
 
 def _report(family: str, params: dict, g: MultiLayerGraph) -> ConstructionReport:
-    conn = []
-    stats = []
-    for i in range(g.tau):
-        view = g.layer_view(i)
-        conn.append(view.n_components == 1)
-        stats.append((min(view.degrees), max(view.degrees)))
-    return ConstructionReport(family, params, tuple(conn), tuple(stats))
+    conn = tuple(len(g.components(i)) == 1 for i in range(g.tau))
+    degrees = [list(map(len, g.layer_view(i))) for i in range(g.tau)]
+    return ConstructionReport(family, params, conn, tuple((min(d), max(d)) for d in degrees))
 
 
 def _finish(g: MultiLayerGraph, report: ConstructionReport) -> tuple[MultiLayerGraph, ConstructionReport]:
@@ -349,7 +345,7 @@ def gen_cycle_matchings(n: int) -> tuple[MultiLayerGraph, ConstructionReport]:
     report = _report("cycle-matchings", {"n": n, "vertices": nv}, g)
     union = flatten(g)
     report.add("union_is_cycle", len(union) == nv and is_connected_edges(union, nv))
-    report.add("each_layer_n_components", all(g.layer_view(i).n_components == n for i in (0, 1)))
+    report.add("each_layer_n_components", all(len(g.components(i)) == n for i in (0, 1)))
     report.add("layers_disjoint", not (set(c1) & set(c2)))
     return _finish(g, report)
 
@@ -449,7 +445,7 @@ def gen_soifer(n: int, tau: int) -> tuple[MultiLayerGraph, ConstructionReport]:
     report.add("union_is_complete", flatten(g) == tuple(combinations(range(n), 2)))
     total = sum(len(layer) for layer in layers)
     report.add("layers_edge_disjoint", total == n * (n - 1) // 2, total)
-    max_deg = max(max(g.layer_view(i).degrees) for i in range(tau))
+    max_deg = max(dmax for _, dmax in report.degree_stats)
     report.add("max_layer_degree_le_ceil", max_deg <= math.ceil(n / tau), max_deg)
     return _finish(g, report)
 

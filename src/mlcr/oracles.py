@@ -11,18 +11,15 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Sequence
 
-from .core import MultiLayerGraph
+from .core import MultiLayerGraph, adjacency_lists
 
 
 def _agent_adjacency(g: MultiLayerGraph, assignment: Sequence[int]):
-    """Per-agent move sets including stay; agent 0 is the robber."""
+    """Per-agent move sets including stay; agent 0 is the robber.  They are
+    built from the edge sets, not from the graph's cached views."""
 
-    robber_adj = g.robber_view().adjacency
-    moves = [[sorted(set(robber_adj[v]) | {v}) for v in range(g.n)]]
-    for layer in assignment:
-        adj = g.layer_view(layer).adjacency
-        moves.append([sorted(set(adj[v]) | {v}) for v in range(g.n)])
-    return moves
+    edge_sets = [g.robber_layer_edges(), *(g.layers[layer] for layer in assignment)]
+    return [[sorted([v, *nbrs]) for v, nbrs in enumerate(adjacency_lists(g.n, edges))] for edges in edge_sets]
 
 
 def naive_copwin_status(g: MultiLayerGraph, assignment: Sequence[int]) -> dict[tuple, bool]:

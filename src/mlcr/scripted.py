@@ -89,7 +89,7 @@ class GridCopGuard(_OnGrid, CopTeamStrategy):
             self._idx = lambda i, j: idx(j, i)
         elif tuple(assignment) != (1, 1):
             raise StrategyMismatchError("grid guard needs both cops on the same layer")
-        self.adj = g.layer_view(assignment[0]).adjacency
+        self.adj = g.layer_view(assignment[0])
         self.phase = 1
         self.blocker = 1
         self.bcol = 2
@@ -239,7 +239,7 @@ class SlicesRobber(RobberStrategy):
         self.coords = lambda v: slices_coords(self.k, v)
         self.index = lambda x, y, z: slices_index(self.k, x, y, z)
         self.plan: list[int] = []
-        self.radj = g.robber_view().adjacency
+        self.radj = g.layer_view(None)
 
     def _cop_slices(self, cops) -> set[int]:
         return {self.coords(p)[0] for p in cops}
@@ -354,7 +354,7 @@ class CopsbaneRobber(RobberStrategy):
         # per layer, what a cop off the hub blocks: the core part of its component without the hub
         self.comp: list[dict[int, frozenset[int]]] = [{}, {}]
         for layer, comp_of in enumerate(self.comp):
-            for comp in component_sets(g.layer_view(layer).adjacency, (N,)):
+            for comp in component_sets(g.layer_view(layer), (N,)):
                 comp_of.update(dict.fromkeys(comp, frozenset(v for v in comp if v < N)))
         self._safe_cache: dict[frozenset[int], list[set[int]]] = {}
 
@@ -472,7 +472,7 @@ class TreeSqueezeCops(_TaskCops):
         if profile is None:
             raise StrategyMismatchError("instance has a robber's edge for this assignment")
         self.profile = profile
-        self.radj = g.robber_view().adjacency
+        self.radj = g.layer_view(None)
 
     def place(self):
         return tuple(min(comp) for comp in self.profile)
@@ -519,7 +519,7 @@ class BagsweepCops(_TaskCops):
         if not td_validate(self.decomp, flatten(g), g.n):
             raise StrategyMismatchError("decomposition does not validate against the graph")
         for i in range(g.tau):
-            if g.layer_view(i).n_components != 1:
+            if len(g.components(i)) != 1:
                 raise StrategyMismatchError("bag sweep needs connected cop layers")
         if len(assignment) < self.decomp.max_bag:
             raise StrategyMismatchError(

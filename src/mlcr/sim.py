@@ -164,7 +164,7 @@ class CopTeamStrategy(Strategy):
         or None when no cop is next to the robber."""
 
         for c, pos in enumerate(view.cops):
-            if view.robber in self.g.layer_view(self.assignment[c]).adjacency[pos]:
+            if view.robber in self.g.layer_view(self.assignment[c])[pos]:
                 return view.cops[:c] + (view.robber,) + view.cops[c + 1:]
         return None
 
@@ -305,9 +305,8 @@ class GreedyCops(CopTeamStrategy):
         # spread the cops over their layers' most central vertices
         out = []
         for i, layer in enumerate(self.assignment):
-            view = self.g.layer_view(layer)
-            deg = view.degrees
-            order = sorted(range(self.g.n), key=lambda v: (-deg[v], v))
+            rows = self.g.layer_view(layer)
+            order = sorted(range(self.g.n), key=lambda v: (-len(rows[v]), v))
             out.append(order[i % len(order)])
         return tuple(out)
 
@@ -330,7 +329,7 @@ class RandomRobber(RobberStrategy):
         if self.g.robber_is_complete():
             options = list(range(self.g.n))
         else:
-            options = [view.robber] + list(self.g.robber_view().adjacency[view.robber])
+            options = [view.robber] + list(self.g.layer_view(None)[view.robber])
         return self.rng.choice(options)
 
 
@@ -345,7 +344,7 @@ class RandomCops(CopTeamStrategy):
     def moves(self, view: MatchView):
         out = []
         for i, pos in enumerate(view.cops):
-            options = [pos] + list(self.g.layer_view(self.assignment[i]).adjacency[pos])
+            options = [pos] + list(self.g.layer_view(self.assignment[i])[pos])
             out.append(self.rng.choice(options))
         return tuple(out)
 

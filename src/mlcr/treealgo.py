@@ -33,7 +33,6 @@ from .core import (
     Winner,
     allocation_plans,
     bfs_dist_adj,
-    component_sets,
 )
 
 
@@ -90,7 +89,7 @@ def _profile_robbers_edge(
             continue
         c = reach[0]
         comp = profile[c]
-        adj = g.layer_view(assignment[c]).adjacency
+        adj = g.layer_view(assignment[c])
         if u in comp and not set(adj[u]).isdisjoint(g.moves(assignment[c])[v]):
             continue  # the cop's layer joins u and v within two steps
         dist = bfs_dist_adj(adj, u)[v] if u in comp and v in comp else INF
@@ -101,20 +100,19 @@ def _profile_robbers_edge(
 def _component_choices(g: MultiLayerGraph, layer: int) -> list[frozenset[int]]:
     """Start components a cop on this layer can choose, most useful first."""
 
-    comps = map(frozenset, component_sets(g.layer_view(layer).adjacency))
-    return sorted(comps, key=lambda c: (-len(c), min(c)))
+    return sorted(map(frozenset, g.components(layer)), key=lambda c: (-len(c), min(c)))
 
 
 def robber_tree_edges(g: MultiLayerGraph) -> tuple[tuple[int, int], ...] | None:
-    """The robber layer's edges if they form a spanning tree (n-1 edges, one
-    component of the graph's cached robber view), else None.
+    """The robber layer's edges if they form a spanning tree (n-1 edges and
+    one component in the graph's cached `components(None)`), else None.
 
     A complete robber layer is a tree iff n <= 2; a larger one is not listed."""
 
     if g.robber_is_complete() and g.n > 2:
         return None
     edges = g.robber_layer_edges()
-    return edges if len(edges) == g.n - 1 and g.robber_view().n_components == 1 else None
+    return edges if len(edges) == g.n - 1 and len(g.components(None)) == 1 else None
 
 
 def _tree_edges(g: MultiLayerGraph) -> Sequence[tuple[int, int]]:

@@ -21,6 +21,7 @@ from .core import (
     MlgError,
     MultiLayerGraph,
     RobberSpec,
+    StateBudgetExceeded,
     Winner,
     flatten,
     ml_min_degree,
@@ -48,14 +49,21 @@ def criterion(cid: str, title: str):
 
 
 def run_criteria(only: str | None = None, state_budget: int = DEFAULT_STATE_BUDGET) -> Iterator[CriterionResult]:
-    """Each chosen criterion's result as soon as it finishes."""
+    """Each chosen criterion's result as soon as it finishes.  A criterion
+    that raises fails with one `raised <Type>: <message>` detail line, and
+    the next one runs; `StateBudgetExceeded` still propagates."""
 
     chosen = [entry for entry in _REGISTRY if not only or only in entry[0]]
     if not chosen:
         raise MlgError(f"no criterion id contains {only!r} (--only)")
     for cid, title, fn in chosen:
         t0 = time.perf_counter()
-        passed, details = fn(state_budget)
+        try:
+            passed, details = fn(state_budget)
+        except StateBudgetExceeded:
+            raise
+        except Exception as ex:
+            passed, details = False, [f"raised {type(ex).__name__}: {ex}"]
         yield CriterionResult(cid, title, passed, details, time.perf_counter() - t0)
 
 
@@ -501,13 +509,17 @@ def _c14(budget):
 
 @criterion("c15-determinism", "verify-paper output is a pure function of its arguments")
 def _c15(budget):
+    import os
     import subprocess
     import sys as _sys
+    from pathlib import Path
 
     cmd = [_sys.executable, "-m", "mlcr.cli", "verify-paper", "--only", "c07"]
+    paths = [str(Path(__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     outs = []
-    for _ in range(2):
-        proc = subprocess.run(cmd, capture_output=True)
+    for _ in range(2):  # each child imports the package that this process runs
+        proc = subprocess.run(cmd, capture_output=True, env=env)
         outs.append(proc.stdout)
     ok = outs[0] == outs[1] and b"PASS" in outs[0]
     details = [f"two runs produced {'identical' if outs[0] == outs[1] else 'DIFFERENT'} stdout "

@@ -62,8 +62,8 @@ def rank_violations(table) -> np.ndarray:
     size = n**kp1 * kp1
     assert rank.shape == (size,) and rank.dtype in (np.int16, np.int32)
     strides = [kp1 * n ** (k - a) for a in range(kp1)]  # agent a's digit; 0 = robber
-    rows = [_move_rows(n, None if g.robber_is_complete() else g.robber_view().adjacency)]
-    rows += [_move_rows(n, g.layer_view(layer).adjacency) for layer in table.assignment]
+    rows = [_move_rows(n, None if g.robber_is_complete() else g.layer_view(None))]
+    rows += [_move_rows(n, g.layer_view(layer)) for layer in table.assignment]
     step = _CERT_CHUNK // kp1 * kp1
     bad = []
     for lo, t in product(range(0, size, step), range(kp1)):

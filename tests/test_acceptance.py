@@ -8,7 +8,7 @@ import hashlib
 
 import pytest
 
-from mlcr import bounds, treealgo
+from mlcr import bounds, generators, treealgo
 from mlcr.core import MultiLayerGraph
 from mlcr.verify import _REGISTRY, run_criteria
 
@@ -72,6 +72,39 @@ def _moves_without_the_stay(monkeypatch):
     ))
 
 
+def _cop_views_drop_their_first_edge(monkeypatch):
+    """Every cop layer's view loses its first edge, from both of its rows."""
+
+    view = MultiLayerGraph.layer_view
+
+    def faulty(g, layer):
+        if layer is None or not g.layers[layer]:
+            return view(g, layer)
+        first = set(g.layers[layer][0])
+        return tuple(tuple(w for w in row if {v, w} != first) for v, row in enumerate(view(g, layer)))
+
+    monkeypatch.setattr(MultiLayerGraph, "layer_view", faulty)
+
+
+def _view_rows_drop_their_last_neighbour(monkeypatch):
+    """Every row of every view, the robber's too, loses its last neighbour."""
+
+    view = MultiLayerGraph.layer_view
+    monkeypatch.setattr(MultiLayerGraph, "layer_view", lambda g, layer: tuple(row[:-1] for row in view(g, layer)))
+
+
+def _soifer_moves_a_class_to_the_first_layer(monkeypatch):
+    sizes = generators._interval_sizes
+
+    def shifted(total, parts):
+        out = sizes(total, parts)
+        out[0] += 1
+        out[-1] -= 1
+        return out
+
+    monkeypatch.setattr(generators, "_interval_sizes", shifted)
+
+
 def _every_tree_profile_clean(monkeypatch):
     monkeypatch.setattr(treealgo, "_profile_robbers_edge", lambda *args: None)
 
@@ -85,6 +118,9 @@ def _greedy_drops_its_first_pair(monkeypatch):
 
 FAULTS = [
     (_moves_without_the_stay, ["c03", "c06", "c09", "c10", "c11"]),
+    (_cop_views_drop_their_first_edge, ["c03", "c09"]),
+    (_view_rows_drop_their_last_neighbour, ["c01", "c02", "c06", "c09", "c10"]),
+    (_soifer_moves_a_class_to_the_first_layer, ["c07", "c08"]),
     (_every_tree_profile_clean, ["c06"]),
     (_greedy_drops_its_first_pair, ["c11"]),
 ]
@@ -96,3 +132,12 @@ def test_a_seeded_fault_fails_the_criteria_that_judge_it(fault, cids, monkeypatc
     for cid in cids:
         (res,) = run_criteria(only=cid)
         assert not res.passed, f"{res.cid} passed under the fault"
+
+
+def test_c15_children_import_the_package_of_the_process_without_pythonpath(monkeypatch):
+    """The children find the running `mlcr` even when only `sys.path` has it."""
+
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    (res,) = run_criteria(only="c15")
+    assert res.passed, res.details
+    assert _stdout_digest(res) == STDOUT_SHA256[res.cid]

@@ -68,9 +68,9 @@ def _mec_reference(g, k):
     if k == 0:
         return n >= 1
     pairs = [(v, i) for i in range(g.tau) for v in range(n)]
-    layer_adj = [g.layer_view(i).adjacency for i in range(g.tau)]
+    layer_adj = [g.layer_view(i) for i in range(g.tau)]
     robber_complete = g.robber_is_complete()
-    robber_adj = None if robber_complete else g.robber_view().adjacency
+    robber_adj = None if robber_complete else g.layer_view(None)
     full = (1 << n) - 1
     for chosen in itertools.combinations(pairs, k):
         occupied = 0
@@ -434,7 +434,7 @@ def _closed_neighbourhood_condition(g, k):
     pairs occupy every vertex, and none leave a vertex outside whose closed
     neighbourhood union misses only that vertex."""
 
-    closed = [[set(g.layer_view(i).adjacency[v]) | {v} for v in range(g.n)] for i in range(g.tau)]
+    closed = [[set(g.layer_view(i)[v]) | {v} for v in range(g.n)] for i in range(g.tau)]
     everything = set(range(g.n))
     for chosen in itertools.combinations([(v, i) for i in range(g.tau) for v in range(g.n)], k):
         occupied = {v for v, _ in chosen}
@@ -456,7 +456,7 @@ def test_clique_lb_equals_mec_check_without_degree_certificate():
             for _ in range(tau)
         )
         g = MultiLayerGraph(n=n, layers=layers, robber_spec=RobberSpec.COMPLETE)
-        max_deg = max(max(g.layer_view(i).degrees) for i in range(tau))
+        max_deg = max(len(row) for i in range(tau) for row in g.layer_view(i))
         for k in range(1, n):
             if 1 + k + k * (max_deg + 1) < n:
                 continue  # the degree certificate answers before any enumeration
@@ -484,7 +484,7 @@ def _rescan_greedy(g):
     """The greedy cover by full rescans: every pick scores every pair."""
 
     masks = [
-        [sum(1 << w for w in g.layer_view(i).adjacency[v]) | (1 << v) for v in range(g.n)]
+        [sum(1 << w for w in g.layer_view(i)[v]) | (1 << v) for v in range(g.n)]
         for i in range(g.tau)
     ]
     full, covered, chosen = (1 << g.n) - 1, 0, set()

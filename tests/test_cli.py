@@ -106,19 +106,19 @@ def test_solve_never_lists_a_complete_robber_layer(mode, tmp_path, capsys, monke
 @pytest.mark.parametrize("mode", [["--cops", "2"], ["--allocation", "1"]])
 def test_solve_checks_a_tree_robber_layer_once(mode, tmp_path, capsys, monkeypatch):
     """`cmd_solve` and the tree path ask the graph, which builds its robber
-    view once and answers every later tree check from it."""
+    components once and answers every later tree check from them."""
 
     from mlcr.core import MultiLayerGraph, RobberSpec
 
     builds = []
-    real = MultiLayerGraph.robber_view
+    real = MultiLayerGraph.components
 
-    def counted(self):
-        if "robber_view" not in self._cache:
+    def counted(self, layer):
+        if layer is None and ("components", None) not in self._cache:
             builds.append(self.n)
-        return real(self)
+        return real(self, layer)
 
-    monkeypatch.setattr(MultiLayerGraph, "robber_view", counted)
+    monkeypatch.setattr(MultiLayerGraph, "components", counted)
     path = tmp_path / "path4.mlg"
     write_mlg_file(MultiLayerGraph(n=4, layers=(((0, 1), (1, 2), (2, 3)),), robber_spec=RobberSpec.UNION), path)
     code, out, _ = run_cli(["solve", str(path), *mode], capsys)
@@ -271,23 +271,45 @@ def test_verify_paper_reports_failures(capsys, monkeypatch):
 
 
 def test_verify_paper_prints_each_criterion_as_it_finishes(capsys, monkeypatch):
-    """A criterion that raises after one that passed: the first one's lines
-    are already out, and the run ends in exit 2 with one `error:` line."""
+    """A criterion over its state budget after one that passed: the first
+    one's lines are already out, and the run ends in exit 3 with one
+    `error:` line."""
 
     import mlcr.verify as verify
+    from mlcr.core import StateBudgetExceeded
 
     def broken(budget):
-        raise MlgError("planted fault")
+        raise StateBudgetExceeded(10, 5)
 
     monkeypatch.setattr(verify, "_REGISTRY", [
         ("c98-fine", "passes", lambda budget: (True, ["detail"])),
         ("c99-broken", "raises", broken),
     ])
     code, out, err = run_cli(["verify-paper"], capsys)
-    assert code == 2
+    assert code == 3
     assert out == "PASS c98-fine passes\n  detail\n"
-    assert [line for line in err.splitlines() if not line.startswith("# c98-fine: ")] == ["error: planted fault"]
+    assert [line for line in err.splitlines() if not line.startswith("# c98-fine: ")] == [
+        "error: state space needs 10 states, budget is 5"
+    ]
     assert err.startswith("# c98-fine: ")
+
+
+def test_verify_paper_fails_a_criterion_that_raises_and_runs_the_next(capsys, monkeypatch):
+    import mlcr.verify as verify
+
+    def broken(budget):
+        raise MlgError("planted fault")
+
+    monkeypatch.setattr(verify, "_REGISTRY", [
+        ("c98-broken", "raises", broken),
+        ("c99-fine", "passes", lambda budget: (True, ["detail"])),
+    ])
+    code, out, _ = run_cli(["verify-paper"], capsys)
+    assert code == 1
+    assert out == (
+        "FAIL c98-broken raises\n  raised MlgError: planted fault\n"
+        "PASS c99-fine passes\n  detail\nTOTAL 1/2 PASS\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -157,19 +157,19 @@ def test_flatten_of_clique_partition_is_complete():
 
 def test_components_single_edge():
     g = MultiLayerGraph(n=3, layers=(((0, 1),),))
-    view = g.layer_view(0)
-    assert view.n_components == 2
-    assert component_sets(view.adjacency) == [{0, 1}, {2}]
+    assert g.layer_view(0) == ((1,), (0,), ())
+    assert g.components(0) == component_sets(g.layer_view(0)) == [{0, 1}, {2}]
+    assert g.components(0) is g.components(0)
 
 
 def test_components_cycle_matchings():
     g, _ = gen_cycle_matchings(3)
-    assert g.layer_view(0).n_components == 3
+    assert len(g.components(0)) == 3
 
 
 def test_components_connected_layer():
     g = MultiLayerGraph(n=3, layers=(k3(),))
-    assert g.layer_view(0).n_components == 1
+    assert len(g.components(0)) == 1
 
 
 def test_bfs_dist_path_and_unreachable():
@@ -192,7 +192,7 @@ def test_bfs_dist_of_the_robber_layer_is_cached_per_graph():
         robber_edges=((0, 1), (1, 2), (2, 3)),
     )
     dist = bfs_dist(g, None, 0)
-    assert dist == bfs_dist_adj(g.robber_view().adjacency, 0) == [0, 1, 2, 3, math.inf]
+    assert dist == bfs_dist_adj(g.layer_view(None), 0) == [0, 1, 2, 3, math.inf]
     assert bfs_dist(g, None, 0) is dist
     assert bfs_dist(g, 0, 0) == [0, 1, math.inf, math.inf, math.inf]
 
@@ -329,6 +329,7 @@ def test_parse_smallest_graph():
     assert g.n == 2
     assert g.layers == (((0, 1),),)
     assert g.robber_spec is RobberSpec.UNION
+    assert parse_mlg("MLG1 02 01 UNION\nLAYER 001 1\n00 01\n") == g  # leading zeros read as the number
 
 
 def test_grid_round_trip_byte_exact():
@@ -367,6 +368,8 @@ def test_parse_error_line_numbers():
         ("MLG1 two 1 UNION\nLAYER 1 0\n", 1, "malformed header"),
         ("MLG1 2 1.5 UNION\nLAYER 1 0\n", 1, "malformed header"),
         ("MLG1 2 x UNION\n", 1, "malformed header"),
+        ("MLG1 1_3 1 UNION\nLAYER 1 0\n", 1, "malformed header"),
+        ("MLG1 \u0663 1 UNION\nLAYER 1 0\n", 1, "malformed header"),
         ("MLG1 2 1 union\nLAYER 1 0\n", 1, "unknown robber spec"),
         ("MLG1 0 1 UNION\nLAYER 1 0\n", 1, "vertex count must be positive"),
         ("MLG1 -3 1 UNION\nLAYER 1 0\n", 1, "vertex count must be positive"),
@@ -379,11 +382,13 @@ def test_parse_error_line_numbers():
         ("MLG1 2 1 UNION\nLAYERS 1 0\n", 2, "expected 'LAYER 1 <m>'"),
         ("MLG1 2 1 UNION\nLAYER x 0\n", 2, "expected 'LAYER 1 <m>'"),
         ("MLG1 2 1 UNION\nLAYER 1 0 7\n", 2, "expected 'LAYER 1 <m>'"),
+        ("MLG1 2 1 UNION\nLAYER +1 1\n0 1\n", 2, "expected 'LAYER 1 <m>'"),
         ("MLG1 2 2 UNION\nLAYER 1 0\nLAYER 3 0\n", 3, "expected layer 2, got layer 3"),
         ("MLG1 2 1 UNION\nLAYER 1 -1\n", 2, "negative edge count"),
         ("MLG1 3 1 UNION\nLAYER 1 2\n0 1\n", 3, "unexpected end of input"),
         ("MLG1 3 1 UNION\nLAYER 1 1\n0 1\n1 2\n", 4, "trailing content"),
         ("MLG1 3 1 UNION\nLAYER 1 1\n0 1 2\n", 3, "expected '<u> <v>', got '0 1 2'"),
+        ("MLG1 13 1 UNION\nLAYER 1 1\n0 1_2\n", 3, "expected integers, got '0 1_2'"),
         ("MLG1 3 1 UNION\nLAYER 1 1\n0 1\nLAYER 2 0\n", 4, "trailing content"),
         # robber section
         ("MLG1 2 1 EXPLICIT\nLAYER 1 0\n", 2, "unexpected end of input"),
@@ -490,14 +495,17 @@ def test_parse_reports_the_edited_edge_line(g, edit, data):
 
 
 def test_layer_view_bytes_bound_the_tracemalloc_peak_of_an_edgeless_view():
+    """A view and one walk of its components, every vertex its own."""
+
     import tracemalloc
 
-    from mlcr.core import _LAYER_VIEW_BYTES, _build_layer_view
+    from mlcr.core import _LAYER_VIEW_BYTES
 
     n = 50_000
+    g = MultiLayerGraph(n=n, layers=((),))
     tracemalloc.start()
     try:
-        _build_layer_view(n, ())
+        g.layer_view(0), g.components(0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

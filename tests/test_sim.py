@@ -312,12 +312,13 @@ def test_simulate_batch_resolves_move_sets_once_per_match(tmp_path, monkeypatch,
     path = tmp_path / "grid4.mlg"
     write_mlg_file(g, path)
     lookups = []
-    for name in ("layer_view", "robber_view"):
-        def counted(self, *args, _real=getattr(MultiLayerGraph, name)):
-            lookups.append(args)
-            return _real(self, *args)
+    real = MultiLayerGraph.layer_view
 
-        monkeypatch.setattr(MultiLayerGraph, name, counted)
+    def counted(self, layer):
+        lookups.append(layer)
+        return real(self, layer)
+
+    monkeypatch.setattr(MultiLayerGraph, "layer_view", counted)
     per_call = {"run_match": [], "referee_check": []}
     for name, counts in per_call.items():
         def measured(*args, _real=getattr(mlcr.sim, name), _counts=counts, **kwargs):
@@ -570,7 +571,7 @@ def _old_step_is_threatened(g, assignment, cops, nxt):
     """The slices robber's former step rule: a cop on `nxt`, or `nxt` next to
     a cop in that cop's layer."""
 
-    return nxt in cops or any(nxt in g.layer_view(assignment[c]).adjacency[p] for c, p in enumerate(cops))
+    return nxt in cops or any(nxt in g.layer_view(assignment[c])[p] for c, p in enumerate(cops))
 
 
 def test_slices_robber_drops_a_step_exactly_when_the_old_rule_did():
@@ -746,7 +747,7 @@ def test_bagsweep_reused_across_seeds_matches_fresh_instances():
     compared = 0
     for s in range(40):
         g, _ = gen_random_layers(9, 0.5, 2, s)
-        if any(g.layer_view(i).n_components != 1 for i in range(g.tau)):
+        if any(len(g.components(i)) != 1 for i in range(g.tau)):
             continue
         _, decomp = treewidth_exact_small(flatten(g), g.n)
         plan = AllocationPlan((decomp.max_bag, 0))

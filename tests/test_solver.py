@@ -503,8 +503,8 @@ def _ref_successors(table, index):
     if mover == 0 and g.robber_is_complete():
         moves = range(n)
     else:
-        view = g.robber_view() if mover == 0 else g.layer_view(table.assignment[mover - 1])
-        indptr, indices = _ref_csr_with_self(n, view.adjacency)
+        view = g.layer_view(None if mover == 0 else table.assignment[mover - 1])
+        indptr, indices = _ref_csr_with_self(n, view)
         moves = [int(indices[j]) for j in range(int(indptr[position]), int(indptr[position + 1]))]
     stride = (k + 1) * n ** (k - mover)
     t_next = (t + 1) % (k + 1)
@@ -524,7 +524,7 @@ def _ref_chase_cop_move(table, index):
     from mlcr.core import bfs_dist_adj
 
     robber, _, t = table.unpack(index)
-    dist = bfs_dist_adj(table.graph.layer_view(table.assignment[t]).adjacency, robber)
+    dist = bfs_dist_adj(table.graph.layer_view(table.assignment[t]), robber)
     best_idx, best_d = -1, None
     for s in _ref_successors(table, index):
         d = dist[table.unpack(s)[1][t]]

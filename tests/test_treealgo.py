@@ -156,17 +156,17 @@ def test_equivalence_extends_to_three_layers_and_three_cops():
 
 def test_decide_tree_robber_checks_the_tree_once(monkeypatch):
     """Every composition asks for the tree; the graph builds the robber
-    view that answers it once."""
+    components that answer it once."""
 
     calls = []
-    real = MultiLayerGraph.robber_view
+    real = MultiLayerGraph.components
 
-    def counted(self):
-        if "robber_view" not in self._cache:
+    def counted(self, layer):
+        if layer is None and ("components", None) not in self._cache:
             calls.append(self.n)
-        return real(self)
+        return real(self, layer)
 
-    monkeypatch.setattr(MultiLayerGraph, "robber_view", counted)
+    monkeypatch.setattr(MultiLayerGraph, "components", counted)
     path = [(0, 1), (1, 2), (2, 3)]
     # three cops on the edgeless layer leave a vertex unpoliced; (2,1) is the second composition
     verdict, plan = decide_tree_robber(explicit(4, [(), path], path), 3)
