@@ -78,8 +78,9 @@ from .core import (
 # Predecessor entries per batch: their dedupe tags -2 .. -1-_BATCH fit int16.
 _BATCH = (1 << 15) - 1
 # Bytes per batch entry of the live work arrays (preds, entry, cand, the
-# repeat/gather temporaries and the robber's dedupe), counted by the RAM cap:
-# ten int64 arrays; tracemalloc saw at most 68 B per entry.
+# repeat/gather temporaries, the robber's dedupe and what the previous batch
+# still holds), counted by the RAM cap: ten int64 arrays.  tracemalloc saw
+# at most 71 B per entry, on grid n=6 with cops (0,0,1).
 _WORK_BYTES = 80
 # Largest rank an int16 table holds; a deeper level widens it to int32.
 _RANK_MAX = np.iinfo(np.int16).max
@@ -416,12 +417,18 @@ def _retrograde(
                     else:
                         cnt = deg[row]
                         csum = cnt.cumsum()
-                        entry = np.arange(csum[-1]) + (ends[row] - csum).repeat(cnt)
-                        preds = chunk.repeat(cnt) + delta[entry]
+                        # in place: at most two predecessor-sized arrays live at once
+                        entry = (ends[row] - csum).repeat(cnt)
+                        entry += np.arange(csum[-1])
+                        preds = delta[entry]
+                        del entry
+                        preds += chunk.repeat(cnt)
                     # more than one batch only if a single row is wider than _BATCH
                     for at in range(0, preds.size, _BATCH):
                         cand = preds[at : at + _BATCH]
                         cand = cand[rank[cand] < 0]
+                        if preds.size <= _BATCH:  # the only batch: done with preds
+                            del preds
                         if not cand.size:
                             continue
                         # dedupe: every candidate tags its state; one tag per state survives
@@ -440,10 +447,14 @@ def _retrograde(
                         # robber to move: the surviving tag counts its state's occurrences
                         mult = np.bincount(-2 - rank[cand])
                         kept = mult.nonzero()[0]
-                        won, mult = cand[kept], mult[kept]
+                        won = cand[kept]
+                        del cand
+                        mult = mult[kept]
+                        del kept
                         pos = won // kp1
-                        left = counter[pos] - mult
+                        left = np.subtract(counter[pos], mult, out=mult)  # left takes mult's place
                         counter[pos] = left
+                        del pos
                         rank[won] = -1
                         won = won[left == 0]
                         if won.size:

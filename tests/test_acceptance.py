@@ -5,10 +5,11 @@ Each criterion prints one PASS/FAIL line; the same registry backs the
 """
 
 import hashlib
+import inspect
 
 import pytest
 
-from mlcr import bounds, generators, treealgo
+from mlcr import bounds, generators, solver, treealgo
 from mlcr.core import MultiLayerGraph
 from mlcr.verify import _REGISTRY, run_criteria
 
@@ -116,6 +117,28 @@ def _greedy_drops_its_first_pair(monkeypatch):
     )
 
 
+def _kernel_ranks_a_robber_state_one_successor_early(monkeypatch):
+    """The retrograde kernel, compiled from its own source with one edit, in
+    the solver's namespace: a robber-turn state is ranked cop-win while one
+    of its successors is still open."""
+
+    source = inspect.getsource(solver._retrograde)
+    assert source.count("won = won[left == 0]") == 1
+    defined = {}
+    exec(compile(source.replace("won[left == 0]", "won[left <= 1]"), solver.__file__, "exec"), vars(solver), defined)
+    monkeypatch.setattr(solver, "_retrograde", defined["_retrograde"])
+
+
+def _pstar_one_in_a_thousand_high(monkeypatch):
+    pstar = bounds.pstar
+    monkeypatch.setattr(bounds, "pstar", lambda p, tau: pstar(p, tau) * 1.001)
+
+
+def _treewidth_bound_one_below_the_largest_bag(monkeypatch):
+    bound = bounds.treewidth_cop_bound
+    monkeypatch.setattr(bounds, "treewidth_cop_bound", lambda g, decomp: bound(g, decomp) - 1)
+
+
 FAULTS = [
     (_moves_without_the_stay, ["c03", "c06", "c09", "c10", "c11"]),
     (_cop_views_drop_their_first_edge, ["c03", "c09"]),
@@ -123,6 +146,9 @@ FAULTS = [
     (_soifer_moves_a_class_to_the_first_layer, ["c07", "c08"]),
     (_every_tree_profile_clean, ["c06"]),
     (_greedy_drops_its_first_pair, ["c11"]),
+    (_kernel_ranks_a_robber_state_one_successor_early, ["c01", "c02", "c03", "c06", "c09", "c10"]),
+    (_pstar_one_in_a_thousand_high, ["c12"]),
+    (_treewidth_bound_one_below_the_largest_bag, ["c13"]),
 ]
 
 

@@ -190,7 +190,23 @@ def test_grid6_table_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 35 * 10**6
+    assert peak < 20 * 10**6  # 19.24 MB measured
+
+
+def test_c02_three_cop_layer_game_peak_memory():
+    """The level step frees each predecessor-sized array after its last use."""
+
+    import tracemalloc
+
+    g, _ = gen_min_counterexample()  # mirror layer 1, 3 cops: 521,284 states, 1.2 MB of rank and counter
+    layer = MultiLayerGraph(n=g.n, layers=(g.layers[0],), robber_spec=RobberSpec.EXPLICIT, robber_edges=g.layers[0])
+    tracemalloc.start()
+    try:
+        assert copwin_winners([(layer, (0, 0, 0))]) == [Winner.COP]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20  # 2.61 MiB measured
 
 
 def test_zero_cops_lose():
