@@ -21,7 +21,6 @@ _SOLVER_NAMES = frozenset({
     "CopWinTable",
     "build_copwin",
     "decide_allocated",
-    "decide_choose_allocation",
     "decide_free_layer_choice",
     "multilayer_cop_number",
     "single_layer_cop_number",
@@ -47,7 +46,6 @@ __all__ = [
     "Winner",
     "build_copwin",
     "decide_allocated",
-    "decide_choose_allocation",
     "decide_free_layer_choice",
     "flatten",
     "ml_min_degree",

@@ -23,14 +23,18 @@ import gc
 import io
 import sys
 import time
+from functools import partial
 
 from .core import (
     DEFAULT_STATE_BUDGET,
     AllocationPlan,
+    GameVerdict,
     MlgError,
     StateBudgetExceeded,
     Winner,
+    allocation_plans,
     checked_assignment,
+    first_winning_plans,
     ml_min_degree,
     parse_mlg_file,
     write_mlg_file,
@@ -57,7 +61,7 @@ def _int_list(text: str, option: str) -> tuple[int, ...]:
 
 def cmd_solve(args) -> int:
     # the solver (and numpy) is imported only where a table is built
-    from .treealgo import decide_tree_allocated, decide_tree_robber, robber_tree_edges
+    from .treealgo import decide_tree_allocated, robber_tree_edges, tree_verdicts
 
     t0 = time.perf_counter()
     g = parse_mlg_file(args.graph)
@@ -79,7 +83,7 @@ def cmd_solve(args) -> int:
                 fh.write(dump_cwt(table))
             print(f"TABLE={args.dump_table}")
         if use_tree and plan.total >= 1:
-            verdict = decide_tree_allocated(g, plan)
+            verdict = decide_tree_allocated(g, assignment)
             method = "tree"
         else:
             from .solver import decide_allocated
@@ -93,13 +97,17 @@ def cmd_solve(args) -> int:
         print(f"ALLOCATION={plan}")
     elif args.cops is not None:
         if use_tree:
-            verdict, plan = decide_tree_robber(g, args.cops)
-            print("METHOD=tree")
+            decide = tree_verdicts
         else:
-            from .solver import decide_choose_allocation
+            from .solver import allocated_verdicts
 
-            verdict, plan = decide_choose_allocation(g, args.cops, state_budget=args.state_budget)
-            print("METHOD=state-graph")
+            decide = partial(allocated_verdicts, state_budget=args.state_budget)
+        ((plan, verdict),) = first_winning_plans([([g], allocation_plans(args.cops, g.tau))], decide)
+        if verdict is None:  # zero cops: every start is safe, vertex 0 first
+            verdict = GameVerdict(Winner.ROBBER, safe_vertex=0)
+        elif use_tree and plan is None:  # a safe start depends on the placement: the last certificate alone
+            verdict = GameVerdict(Winner.ROBBER, certificate=verdict.certificate)
+        print(f"METHOD={'tree' if use_tree else 'state-graph'}")
         if plan is not None:
             print(f"WINNING_ALLOCATION={plan}")
     else:

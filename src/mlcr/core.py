@@ -13,8 +13,10 @@ the distances of `bfs_dist`.  Layer None is the robber's.
 
 The game outcome types shared by the solver and the tree path (`Winner`,
 `GameVerdict`, `StateBudgetExceeded`, `DEFAULT_STATE_BUDGET`, the
-allocation order `compositions` and its `allocation_plans`) live here too.
-This module imports no numpy, so code that only checks verdicts skips it.
+allocation order `compositions` and its `allocation_plans`) live here too,
+with `first_winning_plans`, the one search driver, which asks its caller's
+decider for the verdicts.  This module imports no numpy, so code that only
+checks verdicts skips it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -306,6 +308,44 @@ def allocation_plans(k: int, tau: int) -> Iterator[AllocationPlan]:
     if k < 0:
         raise MlgError("cop count must be non-negative")
     return (AllocationPlan(comp) for comp in compositions(k, tau)) if k else iter(())
+
+
+def _search(graphs: Sequence[MultiLayerGraph], plans: Iterable[AllocationPlan]):
+    """A question as a coroutine: yields each `(graph, assignment)` to decide and
+    is sent its verdict; returns the answer (None past the last plan)."""
+
+    for plan in plans:
+        for g in graphs:
+            if (yield g, plan.assignment()).winner is Winner.ROBBER:
+                break
+        else:
+            return plan
+
+
+def first_winning_plans(
+    questions: Sequence[tuple[Sequence[MultiLayerGraph], Iterable[AllocationPlan]]],
+    decide: Callable[[list[tuple[MultiLayerGraph, tuple[int, ...]]]], Sequence[GameVerdict]],
+) -> list[tuple[AllocationPlan | None, GameVerdict | None]]:
+    """Each question's answer and the last verdict it was sent (None if it
+    tried no plan), in input order.  A question is some graphs of one layer
+    count and the plans to try on them, drawn one at a time; its answer is
+    the first plan under which every graph is a cop win (a plan stops at its
+    first ROBBER graph), else None.  Each round, one `decide` call maps the
+    pending `(graph, assignment)` of every open question to a verdict each,
+    read for its `winner` only: a question decides what it would alone."""
+
+    answers: list[tuple[AllocationPlan | None, GameVerdict | None]] = [(None, None)] * len(questions)
+    searches = [(i, _search(*question), None) for i, question in enumerate(questions)]
+    while searches:
+        pending = []
+        for i, search, verdict in searches:
+            try:
+                pending.append((i, search, search.send(verdict)))  # a new search is sent None
+            except StopIteration as done:
+                answers[i] = done.value, verdict
+        verdicts = decide([pair for _, _, pair in pending])
+        searches = [(i, search, verdict) for (i, search, _), verdict in zip(pending, verdicts)]
+    return answers
 
 
 # -- basic operations ---------------------------------------------------------

@@ -38,10 +38,10 @@ and slices each table's `rank` out of its batch's array; `build_copwin`
 is the batch of one.  `copwin_winners` runs the same BFS for callers that
 read only the winner: it counts, per placement, the robber starts not yet
 cop-win and stops once every table has a placement at zero.  The search
-questions (cop number, free layer choice, some allocation of k cops) ask
-for the first plan under which each of their graphs is a cop win;
-`first_winning_plans` advances them all together, solving the next table
-of every open question in one `copwin_winners` call per round.
+questions (cop number, free layer choice, some allocation of k cops) go
+through `core.first_winning_plans`, which is passed one of two deciders
+from here: `copwin_verdicts` (the winner only) or `allocated_verdicts`
+(each pair's full-table verdict, for `solve --cops`).
 
 The table answers the players in positions, so `sim` never sees a packed
 state, and the verdict's witnesses come from the players' placement rules.
@@ -55,6 +55,7 @@ imports it where a table is first built, and takes the verdict types
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -73,6 +74,7 @@ from .core import (
     allocation_plans,
     bfs_dist,
     checked_assignment,
+    first_winning_plans,
 )
 
 # Predecessor entries per batch: their dedupe tags -2 .. -1-_BATCH fit int16.
@@ -531,6 +533,18 @@ def copwin_winners(
     return winners
 
 
+def copwin_verdicts(pairs, state_budget: int = DEFAULT_STATE_BUDGET) -> list[GameVerdict]:
+    """`copwin_winners` as verdicts without witnesses: the winner-only decider."""
+
+    return [GameVerdict(winner) for winner in copwin_winners(pairs, state_budget)]
+
+
+def allocated_verdicts(pairs, state_budget: int = DEFAULT_STATE_BUDGET) -> list[GameVerdict]:
+    """Each pair's full-table `allocated_verdict`, witnesses included: the decider of `solve --cops`."""
+
+    return [table.allocated_verdict() for table in build_copwin_batch(pairs, state_budget)]
+
+
 def build_copwin(
     g: MultiLayerGraph,
     assignment: Sequence[int],
@@ -566,21 +580,6 @@ def decide_allocated(
     return build_copwin(g, assignment, state_budget=state_budget).allocated_verdict()
 
 
-def decide_choose_allocation(
-    g: MultiLayerGraph,
-    k: int,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-) -> tuple[GameVerdict, AllocationPlan | None]:
-    """COP iff some composition of k cops over layers wins; first such plan returned."""
-
-    verdict = GameVerdict(Winner.ROBBER, safe_vertex=0)  # zero cops
-    for plan in allocation_plans(k, g.tau):
-        verdict = decide_allocated(g, plan, state_budget=state_budget)
-        if verdict.winner is Winner.COP:
-            return verdict, plan
-    return verdict, None  # the last composition's ROBBER verdict
-
-
 def decide_free_layer_choice(
     g: MultiLayerGraph,
     k: int,
@@ -592,7 +591,8 @@ def decide_free_layer_choice(
     The robber spec of `g` is ignored; its layers are the candidate pool.
     """
 
-    (plan,) = first_winning_plans([free_choice_question(g, k)], state_budget)
+    decide = partial(copwin_verdicts, state_budget=state_budget)
+    ((plan, _),) = first_winning_plans([free_choice_question(g, k)], decide)
     if plan is None:  # against zero cops every start is safe, vertex 0 first
         return GameVerdict(Winner.ROBBER, safe_vertex=0 if k == 0 else None), None
     return GameVerdict(Winner.COP, assignment=plan.assignment()), plan
@@ -606,7 +606,7 @@ def multilayer_cop_number(
     """Least k <= k_max winning under free allocation, else None."""
 
     plans = chain.from_iterable(allocation_plans(k, g.tau) for k in range(1, k_max + 1))
-    (plan,) = first_winning_plans([([g], plans)], state_budget)
+    ((plan, _),) = first_winning_plans([([g], plans)], partial(copwin_verdicts, state_budget=state_budget))
     return None if plan is None else plan.total
 
 
@@ -617,43 +617,6 @@ def free_choice_question(g: MultiLayerGraph, k: int) -> tuple[list[MultiLayerGra
         MultiLayerGraph(n=g.n, layers=g.layers, robber_spec=RobberSpec.EXPLICIT, robber_edges=layer)
         for layer in g.layers
     ], allocation_plans(k, g.tau)
-
-
-def _search(graphs: Sequence[MultiLayerGraph], plans: Iterable[AllocationPlan]):
-    """A question as a coroutine: yields each `(graph, assignment)` to solve and
-    is sent its winner; returns the answer (None past the last plan)."""
-
-    for plan in plans:
-        for g in graphs:
-            if (yield g, plan.assignment()) is Winner.ROBBER:
-                break
-        else:
-            return plan
-
-
-def first_winning_plans(
-    questions: Sequence[tuple[Sequence[MultiLayerGraph], Iterable[AllocationPlan]]],
-    state_budget: int = DEFAULT_STATE_BUDGET,
-) -> list[AllocationPlan | None]:
-    """Each question's answer, in input order.  A question is some graphs of
-    one layer count and the plans to try on them, drawn one at a time; its
-    answer is the first plan under which every graph is a cop win (a plan
-    stops at its first ROBBER graph), else None.  Each round solves the
-    pending `(graph, plan)` of every open question in one `copwin_winners`
-    call, so a question solves the same tables, in the same order, as alone."""
-
-    answers: list[AllocationPlan | None] = [None] * len(questions)
-    searches = [(i, _search(*question), None) for i, question in enumerate(questions)]
-    while searches:
-        pending = []
-        for i, search, winner in searches:
-            try:
-                pending.append((i, search, search.send(winner)))  # a new search is sent None
-            except StopIteration as done:
-                answers[i] = done.value
-        winners = copwin_winners([pair for _, _, pair in pending], state_budget)
-        searches = [(i, search, winner) for (i, search, _), winner in zip(pending, winners)]
-    return answers
 
 
 def single_layer_cop_number(

@@ -15,7 +15,9 @@ isolated vertices included) and test each profile for a robber win:
 If some profile admits neither, the cops win from it by a squeeze that
 shrinks the robber's territory by at least one vertex per iteration; the
 simulator's tree_squeeze strategy plays it out.  An assignment is cop-win
-iff a clean profile exists; the full decision tries all tau^k assignments.
+iff a clean profile exists.  Whether k cops win is asked of the
+compositions in the exact solver's order, through `core.first_winning_plans`
+with `tree_verdicts` as its decider.
 """
 
 from __future__ import annotations
@@ -24,16 +26,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .core import (
-    INF,
-    AllocationPlan,
-    GameVerdict,
-    MlgError,
-    MultiLayerGraph,
-    Winner,
-    allocation_plans,
-    bfs_dist_adj,
-)
+from .core import INF, GameVerdict, MlgError, MultiLayerGraph, Winner, bfs_dist_adj
 
 
 @dataclass(frozen=True)
@@ -147,39 +140,21 @@ def find_robbers_edge(
     return first_cert
 
 
-def decide_tree_allocated(g: MultiLayerGraph, alloc: AllocationPlan) -> GameVerdict:
-    """Tree-robber verdict for one allocation: COP with each cop on the
+def decide_tree_allocated(g: MultiLayerGraph, assignment: tuple[int, ...]) -> GameVerdict:
+    """Tree-robber verdict for one assignment: COP with each cop on the
     smallest vertex of its clean-profile component, else ROBBER with the
     robber's-edge certificate."""
 
-    assignment = alloc.assignment()
     found = find_robbers_edge(g, assignment)
     if isinstance(found, RobbersEdgeCertificate):
         return GameVerdict(Winner.ROBBER, assignment=assignment, certificate=found)
     return GameVerdict(Winner.COP, assignment=assignment, placement=tuple(min(c) for c in found))
 
 
-def decide_tree_robber(g: MultiLayerGraph, k: int) -> tuple[GameVerdict, AllocationPlan | None]:
-    """Tree-robber decision over all allocations of k cops to layers.
+def tree_verdicts(pairs: Sequence[tuple[MultiLayerGraph, tuple[int, ...]]]) -> list[GameVerdict]:
+    """`decide_tree_allocated` of each `(graph, assignment)` pair: the tree path's decider."""
 
-    COP iff some assignment has no robber's edge; the winning allocation is
-    the first one found in the composition order used by the exact solver.
-    A robber layer that is not a tree is refused, also for k = 0.
-    """
-
-    plans = allocation_plans(k, g.tau)  # refuses k < 0 before the tree check
-    _tree_edges(g)
-    if k == 0:
-        return GameVerdict(Winner.ROBBER, safe_vertex=0), None
-    last_cert = None
-    for plan in plans:
-        verdict = decide_tree_allocated(g, plan)
-        if verdict.winner is Winner.COP:
-            return verdict, plan
-        last_cert = verdict.certificate
-    # the certificate is the robber's witness; a single safe start vertex is
-    # placement-dependent, so none is claimed here
-    return GameVerdict(Winner.ROBBER, certificate=last_cert), None
+    return [decide_tree_allocated(g, assignment) for g, assignment in pairs]
 
 
 def winning_profile(g: MultiLayerGraph, assignment: Sequence[int]) -> tuple[frozenset[int], ...] | None:

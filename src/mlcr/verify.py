@@ -13,6 +13,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator
 
 from .core import (
@@ -23,6 +24,8 @@ from .core import (
     RobberSpec,
     StateBudgetExceeded,
     Winner,
+    allocation_plans,
+    first_winning_plans,
     flatten,
     ml_min_degree,
 )
@@ -195,7 +198,7 @@ def _c04(budget):
 def _c05(budget):
     from .generators import gen_domset_reduction
     from .oracles import brute_domination_number
-    from .solver import first_winning_plans, free_choice_question
+    from .solver import copwin_verdicts, free_choice_question
 
     rng = random.Random(20240605)
     cases = []
@@ -205,10 +208,11 @@ def _c05(budget):
         g, _ = gen_domset_reduction(edges, n)
         gamma = brute_domination_number(edges, n)
         cases += [(f"trial {trial} n={n} k={k}", k, gamma, free_choice_question(g, k)) for k in (1, 2, 3)]
-    plans = first_winning_plans([question for *_, question in cases], budget)
+    decide = partial(copwin_verdicts, state_budget=budget)
+    answers = first_winning_plans([question for *_, question in cases], decide)
     mismatches = [
         f"{case}: got {'ROBBER' if plan is None else 'COP'}, gamma={gamma}"
-        for (case, k, gamma, _), plan in zip(cases, plans)
+        for (case, k, gamma, _), (plan, _) in zip(cases, answers)
         if (plan is not None) != (gamma <= k)
     ]
     details = [f"200 graphs x k in 1..3: {len(cases)} verdicts compared against brute-force domination"]
@@ -218,8 +222,8 @@ def _c05(budget):
 
 @criterion("c06-tree-robber", "tree-robber fast path matches the exact solver")
 def _c06(budget):
-    from .solver import allocation_plans, first_winning_plans
-    from .treealgo import decide_tree_robber
+    from .solver import copwin_verdicts
+    from .treealgo import tree_verdicts
 
     rng = random.Random(20240606)
     instances = []
@@ -241,13 +245,16 @@ def _c06(budget):
         )
         instances.append((g, rng.randint(1, 2)))
     mismatches = []
+    questions = lambda: [([g], allocation_plans(k, g.tau)) for g, k in instances]
     # the instances advance together, each up to its first winning composition
-    slow = first_winning_plans([([g], allocation_plans(k, g.tau)) for g, k in instances], budget)
-    for trial, ((g, k), plan) in enumerate(zip(instances, slow)):
-        fast, _ = decide_tree_robber(g, k)
-        solver = Winner.ROBBER if plan is None else Winner.COP
-        if fast.winner is not solver:
-            mismatches.append(f"trial {trial}: tree={fast.winner.value} solver={solver.value}")
+    slow = [plan for plan, _ in first_winning_plans(questions(), partial(copwin_verdicts, state_budget=budget))]
+    # the tree path has no batch to share: asked one at a time, it holds one
+    # search, not 300 (~0.2 MiB at c06's peak, tracemalloc), at once
+    fast = [first_winning_plans([question], tree_verdicts)[0][0] for question in questions()]
+    won = lambda plan: "ROBBER" if plan is None else "COP"
+    for trial, (solver, tree) in enumerate(zip(slow, fast)):
+        if won(tree) != won(solver):
+            mismatches.append(f"trial {trial}: tree={won(tree)} solver={won(solver)}")
     details = [f"{len(instances)} random tree-robber instances, verdicts identical"]
     details.extend(mismatches[:5])
     return not mismatches, details
@@ -314,7 +321,7 @@ def _c09(budget):
 
 @criterion("c10-monotonicity", "robber edges help the robber, cop edges help the cops")
 def _c10(budget):
-    from .solver import allocation_plans, first_winning_plans, free_choice_question
+    from .solver import copwin_verdicts, copwin_winners, free_choice_question
 
     rng = random.Random(20240610)
     all_pairs = lambda n: [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -340,11 +347,17 @@ def _c10(budget):
         g_u = MultiLayerGraph(n=n, layers=g.layers, robber_spec=RobberSpec.UNION)
         trials.append((k, (g, g_r, g_c, g_u)))
     questions = [([h], allocation_plans(k, h.tau)) for k, graphs in trials for h in graphs]
-    winners = [Winner.ROBBER if plan is None else Winner.COP for plan in first_winning_plans(questions, budget)]
+    decide = partial(copwin_verdicts, state_budget=budget)
+    winners = [Winner.ROBBER if plan is None else Winner.COP for plan, _ in first_winning_plans(questions, decide)]
     # free layer choice, asked together of the trials where the union robber loses
     union_won = [(t, k, g_u) for t, (k, (*_, g_u)) in enumerate(trials) if winners[4 * t + 3] is Winner.COP]
-    free = first_winning_plans([free_choice_question(g_u, k) for _, k, g_u in union_won], budget)
+    asked = [free_choice_question(g_u, k) for _, k, g_u in union_won]
+    free = [plan for plan, _ in first_winning_plans(asked, decide)]
     free_lost = {trial for (trial, _, _), plan in zip(union_won, free) if plan is None}
+    # the free-choice quantifier, checked apart from the search: each answer wins on every robber layer
+    checks = [(t, h, plan) for (t, _, _), (hs, _), plan in zip(union_won, asked, free) if plan is not None for h in hs]
+    beaten = copwin_winners([(h, plan.assignment()) for _, h, plan in checks], budget)
+    free_beaten = {t for (t, _, _), winner in zip(checks, beaten) if winner is Winner.ROBBER}
     failures = []
     for trial in range(len(trials)):
         base, after, after_c, _ = winners[4 * trial : 4 * trial + 4]
@@ -357,6 +370,8 @@ def _c10(budget):
         # union-robber win implies free-layer-choice win
         if trial in free_lost:
             failures.append(f"trial {trial}: union win without free-layer-choice win")
+        if trial in free_beaten:
+            failures.append(f"trial {trial}: free-layer-choice answer loses on some robber layer")
     details = ["200 random instances under edge additions and robber-layer substitution"]
     details.extend(failures[:5])
     return not failures, details

@@ -20,6 +20,8 @@ GRAPHS = {
     "slices2.mlg": gen_slices(2)[0],
     "copsbane8.mlg": gen_copsbane(8, seed=3)[0],
     "cycle6.mlg": gen_cycle_matchings(6)[0],  # 12 vertices, UNION robber layer
+    # the path 0-1-2-3, robber on the same edges: a tree robber layer
+    "path4.mlg": MultiLayerGraph(n=4, layers=(((0, 1), (1, 2), (2, 3)),)),
     # one cop on the path 0-1-2-3 cannot guard the tree edge 0-3 (robber win)
     "tree4.mlg": MultiLayerGraph(
         n=4,
@@ -103,6 +105,19 @@ CASES = {
         ["solve", "{dir}/tree4.mlg", "--cops", "1"],
         1,
         "METHOD=tree\nVERDICT=ROBBER\nROBBERS_EDGE 0 3 ncops=1 dist=3\n",
+        {},
+    ),
+    # zero cops: no composition to try, every start is safe, vertex 0 first
+    "solve-cops-tree-zero-cops": (
+        ["solve", "{dir}/path4.mlg", "--cops", "0"],
+        1,
+        "METHOD=tree\nVERDICT=ROBBER\nSAFE_VERTEX=0\n",
+        {},
+    ),
+    "solve-cops-state-graph-zero-cops": (
+        ["solve", "{dir}/grid4.mlg", "--cops", "0"],
+        1,
+        "METHOD=state-graph\nVERDICT=ROBBER\nSAFE_VERTEX=0\n",
         {},
     ),
     "solve-free-choice": (

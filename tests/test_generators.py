@@ -273,10 +273,11 @@ def test_slices_k1_layers_are_two_copwin():
 
 
 def test_slices_k2_beats_two_cops_outright():
-    from mlcr.solver import Winner, decide_choose_allocation
+    from mlcr.core import allocation_plans, first_winning_plans
+    from mlcr.solver import Winner, allocated_verdicts
 
     g, _ = gen_slices(2)
-    verdict, plan = decide_choose_allocation(g, 2)
+    ((plan, verdict),) = first_winning_plans([([g], allocation_plans(2, g.tau))], allocated_verdicts)
     assert verdict.winner is Winner.ROBBER and plan is None
 
 

@@ -645,7 +645,8 @@ def test_slices_robber_survives_one_cop():
 
 
 def test_tree_squeeze_captures_within_bound():
-    from mlcr.treealgo import decide_tree_robber
+    from mlcr.core import allocation_plans, first_winning_plans
+    from mlcr.treealgo import tree_verdicts
 
     rng = random.Random(321)
     checked = 0
@@ -657,7 +658,8 @@ def test_tree_squeeze_captures_within_bound():
             for _ in range(rng.randint(1, 2))
         )
         g = MultiLayerGraph(n=n, layers=layers, robber_spec=RobberSpec.EXPLICIT, robber_edges=tree)
-        verdict, plan = decide_tree_robber(g, rng.randint(1, 2))
+        question = ([g], allocation_plans(rng.randint(1, 2), g.tau))
+        ((plan, verdict),) = first_winning_plans([question], tree_verdicts)
         if verdict.winner is not Winner.COP:
             continue
         table = build_copwin(g, plan.assignment())

@@ -6,20 +6,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlcr.core import AllocationPlan, MlgError, MultiLayerGraph, RobberSpec, allocation_plans, compositions
+from mlcr.core import (
+    AllocationPlan,
+    MlgError,
+    MultiLayerGraph,
+    RobberSpec,
+    allocation_plans,
+    compositions,
+    first_winning_plans,
+)
 from mlcr.generators import gen_cycle_matchings, gen_grid, gen_min_counterexample, petersen
 from mlcr.oracles import naive_copwin_status
 from mlcr.solver import (
     StateBudgetExceeded,
     Winner,
+    allocated_verdicts,
     build_copwin,
     build_copwin_batch,
+    copwin_verdicts,
     copwin_winners,
     decide_allocated,
-    decide_choose_allocation,
     decide_free_layer_choice,
     dump_cwt,
-    first_winning_plans,
     free_choice_question,
     multilayer_cop_number,
     single_layer_cop_number,
@@ -228,18 +236,26 @@ def test_composition_order_packs_early_layers_first():
     assert list(compositions(1, 3)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
+def _k_cops(g, k, decide=allocated_verdicts):
+    """Whether k cops win on `g`, asked as `solve --cops` asks (by default
+    with full tables): the answer plan and the last verdict."""
+
+    ((plan, verdict),) = first_winning_plans([_allocation_question(g, k)], decide)
+    return plan, verdict
+
+
 def test_grid_choose_allocation():
     g, _ = gen_grid(4)
-    verdict, plan = decide_choose_allocation(g, 2)
+    plan, verdict = _k_cops(g, 2)
     assert verdict.winner is Winner.COP
     assert plan.counts == (2, 0)
-    verdict, plan = decide_choose_allocation(g, 1)
+    plan, verdict = _k_cops(g, 1)
     assert verdict.winner is Winner.ROBBER and plan is None
 
 
 def test_cycle_matchings_two_cops_lose():
     g, _ = gen_cycle_matchings(3)
-    verdict, _ = decide_choose_allocation(g, 2)
+    _, verdict = _k_cops(g, 2)
     assert verdict.winner is Winner.ROBBER
 
 
@@ -281,9 +297,9 @@ def test_cop_number_monotone_in_k():
     rng = random.Random(31)
     for _ in range(40):
         g = random_instance(rng, n_max=5)
-        v1, _ = decide_choose_allocation(g, 1)
+        _, v1 = _k_cops(g, 1)
         if v1.winner is Winner.COP:
-            v2, _ = decide_choose_allocation(g, 2)
+            _, v2 = _k_cops(g, 2)
             assert v2.winner is Winner.COP
 
 
@@ -777,13 +793,14 @@ def test_winner_only_equals_full_table_and_naive_oracle():
                 assert winner.value == naive_allocated_verdict(g, AllocationPlan(counts))
 
 
-def test_allocation_questions_equal_decide_choose_allocation():
+def test_winner_only_allocation_questions_equal_full_table_questions():
     rng = random.Random(1720)
     instances = [(random_instance(rng, n_max=5), rng.randint(0, 2)) for _ in range(60)]
-    plans = first_winning_plans([([g], allocation_plans(k, g.tau)) for g, k in instances])
+    answers = first_winning_plans([([g], allocation_plans(k, g.tau)) for g, k in instances], copwin_verdicts)
+    plans = [plan for plan, _ in answers]
     assert None in plans and any(plans)
     for (g, k), plan in zip(instances, plans):
-        assert plan == decide_choose_allocation(g, k)[1]
+        assert plan == _k_cops(g, k)[0]
     with pytest.raises(MlgError):
         allocation_plans(-1, 2)
 
@@ -819,20 +836,20 @@ def test_questions_asked_together_equal_questions_asked_alone():
     assert {g.robber_spec for _, g, _ in corpus} == set(RobberSpec)
     assert {g.tau for _, g, _ in corpus} == {1, 2, 3}
     assert any(len(set(g.layers)) < g.tau for _, g, _ in corpus)
-    together = first_winning_plans([kind(g, k) for kind, g, k in corpus])
-    alone = [first_winning_plans([kind(g, k)])[0] for kind, g, k in corpus]
+    together = first_winning_plans([kind(g, k) for kind, g, k in corpus], copwin_verdicts)
+    alone = [first_winning_plans([kind(g, k)], copwin_verdicts)[0] for kind, g, k in corpus]
     assert together == alone
     for kind in {kind for kind, _, _ in corpus}:
-        answers = [plan for (asked, _, _), plan in zip(corpus, together) if asked is kind]
+        answers = [plan for (asked, _, _), (plan, _) in zip(corpus, together) if asked is kind]
         assert None in answers and any(answers), kind.__name__
-    for (kind, g, k), plan in zip(corpus, together):
+    for (kind, g, k), (plan, _) in zip(corpus, together):
         if kind is _allocation_question:
-            assert plan == decide_choose_allocation(g, k)[1]
+            assert plan == _k_cops(g, k)[0]
         elif kind is free_choice_question:
             assert plan == full_table_free_layer_choice(g, k)[1]
         else:
             assert (plan and plan.total) == multilayer_cop_number(g, k) == next(
-                (j for j in range(1, k + 1) if decide_choose_allocation(g, j)[1]), None
+                (j for j in range(1, k + 1) if _k_cops(g, j)[0]), None
             )
 
 
@@ -874,8 +891,9 @@ def test_c10_asks_its_free_layer_choice_questions_together(monkeypatch):
     runs = _spy_retrograde(monkeypatch)
     (res,) = run_criteria(only="c10")
     assert res.passed
-    # the 1,132 tables its questions would solve one at a time, in at most 60 runs
-    assert len(runs) <= 60 and sum(map(len, runs)) == 1132
+    # the 1,132 tables its questions would solve one at a time, then the 207
+    # (answer, robber layer) tables of its direct free-choice check, in at most 60 runs
+    assert len(runs) <= 60 and sum(map(len, runs)) == 1132 + 207
 
 
 def test_lone_free_choice_question_solves_one_table_at_a_time(monkeypatch, tmp_path):

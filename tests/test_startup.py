@@ -49,6 +49,8 @@ CASES = {
         False,
     ),
     "solve-tree": ([SOLVE_TREE], False),
+    # the search driver lives in `core`: the tree path asks through it without numpy
+    "solve-tree-cops": ([["solve", "path4.mlg", "--cops", "1"]], False),
     # positive controls: a state-graph solve and a table dump build a table
     "solve-state-graph": ([GENERATE, ["solve", "g.mlg", "--allocation", "2,0"]], True),
     "solve-tree-dump-table": ([SOLVE_TREE + ["--dump-table", "t.cwt"]], True),

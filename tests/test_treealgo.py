@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-from mlcr.core import MlgError, MultiLayerGraph, RobberSpec
-from mlcr.solver import Winner, decide_choose_allocation
-from mlcr.treealgo import decide_tree_robber, find_robbers_edge, robber_tree_edges, winning_profile
+from mlcr.core import MlgError, MultiLayerGraph, RobberSpec, Winner, allocation_plans, first_winning_plans
+from mlcr.treealgo import find_robbers_edge, robber_tree_edges, tree_verdicts, winning_profile
 
 
 def explicit(n, layers, robber):
@@ -13,6 +12,22 @@ def explicit(n, layers, robber):
         n=n, layers=tuple(tuple(l) for l in layers), robber_spec=RobberSpec.EXPLICIT,
         robber_edges=tuple(robber),
     )
+
+
+def k_cops(g, k, decide=tree_verdicts):
+    """Whether k cops win on `g`, asked as `solve --cops` asks (by default
+    on the tree path): the answer plan and the last verdict."""
+
+    ((plan, verdict),) = first_winning_plans([([g], allocation_plans(k, g.tau))], decide)
+    return plan, verdict
+
+
+def solver_k_cops(g, k):
+    """`k_cops` from the exact solver's full tables."""
+
+    from mlcr.solver import allocated_verdicts
+
+    return k_cops(g, k, allocated_verdicts)
 
 
 def random_tree(rng, n):
@@ -79,11 +94,11 @@ def test_decide_examples():
     for _ in range(20):
         n = rng.randint(3, 7)
         g = explicit(n, [random_tree(rng, n)], random_tree(rng, n))
-        verdict, plan = decide_tree_robber(g, 2)
+        plan, verdict = k_cops(g, 2)
         assert verdict.winner is Winner.COP
     # one cop against a far tree edge: robber win
     g = explicit(4, [((0, 1), (1, 2), (2, 3))], ((0, 3), (0, 1), (1, 2)))
-    verdict, plan = decide_tree_robber(g, 1)
+    plan, verdict = k_cops(g, 1)
     assert verdict.winner is Winner.ROBBER and plan is None
 
 
@@ -92,16 +107,16 @@ def test_profile_quantification_over_disconnected_layers():
     # covers the whole path, so the robber camps on an unpoliced vertex
     path6 = tuple((i, i + 1) for i in range(5))
     g = explicit(6, [((0, 1), (4, 5)), ((2, 3),)], path6)
-    verdict, _ = decide_tree_robber(g, 2)
-    reference, _ = decide_choose_allocation(g, 2)
+    _, verdict = k_cops(g, 2)
+    _, reference = solver_k_cops(g, 2)
     assert verdict.winner is reference.winner is Winner.ROBBER
 
 
 def test_empty_layer_placement_still_counts():
     # cops on an edgeless layer are immobile but occupy their vertices
     g = explicit(2, [()], ((0, 1),))
-    assert decide_tree_robber(g, 1)[0].winner is Winner.ROBBER
-    assert decide_tree_robber(g, 2)[0].winner is Winner.COP
+    assert k_cops(g, 1)[1].winner is Winner.ROBBER
+    assert k_cops(g, 2)[1].winner is Winner.COP
 
 
 def test_equivalence_with_solver_on_random_corpus():
@@ -120,8 +135,8 @@ def test_equivalence_with_solver_on_random_corpus():
         )
         g = explicit(n, layers, random_tree(rng, n))
         k = rng.randint(1, 2)
-        fast, _ = decide_tree_robber(g, k)
-        slow, _ = decide_choose_allocation(g, k)
+        _, fast = k_cops(g, k)
+        _, slow = solver_k_cops(g, k)
         assert fast.winner is slow.winner, (trial, n, tau, k)
 
 
@@ -149,12 +164,12 @@ def test_equivalence_extends_to_three_layers_and_three_cops():
             for _ in range(tau)
         )
         g = explicit(n, layers, random_tree(rng, n))
-        fast, _ = decide_tree_robber(g, k)
-        slow, _ = decide_choose_allocation(g, k)
+        _, fast = k_cops(g, k)
+        _, slow = solver_k_cops(g, k)
         assert fast.winner is slow.winner, (trial, n, tau, k)
 
 
-def test_decide_tree_robber_checks_the_tree_once(monkeypatch):
+def test_tree_question_checks_the_tree_once(monkeypatch):
     """Every composition asks for the tree; the graph builds the robber
     components that answer it once."""
 
@@ -169,17 +184,17 @@ def test_decide_tree_robber_checks_the_tree_once(monkeypatch):
     monkeypatch.setattr(MultiLayerGraph, "components", counted)
     path = [(0, 1), (1, 2), (2, 3)]
     # three cops on the edgeless layer leave a vertex unpoliced; (2,1) is the second composition
-    verdict, plan = decide_tree_robber(explicit(4, [(), path], path), 3)
+    plan, verdict = k_cops(explicit(4, [(), path], path), 3)
     assert (verdict.winner, plan.counts, len(calls)) == (Winner.COP, (2, 1), 1)
     # every composition loses on two edgeless layers
-    verdict, plan = decide_tree_robber(explicit(4, [(), ()], path), 2)
+    plan, verdict = k_cops(explicit(4, [(), ()], path), 2)
     assert (verdict.winner, plan, len(calls)) == (Winner.ROBBER, None, 2)
 
 
 def test_negative_cop_count_is_refused():
     path = [(0, 1), (1, 2)]
     with pytest.raises(MlgError, match="non-negative"):
-        decide_tree_robber(explicit(3, [path], path), -1)
+        k_cops(explicit(3, [path], path), -1)
 
 
 def test_tree_decision_memory_stays_linear_in_n():
@@ -197,7 +212,7 @@ def test_tree_decision_memory_stays_linear_in_n():
     robber_tree_edges(g), g.layer_view(0)
     tracemalloc.start()
     try:
-        verdict, _ = decide_tree_robber(g, 1)
+        _, verdict = k_cops(g, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
