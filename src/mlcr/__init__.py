@@ -20,8 +20,6 @@ from .core import (
 _SOLVER_NAMES = frozenset({
     "CopWinTable",
     "build_copwin",
-    "decide_allocated",
-    "decide_free_layer_choice",
     "multilayer_cop_number",
     "single_layer_cop_number",
 })
@@ -45,8 +43,6 @@ __all__ = [
     "StateBudgetExceeded",
     "Winner",
     "build_copwin",
-    "decide_allocated",
-    "decide_free_layer_choice",
     "flatten",
     "ml_min_degree",
     "multilayer_cop_number",

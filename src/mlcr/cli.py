@@ -61,7 +61,7 @@ def _int_list(text: str, option: str) -> tuple[int, ...]:
 
 def cmd_solve(args) -> int:
     # the solver (and numpy) is imported only where a table is built
-    from .treealgo import decide_tree_allocated, robber_tree_edges, tree_verdicts
+    from .treealgo import robber_tree_edges, tree_verdicts
 
     t0 = time.perf_counter()
     g = parse_mlg_file(args.graph)
@@ -71,10 +71,13 @@ def cmd_solve(args) -> int:
     if args.dump_table and not any(_int_list(args.allocation or "0", "--allocation")):
         raise MlgError("--dump-table needs --allocation with at least one cop")
     use_tree = robber_tree_edges(g) is not None
+    table = None
+    # each mode is a cop count k and one question: a graph list and the plans to try on it
     if args.allocation is not None:
         plan = AllocationPlan(_int_list(args.allocation, "--allocation"))
         assignment = checked_assignment(g, plan)
-        table = None
+        k, question = plan.total, ([g], [plan])
+        lines = [f"METHOD={'tree' if use_tree and k else 'state-graph'}", f"ALLOCATION={plan}"]
         if args.dump_table:
             from .solver import build_copwin, dump_cwt
 
@@ -82,41 +85,36 @@ def cmd_solve(args) -> int:
             with open(args.dump_table, "w") as fh:
                 fh.write(dump_cwt(table))
             print(f"TABLE={args.dump_table}")
-        if use_tree and plan.total >= 1:
-            verdict = decide_tree_allocated(g, assignment)
-            method = "tree"
-        else:
-            from .solver import decide_allocated
-
-            # the dumped table is the state-graph verdict's table
-            verdict = table.allocated_verdict() if table is not None else decide_allocated(
-                g, plan, state_budget=args.state_budget
-            )
-            method = "state-graph"
-        print(f"METHOD={method}")
-        print(f"ALLOCATION={plan}")
     elif args.cops is not None:
-        if use_tree:
+        k, question = args.cops, ([g], allocation_plans(args.cops, g.tau))
+        lines = [f"METHOD={'tree' if use_tree else 'state-graph'}"]
+    else:
+        k, question, lines = args.free_choice, None, []  # its robber-layer variants need the solver
+    if k == 0:  # every start is safe, vertex 0 first
+        verdict = GameVerdict(Winner.ROBBER, safe_vertex=0)
+    else:
+        if args.free_choice is not None:
+            from .solver import copwin_verdicts, free_choice_question
+
+            question = free_choice_question(g, k)
+            decide = partial(copwin_verdicts, state_budget=args.state_budget)
+        elif use_tree:
             decide = tree_verdicts
+        elif table is not None:  # the dumped table is the state-graph verdict's table
+            decide = lambda pairs: [table.allocated_verdict()]
         else:
             from .solver import allocated_verdicts
 
             decide = partial(allocated_verdicts, state_budget=args.state_budget)
-        ((plan, verdict),) = first_winning_plans([([g], allocation_plans(args.cops, g.tau))], decide)
-        if verdict is None:  # zero cops: every start is safe, vertex 0 first
-            verdict = GameVerdict(Winner.ROBBER, safe_vertex=0)
-        elif use_tree and plan is None:  # a safe start depends on the placement: the last certificate alone
+        ((answer, verdict),) = first_winning_plans([question], decide)
+        if answer is not None and args.allocation is None:
+            lines.append(f"WINNING_ALLOCATION={answer}")
+        if answer is not None and args.free_choice is not None:  # the winner-only verdict has no witness
+            verdict = GameVerdict(Winner.COP, assignment=answer.assignment())
+        elif answer is None and args.cops is not None and use_tree:
+            # a safe start depends on the placement: the last certificate alone
             verdict = GameVerdict(Winner.ROBBER, certificate=verdict.certificate)
-        print(f"METHOD={'tree' if use_tree else 'state-graph'}")
-        if plan is not None:
-            print(f"WINNING_ALLOCATION={plan}")
-    else:
-        from .solver import decide_free_layer_choice
-
-        verdict, plan = decide_free_layer_choice(g, args.free_choice, state_budget=args.state_budget)
-        if plan is not None:
-            print(f"WINNING_ALLOCATION={plan}")
-    for line in verdict.record_lines():
+    for line in lines + verdict.record_lines():
         print(line)
     _say_time("solve", t0)
     return EXIT_COP if verdict.winner is Winner.COP else EXIT_ROBBER

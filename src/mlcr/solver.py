@@ -38,10 +38,11 @@ and slices each table's `rank` out of its batch's array; `build_copwin`
 is the batch of one.  `copwin_winners` runs the same BFS for callers that
 read only the winner: it counts, per placement, the robber starts not yet
 cop-win and stops once every table has a placement at zero.  The search
-questions (cop number, free layer choice, some allocation of k cops) go
-through `core.first_winning_plans`, which is passed one of two deciders
-from here: `copwin_verdicts` (the winner only) or `allocated_verdicts`
-(each pair's full-table verdict, for `solve --cops`).
+questions (cop number, free layer choice, one allocation or some
+allocation of k cops) go through `core.first_winning_plans`, which is
+passed one of two deciders from here: `copwin_verdicts` (the winner only)
+or `allocated_verdicts` (each pair's full-table verdict, for `solve
+--allocation` and `--cops` on a state graph).
 
 The table answers the players in positions, so `sim` never sees a packed
 state, and the verdict's witnesses come from the players' placement rules.
@@ -73,7 +74,6 @@ from .core import (
     _physical_ram,
     allocation_plans,
     bfs_dist,
-    checked_assignment,
     first_winning_plans,
 )
 
@@ -559,43 +559,7 @@ def build_copwin(
     return build_copwin_batch([(g, assignment)], state_budget)[0]
 
 
-# -- verdicts ------------------------------------------------------------------
-
-
-def decide_allocated(
-    g: MultiLayerGraph,
-    alloc: AllocationPlan,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-) -> GameVerdict:
-    """Cops place first, robber replies, cops move first.
-
-    COP iff some placement makes every robber reply a cop-win state; a
-    robber forced onto an occupied vertex is already a capture state.
-    Zero cops lose on any non-empty graph.
-    """
-
-    assignment = checked_assignment(g, alloc)
-    if not assignment:
-        return GameVerdict(Winner.ROBBER, assignment=(), safe_vertex=0)
-    return build_copwin(g, assignment, state_budget=state_budget).allocated_verdict()
-
-
-def decide_free_layer_choice(
-    g: MultiLayerGraph,
-    k: int,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-) -> tuple[GameVerdict, AllocationPlan | None]:
-    """Free layer choice: cops fix an allocation, robber then picks any layer.
-
-    COP iff some composition wins for every choice of robber layer.
-    The robber spec of `g` is ignored; its layers are the candidate pool.
-    """
-
-    decide = partial(copwin_verdicts, state_budget=state_budget)
-    ((plan, _),) = first_winning_plans([free_choice_question(g, k)], decide)
-    if plan is None:  # against zero cops every start is safe, vertex 0 first
-        return GameVerdict(Winner.ROBBER, safe_vertex=0 if k == 0 else None), None
-    return GameVerdict(Winner.COP, assignment=plan.assignment()), plan
+# -- search questions ----------------------------------------------------------
 
 
 def multilayer_cop_number(

@@ -15,9 +15,9 @@ isolated vertices included) and test each profile for a robber win:
 If some profile admits neither, the cops win from it by a squeeze that
 shrinks the robber's territory by at least one vertex per iteration; the
 simulator's tree_squeeze strategy plays it out.  An assignment is cop-win
-iff a clean profile exists.  Whether k cops win is asked of the
-compositions in the exact solver's order, through `core.first_winning_plans`
-with `tree_verdicts` as its decider.
+iff a clean profile exists.  `solve` asks whether one allocation wins, or
+whether k cops win under some composition (in the exact solver's order),
+through `core.first_winning_plans` with `tree_verdicts` as its decider.
 """
 
 from __future__ import annotations
@@ -140,21 +140,20 @@ def find_robbers_edge(
     return first_cert
 
 
-def decide_tree_allocated(g: MultiLayerGraph, assignment: tuple[int, ...]) -> GameVerdict:
-    """Tree-robber verdict for one assignment: COP with each cop on the
-    smallest vertex of its clean-profile component, else ROBBER with the
-    robber's-edge certificate."""
-
-    found = find_robbers_edge(g, assignment)
-    if isinstance(found, RobbersEdgeCertificate):
-        return GameVerdict(Winner.ROBBER, assignment=assignment, certificate=found)
-    return GameVerdict(Winner.COP, assignment=assignment, placement=tuple(min(c) for c in found))
-
-
 def tree_verdicts(pairs: Sequence[tuple[MultiLayerGraph, tuple[int, ...]]]) -> list[GameVerdict]:
-    """`decide_tree_allocated` of each `(graph, assignment)` pair: the tree path's decider."""
+    """Tree-robber verdict of each `(graph, assignment)` pair, the tree path's
+    decider: COP with each cop on the smallest vertex of its clean-profile
+    component, else ROBBER with the robber's-edge certificate."""
 
-    return [decide_tree_allocated(g, assignment) for g, assignment in pairs]
+    verdicts = []
+    for g, assignment in pairs:
+        found = find_robbers_edge(g, assignment)
+        if isinstance(found, RobbersEdgeCertificate):
+            verdict = GameVerdict(Winner.ROBBER, assignment=assignment, certificate=found)
+        else:
+            verdict = GameVerdict(Winner.COP, assignment=assignment, placement=tuple(min(c) for c in found))
+        verdicts.append(verdict)
+    return verdicts
 
 
 def winning_profile(g: MultiLayerGraph, assignment: Sequence[int]) -> tuple[frozenset[int], ...] | None:

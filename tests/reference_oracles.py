@@ -113,11 +113,11 @@ def robber_layer_variants(g: MultiLayerGraph) -> list[MultiLayerGraph]:
 
 
 def full_table_free_layer_choice(g: MultiLayerGraph, k: int) -> tuple[GameVerdict, AllocationPlan | None]:
-    """`decide_free_layer_choice` from full tables: `decide_allocated` on
-    every robber-layer variant, per composition in solver order, up to the
-    first composition that wins them all."""
+    """`solve --free-choice`'s verdict and answer plan from full tables: each
+    robber-layer variant's `allocated_verdict`, per composition in solver
+    order, up to the first composition that wins them all."""
 
-    from mlcr.solver import decide_allocated
+    from mlcr.solver import build_copwin
 
     if k < 0:
         raise MlgError("cop count must be non-negative")
@@ -126,7 +126,7 @@ def full_table_free_layer_choice(g: MultiLayerGraph, k: int) -> tuple[GameVerdic
     variants = robber_layer_variants(g)
     for comp in compositions(k, g.tau):
         plan = AllocationPlan(comp)
-        if all(decide_allocated(gj, plan).winner is Winner.COP for gj in variants):
+        if all(build_copwin(gj, plan.assignment()).allocated_verdict().winner is Winner.COP for gj in variants):
             return GameVerdict(Winner.COP, assignment=plan.assignment()), plan
     return GameVerdict(Winner.ROBBER), None
 

@@ -6,10 +6,11 @@ Each criterion prints one PASS/FAIL line; the same registry backs the
 
 import hashlib
 import inspect
+import math
 
 import pytest
 
-from mlcr import bounds, core, generators, solver, treealgo
+from mlcr import bounds, core, generators, scripted, solver, treealgo
 from mlcr.core import MultiLayerGraph, Winner
 from mlcr.verify import _REGISTRY, run_criteria
 
@@ -152,6 +153,12 @@ def _treewidth_bound_one_below_the_largest_bag(monkeypatch):
     monkeypatch.setattr(bounds, "treewidth_cop_bound", lambda g, decomp: bound(g, decomp) - 1)
 
 
+def _copsbane_robber_sees_no_threat(monkeypatch):
+    """The cops-bane robber reads every core vertex as out of every cop's reach."""
+
+    monkeypatch.setattr(scripted.CopsbaneRobber, "_threat", lambda self, cops: [math.inf] * self.N)
+
+
 FAULTS = [
     (_moves_without_the_stay, ["c03", "c06", "c09", "c10", "c11"]),
     (_cop_views_drop_their_first_edge, ["c03", "c04", "c05", "c09"]),
@@ -163,6 +170,7 @@ FAULTS = [
     (_driver_accepts_a_plan_at_its_first_cop_graph, ["c10"]),
     (_pstar_one_in_a_thousand_high, ["c12"]),
     (_treewidth_bound_one_below_the_largest_bag, ["c13"]),
+    (_copsbane_robber_sees_no_threat, ["c14"]),
 ]
 
 

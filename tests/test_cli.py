@@ -527,6 +527,36 @@ def test_solve_dump_table_builds_once(grid4_file, tmp_path, capsys, monkeypatch)
     assert table_path.read_text() == mlcr.solver.dump_cwt(real(parse_mlg_file(grid4_file), (0, 0)))
 
 
+# solve options on grid4 ("T" stands for a table file), the exit code and the
+# retrograde BFS runs they need: one per table; the free choice's (2,0) wins
+# on both robber layers
+@pytest.mark.parametrize("options, exit_code, runs", [
+    (["--allocation", "2,0"], 0, 1),
+    (["--allocation", "2,0", "--dump-table", "T"], 0, 1),
+    (["--allocation", "1,1", "--dump-table", "T"], 1, 1),
+    (["--cops", "2"], 0, 1),
+    (["--free-choice", "2"], 0, 2),
+])
+def test_solve_runs_one_retrograde_bfs_per_table(options, exit_code, runs, grid4_file, tmp_path, capsys,
+                                                 monkeypatch):
+    """Counted at `_retrograde`, which every table build (`build_copwin`,
+    `build_copwin_batch`, `copwin_winners`) runs."""
+
+    import mlcr.solver
+
+    calls = []
+    real = mlcr.solver._retrograde
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mlcr.solver, "_retrograde", counted)
+    options = [str(tmp_path / "t.cwt") if o == "T" else o for o in options]
+    code, _, _ = run_cli(["solve", grid4_file, *options], capsys)
+    assert (code, len(calls)) == (exit_code, runs)
+
+
 def _cap_address_space():
     """Cap the child's address space at 1.5 GB: past it, allocation fails
     with a MemoryError."""

@@ -120,6 +120,25 @@ CASES = {
         "METHOD=state-graph\nVERDICT=ROBBER\nSAFE_VERTEX=0\n",
         {},
     ),
+    # `--allocation` with no cop names the state graph, also on a tree robber layer
+    "solve-allocation-tree-zero-cops": (
+        ["solve", "{dir}/path4.mlg", "--allocation", "0"],
+        1,
+        "METHOD=state-graph\nALLOCATION=0\nVERDICT=ROBBER\nSAFE_VERTEX=0\n",
+        {},
+    ),
+    "solve-allocation-state-graph-zero-cops": (
+        ["solve", "{dir}/grid4.mlg", "--allocation", "0,0"],
+        1,
+        "METHOD=state-graph\nALLOCATION=0,0\nVERDICT=ROBBER\nSAFE_VERTEX=0\n",
+        {},
+    ),
+    "solve-free-choice-zero-cops": (
+        ["solve", "{dir}/grid4.mlg", "--free-choice", "0"],
+        1,
+        "VERDICT=ROBBER\nSAFE_VERTEX=0\n",
+        {},
+    ),
     "solve-free-choice": (
         ["solve", "{dir}/grid4.mlg", "--free-choice", "2"],
         0,

@@ -25,8 +25,6 @@ from mlcr.solver import (
     build_copwin_batch,
     copwin_verdicts,
     copwin_winners,
-    decide_allocated,
-    decide_free_layer_choice,
     dump_cwt,
     free_choice_question,
     multilayer_cop_number,
@@ -104,10 +102,9 @@ def test_k2_all_robber_states_copwin():
 
 def test_c4_single_cop_is_robber_win():
     g = single(cycle(4), 4)
-    verdict = decide_allocated(g, AllocationPlan((1,)))
-    assert verdict.winner is Winner.ROBBER
-    # every cop placement leaves a safe robber start
     table = build_copwin(g, (0,))
+    assert table.allocated_verdict().winner is Winner.ROBBER
+    # every cop placement leaves a safe robber start
     for p1 in range(4):
         assert _safe_vertex(table, (p1,)) is not None
 
@@ -217,15 +214,9 @@ def test_c02_three_cop_layer_game_peak_memory():
     assert peak < 3 * 2**20  # 2.61 MiB measured
 
 
-def test_zero_cops_lose():
-    g = single([(0, 1)], 2)
-    verdict = decide_allocated(g, AllocationPlan((0,)))
-    assert verdict.winner is Winner.ROBBER
-
-
 def test_single_vertex_is_cop_win():
     g = single([], 1)
-    assert decide_allocated(g, AllocationPlan((1,))).winner is Winner.COP
+    assert build_copwin(g, (0,)).allocated_verdict().winner is Winner.COP
 
 
 # -- composition order and allocation choice ------------------------------------------------
@@ -259,10 +250,18 @@ def test_cycle_matchings_two_cops_lose():
     assert verdict.winner is Winner.ROBBER
 
 
+def _free_choice(g, k):
+    """Whether k cops win on `g` whatever layer the robber picks, asked as
+    `solve --free-choice` asks: the answer plan and the last verdict."""
+
+    ((plan, verdict),) = first_winning_plans([free_choice_question(g, k)], copwin_verdicts)
+    return plan, verdict
+
+
 def test_free_layer_choice_tree_single_layer():
     path = ((0, 1), (1, 2), (2, 3))
     g = MultiLayerGraph(n=4, layers=(path,))
-    verdict, plan = decide_free_layer_choice(g, 1)
+    plan, verdict = _free_choice(g, 1)
     assert verdict.winner is Winner.COP
     assert plan.counts == (1,)
 
@@ -272,11 +271,11 @@ def test_free_layer_choice_reductions():
 
     k3 = ((0, 1), (0, 2), (1, 2))
     g, _ = gen_domset_reduction(k3, 3)
-    assert decide_free_layer_choice(g, 1)[0].winner is Winner.COP
+    assert _free_choice(g, 1)[1].winner is Winner.COP
     c5 = cycle(5)
     g, _ = gen_domset_reduction(c5, 5)
-    assert decide_free_layer_choice(g, 1)[0].winner is Winner.ROBBER
-    assert decide_free_layer_choice(g, 2)[0].winner is Winner.COP
+    assert _free_choice(g, 1)[1].winner is Winner.ROBBER
+    assert _free_choice(g, 2)[1].winner is Winner.COP
 
 
 # -- cop numbers ------------------------------------------------------------------------
@@ -324,7 +323,11 @@ def test_verdict_matches_naive_oracle():
     for _ in range(40):
         g = random_instance(rng, n_max=4)
         plan = random_plan(rng, g, rng.randint(0, 2))
-        assert decide_allocated(g, plan).winner.value == naive_allocated_verdict(g, plan)
+        want = naive_allocated_verdict(g, plan)
+        if plan.total == 0:  # `solve` settles zero cops without a table: a robber win
+            assert want == "ROBBER"
+        else:
+            assert build_copwin(g, plan.assignment()).allocated_verdict().winner.value == want
 
 
 def test_one_at_a_time_equals_simultaneous_moves():
@@ -332,7 +335,8 @@ def test_one_at_a_time_equals_simultaneous_moves():
     for _ in range(30):
         g = random_instance(rng, n_max=4)
         plan = random_plan(rng, g, rng.randint(1, 2))
-        assert decide_allocated(g, plan).winner.value == simultaneous_move_verdict(g, plan)
+        verdict = build_copwin(g, plan.assignment()).allocated_verdict()
+        assert verdict.winner.value == simultaneous_move_verdict(g, plan)
 
 
 # -- rank and strategy extraction ------------------------------------------------------------
@@ -380,10 +384,9 @@ def test_robber_policy_survives_random_cop_teams():
     while matches < 50:
         g = random_instance(rng, n_max=5)
         plan = random_plan(rng, g, rng.randint(1, 2))
-        verdict = decide_allocated(g, plan)
-        if verdict.winner is not Winner.ROBBER or plan.total == 0:
-            continue
         table = build_copwin(g, plan.assignment())
+        if table.allocated_verdict().winner is not Winner.ROBBER:
+            continue
         rec = run_match(g, plan, RandomCops(), TablebaseRobber(table), T=100, seed=matches)
         assert rec.outcome == "SURVIVED", (g.layers, plan)
         matches += 1
@@ -462,11 +465,10 @@ def test_cwt_dump_shape():
 
 def test_mirror_split_pair_catches_within_one_team_move():
     g, _ = gen_min_counterexample()
-    verdict = decide_allocated(g, AllocationPlan((1, 1)))
-    assert verdict.winner is Winner.COP
+    table = build_copwin(g, (0, 1))
+    assert table.allocated_verdict().winner is Winner.COP
     # both cops camped on the shared hub threaten everything at once
     hub = 9
-    table = build_copwin(g, (0, 1))
     for p0 in range(g.n):
         state = table.pack(p0, (hub, hub), 0)
         assert table.rank[state] >= 0
@@ -478,8 +480,8 @@ def test_verdict_witnesses_check_out_against_the_table():
     for _ in range(30):
         g = random_instance(rng, n_max=5)
         plan = random_plan(rng, g, rng.randint(1, 2))
-        verdict = decide_allocated(g, plan)
         table = build_copwin(g, plan.assignment())
+        verdict = table.allocated_verdict()
         if verdict.winner is Winner.COP:
             assert all(table.rank[table.pack(p0, verdict.placement, 0)] >= 0 for p0 in range(g.n))
         else:
@@ -945,21 +947,29 @@ def _free_choice_corpus(seed=1721, count=100):
     return games
 
 
-def test_free_layer_choice_equals_full_tables_and_naive_oracle():
+def test_free_layer_choice_equals_full_tables_and_naive_oracle(tmp_path, capsys):
+    from mlcr.cli import main
+    from mlcr.core import write_mlg_file
+
     games = _free_choice_corpus()
     assert any(len(set(g.layers)) < g.tau for g, _ in games)
     winners = set()
+    path = str(tmp_path / "g.mlg")
     for g, k in games:
-        verdict, plan = decide_free_layer_choice(g, k)
+        write_mlg_file(g, path)
+        code = main(["solve", path, "--free-choice", str(k)])
         want, want_plan = full_table_free_layer_choice(g, k)
-        assert (verdict.record_lines(), plan) == (want.record_lines(), want_plan), (g, k)
-        winners.add(verdict.winner)
+        lines = [f"WINNING_ALLOCATION={want_plan}"] if want_plan else []
+        assert capsys.readouterr().out.splitlines() == lines + want.record_lines(), (g, k)
+        winner = Winner.COP if code == 0 else Winner.ROBBER
+        assert winner is want.winner and _free_choice(g, k)[0] == want_plan, (g, k)
+        winners.add(winner)
         if g.n <= 5 and k:
             naive = any(
                 all(naive_allocated_verdict(gj, AllocationPlan(comp)) == "COP" for gj in robber_layer_variants(g))
                 for comp in compositions(k, g.tau)
             )
-            assert verdict.winner is (Winner.COP if naive else Winner.ROBBER), (g, k)
+            assert winner is (Winner.COP if naive else Winner.ROBBER), (g, k)
     assert winners == {Winner.COP, Winner.ROBBER}
 
 

@@ -56,6 +56,15 @@ CASES = {
     "solve-tree-dump-table": ([SOLVE_TREE + ["--dump-table", "t.cwt"]], True),
 }
 
+# name: CLI invocations run in order by one process, the last a zero-cop solve.
+# Its verdict (a robber win, exit 1) is settled before any table, so numpy stays unloaded.
+ZERO_COP_CASES = {
+    "solve-cops-zero": [GENERATE, ["solve", "g.mlg", "--cops", "0"]],
+    "solve-allocation-zero": [GENERATE, ["solve", "g.mlg", "--allocation", "0,0"]],
+    "solve-free-choice-zero": [GENERATE, ["solve", "g.mlg", "--free-choice", "0"]],
+    "solve-tree-allocation-zero": [["solve", "path4.mlg", "--allocation", "0"]],
+}
+
 SIMULATE_GRID = ["simulate", "g.mlg", "--batch", "2", "--allocation"]
 
 # name: (CLI invocations run in order by one process, whether mlcr.scripted must be loaded)
@@ -92,8 +101,9 @@ print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules, "scripted": "
 """
 
 
-def _fresh_run(runs, tmp_path):
-    """Run `runs` through `main` in a new interpreter; the modules it loaded."""
+def _fresh_run(runs, tmp_path, codes=None):
+    """Run `runs` through `main` in a new interpreter, each exiting with its
+    code in `codes` (by default 0); the modules it loaded."""
 
     (tmp_path / "path4.mlg").write_text(PATH4)
     proc = subprocess.run(
@@ -102,7 +112,7 @@ def _fresh_run(runs, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
-    assert got["codes"] == [0] * len(runs or []), proc.stderr
+    assert got["codes"] == (codes or [0] * len(runs or [])), proc.stderr
     return got
 
 
@@ -110,6 +120,12 @@ def _fresh_run(runs, tmp_path):
 def test_numpy_loads_only_for_table_builds(name, tmp_path):
     runs, wants_numpy = CASES[name]
     assert _fresh_run(runs, tmp_path)["numpy"] is wants_numpy
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_COP_CASES))
+def test_zero_cop_solves_load_no_numpy(name, tmp_path):
+    runs = ZERO_COP_CASES[name]
+    assert _fresh_run(runs, tmp_path, codes=[0] * (len(runs) - 1) + [1])["numpy"] is False
 
 
 @pytest.mark.parametrize("name", sorted(SCRIPTED_CASES))
