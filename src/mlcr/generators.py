@@ -5,13 +5,15 @@ and attaches a ConstructionReport; a failed invariant is a hard error.
 Seeded generators are deterministic functions of their parameters and seed,
 and hand the graph its family tag ("grid:6") when they construct it.
 
-Vertex indexing conventions (the scripted grid and slices players rebuild
-these coordinate maps from the same helpers):
+Every edge is listed with its smaller endpoint first (`_edge`).  Vertex
+indexing conventions (the scripted grid and slices players rebuild these
+coordinate maps from the same helpers):
 
 * grid:   (row i, col j), 1-based, maps to (i-1)*n + (j-1).
 * slices: (x, y, z) with x in 1..3k and (y, z) either (inf, inf) or in
-          [k] x [5k+2]; each slice occupies a contiguous index block, the
-          hub (x, inf, inf) first.
+          [k] x [5k+2]; each slice occupies a contiguous index block of
+          `_slice_size(k)` = 1 + k(5k+2) vertices, the hub (x, inf, inf)
+          first.
 * cops-bane: expander vertices 0..N-1, hub N, then 2D interior vertices
           per arm in arm order.
 """
@@ -87,6 +89,12 @@ def _finish(g: MultiLayerGraph, report: ConstructionReport) -> tuple[MultiLayerG
     return g, report
 
 
+def _edge(u: int, v: int) -> Edge:
+    """The edge uv with its smaller endpoint first, as layers list it."""
+
+    return (u, v) if u < v else (v, u)
+
+
 # -- two-layer grid -------------------------------------------------------------
 
 
@@ -100,31 +108,27 @@ def grid_coords(v: int, n: int) -> tuple[int, int]:
     return v // n + 1, v % n + 1
 
 
+def _grid_transitions(n: int) -> tuple[list[Edge], list[Edge]]:
+    """The parity transition edges: rows i and i+1 are joined in column 1
+    for even i and in column n for odd i, and columns likewise in row 1 or
+    row n.  Each is an edge of the other layer too, so both layers share them."""
+
+    rows: list[Edge] = []
+    cols: list[Edge] = []
+    for i in range(1, n):
+        end = 1 if i % 2 == 0 else n
+        rows.append((grid_index(i, end, n), grid_index(i + 1, end, n)))
+        cols.append((grid_index(end, i, n), grid_index(end, i + 1, n)))
+    return rows, cols
+
+
 def grid_layers(n: int) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
     """Horizontal and vertical layers with their parity boundary edges."""
 
-    def e(a, b):
-        return (a, b) if a < b else (b, a)
-
-    ch: set[Edge] = set()
-    cv: set[Edge] = set()
-    for i in range(1, n + 1):
-        for j in range(1, n):
-            ch.add(e(grid_index(i, j, n), grid_index(i, j + 1, n)))
-    for i in range(1, n):
-        if i % 2 == 0:
-            ch.add(e(grid_index(i, 1, n), grid_index(i + 1, 1, n)))
-        else:
-            ch.add(e(grid_index(i, n, n), grid_index(i + 1, n, n)))
-    for j in range(1, n + 1):
-        for i in range(1, n):
-            cv.add(e(grid_index(i, j, n), grid_index(i + 1, j, n)))
-    for j in range(1, n):
-        if j % 2 == 0:
-            cv.add(e(grid_index(1, j, n), grid_index(1, j + 1, n)))
-        else:
-            cv.add(e(grid_index(n, j, n), grid_index(n, j + 1, n)))
-    return tuple(sorted(ch)), tuple(sorted(cv))
+    rows, cols = _grid_transitions(n)
+    ch = {(grid_index(i, j, n), grid_index(i, j + 1, n)) for i in range(1, n + 1) for j in range(1, n)}
+    cv = {(grid_index(i, j, n), grid_index(i + 1, j, n)) for j in range(1, n + 1) for i in range(1, n)}
+    return tuple(sorted(ch.union(rows))), tuple(sorted(cv.union(cols)))
 
 
 def gen_grid(n: int) -> tuple[MultiLayerGraph, ConstructionReport]:
@@ -139,18 +143,8 @@ def gen_grid(n: int) -> tuple[MultiLayerGraph, ConstructionReport]:
     report = _report("grid", {"n": n}, g)
     report.add("layers_connected", all(report.layer_connected))
     shared = set(ch) & set(cv)
-    expected_shared = set()
-    for i in range(1, n):
-        if i % 2 == 0:
-            expected_shared.add((grid_index(i, 1, n), grid_index(i + 1, 1, n)))
-        else:
-            expected_shared.add((grid_index(i, n, n), grid_index(i + 1, n, n)))
-    for j in range(1, n):
-        if j % 2 == 0:
-            expected_shared.add((grid_index(1, j, n), grid_index(1, j + 1, n)))
-        else:
-            expected_shared.add((grid_index(n, j, n), grid_index(n, j + 1, n)))
-    report.add("shared_boundary_edges", shared == expected_shared, len(shared))
+    rows, cols = _grid_transitions(n)
+    report.add("shared_boundary_edges", shared == set(rows) | set(cols), len(shared))
     report.add("vertex_count", g.n == n * n, g.n)
     return _finish(g, report)
 
@@ -163,10 +157,8 @@ def petersen() -> tuple[Edge, ...]:
 
     edges = []
     for i in range(5):
-        edges.append((i, (i + 1) % 5))
-        edges.append((i, i + 5))
-        edges.append((i + 5, (i + 2) % 5 + 5))
-    return tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
+        edges += [_edge(i, (i + 1) % 5), _edge(i, i + 5), _edge(i + 5, (i + 2) % 5 + 5)]
+    return tuple(sorted(edges))
 
 
 def gen_min_counterexample(
@@ -200,7 +192,7 @@ def gen_min_counterexample(
     e1 = set(base_edges)
     e1.update((hub, q) for q in range(n, 2 * n - 1))
     mirror = lambda i: 2 * n - 2 - i  # vertex i of the base, second copy
-    e2 = {(min(mirror(u), mirror(v)), max(mirror(u), mirror(v))) for u, v in base_edges}
+    e2 = {_edge(mirror(u), mirror(v)) for u, v in base_edges}
     e2.update((q, hub) for q in range(0, hub))
     g = MultiLayerGraph(
         n=2 * n - 1,
@@ -218,22 +210,27 @@ def gen_min_counterexample(
 # -- slices construction ----------------------------------------------------------
 
 
+def _slice_size(k: int) -> int:
+    """Vertices per slice: the hub and k paths of 5k+2."""
+
+    return 1 + k * (5 * k + 2)
+
+
 def slices_vertex_count(k: int) -> int:
-    return 3 * k * (1 + k * (5 * k + 2))
+    return 3 * k * _slice_size(k)
+
 
 def slices_index(k: int, x: int, y, z) -> int:
     """Dense index for slice vertex (x, y, z); (inf, inf) is the slice hub."""
 
-    per = 1 + k * (5 * k + 2)
-    base = (x - 1) * per
+    base = (x - 1) * _slice_size(k)
     if y == math.inf:
         return base
     return base + 1 + (y - 1) * (5 * k + 2) + (z - 1)
 
 
 def slices_coords(k: int, v: int):
-    per = 1 + k * (5 * k + 2)
-    x, r = divmod(v, per)
+    x, r = divmod(v, _slice_size(k))
     if r == 0:
         return x + 1, math.inf, math.inf
     y, z = divmod(r - 1, 5 * k + 2)
@@ -251,42 +248,34 @@ def slices_layers(k: int) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
     edges to the ring of slice 1 to stay connected.
     """
 
-    def e(a, b):
-        return (a, b) if a < b else (b, a)
-
     idx = lambda x, y, z: slices_index(k, x, y, z)
     c1: set[Edge] = set()
     c2: set[Edge] = set()
     for x in range(1, 3 * k + 1):
         for y in range(1, k + 1):
             for z in range(1, 5 * k):
-                both = e(idx(x, y, z), idx(x, y, z + 1))
+                both = _edge(idx(x, y, z), idx(x, y, z + 1))
                 c1.add(both)
                 c2.add(both)
-            hubp = e(idx(x, math.inf, math.inf), idx(x, y, 1))
+            hubp = _edge(idx(x, math.inf, math.inf), idx(x, y, 1))
             c1.add(hubp)
             c2.add(hubp)
-            c1.add(e(idx(x, y, 5 * k + 1), idx(x, y, 5 * k + 2)))
-            c2.add(e(idx(x, y, 5 * k + 1), idx(x, y % k + 1, 5 * k + 2)))
-            parity = e(idx(x, y, 5 * k), idx(x, y, 5 * k + 1))
+            c1.add(_edge(idx(x, y, 5 * k + 1), idx(x, y, 5 * k + 2)))
+            c2.add(_edge(idx(x, y, 5 * k + 1), idx(x, y % k + 1, 5 * k + 2)))
+            parity = _edge(idx(x, y, 5 * k), idx(x, y, 5 * k + 1))
             (c1 if x % 2 == 1 else c2).add(parity)
     for x in range(1, 3 * k):
-        spine = e(idx(x, math.inf, math.inf), idx(x + 1, math.inf, math.inf))
+        spine = _edge(idx(x, math.inf, math.inf), idx(x + 1, math.inf, math.inf))
         c1.add(spine)
         c2.add(spine)
         for y in range(1, k + 1):
             for z in (1, 2):
-                rung = e(idx(x, y, 5 * k + z), idx(x + 1, y, 5 * k + z))
+                rung = _edge(idx(x, y, 5 * k + z), idx(x + 1, y, 5 * k + z))
                 (c1 if x % 2 == 1 else c2).add(rung)
     for y in range(1, k + 1):
         for z in (1, 2):
-            c2.add(e(idx(1, math.inf, math.inf), idx(1, y, 5 * k + z)))
+            c2.add(_edge(idx(1, math.inf, math.inf), idx(1, y, 5 * k + z)))
     return tuple(sorted(c1)), tuple(sorted(c2))
-
-
-def slices_slice_vertices(k: int, x: int) -> list[int]:
-    per = 1 + k * (5 * k + 2)
-    return list(range((x - 1) * per, x * per))
 
 
 def gen_slices(k: int) -> tuple[MultiLayerGraph, ConstructionReport]:
@@ -304,29 +293,25 @@ def gen_slices(k: int) -> tuple[MultiLayerGraph, ConstructionReport]:
     report.add("layers_connected", all(report.layer_connected))
     report.add("union_connected", is_connected_edges(flatten(g), g.n))
     # slices x >= 2 are pairwise isomorphic: identical under the index shift
-    per = 1 + k * (5 * k + 2)
     union = set(c1) | set(c2)
-
-    def inside(x: int) -> set[Edge]:  # edges within slice x, shifted by the slice offset
-        lo, hi = (x - 1) * per, x * per
-        return {(u % per, v % per) for u, v in union if lo <= u < hi and lo <= v < hi}
-
-    ref = inside(3)
-    report.add("interior_slices_isomorphic", all(inside(x) == ref for x in range(4, 3 * k + 1)))
+    ref = _inside_slice(union, k, 3)
+    report.add("interior_slices_isomorphic", all(_inside_slice(union, k, x) == ref for x in range(4, 3 * k + 1)))
     return _finish(g, report)
 
 
-def slices_induced_robber_slice(k: int, x: int) -> tuple[tuple[Edge, ...], int]:
-    """Induced subgraph of the robber layer on slice x, relabelled to 0..m-1."""
+def _inside_slice(union: set[Edge], k: int, x: int) -> set[Edge]:
+    """The edges of `union` within slice x, shifted by the slice offset."""
 
-    g, _ = gen_slices(k)
-    union = flatten(g)
-    verts = slices_slice_vertices(k, x)
-    remap = {v: i for i, v in enumerate(verts)}
-    edges = tuple(
-        sorted((remap[u], remap[v]) for u, v in union if u in remap and v in remap)
-    )
-    return edges, len(verts)
+    per = _slice_size(k)
+    lo, hi = (x - 1) * per, x * per
+    return {(u - lo, v - lo) for u, v in union if lo <= u < hi and lo <= v < hi}
+
+
+def slices_induced_robber_slice(k: int, x: int) -> tuple[tuple[Edge, ...], int]:
+    """Induced subgraph of the robber layer (the union of `slices_layers`) on
+    slice x, relabelled to 0..m-1."""
+
+    return tuple(sorted(_inside_slice(set().union(*slices_layers(k)), k, x))), _slice_size(k)
 
 
 # -- cycle split into two matchings ------------------------------------------------
@@ -340,7 +325,7 @@ def gen_cycle_matchings(n: int) -> tuple[MultiLayerGraph, ConstructionReport]:
     nv = 2 * n
     check_vertex_count(nv)
     c1 = tuple(sorted((2 * i, 2 * i + 1) for i in range(n)))
-    c2 = tuple(sorted((min(2 * i + 1, (2 * i + 2) % nv), max(2 * i + 1, (2 * i + 2) % nv)) for i in range(n)))
+    c2 = tuple(sorted(_edge(2 * i + 1, (2 * i + 2) % nv) for i in range(n)))
     g = MultiLayerGraph(n=nv, layers=(c1, c2), robber_spec=RobberSpec.UNION, tag=f"cycle-matchings:{n}")
     report = _report("cycle-matchings", {"n": n, "vertices": nv}, g)
     union = flatten(g)
@@ -361,12 +346,10 @@ def gen_domset_reduction(
 
     check_vertex_count(n)
     adj = adjacency_lists(n, edges)
-    layers = tuple(
-        tuple(sorted((min(u, w), max(u, w)) for w in adj[u])) for u in range(n)
-    )
+    layers = tuple(tuple(sorted(_edge(u, w) for w in adj[u])) for u in range(n))
     g = MultiLayerGraph(n=n, layers=layers, robber_spec=RobberSpec.UNION, tag=f"domset-reduction:{n}")
     report = _report("domset-reduction", {"n": n, "m": len(tuple(edges))}, g)
-    report.add("union_matches_input", set(flatten(g)) == {(min(u, v), max(u, v)) for u, v in edges})
+    report.add("union_matches_input", set(flatten(g)) == {_edge(u, v) for u, v in edges})
     report.add("layer_count", g.tau == n, g.tau)
     star_ok = all(all(u in e for e in layers[u]) for u in range(n))
     report.add("layers_are_stars", star_ok)
@@ -381,29 +364,13 @@ def _soifer_classes_even(ell: int) -> list[list[Edge]]:
     vertex i with the centre 2l-1 plus all chords perpendicular to it."""
 
     m = 2 * ell - 1
-    classes = []
-    for i in range(m):
-        cls = [(min(i, m), max(i, m))]
-        for j in range(1, ell):
-            a = (i - j) % m
-            b = (i + j) % m
-            cls.append((min(a, b), max(a, b)))
-        classes.append(cls)
-    return classes
+    return [[_edge(i, m)] + [_edge((i - j) % m, (i + j) % m) for j in range(1, ell)] for i in range(m)]
 
 
 def _rotational_classes_odd(n: int) -> list[list[Edge]]:
     """Near-1-factorisation of K_n for odd n: class r holds {r-j, r+j} mod n."""
 
-    classes = []
-    for r in range(n):
-        cls = []
-        for j in range(1, (n - 1) // 2 + 1):
-            a = (r - j) % n
-            b = (r + j) % n
-            cls.append((min(a, b), max(a, b)))
-        classes.append(cls)
-    return classes
+    return [[_edge((r - j) % n, (r + j) % n) for j in range(1, (n - 1) // 2 + 1)] for r in range(n)]
 
 
 def _interval_sizes(total: int, parts: int) -> list[int]:
@@ -527,7 +494,7 @@ def gen_random_regular(n: int, d: int, seed: int) -> tuple[Edge, ...]:
             if a == b:
                 ok = False
                 break
-            e = (min(a, b), max(a, b))
+            e = _edge(a, b)
             if e in edges:
                 ok = False
                 break
@@ -680,7 +647,7 @@ def copsbane_layers(
     star: list[Edge] = []
     for x in range(N):
         path = [N, *range(N + 1 + 2 * D * x, N + 1 + 2 * D * (x + 1)), x]
-        star.extend((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
+        star.extend(map(_edge, path, path[1:]))
     return tuple(tuple(sorted([e for e in core if coloring[e] == colour] + star)) for colour in (0, 1))
 
 

@@ -8,12 +8,14 @@ into a single integer
 
     index = ((p0 * n + p1) * n + ... + pk) * (k+1) + t
 
-and the whole table (n^(k+1) * (k+1) states) is classified by backward
-BFS from the capture states: a cop-turn state is cop-win as soon as one
-successor is, a robber-turn state once a counter of not-yet-cop-win
-successors reaches zero.  The BFS level of a state is its rank: 0 at
-capture, otherwise 1 + min (cop to move) / max (robber to move) over
-successor ranks, i.e. the optimal number of single-agent moves to capture.
+(agent a's digit has the stride (k+1) * n^(k-a): `CopWinTable.strides`,
+which `pack` and `unpack` read), and the whole table (n^(k+1) * (k+1)
+states) is classified by backward BFS from the capture states: a cop-turn
+state is cop-win as soon as one successor is, a robber-turn state once a
+counter of not-yet-cop-win successors reaches zero.  The BFS level of a
+state is its rank: 0 at capture, otherwise 1 + min (cop to move) / max
+(robber to move) over successor ranks, i.e. the optimal number of
+single-agent moves to capture.
 
 `rank` is int16: -1 on robber-win states, 0..32767 otherwise.  A level
 past 32767 widens it to int32, after the RAM cap is checked again for both
@@ -35,14 +37,14 @@ completeness): table b's state is `b * size + index`, the move rows form
 one CSR with a row block per (table, agent), and counters and capture
 positions are per table.  `build_copwin_batch` groups mixed shapes itself
 and slices each table's `rank` out of its batch's array; `build_copwin`
-is the batch of one.  `copwin_winners` runs the same BFS for callers that
+is the batch of one.  `copwin_verdicts` runs the same BFS for callers that
 read only the winner: it counts, per placement, the robber starts not yet
 cop-win and stops once every table has a placement at zero.  The search
 questions (cop number, free layer choice, one allocation or some
 allocation of k cops) go through `core.first_winning_plans`, which is
-passed one of two deciders from here: `copwin_verdicts` (the winner only)
-or `allocated_verdicts` (each pair's full-table verdict, for `solve
---allocation` and `--cops` on a state graph).
+passed one of two deciders from here: `copwin_verdicts` (the winner only,
+no witnesses) or `allocated_verdicts` (each pair's full-table verdict, for
+`solve --allocation` and `--cops` on a state graph).
 
 The table answers the players in positions, so `sim` never sees a packed
 state, and the verdict's witnesses come from the players' placement rules.
@@ -133,20 +135,11 @@ class CopWinTable:
     # -- state packing --------------------------------------------------------
 
     def pack(self, robber: int, cops: Sequence[int], t: int) -> int:
-        idx = robber
-        for p in cops:
-            idx = idx * self.n + p
-        return idx * (self.k + 1) + t
+        return sum(p * s for p, s in zip((robber, *cops), self.strides)) + t
 
     def unpack(self, index: int) -> tuple[int, tuple[int, ...], int]:
-        t = index % (self.k + 1)
-        rest = index // (self.k + 1)
-        pos = []
-        for _ in range(self.k + 1):
-            pos.append(rest % self.n)
-            rest //= self.n
-        pos.reverse()
-        return pos[0], tuple(pos[1:]), t
+        robber, *cops = (index // s % self.n for s in self.strides)
+        return robber, tuple(cops), index % (self.k + 1)
 
     # -- move enumeration (successors in game order) ---------------------------
 
@@ -511,32 +504,27 @@ def build_copwin_batch(
     return tables
 
 
-def copwin_winners(
+def copwin_verdicts(
     pairs: Sequence[tuple[MultiLayerGraph, Sequence[int]]],
     state_budget: int = DEFAULT_STATE_BUDGET,
-) -> list[Winner]:
-    """Winner of each `(graph, assignment)` pair with cops placing first, in
-    input order: COP iff some placement makes every robber start cop-win.
+) -> list[GameVerdict]:
+    """Verdict of each `(graph, assignment)` pair with cops placing first, in
+    input order, without witnesses: the winner-only decider.  The winner is
+    COP iff some placement makes every robber start cop-win.
 
     Solved as `build_copwin_batch` does, but a batch stops at the level where
     each of its tables has such a placement; a ROBBER verdict runs to the
     fixpoint.  No table is returned (its `rank` may be partial), so a shape
     over the RAM cap as one batch is solved in batches that fit."""
 
-    winners = [Winner.ROBBER] * len(pairs)
+    verdicts: list[GameVerdict | None] = [None] * len(pairs)
     for (n, k, _), (idx, batch) in _shape_groups(pairs):
         fit = _check_budget(state_space_size(n, k), k + 1, 2, np.min_scalar_type(n).itemsize, state_budget)
         for lo in range(0, len(batch), fit):
             _, starts = _retrograde(batch[lo : lo + fit], state_budget, winner_only=True)
             for i, won in zip(idx[lo : lo + fit], _placement_won(starts, n**k).tolist()):
-                winners[i] = Winner.COP if won else Winner.ROBBER
-    return winners
-
-
-def copwin_verdicts(pairs, state_budget: int = DEFAULT_STATE_BUDGET) -> list[GameVerdict]:
-    """`copwin_winners` as verdicts without witnesses: the winner-only decider."""
-
-    return [GameVerdict(winner) for winner in copwin_winners(pairs, state_budget)]
+                verdicts[i] = GameVerdict(Winner.COP if won else Winner.ROBBER)
+    return verdicts
 
 
 def allocated_verdicts(pairs, state_budget: int = DEFAULT_STATE_BUDGET) -> list[GameVerdict]:

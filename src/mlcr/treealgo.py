@@ -108,27 +108,21 @@ def robber_tree_edges(g: MultiLayerGraph) -> tuple[tuple[int, int], ...] | None:
     return edges if len(edges) == g.n - 1 and len(g.components(None)) == 1 else None
 
 
-def _tree_edges(g: MultiLayerGraph) -> Sequence[tuple[int, int]]:
-    """The robber layer's edges, checked to form a spanning tree."""
-
-    edges = robber_tree_edges(g)
-    if edges is None:
-        raise MlgError("robber layer is not a tree")
-    return edges
-
-
 def find_robbers_edge(
     g: MultiLayerGraph,
     assignment: Sequence[int],
 ) -> RobbersEdgeCertificate | tuple[frozenset[int], ...]:
     """Clean component profile for an assignment (start components that
     leave no robber's edge), or a robber-win certificate when every profile
-    is dirty: that of the first profile in component order.  No cop: refused.
+    is dirty: that of the first profile in component order.  No cop, or a
+    robber layer that is not a spanning tree: refused.
     """
 
     if not assignment:
         raise MlgError("find_robbers_edge needs at least one cop")
-    robber_edges = _tree_edges(g)
+    robber_edges = robber_tree_edges(g)
+    if robber_edges is None:
+        raise MlgError("robber layer is not a tree")
     choices = [_component_choices(g, layer) for layer in assignment]
     first_cert: RobbersEdgeCertificate | None = None
     for profile in product(*choices):

@@ -118,7 +118,7 @@ def random_instance(
 @criterion("c01-grid", "two-layer grid: same-layer pairs win, split pair loses")
 def _c01(budget):
     from .generators import gen_grid
-    from .solver import copwin_winners
+    from .solver import copwin_verdicts
 
     # (n, allocation, wanted winner, allocation as printed)
     cases = [
@@ -131,9 +131,9 @@ def _c01(budget):
     pairs = [(grids[n], AllocationPlan(alloc).assignment()) for n, alloc, _, _ in cases]
     details = []
     ok = True
-    for (n, _, want, shown), got in zip(cases, copwin_winners(pairs, budget)):
-        ok &= got is want
-        details.append(f"n={n} alloc={shown}: {got.value} (want {want.value})")
+    for (n, _, want, shown), verdict in zip(cases, copwin_verdicts(pairs, budget)):
+        ok &= verdict.winner is want
+        details.append(f"n={n} alloc={shown}: {verdict.winner.value} (want {want.value})")
     return ok, details
 
 
@@ -172,7 +172,7 @@ def _c03(budget):
 @criterion("c04-slices", "slices construction: cheap layers, expensive game")
 def _c04(budget):
     from .generators import gen_slices, slices_induced_robber_slice
-    from .solver import copwin_winners, single_layer_cop_number
+    from .solver import copwin_verdicts, single_layer_cop_number
 
     g, _ = gen_slices(2)
     details = []
@@ -187,10 +187,10 @@ def _c04(budget):
         details.append(f"slice {x} cop number = {c} (want <= 2)")
         ok &= c is not None and c <= 2
     allocs = ((1, 0), (0, 1))
-    one_cop = copwin_winners([(g, AllocationPlan(alloc).assignment()) for alloc in allocs], budget)
-    for alloc, got in zip(allocs, one_cop):
-        details.append(f"one cop alloc={alloc}: {got.value} (want ROBBER)")
-        ok &= got is Winner.ROBBER
+    one_cop = copwin_verdicts([(g, AllocationPlan(alloc).assignment()) for alloc in allocs], budget)
+    for alloc, verdict in zip(allocs, one_cop):
+        details.append(f"one cop alloc={alloc}: {verdict.winner.value} (want ROBBER)")
+        ok &= verdict.winner is Winner.ROBBER
     return ok, details
 
 
@@ -321,7 +321,7 @@ def _c09(budget):
 
 @criterion("c10-monotonicity", "robber edges help the robber, cop edges help the cops")
 def _c10(budget):
-    from .solver import copwin_verdicts, copwin_winners, free_choice_question
+    from .solver import copwin_verdicts, free_choice_question
 
     rng = random.Random(20240610)
     all_pairs = lambda n: [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -356,8 +356,8 @@ def _c10(budget):
     free_lost = {trial for (trial, _, _), plan in zip(union_won, free) if plan is None}
     # the free-choice quantifier, checked apart from the search: each answer wins on every robber layer
     checks = [(t, h, plan) for (t, _, _), (hs, _), plan in zip(union_won, asked, free) if plan is not None for h in hs]
-    beaten = copwin_winners([(h, plan.assignment()) for _, h, plan in checks], budget)
-    free_beaten = {t for (t, _, _), winner in zip(checks, beaten) if winner is Winner.ROBBER}
+    beaten = decide([(h, plan.assignment()) for _, h, plan in checks])
+    free_beaten = {t for (t, _, _), verdict in zip(checks, beaten) if verdict.winner is Winner.ROBBER}
     failures = []
     for trial in range(len(trials)):
         base, after, after_c, _ = winners[4 * trial : 4 * trial + 4]

@@ -51,6 +51,12 @@ def test_mec_soifer():
     assert mec_check(g, 1)
 
 
+def test_mec_without_cops_holds_on_one_vertex():
+    # no cop ever threatens the robber's only vertex
+    assert mec_check(single((), 1), 0)
+    assert mec_check(single((), 1, RobberSpec.COMPLETE), 0)
+
+
 def test_mec_budget_guard():
     g = single(cycle(5), 5)
     big = MultiLayerGraph(n=200, layers=(tuple(cycle(200)),))
@@ -144,6 +150,22 @@ def test_clique_lb_without_cops_or_over_the_enumeration_budget(monkeypatch):
     # C5 is certified by enumeration (below); over the budget it is not claimed
     monkeypatch.setattr(mlcr.bounds, "MEC_ENUMERATION_BUDGET", 0)
     assert not clique_lb_check(single(cycle(5), 5, RobberSpec.COMPLETE), 1)
+
+
+def test_clique_lb_degree_certificate_holds_exactly_past_its_bound(monkeypatch):
+    """With the enumeration over budget only the degree certificate can answer
+    True, and it does exactly when 1 + k + k * (max layer degree + 1) < n."""
+
+    import mlcr.bounds
+
+    monkeypatch.setattr(mlcr.bounds, "MEC_ENUMERATION_BUDGET", 0)
+    matching = lambda n: tuple((v, v + 1) for v in range(0, n - 1, 2))
+    for max_deg, layer in ((0, lambda n: ()), (1, matching), (2, cycle)):
+        for k in (1, 2, 3):
+            bound = 1 + k + k * (max_deg + 1)
+            for n in range(3, bound + 3):
+                g = single(layer(n), n, RobberSpec.COMPLETE)
+                assert clique_lb_check(g, k) == (n > bound), (max_deg, k, n)
 
 
 # -- dominating sets --------------------------------------------------------------------

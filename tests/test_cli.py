@@ -540,7 +540,7 @@ def test_solve_dump_table_builds_once(grid4_file, tmp_path, capsys, monkeypatch)
 def test_solve_runs_one_retrograde_bfs_per_table(options, exit_code, runs, grid4_file, tmp_path, capsys,
                                                  monkeypatch):
     """Counted at `_retrograde`, which every table build (`build_copwin`,
-    `build_copwin_batch`, `copwin_winners`) runs."""
+    `build_copwin_batch`, `copwin_verdicts`) runs."""
 
     import mlcr.solver
 

@@ -251,6 +251,41 @@ CASES = {
     ),
 }
 
+# every `generate` family with --seed 3: the MLG1 file and the --report file
+# (the family's invariant checks); (family, options, vertices, layers, digests)
+for family, options, vertices, layers, mlg, report in (
+    ("grid", ["-n", "5"], 25, 2,
+     "7ec0556792b2d8b447e7c170db17f783970f6d1bda7f6474029a19b49e34f116",
+     "3add5f177a03a708544ef1b014cf526f8cb5cf08fcb88e19d75dca1b2795c573"),
+    ("mirror", [], 19, 2,
+     "7977fa0a01ec3d246629967f474aaf97861dd30e8b6598abd1c2d3ba70f8cb3a",
+     "65556751f7d90b460763866920ad0ab423ffd30b5c48aba753c44b5e2ae5f5a9"),
+    ("slices", ["-k", "2"], 150, 2,
+     "88fdc691cb169016ea474ca09c832417e7a29134b32bd4becce3e94130bb3190",
+     "c1555c23ad974d43ed1aebc808b8997b1fc42aff256a8057d5c3fd3c87a43439"),
+    ("cycle-matchings", ["-n", "4"], 8, 2,
+     "342f3d6d31b2f1c53b49d4714400f498d1d0c039de15ef944baa2bbebade100b",
+     "ea5900d9bc323df10d9786bea4f03e7cf0748aaba088c413e036ede7c526298b"),
+    ("soifer", ["-n", "12", "--tau", "3"], 12, 3,
+     "deb06d91fb91c6d12d60ece6cb76f666e75a3b0a909e45e2a3d1db0de23dc35c",
+     "a09edb084ee782a37a65eb79c6d41e2eb23c2157fa614f04875420fc7092c2b3"),
+    ("random-layers", ["-n", "16", "--p", "0.4", "--tau", "2"], 16, 2,
+     "1a3a09e178dcdb0e24df516cb68dda92dc5ecea4717641cfeb626a7832e7f53a",
+     "f3236b494b04bdf767f3e59cd6f83416318a7a708a554f97af4ffb72ad1765f1"),
+    ("domset-reduction", ["-n", "9", "--p", "0.4"], 9, 9,
+     "c748729ab838505bdd71d28abc8ea4ea89432ef51ae213f786392963caebd875",
+     "3e129df369cc7047e629db3eff724070579a9b325b55d26aad57e7ffeccec87e"),
+    ("copsbane", ["-n", "8"], 73, 2,
+     "2b2ae596b585ac79fc81868c0ced75bebbf9d8c987baa52a7e70e87f095183d4",
+     "9eabcdb52cfe7cedfb0ed3f725137814422195cea9ee5d01f52790121cc61f31"),
+):
+    CASES[f"generate-{family}-report"] = (
+        ["--seed", "3", "generate", family, *options, "-o", "{dir}/g.mlg", "--report", "{dir}/g.txt"],
+        0,
+        f"WROTE={{dir}}/g.mlg\nVERTICES={vertices}\nLAYERS={layers}\nREPORT={{dir}}/g.txt\n",
+        {"g.mlg": mlg, "g.txt": report},
+    )
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_is_pinned(name, tmp_path, capsys):
     args, code, stdout, files = CASES[name]

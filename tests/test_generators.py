@@ -256,6 +256,53 @@ def test_copsbane_mono_components_bounded():
     assert report.ok
 
 
+def _largest_mono_component(edges, n, coloring):
+    """Largest monochromatic component in vertices, by union-find per colour."""
+
+    best = 0
+    for colour in (0, 1):
+        parent = list(range(n))
+
+        def root(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for u, v in edges:
+            if coloring[(u, v)] == colour:
+                parent[root(u)] = root(v)
+        sizes = {}
+        for v in {v for e in edges if coloring[e] == colour for v in e}:
+            sizes[root(v)] = sizes.get(root(v), 0) + 1
+        best = max(best, *sizes.values(), 0)
+    return best
+
+
+def test_two_edge_coloring_keeps_a_flip_iff_the_largest_component_does_not_grow(monkeypatch):
+    """One flip per seed, against the colouring before it (no flip): both are
+    two-colourings whose reported clustering is their largest monochromatic
+    component, and a kept flip changes one edge and grows nothing.  Over the
+    seeds some flip is refused, some shrinks the largest component and some
+    keeps its size: equal flips are how the search crosses plateaus."""
+
+    import mlcr.generators
+
+    n = 8
+    edges = list(gen_random_regular(n, 3, 0))
+    outcomes = set()
+    for seed in range(30):
+        monkeypatch.setattr(mlcr.generators, "COLOURING_FLIPS", 0)
+        start, before = two_edge_coloring(edges, n, seed)
+        monkeypatch.setattr(mlcr.generators, "COLOURING_FLIPS", 1)
+        after, size = two_edge_coloring(edges, n, seed)
+        assert set(start.values()) == {0, 1} and set(after.values()) <= {0, 1}
+        assert (before, size) == (_largest_mono_component(edges, n, start), _largest_mono_component(edges, n, after))
+        changed = [e for e in edges if start[e] != after[e]]
+        assert len(changed) <= 1 and size <= before
+        outcomes.add("equal" if changed and size == before else "smaller" if changed else "refused")
+    assert outcomes == {"equal", "smaller", "refused"}
+
+
 def test_copsbane_rejects_odd_or_small():
     with pytest.raises(MlgError):
         gen_copsbane(7)

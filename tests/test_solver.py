@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mlcr.core import (
     AllocationPlan,
+    GameVerdict,
     MlgError,
     MultiLayerGraph,
     RobberSpec,
@@ -24,7 +25,6 @@ from mlcr.solver import (
     build_copwin,
     build_copwin_batch,
     copwin_verdicts,
-    copwin_winners,
     dump_cwt,
     free_choice_question,
     multilayer_cop_number,
@@ -60,6 +60,12 @@ def random_instance(rng, n_max=5, tau_max=2):
     if spec is RobberSpec.EXPLICIT:
         redges = tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5)
     return MultiLayerGraph(n=n, layers=layers, robber_spec=spec, robber_edges=redges)
+
+
+def _winners(pairs):
+    """The winner of each pair, from the winner-only decider."""
+
+    return [verdict.winner for verdict in copwin_verdicts(pairs)]
 
 
 def _start_ranks(table, cops):
@@ -198,6 +204,24 @@ def test_grid6_table_peak_memory():
     assert peak < 20 * 10**6  # 19.24 MB measured
 
 
+def test_complete_robber_layer_moves_in_chunks_of_batch_over_n():
+    """A complete robber layer's predecessor rows are n wide, so its chunk is
+    `_BATCH // n` robber-turn states: the level step's work arrays stay at
+    about `_BATCH` entries."""
+
+    import tracemalloc
+
+    path = tuple((v, v + 1) for v in range(59))  # 60^3 * 3 = 648,000 states, 1.5 MB of rank and counter
+    g = MultiLayerGraph(n=60, layers=(path,), robber_spec=RobberSpec.COMPLETE)
+    tracemalloc.start()
+    try:
+        build_copwin(g, (0, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # 2.77 MiB measured; 6.14 MiB with a chunk of `_BATCH * n`
+
+
 def test_c02_three_cop_layer_game_peak_memory():
     """The level step frees each predecessor-sized array after its last use."""
 
@@ -207,7 +231,7 @@ def test_c02_three_cop_layer_game_peak_memory():
     layer = MultiLayerGraph(n=g.n, layers=(g.layers[0],), robber_spec=RobberSpec.EXPLICIT, robber_edges=g.layers[0])
     tracemalloc.start()
     try:
-        assert copwin_winners([(layer, (0, 0, 0))]) == [Winner.COP]
+        assert _winners([(layer, (0, 0, 0))]) == [Winner.COP]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -783,12 +807,14 @@ def test_batched_ranks_equal_single_table_ranks_across_many_chunks(monkeypatch):
 
 def test_winner_only_equals_full_table_and_naive_oracle():
     pairs = _batch_corpus(seed=1719, count=120)
-    winners = copwin_winners(pairs)
+    verdicts = copwin_verdicts(pairs)
+    assert verdicts == [GameVerdict(v.winner) for v in verdicts]  # no witnesses
+    winners = [v.winner for v in verdicts]
     assert set(winners) == {Winner.COP, Winner.ROBBER}
     for (g, assignment), winner in zip(pairs, winners):
         full = bool(_winning_placements(build_copwin(g, assignment)))
         assert winner is (Winner.COP if full else Winner.ROBBER)
-        assert copwin_winners([(g, assignment)]) == [winner]  # the batch of one
+        assert _winners([(g, assignment)]) == [winner]  # the batch of one
         if g.n <= 4:
             counts = tuple(assignment.count(layer) for layer in range(g.tau))
             if AllocationPlan(counts).assignment() == assignment:
@@ -912,7 +938,7 @@ def test_lone_free_choice_question_solves_one_table_at_a_time(monkeypatch, tmp_p
             assignment = AllocationPlan(comp).assignment()
             for variant in robber_layer_variants(g):
                 want.append([(variant, assignment)])
-                if copwin_winners([(variant, assignment)])[0] is Winner.ROBBER:
+                if _winners([(variant, assignment)])[0] is Winner.ROBBER:
                     break
             else:
                 break
@@ -1031,7 +1057,7 @@ def test_batch_over_physical_ram_is_refused_before_allocating(monkeypatch):
             build_copwin_batch([(g, (0, 1))] * 4)
         # a single table over the cap is refused by the winner-only solve too
         with pytest.raises(StateBudgetExceeded) as alone:
-            copwin_winners([(g, (0, 0, 1))])
+            _winners([(g, (0, 0, 1))])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1041,7 +1067,7 @@ def test_batch_over_physical_ram_is_refused_before_allocating(monkeypatch):
     assert peak < 10**5
     # winner-only tables are dropped once read, so they are split into batches that fit
     runs = _spy_retrograde(monkeypatch)
-    assert copwin_winners([(g, (0, 1))] * 4) == copwin_winners([(g, (0, 1))]) * 4
+    assert _winners([(g, (0, 1))] * 4) == _winners([(g, (0, 1))]) * 4
     assert list(map(len, runs)) == [2, 2, 1]
 
 

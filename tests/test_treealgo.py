@@ -5,6 +5,7 @@ import pytest
 
 from mlcr.core import MlgError, MultiLayerGraph, RobberSpec, Winner, allocation_plans, first_winning_plans
 from mlcr.treealgo import find_robbers_edge, robber_tree_edges, tree_verdicts, winning_profile
+from mlcr.verify import random_tree_edges
 
 
 def explicit(n, layers, robber):
@@ -28,10 +29,6 @@ def solver_k_cops(g, k):
     from mlcr.solver import allocated_verdicts
 
     return k_cops(g, k, allocated_verdicts)
-
-
-def random_tree(rng, n):
-    return tuple(sorted((rng.randrange(v), v) for v in range(1, n)))
 
 
 def test_robber_tree_edges():
@@ -93,7 +90,7 @@ def test_decide_examples():
     rng = random.Random(1)
     for _ in range(20):
         n = rng.randint(3, 7)
-        g = explicit(n, [random_tree(rng, n)], random_tree(rng, n))
+        g = explicit(n, [random_tree_edges(rng, n)], random_tree_edges(rng, n))
         plan, verdict = k_cops(g, 2)
         assert verdict.winner is Winner.COP
     # one cop against a far tree edge: robber win
@@ -133,7 +130,7 @@ def test_equivalence_with_solver_on_random_corpus():
             )
             for _ in range(tau)
         )
-        g = explicit(n, layers, random_tree(rng, n))
+        g = explicit(n, layers, random_tree_edges(rng, n))
         k = rng.randint(1, 2)
         _, fast = k_cops(g, k)
         _, slow = solver_k_cops(g, k)
@@ -163,7 +160,7 @@ def test_equivalence_extends_to_three_layers_and_three_cops():
             )
             for _ in range(tau)
         )
-        g = explicit(n, layers, random_tree(rng, n))
+        g = explicit(n, layers, random_tree_edges(rng, n))
         _, fast = k_cops(g, k)
         _, slow = solver_k_cops(g, k)
         assert fast.winner is slow.winner, (trial, n, tau, k)
