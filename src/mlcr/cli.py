@@ -193,6 +193,14 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    """Play seeds `--seed` .. `--seed + --batch - 1` with one strategy object
+    per side, one match at a time: the referee checks each record as soon as
+    it is played, and the batch keeps only its MATCH line and, with
+    `--record`, its MR1 text.  Nothing is printed until the whole batch has
+    been played, so a match that raises prints no MATCH line; the report
+    stops at the first rejected record (exit 2, no SUMMARY, no record file),
+    though the batch is played on past it."""
+
     from .sim import (cop_strategy_from_name, referee_check, robber_strategy_from_name, run_match,
                       table_source)
 
@@ -209,26 +217,33 @@ def cmd_simulate(args) -> int:
     table = table_source(g, plan, args.state_budget)
     cop = cop_strategy_from_name(args.cop_strategy, g, table)
     rob = robber_strategy_from_name(args.robber_strategy, g, table)
-    records = [run_match(g, plan, cop, rob, T=args.rounds, seed=args.seed + i) for i in range(args.batch)]
-    captures = 0
-    for rec in records:
+    lines, texts, captures, rejected = [], [], 0, None
+    for seed in range(args.seed, args.seed + args.batch):
+        rec = run_match(g, plan, cop, rob, T=args.rounds, seed=seed)
+        if rejected is not None:
+            continue
         ok, msg = referee_check(rec, g)
         if not ok:
-            print(f"error: referee rejected record: {msg}", file=sys.stderr)
-            return EXIT_USAGE
-        if rec.outcome == "CAPTURE":
-            captures += 1
+            rejected = msg
+            continue
+        captures += rec.outcome == "CAPTURE"
         line = f"MATCH seed={rec.seed} outcome={rec.outcome}"
         if rec.capture_round is not None:
             line += f" round={rec.capture_round}"
         if rec.tags:
             line += " tags=" + ",".join(rec.tags)
+        lines.append(line)
+        if args.record:
+            texts.append(rec.render())
+    for line in lines:
         print(line)
-    print(f"SUMMARY matches={len(records)} captures={captures}")
+    if rejected is not None:
+        print(f"error: referee rejected record: {rejected}", file=sys.stderr)
+        return EXIT_USAGE
+    print(f"SUMMARY matches={args.batch} captures={captures}")
     if args.record:
         with open(args.record, "w") as fh:
-            for rec in records:
-                fh.write(rec.render())
+            fh.writelines(texts)
     _say_time("simulate", t0)
     return 0
 

@@ -12,7 +12,9 @@ row i is round (i+1)//2's cop row when i is odd and its robber row when i
 is even; no row follows a capture or round T's robber row, a record
 without a capture ends with that row, and the outcome is what the rows
 show.  Strategies are stateful objects, and one object plays every match
-of a batch, so `begin` must reset all per-match state.  `Strategy.begin` hands
+of a batch, so `begin` must reset all per-match state.  A batch holds one
+match's record at a time: `simulate` referees each record as its match
+ends and keeps only the report it prints.  `Strategy.begin` hands
 a player its graph, assignment, rng and tags, and `Strategy.cop_dists` is
 how the robbers measure the cops: each cop's distances in its own layer,
 from the per-graph `bfs_dist` cache.  `CopTeamStrategy` and

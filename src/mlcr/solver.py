@@ -340,6 +340,14 @@ def _retrograde(
     # every agent's move rows per table (0 = robber), before any table array:
     # a cop's layer off the graph is refused here
     rows = [[gb.moves(ab[mover - 1] if mover else None) for gb, ab in pairs] for mover in range(kp1)]
+    # every vertex needs a move, if only the stay: an empty row has no
+    # predecessor entry, and a layer of empty rows no widest row to chunk by
+    for mover, per_table in enumerate(rows):
+        for (_, ab), table_rows in zip(pairs, per_table):
+            if not all(table_rows):
+                agent = f"cop {mover} (layer {ab[mover - 1] + 1})" if mover else "robber"
+                v = next(v for v, row in enumerate(table_rows) if not row)
+                raise MlgError(f"{agent}: vertex {v} has an empty move row (not even the stay)")
     robber_complete = g.robber_is_complete()
     strides = _digit_strides(n, k)
     n_pos = n**kp1  # position tuples (p0, ..., pk); state = position * (k+1) + t

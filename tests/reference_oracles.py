@@ -1,8 +1,10 @@
 """Reference oracles used only by the tests: verdicts from the naive
 status map, from simultaneous team moves and from full tables per
 composition, and girth and treewidth by brute force, all deliberately
-naive and run on small instances only, like `mlcr.oracles`; and
-`rank_violations`, the certificate of a solved table at any size.
+naive and run on small instances only, like `mlcr.oracles`;
+`rank_violations`, the certificate of a solved table at any size; and
+`first_robber_move_into_a_cop_win`, which judges a robber's match move by
+move against the solved table.
 
 The certificate checks the game's defining equations, state by state:
 rank 0 exactly on capture states; a cop-turn state is cop-win iff some
@@ -87,6 +89,24 @@ def rank_violations(table) -> np.ndarray:
         want[np.any([state // s % n == robber for s in strides[1:]], axis=0)] = 0  # capture
         bad.append(state[rank[state] != want])
     return np.concatenate(bad)
+
+
+def first_robber_move_into_a_cop_win(record, table) -> tuple[int, int, int, tuple[int, ...]] | None:
+    """Replay a `MatchRecord` against its solved `CopWinTable`: the first
+    robber move from a robber-win position (robber to move, rank -1) to a
+    cop-win one (cops to move, rank >= 0 at t = 0), as (round, from, to,
+    cops); None when the robber never gives up a won game.  One such move
+    proves that some cop team beats the robber's strategy, whatever cops
+    the match was played against."""
+
+    rank, k = table.rank, table.k
+    robber = record.rows[0][2]
+    for rnd, mover, r_new, cops in record.rows[1:]:
+        if mover == "R":
+            if rank[table.pack(robber, cops, k)] < 0 <= rank[table.pack(r_new, cops, 0)]:
+                return rnd, robber, r_new, cops
+            robber = r_new
+    return None
 
 
 def naive_allocated_verdict(g: MultiLayerGraph, alloc: AllocationPlan) -> str:

@@ -201,6 +201,89 @@ def test_simulate_stdout_deterministic(grid4_file, capsys):
     assert out1 == out2
 
 
+def test_simulate_memory_does_not_grow_with_the_batch(tmp_path, capsys):
+    """Tablebase against tablebase on grid n=6 at (1,1): every match survives
+    1,000 rounds (2,001 rows), yet 16 seeds peak within 0.05 MiB of 2."""
+
+    import tracemalloc
+
+    import mlcr.solver  # noqa: F401  (numpy's import is not the batch's memory)
+
+    path = tmp_path / "grid6.mlg"
+    write_mlg_file(gen_grid(6)[0], path)
+
+    def peak(batch):
+        args = ["simulate", str(path), "--allocation", "1,1", "--cop-strategy", "tablebase",
+                "--robber-strategy", "tablebase", "--rounds", "1000", "--batch", str(batch)]
+        tracemalloc.start()
+        try:
+            code = main(args)
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert code == 0 and f"SUMMARY matches={batch} captures=0" in out
+        return top
+
+    peak(2)  # first-call costs (lazy imports, interned strings) out of the way
+    assert peak(16) - peak(2) <= 0.05 * 2**20
+
+
+def test_simulate_stops_its_report_at_the_first_record_the_referee_rejects(grid4_file, tmp_path, capsys,
+                                                                           monkeypatch):
+    """Only the second seed's record is forged: the first seed's MATCH line,
+    then one error line and exit 2; no SUMMARY and no record file."""
+
+    import dataclasses
+
+    import mlcr.sim
+
+    def forged(*args, _real=mlcr.sim.run_match, **kwargs):
+        rec = _real(*args, **kwargs)
+        return dataclasses.replace(rec, outcome="BOGUS") if rec.seed == 1 else rec
+
+    monkeypatch.setattr(mlcr.sim, "run_match", forged)
+    record = tmp_path / "matches.mr1"
+    code, out, err = run_cli(
+        ["simulate", grid4_file, "--allocation", "1,1", "--rounds", "5", "--batch", "3", "--record", str(record)],
+        capsys,
+    )
+    assert code == 2
+    assert out == "MATCH seed=0 outcome=CAPTURE round=2\n"
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: referee rejected record: outcome BOGUS 2 where the rows show CAPTURE 2"
+    ]
+    assert not record.exists()
+
+
+def test_simulate_prints_no_match_line_when_a_later_match_raises(grid4_file, tmp_path, capsys, monkeypatch):
+    """A strategy that raises on the second seed: the first seed's match was
+    played, yet the batch prints no MATCH line and writes no record file."""
+
+    import mlcr.sim
+    from mlcr.sim import RandomRobber, StrategyInvariantError
+
+    class SecondMatchFails(RandomRobber):
+        matches = 0
+
+        def place(self, cops):
+            SecondMatchFails.matches += 1
+            if SecondMatchFails.matches == 2:
+                raise StrategyInvariantError("second match refused")
+            return super().place(cops)
+
+    monkeypatch.setattr(mlcr.sim, "robber_strategy_from_name", lambda name, g, table: SecondMatchFails())
+    record = tmp_path / "matches.mr1"
+    code, out, err = run_cli(
+        ["simulate", grid4_file, "--allocation", "1,1", "--rounds", "5", "--batch", "3", "--record", str(record)],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if line.startswith("error:")] == ["error: second match refused"]
+    assert SecondMatchFails.matches == 2
+    assert not record.exists()
+
+
 # -- experiment -------------------------------------------------------------------------
 
 

@@ -41,6 +41,7 @@ from mlcr.sim import (
     referee_check,
     run_match,
 )
+from reference_oracles import first_robber_move_into_a_cop_win
 
 
 def single(edges, n, spec=RobberSpec.UNION):
@@ -855,6 +856,33 @@ def test_copsbane_robber_survives_and_flags_degraded_mode():
     rec = run_match(g, AllocationPlan((2, 2)), GreedyCops(), CopsbaneRobber(), T=300, seed=0)
     assert rec.outcome == "SURVIVED"
     assert referee_check(rec, g)[0]
+
+
+# -- scripted robbers judged move by move against the exact table ------------------------
+
+_TABLE_JUDGED_ROBBERS = {
+    "slices-1,0": (lambda: gen_slices(2)[0], (1, 0), lambda: SlicesRobber(2)),
+    "slices-0,1": (lambda: gen_slices(2)[0], (0, 1), lambda: SlicesRobber(2)),
+    "copsbane-1,1": (lambda: gen_copsbane(8, seed=3)[0], (1, 1), CopsbaneRobber),
+    "copsbane-2,0": (lambda: gen_copsbane(8, seed=3)[0], (2, 0), CopsbaneRobber),
+}
+
+
+@pytest.mark.parametrize("make_graph, alloc, make_robber", _TABLE_JUDGED_ROBBERS.values(),
+                         ids=_TABLE_JUDGED_ROBBERS.keys())
+def test_scripted_robber_never_steps_from_a_robber_win_position_into_a_cop_win_one(make_graph, alloc, make_robber):
+    """Against the greedy cops, each robber starts on a robber-win position
+    and never moves to a cop-win one: the table, not the outcome, judges it."""
+
+    g = make_graph()
+    plan = AllocationPlan(alloc)
+    table = build_copwin(g, plan.assignment())
+    robber = make_robber()
+    for seed in range(5):
+        rec = run_match(g, plan, GreedyCops(), robber, T=200, seed=seed)
+        _, _, start, cops = rec.rows[0]
+        assert table.rank[table.pack(start, cops, 0)] < 0, (seed, start, cops)
+        assert first_robber_move_into_a_cop_win(rec, table) is None, seed
 
 
 # -- interactive play --------------------------------------------------------------------------

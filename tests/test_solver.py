@@ -146,6 +146,31 @@ def test_a_layer_off_the_graph_is_refused_before_the_table_is_allocated():
     assert peak < 1 << 20
 
 
+def test_an_empty_move_row_is_refused_before_the_table_is_allocated(monkeypatch):
+    """A move rule without the stay leaves each vertex of an edgeless layer
+    with no move at all; the kernel names the agent and the vertex before it
+    allocates the 6.7 M-state table, instead of dividing by the widest row."""
+
+    import tracemalloc
+
+    monkeypatch.setattr(MultiLayerGraph, "moves", lambda self, layer: tuple(map(tuple, self.layer_view(layer))))
+    g = MultiLayerGraph(n=36, layers=(cycle(36), ()))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MlgError, match=r"^cop 3 \(layer 2\): vertex 0 has an empty move row"):
+            build_copwin(g, (0, 0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the robber's row, and one isolated vertex on a layer that has edges
+    with pytest.raises(MlgError, match=r"^robber: vertex 3 has an empty move row"):
+        build_copwin(single(((0, 1), (1, 2)), 4), (0,))
+    path = MultiLayerGraph(n=4, layers=(((0, 1), (1, 2)),), robber_spec=RobberSpec.EXPLICIT, robber_edges=cycle(4))
+    with pytest.raises(MlgError, match=r"^cop 1 \(layer 1\): vertex 3 has an empty move row"):
+        build_copwin_batch([(single(cycle(4), 4), (0, 0)), (path, (0, 0))])
+
+
 def test_state_budget_guard():
     g = single(cycle(4), 4)
     with pytest.raises(StateBudgetExceeded) as exc:
