@@ -83,7 +83,7 @@ def cmd_solve(args) -> int:
 
             table = build_copwin(g, assignment, state_budget=args.state_budget)
             with open(args.dump_table, "w") as fh:
-                fh.write(dump_cwt(table))
+                dump_cwt(table, fh)
             print(f"TABLE={args.dump_table}")
     elif args.cops is not None:
         k, question = args.cops, ([g], allocation_plans(args.cops, g.tau))

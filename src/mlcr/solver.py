@@ -39,7 +39,19 @@ positions are per table.  `build_copwin_batch` groups mixed shapes itself
 and slices each table's `rank` out of its batch's array; `build_copwin`
 is the batch of one.  `copwin_verdicts` runs the same BFS for callers that
 read only the winner: it counts, per placement, the robber starts not yet
-cop-win and stops once every table has a placement at zero.  The search
+cop-win and stops once every table has a placement at zero.
+
+Where some cops share their layer in every table of a winner-only batch,
+the BFS runs over cop multisets instead (`layouts.MultisetLayout`):
+states are ranked densely by the combinatorial number system, block by
+turn, each group of same-layer cops one sorted multiset at t = 0 and
+t = k, and two mid-round (moved, still to move).  Its cop moves are the
+round-level game's (any cop of the mover's group still to move may move
+next), which has the game's winner but not its ranks, so full tables,
+whose ranks are read, keep the digit layout (`layouts.DigitLayout`).  The
+level step asks its layout for the capture states, the predecessors of a
+chunk, the counter slot and the placement code; the state budget and the
+RAM cap count the game's n^(k+1) * (k+1) states either way.  The search
 questions (cop number, free layer choice, one allocation or some
 allocation of k cops) go through `core.first_winning_plans`, which is
 passed one of two deciders from here: `copwin_verdicts` (the winner only,
@@ -49,10 +61,11 @@ no witnesses) or `allocated_verdicts` (each pair's full-table verdict, for
 The table answers the players in positions, so `sim` never sees a packed
 state, and the verdict's witnesses come from the players' placement rules.
 
-This is the only module that imports numpy.  The rest of the package
-imports it where a table is first built, and takes the verdict types
-(`Winner`, `GameVerdict`, `StateBudgetExceeded`, `DEFAULT_STATE_BUDGET`,
-`allocation_plans`) from `core`; they are re-exported here.
+This module and its `layouts` are the only ones that import numpy.  The
+rest of the package imports the solver where a table is first built, and
+takes the verdict types (`Winner`, `GameVerdict`, `StateBudgetExceeded`,
+`DEFAULT_STATE_BUDGET`, `allocation_plans`) from `core`; they are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -60,7 +73,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
+
+# The layouts are compiled before they load numpy, so numpy reuses the
+# memory compiling them took: a process's peak RSS is lower than with the
+# import after numpy's, when no bytecode cache is written.
+from .layouts import DigitLayout, MultisetLayout, cop_groups, digit_strides, state_space_size
 
 import numpy as np
 
@@ -88,14 +106,8 @@ _BATCH = (1 << 15) - 1
 _WORK_BYTES = 80
 # Largest rank an int16 table holds; a deeper level widens it to int32.
 _RANK_MAX = np.iinfo(np.int16).max
-
-
-def _csr(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A layer's move rows (`MultiLayerGraph.moves`) as CSR arrays: the row
-    lengths, the row ends and the concatenated entries."""
-
-    deg = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    return deg, deg.cumsum(), np.fromiter(chain.from_iterable(rows), dtype=np.int64)
+# States per chunk of a CWT1 dump: their lines are built and written together.
+_DUMP_CHUNK = 1 << 13
 
 
 @dataclass
@@ -120,7 +132,7 @@ class CopWinTable:
     def __post_init__(self):
         self.n = self.graph.n
         self.k = len(self.assignment)
-        self.strides = _digit_strides(self.n, self.k)
+        self.strides = digit_strides(self.n, self.k)
         self._moves: list[Sequence[Sequence[int]]] | None = None
         # reading one state gives a Python int instead of boxing a numpy scalar
         self.rank_view = memoryview(self.rank)
@@ -285,16 +297,6 @@ class CopWinTable:
         return GameVerdict(Winner.ROBBER, assignment=self.assignment, safe_vertex=safe)
 
 
-def state_space_size(n: int, k: int) -> int:
-    return n ** (k + 1) * (k + 1)
-
-
-def _digit_strides(n: int, k: int) -> tuple[int, ...]:
-    """Stride of agent a's position digit in a packed index (agent 0 = robber)."""
-
-    return tuple((k + 1) * n ** (k - a) for a in range(k + 1))
-
-
 def _check_budget(
     size: int, kp1: int, rank_bytes: int, counter_bytes: int, state_budget: int, tables: int = 1
 ) -> int:
@@ -319,12 +321,16 @@ def _retrograde(
     winner_only: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """One retrograde BFS over a batch of same-shape tables (same n, cop
-    count and robber-layer completeness): table b holds the states
-    `b*size .. (b+1)*size - 1` of the returned `rank`.
+    count and robber-layer completeness).  Full tables are in the digit
+    layout: table b holds the states `b*size .. (b+1)*size - 1` of the
+    returned `rank`.
 
     With `winner_only`, the second result is each table's count of robber
-    starts not yet cop-win, per placement (`b * n^k + code`), and the BFS
-    stops once every table has a placement at 0; `rank` is then partial.
+    starts not yet cop-win, per placement (`b * n_place + code`), and the
+    BFS stops once every table has a placement at 0; `rank` is then partial,
+    and in the multiset layout when some cops of the batch share their
+    layer in every table.  The state budget and the RAM cap count the
+    game's n^(k+1)*(k+1) states per table whatever the layout holds.
     """
 
     g, assignment = pairs[0]
@@ -348,50 +354,24 @@ def _retrograde(
                 agent = f"cop {mover} (layer {ab[mover - 1] + 1})" if mover else "robber"
                 v = next(v for v, row in enumerate(table_rows) if not row)
                 raise MlgError(f"{agent}: vertex {v} has an empty move row (not even the stay)")
-    robber_complete = g.robber_is_complete()
-    strides = _digit_strides(n, k)
-    n_pos = n**kp1  # position tuples (p0, ..., pk); state = position * (k+1) + t
+    groups = cop_groups([ab for _, ab in pairs]) if winner_only else []
+    if any(len(group) > 1 for group in groups):
+        layout = MultisetLayout(n, rows, g.robber_is_complete(), groups, tables, _BATCH)
+    else:
+        layout = DigitLayout(n, k, rows, g.robber_is_complete(), _BATCH)
+    rank = np.full(tables * layout.size, -1, dtype=np.int16)
+    # Frontier: per mover, the states it has just moved into that were ranked
+    # at the previous level.  Level 0 holds the capture states, in the
+    # layout's terms (`seed`).  Order is free: a state's rank depends only on
+    # the level it is reached at.
+    frontier, starts = layout.capture(rank, winner_only)
 
-    # capture: some cop on the robber's vertex, whoever is to move
-    eye = np.eye(n, dtype=bool)
-    cap = np.zeros((n,) * kp1, dtype=bool)
-    for c in range(1, kp1):
-        cap |= eye.reshape((n,) + (1,) * (c - 1) + (n,) + (1,) * (k - c))
-    rank = np.full(tables * n_pos * kp1, -1, dtype=np.int16)
-    rank.reshape(tables, n_pos, kp1)[:, cap.ravel()] = 0
-    captured = np.add.outer(np.arange(0, tables * n_pos, n_pos), np.flatnonzero(cap)).ravel()
-    # per placement, the robber starts not yet cop-win: n less those captured
-    starts = np.tile(n - cap.reshape(n, -1).sum(axis=0), tables) if winner_only else None
-    del cap
+    # robber-turn state (b*n + p0)*n_place + placement: successors not yet cop-win
+    counter = np.empty((tables * n, layout.n_place), dtype=counter_dtype)
+    deg = layout.robber[0]
+    counter[:] = n if deg is None else deg[:, None]
+    counter = counter.reshape(-1)
 
-    # Predecessors of a state that `mover` (= its turn t) has just moved into
-    # are `state + delta[e]` over the entries e of the mover's move row:
-    # delta undoes the move along the edge and winds the turn back by one.
-    # Row b*n + v is vertex v of table b.  A chunk of `step` frontier states
-    # yields at most _BATCH entries.
-    moves = []
-    for mover in range(kp1):
-        dt = k if mover == 0 else -1
-        stride = strides[mover]
-        if mover == 0 and robber_complete:
-            moves.append((None, None, np.arange(n, dtype=np.int64) * stride + dt, max(1, _BATCH // n)))
-            continue
-        deg, ends, entries = _csr(list(chain.from_iterable(rows[mover])))
-        vertex = np.tile(np.arange(n, dtype=np.int64), tables)
-        delta = (entries - vertex.repeat(deg)) * stride + dt
-        moves.append((deg, ends, delta, max(1, _BATCH // int(deg.max()))))
-
-    # robber-turn state position*(k+1) + k: successors not yet cop-win
-    counter = np.empty((tables * n, n_pos // n), dtype=counter_dtype)
-    counter[:] = n if robber_complete else moves[0][0][:, None]
-    counter = counter.reshape(tables * n_pos)
-
-    # Frontier: per turn, the states ranked at the previous level.  Level 0
-    # holds the capture positions instead, shared by every turn.  Order is
-    # free: a state's rank depends only on the level it is reached at.
-    frontier = [[captured]] * kp1
-    del captured
-    n_place = n**k
     level = 0
     while any(frontier):
         level += 1
@@ -402,30 +382,14 @@ def _retrograde(
         reached: list[list[np.ndarray]] = [[] for _ in range(kp1)]
         for mover in range(kp1):
             t_pred = k if mover == 0 else mover - 1
-            stride = strides[mover]
-            deg, ends, delta, step = moves[mover]
+            step = layout.step[mover]
             parts, frontier[mover] = frontier[mover], []  # freed once walked
             for part in parts:
                 for lo in range(0, part.size, step):
                     chunk = part[lo : lo + step]
-                    if level == 1:  # capture positions to turn-`mover` states
-                        chunk = chunk * kp1 + mover
-                    if mover == 0:  # the robber's digit leads: b*n + p0
-                        row = chunk // stride
-                    else:
-                        row = chunk // stride % n
-                        row += chunk // size * n
-                    if deg is None:  # complete robber layer: every robber position
-                        preds = ((chunk - row % n * stride)[:, None] + delta).ravel()
-                    else:
-                        cnt = deg[row]
-                        csum = cnt.cumsum()
-                        # in place: at most two predecessor-sized arrays live at once
-                        entry = (ends[row] - csum).repeat(cnt)
-                        entry += np.arange(csum[-1])
-                        preds = delta[entry]
-                        del entry
-                        preds += chunk.repeat(cnt)
+                    if level == 1:
+                        chunk = layout.seed(chunk, mover)
+                    preds = layout.predecessors(chunk, mover)
                     # more than one batch only if a single row is wider than _BATCH
                     for at in range(0, preds.size, _BATCH):
                         cand = preds[at : at + _BATCH]
@@ -442,8 +406,7 @@ def _retrograde(
                             rank[won] = level
                             reached[t_pred].append(won)
                             if starts is not None and mover == 1:  # robber starts (t = 0) won
-                                pos = won // kp1
-                                place = np.bincount(pos // n_pos * n_place + pos % n_place)
+                                place = np.bincount(layout.placement(won))
                                 hit = place.nonzero()[0]
                                 starts[hit] -= place[hit]
                             continue
@@ -454,7 +417,7 @@ def _retrograde(
                         del cand
                         mult = mult[kept]
                         del kept
-                        pos = won // kp1
+                        pos = layout.robber_slot(won)
                         left = np.subtract(counter[pos], mult, out=mult)  # left takes mult's place
                         counter[pos] = left
                         del pos
@@ -463,7 +426,7 @@ def _retrograde(
                         if won.size:
                             rank[won] = level
                             reached[t_pred].append(won)
-            if mover == 1 and starts is not None and _placement_won(starts, n_place).all():
+            if mover == 1 and starts is not None and _placement_won(starts, layout.n_place).all():
                 return rank, starts
         frontier = reached
     return rank, starts
@@ -522,15 +485,18 @@ def copwin_verdicts(
 
     Solved as `build_copwin_batch` does, but a batch stops at the level where
     each of its tables has such a placement; a ROBBER verdict runs to the
-    fixpoint.  No table is returned (its `rank` may be partial), so a shape
-    over the RAM cap as one batch is solved in batches that fit."""
+    fixpoint.  Cops that share their layer in every table of a batch are
+    held as multisets (`layouts.MultisetLayout`).  No table is returned (its
+    `rank` may be partial), so a shape over the RAM cap as one batch is
+    solved in batches that fit."""
 
     verdicts: list[GameVerdict | None] = [None] * len(pairs)
     for (n, k, _), (idx, batch) in _shape_groups(pairs):
         fit = _check_budget(state_space_size(n, k), k + 1, 2, np.min_scalar_type(n).itemsize, state_budget)
         for lo in range(0, len(batch), fit):
-            _, starts = _retrograde(batch[lo : lo + fit], state_budget, winner_only=True)
-            for i, won in zip(idx[lo : lo + fit], _placement_won(starts, n**k).tolist()):
+            part = batch[lo : lo + fit]
+            _, starts = _retrograde(part, state_budget, winner_only=True)
+            for i, won in zip(idx[lo : lo + fit], _placement_won(starts, starts.size // len(part)).tolist()):
                 verdicts[i] = GameVerdict(Winner.COP if won else Winner.ROBBER)
     return verdicts
 
@@ -599,12 +565,13 @@ def single_layer_cop_number(
 # -- table dump (CWT1) -----------------------------------------------------------
 
 
-def dump_cwt(table: CopWinTable) -> str:
-    """Debug dump: header plus one 'index status rank' line per state, the
-    status column being 1 on cop-win states (rank >= 0), else 0."""
+def dump_cwt(table: CopWinTable, out: TextIO) -> None:
+    """Debug dump to the text stream `out`: header plus one 'index status
+    rank' line per state, the status column being 1 on cop-win states
+    (rank >= 0), else 0.  Written straight from `rank`, `_DUMP_CHUNK`
+    states at a time, so its memory does not grow with the table."""
 
-    lines = [f"CWT1 {table.n} {table.k} {table.n_states}"]
-    for i in range(table.n_states):
-        r = int(table.rank[i])
-        lines.append(f"{i} {int(r >= 0)} {r}")
-    return "\n".join(lines) + "\n"
+    out.write(f"CWT1 {table.n} {table.k} {table.n_states}\n")
+    for lo in range(0, table.n_states, _DUMP_CHUNK):
+        ranks = table.rank[lo : lo + _DUMP_CHUNK].tolist()
+        out.write("".join([f"{i} {r >= 0:d} {r}\n" for i, r in enumerate(ranks, lo)]))

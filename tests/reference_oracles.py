@@ -2,7 +2,9 @@
 status map, from simultaneous team moves and from full tables per
 composition, and girth and treewidth by brute force, all deliberately
 naive and run on small instances only, like `mlcr.oracles`;
-`rank_violations`, the certificate of a solved table at any size; and
+`rank_violations`, the certificate of a solved table at any size, and
+`multiset_rank_violations`, its counterpart for winner-only tables over
+cop multisets; and
 `first_robber_move_into_a_cop_win`, which judges a robber's match move by
 move against the solved table.
 
@@ -19,7 +21,8 @@ layer views plus the stay, not from `MultiLayerGraph.moves` or the
 solver's arrays, so a fault in either still shows.
 """
 
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
+from math import comb, prod
 from typing import Sequence
 
 import numpy as np
@@ -89,6 +92,72 @@ def rank_violations(table) -> np.ndarray:
         want[np.any([state // s % n == robber for s in strides[1:]], axis=0)] = 0  # capture
         bad.append(state[rank[state] != want])
     return np.concatenate(bad)
+
+
+def multiset_rank_violations(g: MultiLayerGraph, assignment: Sequence[int], rank: np.ndarray) -> list[int]:
+    """Indices where a winner-only table in the multiset layout, solved to
+    its fixpoint for one `(g, assignment)`, breaks the equations of the
+    round-level game, the same equations as `rank_violations` with its
+    own move rule: the cop to move at turn t may move any cop of cop
+    t+1's group that has not moved this round.  The layout is rebuilt here
+    from its description in `mlcr.layouts`, by enumeration: every state is
+    checked to have exactly one index, and the successors come from the
+    layer views plus the stay."""
+
+    n, k = g.n, len(assignment)
+    by_layer: dict[int, list[int]] = {}
+    for cop, layer in enumerate(assignment, start=1):
+        by_layer.setdefault(layer, []).append(cop)
+    groups = list(by_layer.values())
+
+    def sizes(t):  # per group: cops moved this round, then cops still to move
+        return [s for grp in groups for s in (sum(c <= t for c in grp), sum(c > t for c in grp))]
+
+    radix = [[comb(n + s - 1, s) for s in sizes(t)] for t in range(k + 1)]
+    place = [prod(r) for r in radix]
+    offset = [n * sum(place[:t]) for t in range(k + 1)]
+
+    def index(t, p0, slots):
+        code = 0
+        for r, multiset in zip(radix[t], slots):
+            code = code * r + sum(comb(x + i, i + 1) for i, x in enumerate(multiset))  # colex rank
+        return offset[t] + p0 * place[t] + code
+
+    states = {}
+    for t in range(k + 1):
+        for p0 in range(n):
+            for slots in product(*(combinations_with_replacement(range(n), s) for s in sizes(t))):
+                states[index(t, p0, slots)] = (t, p0, slots)
+    assert sorted(states) == list(range(rank.size)), "the layout is not a bijection onto the table"
+    rows = [_move_rows(n, None if g.robber_is_complete() else g.layer_view(None))]
+    rows += [_move_rows(n, g.layer_view(layer)) for layer in assignment]
+    bad = []
+    for state, (t, p0, slots) in states.items():
+        if any(p0 in multiset for multiset in slots):
+            want = 0
+        else:
+            if t == k:  # the robber moves; every cop is still to move in the next round
+                restart = [s for gi in range(len(groups)) for s in ((), slots[2 * gi])]
+                succ = [rank[index(0, int(q), restart)] for q in set(rows[0][p0])]
+            else:  # some cop of cop t+1's group that has not moved yet moves
+                gi = next(i for i, grp in enumerate(groups) if t + 1 in grp)
+                moved, todo = slots[2 * gi], slots[2 * gi + 1]
+                succ = []
+                for p in set(todo):
+                    rest = list(todo)
+                    rest.remove(p)
+                    for q in set(rows[t + 1][p]):
+                        new = list(slots)
+                        new[2 * gi : 2 * gi + 2] = tuple(sorted((*moved, int(q)))), tuple(rest)
+                        succ.append(rank[index(t + 1, p0, new)])
+            won = [r for r in succ if r >= 0]
+            if t == k:
+                want = -1 if len(won) < len(succ) else 1 + max(won)
+            else:
+                want = 1 + min(won) if won else -1
+        if rank[state] != want:
+            bad.append(state)
+    return bad
 
 
 def first_robber_move_into_a_cop_win(record, table) -> tuple[int, int, int, tuple[int, ...]] | None:

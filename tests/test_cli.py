@@ -607,7 +607,10 @@ def test_solve_dump_table_builds_once(grid4_file, tmp_path, capsys, monkeypatch)
     assert len(calls) == 1
     lines = out.splitlines()
     assert lines[:2] == [f"TABLE={table_path}", "METHOD=state-graph"]
-    assert table_path.read_text() == mlcr.solver.dump_cwt(real(parse_mlg_file(grid4_file), (0, 0)))
+    # the CWT1 text, line by line as the dump has always written it
+    rank = real(parse_mlg_file(grid4_file), (0, 0)).rank.tolist()
+    lines = [f"CWT1 16 2 {len(rank)}", *(f"{i} {int(r >= 0)} {r}" for i, r in enumerate(rank))]
+    assert table_path.read_text() == "\n".join(lines) + "\n"
 
 
 # solve options on grid4 ("T" stands for a table file), the exit code and the

@@ -851,6 +851,31 @@ def test_copsbane_threat_matches_the_layout_closed_form(N):
             assert robber._threat(cops) == _copsbane_threat_closed_form(layout, assignment, cops), (alloc, cops)
 
 
+@pytest.mark.parametrize("alloc", [(1, 1), (2, 0), (0, 2)])
+def test_copsbane_robber_sees_every_vertex_one_cop_move_away_as_blocked(alloc):
+    """At every cop position on cops-bane N=8, graph seed 3, each core vertex
+    with threat <= 1 is blocked, so it lies at distance 0 from the blocked
+    set: an arm has 2D+1 >= 3 edges, so a cop reaches a core vertex in one
+    move only within its own component.  `CopsbaneRobber.move` compares
+    threat with 2 twice; reading either as `>= 1` therefore picks the same
+    vertex at every position (the home step is never a threat-1 vertex, and
+    a threat-1 option never beats a clear one), and no position-level test
+    can tell those two mutants apart.  A change to the construction or the
+    blocked sets that breaks this fails here."""
+
+    g, _, _ = gen_copsbane(8, seed=3)
+    assignment = AllocationPlan(alloc).assignment()
+    robber = CopsbaneRobber()
+    robber.begin(g, assignment, random.Random(0))
+    near = 0
+    for cops in itertools.product(range(g.n), repeat=len(assignment)):
+        threat = robber._threat(cops)
+        close = {v for v in range(robber.N) if threat[v] <= 1}
+        assert close <= robber._blocked(cops), cops
+        near += any(threat[v] == 1 for v in close)
+    assert near > 1000  # threat 1 is common, not vacuous
+
+
 def test_copsbane_robber_survives_and_flags_degraded_mode():
     g, _, _ = gen_copsbane(20, seed=3)
     rec = run_match(g, AllocationPlan((2, 2)), GreedyCops(), CopsbaneRobber(), T=300, seed=0)

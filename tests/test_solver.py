@@ -33,6 +33,7 @@ from mlcr.solver import (
 )
 from reference_oracles import (
     full_table_free_layer_choice,
+    multiset_rank_violations,
     naive_allocated_verdict,
     rank_violations,
     robber_layer_variants,
@@ -248,11 +249,13 @@ def test_complete_robber_layer_moves_in_chunks_of_batch_over_n():
 
 
 def test_c02_three_cop_layer_game_peak_memory():
-    """The level step frees each predecessor-sized array after its last use."""
+    """The level step frees each predecessor-sized array after its last use,
+    and the winner-only table holds cop multisets: 187,720 states, 0.4 MB of
+    rank and counter (521,284 states and 1.2 MB in the digit layout)."""
 
     import tracemalloc
 
-    g, _ = gen_min_counterexample()  # mirror layer 1, 3 cops: 521,284 states, 1.2 MB of rank and counter
+    g, _ = gen_min_counterexample()  # mirror layer 1, 3 cops
     layer = MultiLayerGraph(n=g.n, layers=(g.layers[0],), robber_spec=RobberSpec.EXPLICIT, robber_edges=g.layers[0])
     tracemalloc.start()
     try:
@@ -260,7 +263,7 @@ def test_c02_three_cop_layer_game_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 2**20  # 2.61 MiB measured
+    assert peak < 5 * 2**18  # 1.01 MiB measured; 2.61 MiB in the digit layout
 
 
 def test_single_vertex_is_cop_win():
@@ -504,12 +507,38 @@ def test_allocated_verdict_takes_its_witnesses_from_the_placement_rules():
 
 
 def test_cwt_dump_shape():
+    import io
+
     g = single([(0, 1)], 2)
     table = build_copwin(g, (0,))
-    text = dump_cwt(table)
-    lines = text.splitlines()
+    out = io.StringIO()
+    dump_cwt(table, out)
+    lines = out.getvalue().splitlines()
     assert lines[0] == f"CWT1 2 1 {table.n_states}"
     assert len(lines) == table.n_states + 1
+
+
+def test_cwt_dump_memory_does_not_grow_with_the_table(tmp_path):
+    """The dump writes a chunk of lines at a time straight from `rank`: its
+    tracemalloc peak is the same for 16,384 states as for 82,944 (grid n=4
+    (0,0,1), 262,144 states, peaked at 22.6 MiB when the dump was built as
+    one string)."""
+
+    import tracemalloc
+
+    peaks = []
+    for n in (8, 12):
+        table = build_copwin(single(cycle(n), n), (0, 0, 0))
+        with open(tmp_path / "t.cwt", "w") as out:
+            tracemalloc.start()
+            try:
+                dump_cwt(table, out)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "t.cwt").stat().st_size > table.n_states * 6
+    assert max(peaks) < 1 << 20  # 0.67 MiB measured, with chunks of 8,192 states
+    assert abs(peaks[1] - peaks[0]) < 1 << 16
 
 
 def test_mirror_split_pair_catches_within_one_team_move():
@@ -1043,6 +1072,135 @@ def test_winner_only_questions_build_no_full_table(monkeypatch, tmp_path):
     assert full == []
     assert main(["solve", path, "--allocation", "2,0"]) == 0
     assert list(map(len, full)) == [1]
+
+
+# -- winner-only tables over cop multisets --------------------------------------------------
+
+
+def _repeated_layer_corpus(seed=3535, count=48):
+    """Seeded games whose assignment repeats a layer, not always in
+    composition order: n = 2..6, tau = 1..3, k = 2..3, the robber on the
+    union, on every vertex, on explicit edges or on a spanning tree."""
+
+    rng = random.Random(seed)
+    corpus = []
+    for i in range(count):
+        n = rng.randint(2, 6)
+        layers = tuple(
+            tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3)
+            for _ in range(rng.randint(1, 3))
+        )
+        robber = ("union", "complete", "explicit", "tree")[i % 4]
+        if robber == "union":
+            g = MultiLayerGraph(n=n, layers=layers)
+        elif robber == "complete":
+            g = MultiLayerGraph(n=n, layers=layers, robber_spec=RobberSpec.COMPLETE)
+        else:
+            redges = (
+                [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+                if robber == "explicit"
+                else [(rng.randrange(v), v) for v in range(1, n)]
+            )
+            g = MultiLayerGraph(n=n, layers=layers, robber_spec=RobberSpec.EXPLICIT, robber_edges=tuple(sorted(redges)))
+        k = rng.randint(2, 3)
+        assignment = tuple(rng.randrange(g.tau) for _ in range(k))
+        while len(set(assignment)) == k:
+            assignment = tuple(rng.randrange(g.tau) for _ in range(k))
+        corpus.append((g, assignment))
+    return corpus
+
+
+def test_multiset_verdicts_equal_full_tables_and_the_naive_oracle():
+    """Asked alone, each table has its own cop groups; asked together, the
+    batch groups only the cops that share a layer in every table of a shape."""
+
+    pairs = _repeated_layer_corpus()
+    assert {len(set(a)) for _, a in pairs} >= {1, 2} and any(list(a) != sorted(a) for _, a in pairs)
+    together = _winners(pairs)
+    assert set(together) == {Winner.COP, Winner.ROBBER}
+    for (g, assignment), winner in zip(pairs, together):
+        assert _winners([(g, assignment)]) == [winner]
+        assert build_copwin(g, assignment).allocated_verdict().winner is winner, (g, assignment)
+        counts = tuple(assignment.count(layer) for layer in range(g.tau))
+        assert naive_allocated_verdict(g, AllocationPlan(counts)) == winner.value, (g, assignment)
+
+
+def _multiset_fixpoint(monkeypatch, g, assignment):
+    """The winner-only BFS of one pair run on to its fixpoint: rank and starts."""
+
+    import mlcr.solver
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mlcr.solver, "_placement_won", lambda starts, n_place: np.zeros(starts.size // n_place, bool))
+        return mlcr.solver._retrograde([(g, assignment)], mlcr.solver.DEFAULT_STATE_BUDGET, True)
+
+
+def test_multiset_tables_are_certified(monkeypatch):
+    """Each winner-only table over cop multisets, run to its fixpoint, holds
+    the round-level game's value, and its per-placement count of robber
+    starts not cop-win agrees with it; a one-state fault is flagged.  The
+    corpus is the one whose verdicts are compared with full tables."""
+
+    rng = random.Random(3536)
+    for g, assignment in _repeated_layer_corpus():
+        rank, starts = _multiset_fixpoint(monkeypatch, g, assignment)
+        assert rank.size < state_space_size(g.n, len(assignment))
+        assert multiset_rank_violations(g, assignment, rank) == [], (g, assignment)
+        # block 0, the robber starts (t = 0), holds state p0 * n_place + placement
+        assert np.array_equal(starts, (rank[: starts.size * g.n].reshape(g.n, -1) < 0).sum(axis=0))
+        winner = Winner.COP if (starts == 0).any() else Winner.ROBBER
+        assert _winners([(g, assignment)]) == [winner]
+        ranked = np.flatnonzero(rank > 0)
+        if ranked.size:
+            i = int(ranked[rng.randrange(ranked.size)])
+            rank[i] += rng.choice((-1, 1))
+            assert i in multiset_rank_violations(g, assignment, rank)
+
+
+def test_multiset_tables_are_certified_across_many_chunks(monkeypatch):
+    """A frontier chunk of one state, and rows wider than a batch."""
+
+    import mlcr.solver
+
+    monkeypatch.setattr(mlcr.solver, "_BATCH", 3)
+    for g, assignment in _repeated_layer_corpus(seed=3537, count=8):
+        rank, _ = _multiset_fixpoint(monkeypatch, g, assignment)
+        assert multiset_rank_violations(g, assignment, rank) == [], (g, assignment)
+
+
+def _spy_states(monkeypatch):
+    """Record (cops, tables, states held per table) of every retrograde BFS run from now on."""
+
+    import mlcr.solver
+
+    runs = []
+    real = mlcr.solver._retrograde
+
+    def spied(pairs, state_budget, winner_only=False):
+        rank, starts = real(pairs, state_budget, winner_only)
+        runs.append((len(pairs[0][1]), len(pairs), rank.size // len(pairs)))
+        return rank, starts
+
+    monkeypatch.setattr(mlcr.solver, "_retrograde", spied)
+    return runs
+
+
+def test_winner_only_tables_hold_cop_multisets(monkeypatch):
+    """c02's three cops on one 19-vertex layer hold 187,720 states, not
+    521,284; c04's two cops on one 150-vertex layer 6,772,500, not 10,125,000."""
+
+    from mlcr.verify import run_criteria
+
+    runs = _spy_states(monkeypatch)
+    (res,) = run_criteria(only="c02")
+    assert res.passed
+    assert [states for cops, _, states in runs if cops == 3] == [187_720] * 2
+    assert state_space_size(19, 3) == 521_284
+    runs.clear()
+    (res,) = run_criteria(only="c04")
+    assert res.passed
+    assert [states for cops, _, states in runs if states > 10**6] == [6_772_500] * 2
+    assert state_space_size(150, 2) == 10_125_000
 
 
 def test_cop_number_stops_each_table_at_the_win(monkeypatch):

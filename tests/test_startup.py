@@ -145,7 +145,9 @@ def test_package_names_resolve_lazily():
 
 def test_only_the_solver_imports_numpy_and_nothing_imports_the_solver_at_top():
     """`scripted` is loaded where it is first needed as well: the strategy
-    factories and `cmd_play` import it in the branch that names its players."""
+    factories and `cmd_play` import it in the branch that names its players.
+    The solver's state layouts (`layouts`) import numpy too, and only the
+    solver imports them."""
 
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -156,6 +158,8 @@ def test_only_the_solver_imports_numpy_and_nothing_imports_the_solver_at_top():
             else:
                 continue
             for module in modules:
-                if path.name != "solver.py":
+                if path.name not in ("solver.py", "layouts.py"):
                     assert module.split(".")[0] != "numpy", path.name
+                if path.name != "solver.py":
+                    assert module not in (".layouts", "mlcr.layouts"), path.name
                 assert module not in (".solver", "mlcr.solver", ".scripted", "mlcr.scripted"), path.name
