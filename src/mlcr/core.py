@@ -183,13 +183,11 @@ class MultiLayerGraph:
         return self._cache[key]
 
     def components(self, layer: int | None) -> list[set[int]]:
-        """`component_sets` of one layer's view (None: the robber's), cached
-        per graph and shared by every caller, so it must only be read."""
+        """`component_sets` of one layer's view (None: the robber's), walked
+        afresh on each call: the view is cached, its components are not, so
+        each caller owns the sets it gets."""
 
-        key = ("components", layer)
-        if key not in self._cache:
-            self._cache[key] = component_sets(self.layer_view(layer))
-        return self._cache[key]
+        return component_sets(self.layer_view(layer))
 
     def moves(self, layer: int | None) -> Sequence[Sequence[int]]:
         """The move rule of one layer (None: the robber's): per vertex, the

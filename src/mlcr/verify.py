@@ -222,8 +222,9 @@ def _c05(budget):
 
 @criterion("c06-tree-robber", "tree-robber fast path matches the exact solver")
 def _c06(budget):
-    from .solver import copwin_verdicts
+    # compiled before numpy, which the solver loads: see README, Start-up and exit
     from .treealgo import tree_verdicts
+    from .solver import copwin_verdicts
 
     rng = random.Random(20240606)
     instances = []
@@ -245,12 +246,13 @@ def _c06(budget):
         )
         instances.append((g, rng.randint(1, 2)))
     mismatches = []
-    questions = lambda: [([g], allocation_plans(k, g.tau)) for g, k in instances]
+    question = lambda g, k: ([g], allocation_plans(k, g.tau))
     # the instances advance together, each up to its first winning composition
-    slow = [plan for plan, _ in first_winning_plans(questions(), partial(copwin_verdicts, state_budget=budget))]
-    # the tree path has no batch to share: asked one at a time, it holds one
-    # search, not 300 (~0.2 MiB at c06's peak, tracemalloc), at once
-    fast = [first_winning_plans([question], tree_verdicts)[0][0] for question in questions()]
+    decide = partial(copwin_verdicts, state_budget=budget)
+    slow = [plan for plan, _ in first_winning_plans([question(g, k) for g, k in instances], decide)]
+    # the tree path has no batch to share: each question is built when it is
+    # asked, so one search and one plan iterator are live, not 300
+    fast = [first_winning_plans([question(g, k)], tree_verdicts)[0][0] for g, k in instances]
     won = lambda plan: "ROBBER" if plan is None else "COP"
     for trial, (solver, tree) in enumerate(zip(slow, fast)):
         if won(tree) != won(solver):
@@ -296,10 +298,11 @@ def _c08(budget):
 
 @criterion("c09-solver-oracle", "retrograde table equals naive fixed point, state by state")
 def _c09(budget):
-    import numpy as np
-
+    # compiled before numpy: see README, Start-up and exit
     from .oracles import naive_copwin_status
     from .solver import build_copwin_batch
+
+    import numpy as np
 
     rng = random.Random(20240609)
     pairs = []

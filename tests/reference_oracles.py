@@ -4,7 +4,8 @@ composition, and girth and treewidth by brute force, all deliberately
 naive and run on small instances only, like `mlcr.oracles`;
 `rank_violations`, the certificate of a solved table at any size, and
 `multiset_rank_violations`, its counterpart for winner-only tables over
-cop multisets; and
+cop multisets; `product_robbers_edge`, the tree path's answer from every
+component profile in `itertools.product` order; and
 `first_robber_move_into_a_cop_win`, which judges a robber's match move by
 move against the solved table.
 
@@ -190,6 +191,24 @@ def naive_allocated_verdict(g: MultiLayerGraph, alloc: AllocationPlan) -> str:
         if all(win[(p0, cops, 0)] for p0 in range(n)):
             return "COP"
     return "ROBBER"
+
+
+def product_robbers_edge(g: MultiLayerGraph, assignment: Sequence[int]):
+    """`treealgo.find_robbers_edge` over the full product of each cop's
+    component choices, same-layer permutations included: the first clean
+    profile, else the first profile's certificate."""
+
+    from mlcr.treealgo import _component_choices, _profile_robbers_edge, robber_tree_edges
+
+    robber_edges = robber_tree_edges(g)
+    first_cert = None
+    for profile in product(*(_component_choices(g, layer) for layer in assignment)):
+        cert = _profile_robbers_edge(g, assignment, profile, robber_edges)
+        if cert is None:
+            return profile
+        if first_cert is None:
+            first_cert = cert
+    return first_cert
 
 
 def robber_layer_variants(g: MultiLayerGraph) -> list[MultiLayerGraph]:

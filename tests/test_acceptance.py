@@ -189,3 +189,32 @@ def test_c15_children_import_the_package_of_the_process_without_pythonpath(monke
     (res,) = run_criteria(only="c15")
     assert res.passed, res.details
     assert _stdout_digest(res) == STDOUT_SHA256[res.cid]
+
+
+def test_c06_peak_memory(monkeypatch):
+    """c06 keeps no component sets on its 300 graphs and builds each tree
+    question when it asks it, so the tree side's memory grows by its plans
+    and the graphs' views alone.  Measured (tracemalloc, modules loaded):
+    the tree side grows 170 KB (531 KB while graphs cached their
+    components); c06 peaks at 1.76 MB in a fresh process, 1.43 MB once c06
+    or c09 has run (1.83 and 1.43 MB with the cache)."""
+
+    import tracemalloc
+
+    traced = []
+    real = treealgo.tree_verdicts
+
+    def spy(pairs):
+        traced.append(tracemalloc.get_traced_memory()[0])
+        return real(pairs)
+
+    monkeypatch.setattr(treealgo, "tree_verdicts", spy)
+    tracemalloc.start()
+    try:
+        (res,) = run_criteria(only="c06")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.passed and _stdout_digest(res) == STDOUT_SHA256[res.cid]
+    assert max(traced) - traced[0] < 2**18
+    assert peak < 7 * 2**18

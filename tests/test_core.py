@@ -159,7 +159,10 @@ def test_components_single_edge():
     g = MultiLayerGraph(n=3, layers=(((0, 1),),))
     assert g.layer_view(0) == ((1,), (0,), ())
     assert g.components(0) == component_sets(g.layer_view(0)) == [{0, 1}, {2}]
-    assert g.components(0) is g.components(0)
+    # no cache: each call walks the view again, and its caller owns the sets
+    mine = g.components(0)
+    mine[0].add(2)
+    assert g.components(0) == [{0, 1}, {2}]
 
 
 def test_components_cycle_matchings():

@@ -134,6 +134,48 @@ def test_scripted_strategies_load_only_when_named(name, tmp_path):
     assert _fresh_run(runs, tmp_path)["scripted"] is wants_scripted
 
 
+# The `verify-paper --only` runs of the benchmark's paper-suite workload
+PAPER_SUITE = ("c01", "c02", "c03", "c06", "c07", "c08", "c09")
+
+# The finder records each module as its import starts, before its loader
+# compiles it; `sys.modules` moves a module to its end once it has run.
+_ORDER_CHILD = """
+import contextlib, io, json, sys
+started = []
+class Recorder:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        started.append(name)
+sys.meta_path.insert(0, Recorder)
+from mlcr.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["verify-paper", "--only", sys.argv[1]])
+after_numpy = started[started.index("numpy"):] if "numpy" in started else []
+print(json.dumps({"code": code, "late": [m for m in after_numpy if m.split(".")[0] == "mlcr"]}))
+"""
+
+
+def test_paper_suite_criteria_compile_the_package_before_numpy():
+    """No `mlcr` module starts its import, and so its compile, once numpy
+    has loaded: compiled after numpy, a module raises the process's peak RSS
+    by its compile memory (README, Start-up and exit).  Each criterion runs
+    in its own fresh interpreter, all at once."""
+
+    procs = {
+        cid: subprocess.Popen([sys.executable, "-c", _ORDER_CHILD, cid], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True)
+        for cid in PAPER_SUITE
+    }
+    late = {}
+    for cid, proc in procs.items():
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        got = json.loads(out.splitlines()[-1])
+        assert got["code"] == 0, (cid, err)
+        late[cid] = got["late"]
+    assert late == {cid: [] for cid in PAPER_SUITE}
+
+
 def test_package_names_resolve_lazily():
     import mlcr.solver
 

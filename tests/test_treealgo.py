@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from mlcr import treealgo
 from mlcr.core import MlgError, MultiLayerGraph, RobberSpec, Winner, allocation_plans, first_winning_plans
-from mlcr.treealgo import find_robbers_edge, robber_tree_edges, tree_verdicts, winning_profile
+from mlcr.treealgo import RobbersEdgeCertificate, find_robbers_edge, robber_tree_edges, tree_verdicts, winning_profile
 from mlcr.verify import random_tree_edges
+from reference_oracles import product_robbers_edge
 
 
 def explicit(n, layers, robber):
@@ -166,15 +168,53 @@ def test_equivalence_extends_to_three_layers_and_three_cops():
         assert fast.winner is slow.winner, (trial, n, tau, k)
 
 
+def test_sorted_layer_groups_give_the_product_order_answer():
+    """Same-layer cops choose non-decreasing components, yet the clean
+    profile found and the robber's certificate are those of the full
+    product order, with repeated and non-contiguous layers and isolated
+    vertices in the cop layers."""
+
+    rng = random.Random(8080)
+    seen = {"clean": 0, "dirty": 0, "non-contiguous": 0, "four cops": 0}
+    for trial in range(400):
+        n = rng.randint(2, 8)
+        tau = rng.randint(1, 3)
+        layers = tuple(
+            tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < rng.choice([0.1, 0.25, 0.5]))
+            for _ in range(tau)
+        )
+        g = explicit(n, layers, random_tree_edges(rng, n))
+        assignment = tuple(rng.randrange(tau) for _ in range(rng.randint(1, 4)))
+        found = find_robbers_edge(g, assignment)
+        assert found == product_robbers_edge(g, assignment), (trial, n, layers, assignment)
+        seen["dirty" if isinstance(found, RobbersEdgeCertificate) else "clean"] += 1
+        groups = [layer for c, layer in enumerate(assignment) if c == 0 or assignment[c - 1] != layer]
+        seen["non-contiguous"] += len(groups) > len(set(groups))
+        seen["four cops"] += len(assignment) == 4
+    assert min(seen.values()) >= 40, seen
+
+
+def test_same_layer_cops_choose_each_multiset_of_components_once(monkeypatch):
+    """Three cops on a layer of c = 5 isolated vertices leave a vertex
+    unpoliced in every profile: C(c + 2, 3) profiles are tested, not c^3."""
+
+    calls = []
+    real = treealgo._profile_robbers_edge
+    monkeypatch.setattr(treealgo, "_profile_robbers_edge", lambda *args: calls.append(1) or real(*args))
+    g = explicit(5, [()], [(v, v + 1) for v in range(4)])
+    assert isinstance(find_robbers_edge(g, (0, 0, 0)), RobbersEdgeCertificate)
+    assert len(calls) == math.comb(5 + 2, 3) == 35
+
+
 def test_tree_question_checks_the_tree_once(monkeypatch):
-    """Every composition asks for the tree; the graph builds the robber
-    components that answer it once."""
+    """Every composition asks for the tree; the graph walks the robber
+    components that answer it once, and caches the answer."""
 
     calls = []
     real = MultiLayerGraph.components
 
     def counted(self, layer):
-        if layer is None and ("components", None) not in self._cache:
+        if layer is None:
             calls.append(self.n)
         return real(self, layer)
 
